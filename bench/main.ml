@@ -130,8 +130,7 @@ let microbenches () =
         (Staged.stage (fun () -> ignore (Dataset.of_store store)));
       Test.make ~name:"derive: all types"
         (Staged.stage (fun () -> ignore (Derivator.derive_all dataset)));
-      (* Same work on a domain pool; `dune build @perf` reports the
-         speedup on the large workload mix. *)
+      (* Same work on a domain pool. *)
       Test.make ~name:(Printf.sprintf "derive: all types (-j %d)" par_jobs)
         (Staged.stage (fun () ->
              ignore (Derivator.derive_all ~jobs:par_jobs dataset)));

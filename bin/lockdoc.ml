@@ -135,10 +135,18 @@ let read_file_bytes path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Reading a directory fails mid-read with an errno that does not name
+   the path; fail up front instead, the way opening a missing file
+   does (both end in the [Sys_error] report at the bottom). *)
+let check_not_dir path =
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": Is a directory"))
+
 (* Packed (LDOCBIN1) traces are auto-detected by magic; [--binary]
    forces the binary decoder (a garbled magic then fails loudly instead
    of silently misparsing the file as text rows). *)
 let load_trace ?(binary = false) mode path =
+  check_not_dir path;
   let trace, diags =
     if binary || Codec.file_is_binary path then
       Codec.decode_string ~mode:(reader_mode mode) ~file:path
@@ -499,6 +507,7 @@ let fsck_cmd =
     (* Always lenient: the whole point is to survey the damage. Packed
        traces are detected by magic and fed through the binary decoder
        rather than misparsed as text rows. *)
+    check_not_dir path;
     let binary = Codec.file_is_binary path in
     let trace, reader_diags =
       if binary then
@@ -1009,8 +1018,7 @@ let serve_cmd =
                  ephemeral port, printed at startup). Both transports serve \
                  the identical protocol and sessions.")
   in
-  let run socket tcp max_clients queue_bytes session_timeout durable tac jobs
-      metrics =
+  let run socket tcp max_clients queue_bytes session_timeout durable tac metrics =
     with_metrics metrics @@ fun () ->
     let config =
       {
@@ -1021,7 +1029,6 @@ let serve_cmd =
         session_timeout;
         durable_root = durable;
         tac;
-        jobs = resolve_jobs jobs;
       }
     in
     Printf.printf "lockdoc serve: listening on %s\n%!" socket;
@@ -1041,7 +1048,7 @@ let serve_cmd =
           intact.")
     Term.(
       const run $ socket_arg $ tcp_arg $ max_clients_arg $ queue_bytes_arg
-      $ session_timeout_arg $ durable_arg $ tac_arg $ jobs_arg $ metrics_arg)
+      $ session_timeout_arg $ durable_arg $ tac_arg $ metrics_arg)
 
 let feed_cmd =
   let module Proto = Lockdoc_serve.Proto in
@@ -1160,4 +1167,21 @@ let main =
       relations_cmd; profile_cmd; repro_cmd; serve_cmd; feed_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* A missing or unreadable file is an input error, not a bug: report
+   the system's one-line reason (it names the path) and exit 123, which
+   every command's EXIT STATUS lists, instead of cmdliner's exit-125
+   "internal error" dump. Any other escaping exception keeps that
+   internal-error report and code. *)
+let () =
+  exit
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception Sys_error reason ->
+        Printf.eprintf "lockdoc: %s\n" reason;
+        Cmd.Exit.some_error
+    | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "lockdoc: internal error, uncaught exception:\n%s\n"
+          (Printexc.to_string exn);
+        Printexc.print_raw_backtrace stderr bt;
+        Cmd.Exit.internal_error)

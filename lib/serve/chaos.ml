@@ -465,8 +465,10 @@ let deliver_c2s st vc =
 
 (* ---- The batch oracle --------------------------------------------- *)
 
-(* Must mirror the engine's seal job exactly: same engine path, same
-   thresholds, same report serialisation. *)
+(* The batch pipeline the engine's seal must reproduce byte for byte:
+   same import engine, threshold and report serialisation, but the
+   batch derivation over [Dataset.of_store] instead of the seal's
+   online counters. *)
 let batch_reference ~tac ~jobs (trace : Trace.t) =
   let g = Import.engine trace.layouts in
   Array.iter (Import.feed g) trace.events;
@@ -492,7 +494,6 @@ let chaos_config ~durable_root =
     max_backoff = 1.0;
     max_restarts = 1000;
     durable_root;
-    jobs = 1;
   }
 
 let sorted_vconns st =
@@ -622,7 +623,7 @@ let run ?(seed = 1) ?(scale = 1) ?durable_root ?(transport = `Unix_sock)
         match cl.result with Some r -> r | None -> assert false
       in
       let e_events, e_rules, e_violations =
-        batch_reference ~tac:cfg.Server.tac ~jobs:cfg.Server.jobs trace
+        batch_reference ~tac:cfg.Server.tac ~jobs:1 trace
       in
       if events <> e_events then
         failwith

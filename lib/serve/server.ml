@@ -32,7 +32,6 @@ module Layout = Lockdoc_trace.Layout
 module Import = Lockdoc_db.Import
 module Wal = Lockdoc_db.Wal
 module Crashpoint = Lockdoc_db.Crashpoint
-module Dataset = Lockdoc_core.Dataset
 module Derivator = Lockdoc_core.Derivator
 module Rule = Lockdoc_core.Rule
 module Violation = Lockdoc_core.Violation
@@ -83,7 +82,6 @@ type config = {
   max_backoff : float;
   max_restarts : int;
   tac : float;
-  jobs : int;
   sub_debounce_events : int;
   sub_min_interval : float;
 }
@@ -103,7 +101,6 @@ let default_config =
     max_backoff = 5.;
     max_restarts = 5;
     tac = 0.9;
-    jobs = 1;
     sub_debounce_events = 512;
     sub_min_interval = 0.1;
   }
@@ -754,13 +751,22 @@ let mined_key (m : Derivator.mined) =
   m.Derivator.m_type ^ "/" ^ m.Derivator.m_member ^ "/"
   ^ Rule.access_to_string m.Derivator.m_kind
 
-let mined_objs mined =
-  List.map (fun m -> (mined_key m, Report.mined_rule_to_json m)) mined
-
 (* The encoder joins array elements with bare commas, so this is
    [Report.mined_to_json] of the same list, byte for byte — checked by
-   the byte-identity oracle on both the push and the sealed paths. *)
+   the byte-identity oracle on the stream, push and sealed paths. *)
 let objs_array objs = "[" ^ String.concat "," (List.map snd objs) ^ "]"
+
+(* Freeze a session's online derivator: the (rule key, rule object)
+   list, built from the per-group memoized JSON, and the violations
+   JSON, computed on demand. Violations are never memoized: a repeat
+   access to an existing cell raises its [events] count without
+   touching the cell's group. *)
+let freeze_rules ~tac onl =
+  let dataset, rules = Online.freeze_json ~tac onl in
+  ( List.map (fun (m, json) -> (mined_key m, json)) rules,
+    lazy
+      (Report.violations_to_json (Violation.find dataset (List.map fst rules)))
+  )
 
 (* Which rules changed since the subscriber's last push: [added] is
    every (key, obj) that is new or whose object differs, [removed] the
@@ -810,7 +816,7 @@ let begin_seal t s =
   drop_pending t s;
   close_wal s;
   let onl = online_of s in
-  let tac = t.cfg.tac and jobs = t.cfg.jobs and sid = s.s_id in
+  let tac = t.cfg.tac and sid = s.s_id in
   s.s_state <- Sealing;
   t.runner (fun () ->
       (* Analysis-domain side. [onl] is owned by this job until the
@@ -825,19 +831,15 @@ let begin_seal t s =
               Online.feed onl ev)
             events;
           let _stats = Online.finalize onl in
-          let dataset = Dataset.of_store (Online.store onl) in
-          let mined = Derivator.derive_all ~tac ~jobs dataset in
-          let rules = Report.mined_to_json mined in
-          let violations =
-            Report.violations_to_json (Violation.find ~jobs dataset mined)
-          in
+          let objs, violations = freeze_rules ~tac onl in
+          let violations = Lazy.force violations in
           if Obs.enabled () then
             Obs.observe h_seal (1000. *. (Obs.Clock.wall () -. t0));
           {
             r_events = Online.position onl;
-            r_rules = rules;
+            r_rules = objs_array objs;
             r_violations = violations;
-            r_rule_objs = mined_objs mined;
+            r_rule_objs = objs;
           }
         with
         | r -> Ok r
@@ -1019,13 +1021,9 @@ let handle_stream t c s ~now =
                which [feed_one] guarantees (layouts precede events). *)
             reply ~state:"streaming" ~events:0 ~rules:"[]" ~violations:"[]"
         | Some onl ->
-            let dataset, mined = Online.freeze ~tac:t.cfg.tac ~jobs:1 onl in
-            let rules = Report.mined_to_json mined in
-            let violations =
-              Report.violations_to_json (Violation.find ~jobs:1 dataset mined)
-            in
-            reply ~state:"streaming" ~events:(Online.position onl) ~rules
-              ~violations
+            let objs, violations = freeze_rules ~tac:t.cfg.tac onl in
+            reply ~state:"streaming" ~events:(Online.position onl)
+              ~rules:(objs_array objs) ~violations:(Lazy.force violations)
       with exn ->
         let outs = session_fail t s ~now exn in
         detach t c.c_id;
@@ -1081,11 +1079,8 @@ let handle_subscribe t c s ~now =
                     ~violations:"[]" ~added:[] ~removed:[] );
             ]
         | Some onl ->
-            let dataset, mined = Online.freeze ~tac:t.cfg.tac ~jobs:1 onl in
-            let objs = mined_objs mined in
-            let violations =
-              Report.violations_to_json (Violation.find ~jobs:1 dataset mined)
-            in
+            let objs, violations = freeze_rules ~tac:t.cfg.tac onl in
+            let violations = Lazy.force violations in
             s.s_pub <- objs;
             s.s_pub_pos <- Online.position onl;
             s.s_pub_t <- now;
@@ -1114,17 +1109,14 @@ let session_push t s ~now =
          && Online.position onl - s.s_pub_pos >= t.cfg.sub_debounce_events
          && now -. s.s_pub_t >= t.cfg.sub_min_interval -> (
       try
-        let dataset, mined = Online.freeze ~tac:t.cfg.tac ~jobs:1 onl in
-        let objs = mined_objs mined in
+        let objs, violations = freeze_rules ~tac:t.cfg.tac onl in
         let added, removed = rules_delta ~prev:s.s_pub ~next:objs in
         s.s_pub_pos <- Online.position onl;
         s.s_pub_t <- now;
         if added = [] && removed = [] then []
         else begin
           s.s_pub <- objs;
-          let violations =
-            Report.violations_to_json (Violation.find ~jobs:1 dataset mined)
-          in
+          let violations = Lazy.force violations in
           [
             Send
               ( cid,

@@ -50,8 +50,7 @@ type config = {
   restart_backoff : float;  (** base of the exponential backoff, seconds *)
   max_backoff : float;
   max_restarts : int;  (** failures before [permanent-failure] *)
-  tac : float;  (** acceptance threshold used at seal time *)
-  jobs : int;  (** analysis domains used at seal time *)
+  tac : float;  (** acceptance threshold of stream answers and seals *)
   sub_debounce_events : int;
       (** a subscribed session is re-frozen for a possible push only
           after this many new events since the last push *)

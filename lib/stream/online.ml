@@ -8,12 +8,14 @@ module Lockdesc = Lockdoc_core.Lockdesc
 module Hypothesis = Lockdoc_core.Hypothesis
 module Selection = Lockdoc_core.Selection
 module Derivator = Lockdoc_core.Derivator
+module Report = Lockdoc_core.Report
 module Pool = Lockdoc_util.Pool
 module Obs = Lockdoc_obs.Obs
 
 let c_absorbed = Obs.counter "stream.online.accesses"
 let c_flips = Obs.counter "stream.online.flips"
 let c_freezes = Obs.counter "stream.online.freezes"
+let c_rescored = Obs.counter "stream.online.rescored"
 
 (* One observation cell: the unit the batch dataset folds accesses
    into, keyed (allocation, member, transaction) — or the access's own
@@ -39,9 +41,23 @@ type counter = { mutable sa : int; mutable contrib : int }
    the rule as one of its ordered subsequences. [contrib > 0] is
    exactly "the rule is in the batch candidate set of this group". *)
 
+(* A group's last freeze result, valid for one (strategy, tac) pair:
+   the mined rule and its [Report.mined_rule_to_json] object. *)
+type memo = {
+  mm_strategy : Selection.strategy option;
+  mm_tac : float;
+  mm_rule : Derivator.mined * string;
+}
+
 type group = {
   mutable g_cells : cell list;  (* unordered; order comes from [order] *)
+  mutable g_total : int;  (* [List.length g_cells] *)
   g_rules : (Rule.t, counter) Hashtbl.t;
+  mutable g_memo : memo option;
+      (* cleared by [group_add] / [group_remove], the only mutators of
+         [g_cells] and the counters: a rule depends on its own group
+         alone (paper Sec. 5.4), so an untouched group freezes to the
+         same bytes. *)
 }
 
 type t = {
@@ -75,7 +91,9 @@ let group_of t key member kind =
   match Hashtbl.find_opt t.groups gkey with
   | Some g -> g
   | None ->
-      let g = { g_cells = []; g_rules = Hashtbl.create 16 } in
+      let g =
+        { g_cells = []; g_total = 0; g_rules = Hashtbl.create 16; g_memo = None }
+      in
       Hashtbl.replace t.groups gkey g;
       g
 
@@ -89,6 +107,8 @@ let group_add g cell =
     (fun rule c -> if Rule.complies ~rule ~held then c.sa <- c.sa + 1)
     g.g_rules;
   g.g_cells <- cell :: g.g_cells;
+  g.g_total <- g.g_total + 1;
+  g.g_memo <- None;
   List.iter
     (fun rule ->
       match Hashtbl.find_opt g.g_rules rule with
@@ -107,6 +127,8 @@ let group_add g cell =
 let group_remove g cell =
   let held = cell.c_locks in
   g.g_cells <- List.filter (fun c -> c != cell) g.g_cells;
+  g.g_total <- g.g_total - 1;
+  g.g_memo <- None;
   Hashtbl.iter
     (fun rule c -> if Rule.complies ~rule ~held then c.sa <- c.sa - 1)
     g.g_rules;
@@ -195,49 +217,76 @@ let dataset t =
   in
   Dataset.of_groups t.st assoc
 
-let freeze ?strategy ?(tac = Derivator.default_tac) ?(jobs = 1) t =
-  Obs.incr c_freezes;
-  let dataset = dataset t in
-  let mined =
-    Pool.map ~jobs
-      (fun (key, member, kind) ->
-        let observations = Dataset.by_member dataset key ~member ~kind in
-        let total = List.length observations in
-        let scored =
-          match Hashtbl.find_opt t.groups (key, member, kind) with
-          | None -> []
-          | Some g ->
-              Hashtbl.fold
-                (fun rule c acc ->
-                  if c.contrib > 0 then
-                    {
-                      Hypothesis.rule;
-                      support =
-                        {
-                          Hypothesis.sa = c.sa;
-                          sr =
-                            (if total = 0 then 0.
-                             else float_of_int c.sa /. float_of_int total);
-                        };
-                    }
-                    :: acc
-                  else acc)
-                g.g_rules []
-        in
-        (* [sort_scored] is a total order over distinct rules, so the
-           arbitrary Hashtbl fold order above sorts to exactly the list
-           [Hypothesis.enumerate] would have produced. *)
-        let hypotheses = Hypothesis.sort_scored scored in
-        let winner = Selection.select ?strategy ~tac hypotheses in
-        {
-          Derivator.m_type = key;
-          m_member = member;
-          m_kind = kind;
-          m_total = total;
-          m_winner = winner.Hypothesis.rule;
-          m_support = winner.Hypothesis.support;
-          m_hypotheses = hypotheses;
-        })
-      (Derivator.groups dataset)
+(* Re-score one group from its counters: the same [mined] value
+   [Derivator.derive_member] computes from the group's observations. *)
+let mine ?strategy ~tac (key, member, kind) g =
+  let total = g.g_total in
+  let scored =
+    Hashtbl.fold
+      (fun rule c acc ->
+        if c.contrib > 0 then
+          {
+            Hypothesis.rule;
+            support =
+              {
+                Hypothesis.sa = c.sa;
+                sr = float_of_int c.sa /. float_of_int total;
+              };
+          }
+          :: acc
+        else acc)
+      g.g_rules []
   in
-  (dataset, mined)
+  (* [sort_scored] is a total order over distinct rules, so the
+     arbitrary Hashtbl fold order above sorts to exactly the list
+     [Hypothesis.enumerate] would have produced. *)
+  let hypotheses = Hypothesis.sort_scored scored in
+  let winner = Selection.select ?strategy ~tac hypotheses in
+  let m =
+    {
+      Derivator.m_type = key;
+      m_member = member;
+      m_kind = kind;
+      m_total = total;
+      m_winner = winner.Hypothesis.rule;
+      m_support = winner.Hypothesis.support;
+      m_hypotheses = hypotheses;
+    }
+  in
+  (m, Report.mined_rule_to_json m)
+
+let freeze_json ?strategy ?(tac = Derivator.default_tac) ?(jobs = 1) t =
+  Obs.incr c_freezes;
+  (* The non-empty groups in [Derivator.groups] order: type keys, then
+     (member, kind), ascending — structural order on the triple. *)
+  let live =
+    Hashtbl.fold
+      (fun gkey g acc -> if g.g_total > 0 then (gkey, g) :: acc else acc)
+      t.groups []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let fresh (_, g) =
+    match g.g_memo with
+    | Some mm -> mm.mm_strategy = strategy && Float.equal mm.mm_tac tac
+    | None -> false
+  in
+  let dirty = List.filter (fun e -> not (fresh e)) live in
+  Obs.add c_rescored (List.length dirty);
+  (* Workers only read the counters; memos are written back here, on
+     the calling domain. *)
+  let rules =
+    Pool.map ~jobs (fun (gkey, g) -> mine ?strategy ~tac gkey g) dirty
+  in
+  List.iter2
+    (fun (_, g) rule ->
+      g.g_memo <- Some { mm_strategy = strategy; mm_tac = tac; mm_rule = rule })
+    dirty rules;
+  ( dataset t,
+    List.map
+      (fun (_, g) ->
+        match g.g_memo with Some mm -> mm.mm_rule | None -> assert false)
+      live )
+
+let freeze ?strategy ?tac ?jobs t =
+  let dataset, rules = freeze_json ?strategy ?tac ?jobs t in
+  (dataset, List.map fst rules)

@@ -213,6 +213,33 @@ let test_feed_needs_input () =
   check Alcotest.bool "explains itself" true
     (contains err "feed needs a TRACE")
 
+(* A missing input file is a one-line diagnostic naming the path and
+   an exit code the man page documents, not cmdliner's exit-125
+   "internal error, uncaught exception" dump. *)
+let test_missing_input_file () =
+  let dir = temp_dir "cli_missing" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let path = Filename.concat dir "absent.trace" in
+      List.iter
+        (fun cmd ->
+          let code, out, err = run [ cmd; path ] in
+          check Alcotest.int (cmd ^ ": exit 123") 123 code;
+          check Alcotest.string (cmd ^ ": nothing on stdout") "" out;
+          check Alcotest.string (cmd ^ ": one-line diagnostic")
+            (Printf.sprintf "lockdoc: %s: No such file or directory\n" path)
+            err)
+        [ "derive"; "violations"; "import"; "fsck" ];
+      let code, _, err = run [ "derive"; dir ] in
+      check Alcotest.int "directory: exit 123" 123 code;
+      check Alcotest.string "directory: names the path"
+        (Printf.sprintf "lockdoc: %s: Is a directory\n" dir)
+        err;
+      let _, man, _ = run [ "derive"; "--help=plain" ] in
+      check Alcotest.bool "EXIT STATUS lists 123" true
+        (contains man "123 on indiscriminate errors"))
+
 (* ---- pack / unpack / binary fsck ---------------------------------- *)
 
 let test_pack_unpack_roundtrip () =
@@ -299,6 +326,8 @@ let () =
           Alcotest.test_case "lint json smoke" `Quick test_lint_json_smoke;
           Alcotest.test_case "profile json smoke" `Quick test_profile_json;
           Alcotest.test_case "feed needs input" `Quick test_feed_needs_input;
+          Alcotest.test_case "missing input file" `Quick
+            test_missing_input_file;
         ] );
       ( "binary",
         [

@@ -73,8 +73,9 @@ let rec rm_rf path =
 let pipe_trace = lazy (Run.workload_trace "pipe")
 let device_trace = lazy (Run.workload_trace "device")
 
-(* Must mirror [Server.seal_session] (and [Chaos.batch_reference]):
-   same engine path, same thresholds, same report serialisation. *)
+(* The batch oracle, as [Chaos.batch_reference]: the seal's online
+   derivation must reproduce it byte for byte — same import engine,
+   thresholds and report serialisation. *)
 let batch_ref ?(tac = 0.9) ?(jobs = 1) (trace : Trace.t) =
   let g = Import.engine trace.layouts in
   Array.iter (Import.feed g) trace.events;

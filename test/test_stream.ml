@@ -26,9 +26,11 @@ module Dataset = Lockdoc_core.Dataset
 module Derivator = Lockdoc_core.Derivator
 module Violation = Lockdoc_core.Violation
 module Report = Lockdoc_core.Report
+module Rule = Lockdoc_core.Rule
 module Varint = Lockdoc_stream.Varint
 module Codec = Lockdoc_stream.Codec
 module Online = Lockdoc_stream.Online
+module Obs = Lockdoc_obs.Obs
 
 let check = Alcotest.check
 
@@ -282,6 +284,150 @@ let test_online_matches_batch () =
       done)
     families
 
+(* ---- The freeze memo ---------------------------------------------- *)
+
+(* Each group memoizes its last rule; these pin that a memo never
+   outlives a change to its group or to the (strategy, tac) it was
+   scored with. Every check compares against batch mining of the same
+   prefix. *)
+
+let batch_mined ?strategy ?tac trace prefix =
+  let sub = { trace with Trace.events = Array.sub trace.Trace.events 0 prefix } in
+  let store, _ = Import.run sub in
+  Derivator.derive_all ?strategy ?tac (Dataset.of_store store)
+
+let rescored = Obs.counter "stream.online.rescored"
+let flips = Obs.counter "stream.online.flips"
+
+let with_metrics f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+
+(* A freeze's rules JSON and the number of groups it re-scored. *)
+let counted_freeze online =
+  let before = Obs.counter_value rescored in
+  let _, mined = Online.freeze online in
+  (Report.mined_to_json mined, Obs.counter_value rescored - before)
+
+let memo_trace = lazy (Run.workload_trace ~seed:201 "fs_bench")
+
+let test_repeat_freeze_hits_memo () =
+  with_metrics @@ fun () ->
+  let trace = Lazy.force memo_trace in
+  let n = Array.length trace.Trace.events in
+  let online = Online.create trace.Trace.layouts in
+  for i = 0 to (n / 2) - 1 do
+    Online.feed online trace.Trace.events.(i)
+  done;
+  let first, scored = counted_freeze online in
+  let again, rescored_again = counted_freeze online in
+  check Alcotest.bool "first freeze scores groups" true (scored > 0);
+  check Alcotest.int "second freeze re-scores nothing" 0 rescored_again;
+  check Alcotest.string "second freeze is byte-identical" first again;
+  check Alcotest.string "memoized rules match batch"
+    (Report.mined_to_json (batch_mined trace (n / 2)))
+    again;
+  for i = n / 2 to n - 1 do
+    Online.feed online trace.Trace.events.(i)
+  done;
+  let full, rescored_full = counted_freeze online in
+  check Alcotest.bool "feeding dirties some groups" true (rescored_full > 0);
+  check Alcotest.string "after more feed: rules match batch"
+    (Report.mined_to_json (batch_mined trace n))
+    full
+
+let test_memo_honours_tac () =
+  let trace = Lazy.force memo_trace in
+  let n = Array.length trace.Trace.events in
+  let online = Online.create trace.Trace.layouts in
+  Array.iter (Online.feed online) trace.Trace.events;
+  let at ?strategy tac =
+    let _, mined = Online.freeze ?strategy ~tac online in
+    let rules = Report.mined_to_json mined in
+    check Alcotest.string
+      (Printf.sprintf "tac %.1f: rules match batch" tac)
+      (Report.mined_to_json (batch_mined ?strategy ~tac trace n))
+      rules;
+    rules
+  in
+  let high = at 0.9 in
+  let low = at 0.5 in
+  (* The strategy is part of the memo key too. *)
+  let naive = at ~strategy:Lockdoc_core.Selection.Naive 0.5 in
+  let high' = at 0.9 in
+  check Alcotest.bool "the trace has a tac-sensitive rule" true (high <> low);
+  check Alcotest.bool "the trace has a strategy-sensitive rule" true
+    (naive <> low);
+  check Alcotest.string "back at 0.9: same bytes" high high'
+
+let test_memoized_json () =
+  let trace = Lazy.force memo_trace in
+  let n = Array.length trace.Trace.events in
+  let online = Online.create trace.Trace.layouts in
+  let fed = ref 0 in
+  List.iter
+    (fun prefix ->
+      for i = !fed to prefix - 1 do
+        Online.feed online trace.Trace.events.(i)
+      done;
+      fed := prefix;
+      let _, rules = Online.freeze_json online in
+      List.iter
+        (fun (m, json) ->
+          check Alcotest.string
+            (Printf.sprintf "@%d: %s/%s object" prefix m.Derivator.m_type
+               m.Derivator.m_member)
+            (Report.mined_rule_to_json m) json)
+        rules;
+      check Alcotest.string
+        (Printf.sprintf "@%d: joined objects match batch" prefix)
+        (Report.mined_to_json (batch_mined trace prefix))
+        ("[" ^ String.concat "," (List.map snd rules) ^ "]"))
+    (List.sort_uniq compare [ 0; n / 4; n / 2; (3 * n) / 4; n ])
+
+(* An R -> W flip moves a cell between two groups without adding an
+   observation: the write group must be re-scored, and so must the
+   read group when it keeps other cells. Freeze right before each flip
+   (so every memo is warm) and right after it, until three flips have
+   left their read group non-empty. *)
+let test_flips_match_batch () =
+  with_metrics @@ fun () ->
+  let trace = Lazy.force memo_trace in
+  let n = Array.length trace.Trace.events in
+  let online = Online.create trace.Trace.layouts in
+  let read_totals mined =
+    List.filter_map
+      (fun (m : Derivator.mined) ->
+        if m.Derivator.m_kind = Rule.R then
+          Some ((m.Derivator.m_type, m.Derivator.m_member), m.Derivator.m_total)
+        else None)
+      mined
+  in
+  let shrunk = ref 0 and i = ref 0 in
+  while !shrunk < 3 && !i < n do
+    let before = Obs.counter_value flips in
+    ignore (Online.freeze online);
+    Online.feed online trace.Trace.events.(!i);
+    incr i;
+    if Obs.counter_value flips > before then begin
+      let rules, scored = counted_freeze online in
+      let batch = batch_mined trace !i in
+      check Alcotest.bool (Printf.sprintf "flip @%d: re-scored" !i) true
+        (scored >= 1);
+      check Alcotest.string
+        (Printf.sprintf "flip @%d: rules match batch" !i)
+        (Report.mined_to_json batch) rules;
+      let prev = read_totals (batch_mined trace (!i - 1)) in
+      if
+        List.exists
+          (fun (k, total) -> List.assoc_opt k prev = Some (total + 1))
+          (read_totals batch)
+      then incr shrunk
+    end
+  done;
+  check Alcotest.int "flips that left their read group non-empty" 3 !shrunk
+
 (* Feeding from the packed binary through the incremental decoder into
    the online derivator — the whole streaming path end to end. *)
 let test_streamed_binary_pipeline () =
@@ -351,5 +497,15 @@ let () =
             `Slow test_online_matches_batch;
           Alcotest.test_case "binary streamed pipeline" `Quick
             test_streamed_binary_pipeline;
+        ] );
+      ( "freeze-memo",
+        [
+          Alcotest.test_case "repeat freeze re-scores nothing" `Quick
+            test_repeat_freeze_hits_memo;
+          Alcotest.test_case "memo honours tac and strategy" `Quick
+            test_memo_honours_tac;
+          Alcotest.test_case "memoized rule json" `Quick test_memoized_json;
+          Alcotest.test_case "R->W flips match batch" `Quick
+            test_flips_match_batch;
         ] );
     ]
