@@ -89,7 +89,7 @@ let microbenches () =
     Sys.mkdir dir 0o755;
     Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
   in
-  let obs = Dataset.by_member dataset "inode:ext4" ~member:"i_state" ~kind:Rule.W in
+  let combos = Dataset.combos_of dataset ("inode:ext4", "i_state", Rule.W) in
   let mined = Derivator.derive_all dataset in
   let par_jobs = 4 in
   let tests =
@@ -147,8 +147,8 @@ let microbenches () =
              ignore (Context.families ~jobs:par_jobs ())));
       Test.make ~name:"derive: struct inode merged"
         (Staged.stage (fun () -> ignore (Derivator.derive_merged dataset "inode")));
-      Test.make ~name:"hypotheses: enumerate one member"
-        (Staged.stage (fun () -> ignore (Hypothesis.enumerate obs)));
+      Test.make ~name:"hypotheses: score one member"
+        (Staged.stage (fun () -> ignore (Hypothesis.score combos)));
       Test.make ~name:"fig1: generate+scan one release"
         (Staged.stage (fun () ->
              let p =

@@ -20,6 +20,18 @@ module Context = Lockdoc_experiments.Context
 module Obs = Lockdoc_obs.Obs
 module Numarg = Lockdoc_util.Numarg
 module Codec = Lockdoc_stream.Codec
+module Memory = Lockdoc_ksim.Memory
+
+(* A simulator fault — a simulated kernel path touched freed memory —
+   is a defect of the simulator, not of the input or of the analysis:
+   one line on stderr and its own exit code, listed in every command's
+   EXIT STATUS. *)
+let sim_fault_exit = 3
+
+let exits =
+  Cmd.Exit.info sim_fault_exit
+    ~doc:"on a simulator fault (the simulated kernel accessed freed memory)."
+  :: Cmd.Exit.defaults
 
 (* {2 Checked numeric converters}
 
@@ -189,7 +201,7 @@ let trace_cmd =
     Printf.printf "wrote %d events to %s\n"
       (Array.length trace.Trace.events) output
   in
-  Cmd.v (Cmd.info "trace" ~doc:"Run the benchmark mix and record a trace")
+  Cmd.v (Cmd.info ~exits "trace" ~doc:"Run the benchmark mix and record a trace")
     Term.(const run $ scale_arg $ seed_arg $ output $ metrics_arg)
 
 (* {2 import} *)
@@ -233,7 +245,7 @@ let import_cmd =
           progress.Lockdoc_db.Durable.pr_wal_records dir;
         Format.printf "%a@." Import.pp_stats stats
   in
-  Cmd.v (Cmd.info "import" ~doc:"Post-process a trace and print statistics")
+  Cmd.v (Cmd.info ~exits "import" ~doc:"Post-process a trace and print statistics")
     Term.(
       const run $ mode_arg $ binary_arg $ durable_arg $ checkpoint_arg
       $ trace_file_arg $ metrics_arg)
@@ -276,7 +288,7 @@ let pack_cmd =
       out
   in
   Cmd.v
-    (Cmd.info "pack"
+    (Cmd.info ~exits "pack"
        ~doc:
          "Encode a trace into the compact LDOCBIN1 binary format: \
           varint/delta-coded events with interned strings in CRC-protected \
@@ -306,7 +318,7 @@ let unpack_cmd =
       out
   in
   Cmd.v
-    (Cmd.info "unpack"
+    (Cmd.info ~exits "unpack"
        ~doc:"Decode a packed (LDOCBIN1) trace back into the text format.")
     Term.(const run $ mode_arg $ trace_file_arg $ output $ metrics_arg)
 
@@ -359,7 +371,7 @@ let recover_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "recover"
+    (Cmd.info ~exits "recover"
        ~doc:
          "Rebuild a store from a durable directory (snapshot + WAL tail) \
           without the source trace. Tolerates torn and corrupt WAL tails: \
@@ -392,7 +404,7 @@ let derive_cmd =
             (Derivator.derive_type ~tac ~jobs dataset key))
         keys
   in
-  Cmd.v (Cmd.info "derive" ~doc:"Mine locking rules from a trace")
+  Cmd.v (Cmd.info ~exits "derive" ~doc:"Mine locking rules from a trace")
     Term.(
       const run $ mode_arg $ trace_file_arg $ type_arg $ tac_arg $ json_arg
       $ jobs_arg $ metrics_arg)
@@ -415,7 +427,7 @@ let doc_cmd =
     print_endline
       (Docgen.generate ~kind:Lockdoc_core.Rule.R ~title:(base ^ " (reads)") mined)
   in
-  Cmd.v (Cmd.info "doc" ~doc:"Generate locking documentation from a trace")
+  Cmd.v (Cmd.info ~exits "doc" ~doc:"Generate locking documentation from a trace")
     Term.(
       const run $ trace_file_arg $ base_arg $ tac_arg $ jobs_arg $ metrics_arg)
 
@@ -459,7 +471,7 @@ let check_cmd =
       checked
   in
   Cmd.v
-    (Cmd.info "check" ~doc:"Check the documented locking rules against a trace")
+    (Cmd.info ~exits "check" ~doc:"Check the documented locking rules against a trace")
     Term.(const run $ mode_arg $ trace_file_arg $ jobs_arg $ metrics_arg)
 
 (* {2 fsck} *)
@@ -553,7 +565,7 @@ let fsck_cmd =
     exit exit_code
   in
   Cmd.v
-    (Cmd.info "fsck"
+    (Cmd.info ~exits "fsck"
        ~doc:
          "Validate a trace file: parse leniently, check stream invariants, \
           replay the importer, and report every anomaly. Exits non-zero if \
@@ -596,7 +608,7 @@ let violations_cmd =
             (match v.Violation.v_stack with f :: _ -> f | [] -> "?"))
       violations
   in
-  Cmd.v (Cmd.info "violations" ~doc:"Locate locking-rule violations in a trace")
+  Cmd.v (Cmd.info ~exits "violations" ~doc:"Locate locking-rule violations in a trace")
     Term.(
       const run $ mode_arg $ trace_file_arg $ type_arg $ tac_arg $ limit_arg
       $ json_arg $ jobs_arg $ metrics_arg)
@@ -618,7 +630,7 @@ let lockmeter_cmd =
     else print_string (Lockdoc_core.Lockmeter.render ~top stats)
   in
   Cmd.v
-    (Cmd.info "lockmeter"
+    (Cmd.info ~exits "lockmeter"
        ~doc:"Per-lock-class usage statistics over a trace (the Lockmeter \
              baseline of the paper's Sec. 3.2)")
     Term.(const run $ trace_file_arg $ top_arg $ json_arg $ metrics_arg)
@@ -643,7 +655,7 @@ let export_cmd =
       (String.concat "," Lockdoc_db.Csv.files)
   in
   Cmd.v
-    (Cmd.info "export"
+    (Cmd.info ~exits "export"
        ~doc:"Post-process a trace and export the relational store as CSV \
              (the MariaDB bulk-load interface of the paper's Sec. 6)")
     Term.(const run $ trace_file_arg $ dir_arg $ metrics_arg)
@@ -658,7 +670,7 @@ let relations_cmd =
     print_string (Lockdoc_core.Relations.render (Lockdoc_core.Relations.analyse mined))
   in
   Cmd.v
-    (Cmd.info "relations"
+    (Cmd.info ~exits "relations"
        ~doc:"Report cross-object protection relations mined from EO rules \
              (the paper's future-work extension)")
     Term.(const run $ trace_file_arg $ tac_arg $ metrics_arg)
@@ -675,7 +687,7 @@ let lockdep_cmd =
     else print_string (Lockdoc_core.Lockdep.render report)
   in
   Cmd.v
-    (Cmd.info "lockdep"
+    (Cmd.info ~exits "lockdep"
        ~doc:
          "Run the lockdep-style lock-order analysis over a trace (the \
           in-situ baseline the paper contrasts LockDoc with)")
@@ -712,7 +724,7 @@ let lint_cmd =
     else print_string (Lint.render report)
   in
   Cmd.v
-    (Cmd.info "lint"
+    (Cmd.info ~exits "lint"
        ~doc:
          "Run the whole-program static lock-discipline analysis over the \
           declarative kernel IR and cross-validate it against a dynamic \
@@ -762,7 +774,7 @@ let sanitize_cmd =
     else print_string (Sanitize.render report)
   in
   Cmd.v
-    (Cmd.info "sanitize"
+    (Cmd.info ~exits "sanitize"
        ~doc:
          "Trace one benchmark family and run the sanitizer layer over it: \
           Eraser-style lockset race detection plus lockdep-style \
@@ -814,7 +826,7 @@ let replay_cmd =
     else print_string (Replay.render report)
   in
   Cmd.v
-    (Cmd.info "replay"
+    (Cmd.info ~exits "replay"
        ~doc:
          "Re-execute one benchmark family's sanitizer findings under \
           directed schedules: confirm each lockset race, rule violation \
@@ -940,7 +952,7 @@ let profile_cmd =
     match metrics with Some path -> Obs.write path | None -> ()
   in
   Cmd.v
-    (Cmd.info "profile"
+    (Cmd.info ~exits "profile"
        ~doc:
          "Run the pipeline end to end on one workload with metrics enabled \
           and print per-phase wall/cpu timings plus the busiest internal \
@@ -975,7 +987,7 @@ let repro_cmd =
       ids
   in
   Cmd.v
-    (Cmd.info "repro" ~doc:"Regenerate the paper's evaluation tables/figures")
+    (Cmd.info ~exits "repro" ~doc:"Regenerate the paper's evaluation tables/figures")
     Term.(const run $ scale_arg $ seed_arg $ ids_arg $ metrics_arg)
 
 (* {2 serve / feed} *)
@@ -1037,7 +1049,7 @@ let serve_cmd =
     Printf.printf "lockdoc serve: shut down\n"
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:
          "Run the supervised analysis daemon: clients stream trace rows \
           over a Unix socket (and optionally TCP, $(b,--tcp)) into isolated \
@@ -1141,7 +1153,7 @@ let feed_cmd =
                   session sealed.Sockserv.events)
   in
   Cmd.v
-    (Cmd.info "feed"
+    (Cmd.info ~exits "feed"
        ~doc:
          "Stream a trace into a running $(b,lockdoc serve) daemon and seal \
           the session; or query the daemon ($(b,--query)), or stop it \
@@ -1155,7 +1167,7 @@ let feed_cmd =
 
 let main =
   Cmd.group
-    (Cmd.info "lockdoc" ~version:"1.0.0"
+    (Cmd.info ~exits "lockdoc" ~version:"1.0.0"
        ~doc:"Trace-based analysis of locking in a simulated Linux kernel")
     [
       trace_cmd; import_cmd; pack_cmd; unpack_cmd; recover_cmd; fsck_cmd;
@@ -1170,7 +1182,8 @@ let main =
 (* A missing or unreadable file is an input error, not a bug: report
    the system's one-line reason (it names the path) and exit 123, which
    every command's EXIT STATUS lists, instead of cmdliner's exit-125
-   "internal error" dump. Any other escaping exception keeps that
+   "internal error" dump. A simulator fault likewise gets one line and
+   [sim_fault_exit]. Any other escaping exception keeps that
    internal-error report and code. *)
 let () =
   exit
@@ -1179,6 +1192,9 @@ let () =
     | exception Sys_error reason ->
         Printf.eprintf "lockdoc: %s\n" reason;
         Cmd.Exit.some_error
+    | exception Memory.Use_after_free what ->
+        Printf.eprintf "lockdoc: simulator fault: use-after-free of %s\n" what;
+        sim_fault_exit
     | exception exn ->
         let bt = Printexc.get_raw_backtrace () in
         Printf.eprintf "lockdoc: internal error, uncaught exception:\n%s\n"

@@ -28,16 +28,16 @@ let () =
 
   (* Phase 2: enumerate locking-rule hypotheses for writes to `minutes'
      and show their support — the paper's Tab. 2. *)
-  let obs = Dataset.by_member dataset "clock" ~member:"minutes" ~kind:Rule.W in
+  let combos = Dataset.combos_of dataset ("clock", "minutes", Rule.W) in
   Printf.printf "hypotheses for writes to minutes (%d observations):\n"
-    (List.length obs);
+    (Hypothesis.total combos);
   List.iter
     (fun (s : Hypothesis.scored) ->
       Printf.printf "  %-28s sa=%2d  sr=%6.2f%%\n"
         (Rule.to_string s.Hypothesis.rule)
         s.Hypothesis.support.Hypothesis.sa
         (100. *. s.Hypothesis.support.Hypothesis.sr))
-    (Hypothesis.enumerate_exhaustive obs);
+    (Hypothesis.enumerate_exhaustive combos);
 
   (* Phase 2b: pick the winner. The faulty execution keeps the true rule
      at 94 % — still above the acceptance threshold, and LockDoc's

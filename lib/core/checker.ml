@@ -21,14 +21,13 @@ let verdict_to_string = function
   | Unobserved -> "unobserved"
 
 let check_rule dataset ~ty ~member ~kind rule =
-  let observations =
-    Dataset.merged_base_type dataset ty
-    |> List.filter (fun (o : Dataset.obs) ->
-           o.Dataset.o_member = member && o.Dataset.o_kind = kind)
+  let combos =
+    Option.value ~default:[]
+      (List.assoc_opt (member, kind) (Dataset.merged dataset ty))
   in
-  let support = Hypothesis.support_of rule observations in
+  let support = Hypothesis.support_of rule combos in
   let verdict =
-    if observations = [] then Unobserved
+    if combos = [] then Unobserved
     else if support.Hypothesis.sr >= 1. then Correct
     else if support.Hypothesis.sa = 0 then Incorrect
     else Ambivalent

@@ -1,17 +1,43 @@
 module Schema = Lockdoc_db.Schema
 module Store = Lockdoc_db.Store
 module Event = Lockdoc_trace.Event
+module Vec = Lockdoc_util.Vec
 
 type obs = {
+  o_type : string;
+  o_alloc : int;
   o_member : string;
-  o_kind : Rule.access;
+  mutable o_kind : Rule.access;
   o_locks : Lockdesc.t list;
-  o_accesses : int list;
+  o_first : int;
+  mutable o_events : int;
 }
 
-type t = { store : Store.t; groups : (string, obs list) Hashtbl.t }
+type key = string * string * Rule.access
+
+type combo = { locks : Lockdesc.t list; mutable count : int }
+
+(* Groups hold few distinct combinations (1.6 on average, 14 at most, on
+   the seed-7 benchmark mix at scale 4), so a list beats a hash table
+   in time and space. *)
+type group = { mutable g_combos : combo list; mutable g_stamp : int }
+
+type t = {
+  store : Store.t;
+  wor : bool;
+  side_sensitive : bool;
+  by_txn : obs list Vec.t;
+      (* transaction id -> its cells, keyed (allocation, member) within;
+         lock-free accesses are singletons, never looked up again *)
+  types : (string, string * obs list ref) Hashtbl.t;
+      (* type key -> (the key, shared by its cells; the cells, newest
+         first = reversed first-access order) *)
+  groups : (key, group) Hashtbl.t;
+  mutable flips : int;
+}
 
 let store t = t.store
+let flips t = t.flips
 
 (* Reader-side acquisitions are marked by decorating the descriptor name
    with "[r]" when side sensitivity is on — an extension over the paper's
@@ -37,84 +63,159 @@ let locks_of_txn ?(side_sensitive = false) store ~accessed_alloc txn_id =
       else desc)
     txn.Schema.tx_locks
 
-let observations_of_accesses ?(wor = true) ?side_sensitive store accesses =
-  (* Fold per (allocation, member, transaction). Lock-free accesses are
-     singletons keyed by their own access id. *)
-  let table : (int * string * int, Rule.access * int list) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let order = ref [] in
-  List.iter
-    (fun (a : Schema.access) ->
-      let key =
-        match a.Schema.ac_txn with
-        | Some txn -> (a.Schema.ac_alloc, a.Schema.ac_member, txn)
-        | None -> (a.Schema.ac_alloc, a.Schema.ac_member, -1 - a.Schema.ac_id)
-      in
-      let kind =
-        match a.Schema.ac_kind with Event.Read -> Rule.R | Event.Write -> Rule.W
-      in
-      match Hashtbl.find_opt table key with
-      | None ->
-          Hashtbl.replace table key (kind, [ a.Schema.ac_id ]);
-          order := key :: !order
-      | Some (prev_kind, ids) ->
-          (* Write-over-read: one write makes the observation a write.
-             With [wor] off (ablation) the first access kind sticks. *)
-          let kind =
-            if wor then
-              if prev_kind = Rule.W || kind = Rule.W then Rule.W else Rule.R
-            else prev_kind
-          in
-          Hashtbl.replace table key (kind, a.Schema.ac_id :: ids))
-    accesses;
-  List.rev_map
-    (fun ((alloc, member, txn) as key) ->
-      let kind, ids = Hashtbl.find table key in
-      let locks =
-        if txn >= 0 then locks_of_txn ?side_sensitive store ~accessed_alloc:alloc txn
-        else []
-      in
-      { o_member = member; o_kind = kind; o_locks = locks; o_accesses = List.rev ids })
-    !order
+let create ?(wor = true) ?(side_sensitive = false) store =
+  {
+    store;
+    wor;
+    side_sensitive;
+    by_txn = Vec.create ();
+    types = Hashtbl.create 32;
+    groups = Hashtbl.create 64;
+    flips = 0;
+  }
 
-let of_groups store assoc =
-  let groups = Hashtbl.create 32 in
-  List.iter (fun (key, obs) -> Hashtbl.replace groups key obs) assoc;
-  { store; groups }
+let group_of t key =
+  match Hashtbl.find_opt t.groups key with
+  | Some g -> g
+  | None ->
+      let g = { g_combos = []; g_stamp = 0 } in
+      Hashtbl.replace t.groups key g;
+      g
+
+(* The only two mutators of a group. A combination whose count drops to
+   0 leaves the list: its subsequences must stop being candidates.
+   [group_add] returns the group's copy of the lock list, so the cells
+   of one combination share a single list. *)
+let group_add g locks =
+  g.g_stamp <- g.g_stamp + 1;
+  match List.find_opt (fun c -> c.locks = locks) g.g_combos with
+  | Some c ->
+      c.count <- c.count + 1;
+      c.locks
+  | None ->
+      g.g_combos <- { locks; count = 1 } :: g.g_combos;
+      locks
+
+let group_remove g locks =
+  (match List.find_opt (fun c -> c.locks = locks) g.g_combos with
+  | Some c when c.count = 1 -> g.g_combos <- List.filter (( != ) c) g.g_combos
+  | Some c -> c.count <- c.count - 1
+  | None -> invalid_arg "Dataset.group_remove: combination not in group");
+  g.g_stamp <- g.g_stamp + 1
+
+let absorb t (a : Schema.access) =
+  let alloc = a.Schema.ac_alloc and member = a.Schema.ac_member in
+  let kind =
+    match a.Schema.ac_kind with Event.Read -> Rule.R | Event.Write -> Rule.W
+  in
+  let existing =
+    match a.Schema.ac_txn with
+    | Some txn when txn < Vec.length t.by_txn ->
+        List.find_opt
+          (fun o -> o.o_alloc = alloc && String.equal o.o_member member)
+          (Vec.get t.by_txn txn)
+    | _ -> None
+  in
+  match existing with
+  | Some o ->
+      o.o_events <- o.o_events + 1;
+      (* Write-over-read: one write makes the observation a write. The
+         cell moves between groups; its place in the type key's
+         first-access order stays. With [wor] off (ablation) the first
+         access kind sticks. *)
+      if t.wor && o.o_kind = Rule.R && kind = Rule.W then begin
+        t.flips <- t.flips + 1;
+        group_remove (group_of t (o.o_type, member, Rule.R)) o.o_locks;
+        o.o_kind <- Rule.W;
+        ignore (group_add (group_of t (o.o_type, member, Rule.W)) o.o_locks)
+      end
+  | None ->
+      let al = Store.allocation t.store alloc in
+      let ty, cells =
+        let key = Schema.type_key (Store.data_type t.store al.Schema.al_type) al in
+        match Hashtbl.find_opt t.types key with
+        | Some entry -> entry
+        | None ->
+            let entry = (key, ref []) in
+            Hashtbl.replace t.types key entry;
+            entry
+      in
+      let locks =
+        match a.Schema.ac_txn with
+        | Some txn ->
+            locks_of_txn ~side_sensitive:t.side_sensitive t.store
+              ~accessed_alloc:alloc txn
+        | None -> []
+      in
+      let locks = group_add (group_of t (ty, member, kind)) locks in
+      let o =
+        {
+          o_type = ty;
+          o_alloc = alloc;
+          o_member = member;
+          o_kind = kind;
+          o_locks = locks;
+          o_first = a.Schema.ac_id;
+          o_events = 1;
+        }
+      in
+      Option.iter
+        (fun txn ->
+          while Vec.length t.by_txn <= txn do
+            ignore (Vec.push t.by_txn [])
+          done;
+          Vec.set t.by_txn txn (o :: Vec.get t.by_txn txn))
+        a.Schema.ac_txn;
+      cells := o :: !cells
 
 let of_store ?wor ?side_sensitive store =
-  let groups = Hashtbl.create 32 in
-  List.iter
-    (fun key ->
-      let accesses = Store.accesses_of_type store key in
-      Hashtbl.replace groups key
-        (observations_of_accesses ?wor ?side_sensitive store accesses))
-    (Store.type_keys store);
-  { store; groups }
+  let t = create ?wor ?side_sensitive store in
+  for i = 0 to Store.n_accesses store - 1 do
+    absorb t (Store.access store i)
+  done;
+  t
 
 let type_keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.groups [] |> List.sort String.compare
+  Hashtbl.fold (fun k _ acc -> k :: acc) t.types [] |> List.sort String.compare
 
-let observations t key = Option.value ~default:[] (Hashtbl.find_opt t.groups key)
+let cells t key =
+  match Hashtbl.find_opt t.types key with Some (_, l) -> !l | None -> []
 
-let members_observed t key =
-  observations t key
-  |> List.map (fun o -> (o.o_member, o.o_kind))
-  |> List.sort_uniq compare
+let observations t key = List.rev (cells t key)
 
 let by_member t key ~member ~kind =
-  List.filter
-    (fun o -> o.o_member = member && o.o_kind = kind)
-    (observations t key)
+  List.fold_left
+    (fun acc o -> if o.o_member = member && o.o_kind = kind then o :: acc else acc)
+    [] (cells t key)
 
-let merged_base_type t base =
+let combos g = List.map (fun c -> (c.locks, c.count)) g.g_combos
+let stamp g = g.g_stamp
+
+let groups t =
+  Hashtbl.fold
+    (fun key g acc -> if g.g_combos <> [] then (key, g) :: acc else acc)
+    t.groups []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let combos_of t key =
+  match Hashtbl.find_opt t.groups key with Some g -> combos g | None -> []
+
+let merged t base =
   let prefix = base ^ ":" in
-  let matches key =
-    key = base
-    || String.length key > String.length prefix
-       && String.sub key 0 (String.length prefix) = prefix
+  let matches ty =
+    ty = base
+    || String.length ty > String.length prefix
+       && String.sub ty 0 (String.length prefix) = prefix
   in
-  type_keys t
-  |> List.filter matches
-  |> List.concat_map (observations t)
+  (* Concatenation is a multiset union: the scorer sums the counts of
+     every complying entry, so a combination listed once per subclass
+     scores the same as one entry with the summed count. *)
+  let merged = Hashtbl.create 16 in
+  List.iter
+    (fun ((ty, member, kind), g) ->
+      if matches ty then
+        let prev = Option.value ~default:[] (Hashtbl.find_opt merged (member, kind)) in
+        Hashtbl.replace merged (member, kind) (combos g @ prev))
+    (groups t);
+  Hashtbl.fold (fun mk c acc -> (mk, c) :: acc) merged []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -1,4 +1,5 @@
-(** Observations: the folded access matrix LockDoc derives rules from.
+(** Observations: the folded access matrix LockDoc derives rules from,
+    and the one fold that builds it — batch and online alike.
 
     One observation is "member [m] of one object instance was accessed
     (r/w) within one transaction, with this ordered held-lock list"
@@ -11,30 +12,48 @@
     - lock-free accesses (no transaction) are singleton observations with
       an empty lock list;
     - held locks are classified positionally ({!Lockdesc}) relative to
-      the accessed instance. *)
+      the accessed instance.
 
-type obs = {
+    Observations are grouped per (type key, member, access kind). Since
+    a member's hypothesis space is the ordered subsets of its observed
+    lock combinations (Sec. 5.4), a group keeps only the multiset
+    {lock list → number of observations}; {!Hypothesis.score} scores
+    it. *)
+
+type obs = private {
+  o_type : string;  (** type key *)
+  o_alloc : int;  (** allocation id *)
   o_member : string;
-  o_kind : Rule.access;
+  mutable o_kind : Rule.access;
   o_locks : Lockdesc.t list;  (** acquisition order, deduplicated later *)
-  o_accesses : int list;  (** underlying access-row ids (trace order) *)
+  o_first : int;  (** id of the first access row folded in *)
+  mutable o_events : int;  (** access rows folded in *)
 }
 
 type t
-(** Observations grouped by type key ("inode:ext4", "dentry", …). *)
+(** Observations grouped by type key ("inode:ext4", "dentry", …), over
+    a store. Mutable: {!absorb} folds in one more access row. *)
+
+val create : ?wor:bool -> ?side_sensitive:bool -> Lockdoc_db.Store.t -> t
+(** An empty dataset over a store. [wor] (default true) applies
+    write-over-read folding; pass [false] for the ablation where mixed
+    observations keep their first access kind. [side_sensitive]
+    (default false) distinguishes reader-side acquisitions of
+    rwlocks/rwsems/RCU by decorating the descriptor with "[r]" — an
+    extension beyond the paper's model. *)
+
+val absorb : t -> Lockdoc_db.Schema.access -> unit
+(** Fold one access row of the store in. Rows must be absorbed once
+    each, in id order: a new (allocation, member, transaction) cell
+    joins its group's multiset; a repeat access to a cell bumps its
+    event count, and under [wor] a first write to a read cell moves it
+    from the read group to the write group. *)
 
 val of_store : ?wor:bool -> ?side_sensitive:bool -> Lockdoc_db.Store.t -> t
-(** [wor] (default true) applies write-over-read folding; pass [false]
-    for the ablation where mixed observations keep their first access
-    kind. [side_sensitive] (default false) distinguishes reader-side
-    acquisitions of rwlocks/rwsems/RCU by decorating the descriptor with
-    "[r]" — an extension beyond the paper's model. *)
+(** {!create}, then {!absorb} every access row of the store. *)
 
-val of_groups : Lockdoc_db.Store.t -> (string * obs list) list -> t
-(** Wrap externally maintained observation groups (type key →
-    observations in first-access order) over a store. Used by the
-    online derivator to expose its incrementally maintained state as a
-    dataset snapshot for the violation finder. *)
+val flips : t -> int
+(** Read-to-write moves made by write-over-read so far. *)
 
 val locks_of_txn :
   ?side_sensitive:bool ->
@@ -43,10 +62,9 @@ val locks_of_txn :
   int ->
   Lockdesc.t list
 (** The classified held-lock list of one transaction relative to an
-    accessed allocation — exactly what {!of_store} records in
-    [o_locks]. Depends only on immutable store rows, so computing it
-    at access time (online) and at dataset-build time (batch) gives
-    the same answer. *)
+    accessed allocation — exactly what {!absorb} records in [o_locks].
+    Depends only on immutable store rows, so it does not matter when
+    it is computed. *)
 
 val store : t -> Lockdoc_db.Store.t
 
@@ -55,12 +73,36 @@ val type_keys : t -> string list
 val observations : t -> string -> obs list
 (** All observations for a type key, in first-access order. *)
 
-val members_observed : t -> string -> (string * Rule.access) list
-(** Distinct (member, access kind) pairs with at least one observation. *)
-
 val by_member : t -> string -> member:string -> kind:Rule.access -> obs list
+(** The observations of one group, in first-access order. *)
 
-val merged_base_type : t -> string -> obs list
-(** Observations for a base type across all its subclasses (["inode"]
-    collects every ["inode:*"] key) — the view the documentation checker
-    uses, since source comments do not distinguish subclasses. *)
+(** {2 Groups} *)
+
+type key = string * string * Rule.access
+(** (type key, member, access kind). *)
+
+type group
+(** One group's lock-combination multiset and change stamp. *)
+
+val groups : t -> (key * group) list
+(** The non-empty groups, in canonical order: type keys ascending, then
+    (member, kind) ascending within each key. *)
+
+val combos : group -> Hypothesis.combos
+(** The group's multiset: each distinct held-lock list once, with its
+    number of observations (always ≥ 1), in no particular order. *)
+
+val combos_of : t -> key -> Hypothesis.combos
+(** {!combos} of the group under a key; [[]] if it has no
+    observations. *)
+
+val stamp : group -> int
+(** Bumped by every change to the group's multiset: equal stamps mean
+    an unchanged group, hence an unchanged rule (a rule depends on its
+    own group alone, paper Sec. 5.4). *)
+
+val merged : t -> string -> ((string * Rule.access) * Hypothesis.combos) list
+(** Per (member, kind), ascending: the multisets of a base type's
+    groups across all its subclasses (["inode"] adds up every
+    ["inode:*"] key) — the view the documentation checker uses, since
+    source comments do not distinguish subclasses. *)

@@ -24,67 +24,51 @@ let default_tac = 0.9
 let seal_for ~jobs dataset =
   if jobs > 1 then Store.seal (Dataset.store dataset)
 
-let derive_observations ?strategy ?(tac = default_tac) ~ty ~member ~kind
-    observations =
-  let hypotheses = Hypothesis.enumerate observations in
+let derive_combos ?strategy ?(tac = default_tac) (ty, member, kind) combos =
+  let hypotheses = Hypothesis.score combos in
+  let total = Hypothesis.total combos in
   Obs.incr c_groups;
   Obs.add c_hypotheses (List.length hypotheses);
-  Obs.add c_observations (List.length observations);
+  Obs.add c_observations total;
   let winner = Selection.select ?strategy ~tac hypotheses in
   {
     m_type = ty;
     m_member = member;
     m_kind = kind;
-    m_total = List.length observations;
+    m_total = total;
     m_winner = winner.Hypothesis.rule;
     m_support = winner.Hypothesis.support;
     m_hypotheses = hypotheses;
   }
 
+let derive_group ?strategy ?tac key group =
+  derive_combos ?strategy ?tac key (Dataset.combos group)
+
 let derive_member ?strategy ?tac dataset key ~member ~kind =
-  let observations = Dataset.by_member dataset key ~member ~kind in
-  derive_observations ?strategy ?tac ~ty:key ~member ~kind observations
+  derive_combos ?strategy ?tac (key, member, kind)
+    (Dataset.combos_of dataset (key, member, kind))
 
 let derive_merged ?strategy ?tac ?(jobs = 1) dataset base =
   seal_for ~jobs dataset;
-  let observations = Dataset.merged_base_type dataset base in
-  let keys =
-    List.map (fun (o : Dataset.obs) -> (o.Dataset.o_member, o.Dataset.o_kind)) observations
-    |> List.sort_uniq compare
-  in
   Pool.map ~jobs
-    (fun (member, kind) ->
-      let obs =
-        List.filter
-          (fun (o : Dataset.obs) ->
-            o.Dataset.o_member = member && o.Dataset.o_kind = kind)
-          observations
-      in
-      derive_observations ?strategy ?tac ~ty:base ~member ~kind obs)
-    keys
+    (fun ((member, kind), combos) ->
+      derive_combos ?strategy ?tac (base, member, kind) combos)
+    (Dataset.merged dataset base)
 
-let derive_type ?strategy ?tac ?(jobs = 1) dataset key =
+(* Groups come in canonical order (type keys, then (member, kind),
+   ascending). That order is both the sharding unit and the merge order
+   of the parallel path, which is what makes [derive_all ~jobs:n]
+   bit-identical to the sequential left-to-right map for every [n]. *)
+let derive_groups ?strategy ?tac ~jobs dataset groups =
   seal_for ~jobs dataset;
-  Dataset.members_observed dataset key
-  |> Pool.map ~jobs (fun (member, kind) ->
-         derive_member ?strategy ?tac dataset key ~member ~kind)
+  Pool.map ~jobs (fun (key, g) -> derive_group ?strategy ?tac key g) groups
 
-(* The derivation groups of the whole dataset, in canonical order: type
-   keys ascending, then (member, kind) ascending within each key. This
-   is both the sharding unit and the merge order of the parallel path,
-   which is what makes [derive_all ~jobs:n] bit-identical to the
-   sequential left-to-right map for every [n]. *)
-let groups dataset =
-  Dataset.type_keys dataset
-  |> List.concat_map (fun key ->
-         Dataset.members_observed dataset key
-         |> List.map (fun (member, kind) -> (key, member, kind)))
+let derive_type ?strategy ?tac ?(jobs = 1) dataset ty =
+  Dataset.groups dataset
+  |> List.filter (fun ((key, _, _), _) -> key = ty)
+  |> derive_groups ?strategy ?tac ~jobs dataset
 
 let derive_all ?strategy ?tac ?(jobs = 1) dataset =
-  seal_for ~jobs dataset;
-  Pool.map ~jobs
-    (fun (key, member, kind) ->
-      derive_member ?strategy ?tac dataset key ~member ~kind)
-    (groups dataset)
+  derive_groups ?strategy ?tac ~jobs dataset (Dataset.groups dataset)
 
 let needs_no_lock mined = Rule.equal mined.m_winner Rule.no_lock

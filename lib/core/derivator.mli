@@ -1,5 +1,7 @@
 (** The locking-rule derivator (paper phase ❷): per (type key, member,
-    access kind), enumerate hypotheses, score them, and pick the winner. *)
+    access kind) group of a {!Dataset}, enumerate hypotheses from the
+    group's lock-combination multiset, score them, and pick the
+    winner. *)
 
 type mined = {
   m_type : string;  (** type key, e.g. ["inode:ext4"] *)
@@ -14,28 +16,21 @@ type mined = {
 val default_tac : float
 (** 0.9 — the acceptance threshold of paper Sec. 7.4. *)
 
-val groups : Dataset.t -> (string * string * Rule.access) list
-(** The derivation groups of a dataset in canonical order: type keys
-    ascending, then (member, kind) ascending within each key. This is
-    the sharding unit and merge order of {!derive_all}; the online
-    derivator iterates it in the same order so its frozen output lines
-    up byte-for-byte. *)
-
-val derive_observations :
+val derive_group :
   ?strategy:Selection.strategy ->
   ?tac:float ->
-  ty:string ->
-  member:string ->
-  kind:Rule.access ->
-  Dataset.obs list ->
+  Dataset.key ->
+  Dataset.group ->
   mined
-(** Derive from an explicit observation list (used for merged base-type
-    views). *)
+(** Score one group's combination multiset ({!Hypothesis.score}) and
+    select its winner. Every [derive_*] function, and the online
+    derivator's freeze, goes through this one scorer. *)
 
 val derive_merged :
   ?strategy:Selection.strategy -> ?tac:float -> ?jobs:int -> Dataset.t ->
   string -> mined list
-(** Derive rules for a base type with all subclasses merged — the view
+(** Derive rules for a base type with all subclasses merged (the
+    multisets of every matching subclass key are added up) — the view
     the generated fs/inode.c documentation of paper Fig. 8 takes. *)
 
 val derive_member :
@@ -47,7 +42,8 @@ val derive_member :
   kind:Rule.access ->
   mined
 (** Derive one member's rule. [tac] defaults to 0.9 (paper Sec. 7.4,
-    adopted from Engler et al.). *)
+    adopted from Engler et al.). An unobserved member yields the
+    "no lock" rule with zero support. *)
 
 val derive_type :
   ?strategy:Selection.strategy -> ?tac:float -> ?jobs:int -> Dataset.t ->
@@ -57,7 +53,9 @@ val derive_type :
 val derive_all :
   ?strategy:Selection.strategy -> ?tac:float -> ?jobs:int -> Dataset.t ->
   mined list
-(** Mine every (type key, member, access kind) group of the dataset.
+(** Mine every non-empty (type key, member, access kind) group of the
+    dataset, in canonical order: type keys ascending, then (member,
+    kind) ascending within each key.
 
     [jobs] (default 1) fans the per-group work out over that many
     domains via {!Lockdoc_util.Pool}; groups are sharded by key and

@@ -2,15 +2,19 @@ type support = { sa : int; sr : float }
 
 type scored = { rule : Rule.t; support : support }
 
-let support_of rule observations =
-  let total = List.length observations in
+type combos = (Lockdesc.t list * int) list
+
+let total combos = List.fold_left (fun acc (_, n) -> acc + n) 0 combos
+
+let support_in ~total rule combos =
   let sa =
     List.fold_left
-      (fun acc (o : Dataset.obs) ->
-        if Rule.complies ~rule ~held:o.Dataset.o_locks then acc + 1 else acc)
-      0 observations
+      (fun acc (held, n) -> if Rule.complies ~rule ~held then acc + n else acc)
+      0 combos
   in
   { sa; sr = (if total = 0 then 0. else float_of_int sa /. float_of_int total) }
+
+let support_of rule combos = support_in ~total:(total combos) rule combos
 
 let sort_scored scored =
   List.sort
@@ -23,28 +27,26 @@ let sort_scored scored =
       | c -> c)
     scored
 
-let score_all rules observations =
-  List.map (fun rule -> { rule; support = support_of rule observations }) rules
+let score_all rules combos =
+  let total = total combos in
+  List.map (fun rule -> { rule; support = support_in ~total rule combos }) rules
   |> sort_scored
 
-let enumerate observations =
+let score combos =
   let candidate_rules =
-    List.concat_map
-      (fun (o : Dataset.obs) -> Rule.subsequences o.Dataset.o_locks)
-      observations
+    List.concat_map (fun (locks, _) -> Rule.subsequences locks) combos
     |> Rule.dedup_rules
   in
   (* [Rule.subsequences] of any combination includes []; on an empty
-     observation list still offer the no-lock rule. *)
+     multiset still offer the no-lock rule. *)
   let candidate_rules =
     if candidate_rules = [] then [ Rule.no_lock ] else candidate_rules
   in
-  score_all candidate_rules observations
+  score_all candidate_rules combos
 
-let enumerate_exhaustive ?(max_locks = 4) observations =
+let enumerate_exhaustive ?(max_locks = 4) combos =
   let union =
-    List.concat_map (fun (o : Dataset.obs) -> o.Dataset.o_locks) observations
-    |> List.sort_uniq Lockdesc.compare
+    List.concat_map fst combos |> List.sort_uniq Lockdesc.compare
   in
-  if List.length union > max_locks then enumerate observations
-  else score_all (Rule.permuted_subsets union) observations
+  if List.length union > max_locks then score combos
+  else score_all (Rule.permuted_subsets union) combos

@@ -17,4 +17,4 @@ val select :
   ?strategy:strategy -> tac:float -> Hypothesis.scored list ->
   Hypothesis.scored
 (** Pick the winner among scored hypotheses. The list must contain the
-    "no lock" rule (as {!Hypothesis.enumerate} guarantees). *)
+    "no lock" rule (as {!Hypothesis.score} guarantees). *)

@@ -35,9 +35,7 @@ let find ?(jobs = 1) dataset mined =
                if Rule.complies ~rule:m.Derivator.m_winner ~held:o.Dataset.o_locks
                then None
                else
-                 let first_access =
-                   Store.access store (List.hd o.Dataset.o_accesses)
-                 in
+                 let first_access = Store.access store o.Dataset.o_first in
                  Some
                    {
                      v_type = m.Derivator.m_type;
@@ -45,7 +43,7 @@ let find ?(jobs = 1) dataset mined =
                      v_kind = m.Derivator.m_kind;
                      v_rule = m.Derivator.m_winner;
                      v_held = o.Dataset.o_locks;
-                     v_events = List.length o.Dataset.o_accesses;
+                     v_events = o.Dataset.o_events;
                      v_loc = first_access.Schema.ac_loc;
                      v_stack = Store.stack store first_access.Schema.ac_stack;
                    }))

@@ -100,10 +100,8 @@ let render_tab1 p =
   ^ Tablefmt.render table
 
 let render_tab2 p =
-  let observations =
-    Dataset.by_member p.dataset "clock" ~member:"minutes" ~kind:Rule.W
-  in
-  let scored = Hypothesis.enumerate_exhaustive observations in
+  let combos = Dataset.combos_of p.dataset ("clock", "minutes", Rule.W) in
+  let scored = Hypothesis.enumerate_exhaustive combos in
   (* Order as in the paper's Tab. 2: #0 no lock, then by notation. *)
   let ordered =
     List.sort
@@ -133,7 +131,7 @@ let render_tab2 p =
     ordered;
   Printf.sprintf
     "Table 2 — hypotheses for writes to `minutes' (%d observations)\n%s"
-    (List.length observations) (Tablefmt.render table)
+    (Hypothesis.total combos) (Tablefmt.render table)
 
 let render () =
   let p = pipeline () in

@@ -89,6 +89,8 @@ let member_ptr inst name =
   let _, m = lookup inst name in
   inst.base + m.Layout.m_offset
 
+exception Use_after_free of string
+
 let check_access inst m =
   if not inst.live then begin
     let frames =
@@ -97,9 +99,10 @@ let check_access inst m =
           (List.map (fun (f, _) -> f.Source.fn_name) (Kernel.debug_frames ()))
       with _ -> "?"
     in
-    failwith
-      (Printf.sprintf "Memory: use-after-free of %s.%s (in %s)"
-         inst.layout.Layout.ty_name m.Layout.m_name frames)
+    raise
+      (Use_after_free
+         (Printf.sprintf "%s.%s (in %s)" inst.layout.Layout.ty_name
+            m.Layout.m_name frames))
   end;
   if m.Layout.m_kind = Layout.Lock then
     invalid_arg

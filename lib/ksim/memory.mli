@@ -14,6 +14,12 @@ type instance = {
   mutable live : bool;
 }
 
+exception Use_after_free of string
+(** An access to a freed instance: a fault of the simulated kernel (one
+    of its paths touched an object after freeing it), not of a trace.
+    The payload names the member and the simulated call stack, e.g.
+    ["dentry.d_subdirs (in dput)"]. *)
+
 val alloc : ?subclass:string -> Lockdoc_trace.Layout.t -> instance
 (** Emits an [Alloc] event. *)
 
@@ -25,7 +31,8 @@ val member_ptr : instance -> string -> int
 
 val read : instance -> string -> int
 (** Emits a read access at the current source location and returns the
-    stored value. Raises on use-after-free and on lock-typed members. *)
+    stored value. Raises {!Use_after_free} on a freed instance and
+    [Invalid_argument] on lock-typed members. *)
 
 val write : instance -> string -> int -> unit
 

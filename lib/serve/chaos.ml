@@ -466,9 +466,10 @@ let deliver_c2s st vc =
 (* ---- The batch oracle --------------------------------------------- *)
 
 (* The batch pipeline the engine's seal must reproduce byte for byte:
-   same import engine, threshold and report serialisation, but the
-   batch derivation over [Dataset.of_store] instead of the seal's
-   online counters. *)
+   same import engine, threshold and report serialisation, but one
+   [Dataset.of_store] fold of the whole trace and a fresh
+   [derive_all] instead of the seal's incremental absorbs and
+   memoized freezes. *)
 let batch_reference ~tac ~jobs (trace : Trace.t) =
   let g = Import.engine trace.layouts in
   Array.iter (Import.feed g) trace.events;

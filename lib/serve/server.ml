@@ -326,8 +326,8 @@ let open_wal t s ~start_lsn =
           (Wal.create ~dir ~sync_every:t.cfg.wal_sync_every ~start_lsn ())
 
 (* Sessions run the online derivator: the wrapped import engine is fed
-   exactly as before, and the per-group rule counters it maintains let
-   the [stream] query answer current rules without sealing. *)
+   exactly as before, and the dataset it keeps folded lets the [stream]
+   query answer current rules without sealing. *)
 let online_of s =
   match s.s_online with
   | Some o -> o
@@ -973,7 +973,7 @@ let handle_query t c q =
 
 (* The [stream] query: answer the session's current rules from the
    online derivator. Drains the pending queue first so the answer
-   reflects every accepted row, then freezes the counters — the store
+   reflects every accepted row, then freezes the derivator — the store
    is never sealed, so the client keeps feeding afterwards. *)
 let handle_stream t c s ~now =
   Obs.incr c_queries;

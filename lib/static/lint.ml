@@ -173,12 +173,9 @@ let run ?(jobs = 1) ~workload trace =
   (* Coverage gaps: static triples never observed in the trace. *)
   let observed = Hashtbl.create 256 in
   List.iter
-    (fun key ->
-      List.iter
-        (fun (member, kind) ->
-          Hashtbl.replace observed (base_type key, member, access_of_rule kind) ())
-        (Dataset.members_observed dataset key))
-    (Dataset.type_keys dataset);
+    (fun ((key, member, kind), _) ->
+      Hashtbl.replace observed (base_type key, member, access_of_rule kind) ())
+    (Dataset.groups dataset);
   let gap_tbl : (string * string * Event.access_kind, string list * string list)
       Hashtbl.t =
     Hashtbl.create 64

@@ -506,9 +506,21 @@ let finish d =
   end;
   List.rev d.rev_diags
 
+(* The events array is filled straight from the decoder's newest-first
+   list. Going through [events] would first build a reversed copy: one
+   more cons cell per event, which outlives the minor heap and leaves
+   the major heap with garbage the size of the list. *)
 let decode_string ?mode ?file s =
   let d = decoder ?mode ?file () in
   feed d s;
   let diags = finish d in
-  let events = events d in
-  ( { Trace.layouts = layouts d; Trace.events = Array.of_list events }, diags )
+  let events =
+    match d.rev_events with
+    | [] -> [||]
+    | newest :: _ as rev ->
+        let n = List.length rev in
+        let a = Array.make n newest in
+        List.iteri (fun i ev -> a.(n - 1 - i) <- ev) rev;
+        a
+  in
+  ({ Trace.layouts = layouts d; Trace.events = events }, diags)

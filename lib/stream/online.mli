@@ -1,23 +1,18 @@
 (** The online derivator: continuously maintained locking rules.
 
     Wraps the incremental {!Lockdoc_db.Import.engine} and, as each
-    event lands, folds any new access row into the same observation
-    cells the batch {!Lockdoc_core.Dataset.of_store} would build —
-    keyed (allocation, member, transaction), write-over-read — while
-    maintaining, per (type key, member, access kind), the support
-    counter [sa] and a membership count for every hypothesis rule ever
-    generated by a cell of that group.
+    event lands, absorbs any new access row into a
+    {!Lockdoc_core.Dataset} — the same fold [Dataset.of_store] runs
+    over a finished store, so the groups' lock-combination multisets
+    match a batch import of the same event prefix at every point.
 
-    {!freeze} reconstructs, for every group whose cells changed since
-    the last freeze, the scored hypothesis list from those counters,
-    sorts it with {!Lockdoc_core.Hypothesis.sort_scored} (a total
-    order), and selects winners — producing
+    {!freeze} re-scores, with [Derivator.derive_group], every group
+    whose multiset changed since the last freeze, and reuses the
+    memoized rule of every other group — producing
     {!Lockdoc_core.Derivator.mined} values byte-identical to
     [Derivator.derive_all] run on a batch import of the same event
     prefix. Unlike [derive_all ~jobs], freezing never seals the store,
-    so feeding can continue afterwards; rules update continuously
-    without re-scanning. See DESIGN.md 5i for the equivalence
-    argument. *)
+    so feeding can continue afterwards. See DESIGN.md 5i. *)
 
 type t
 
@@ -30,7 +25,7 @@ val create :
 
 val feed : t -> Lockdoc_trace.Event.t -> unit
 (** Feed one event through the import engine and absorb any access row
-    it produced into the online counters. May raise
+    it produced into the dataset. May raise
     {!Lockdoc_trace.Trace.Invalid} in [Strict] mode, like the
     engine. *)
 
@@ -47,12 +42,11 @@ val finalize : t -> Lockdoc_db.Import.stats
     violations do not depend on it. *)
 
 val dataset : t -> Lockdoc_core.Dataset.t
-(** Snapshot of the online observation groups as a dataset over the
-    live store — first-access order per type key, exactly as
-    [Dataset.of_store] would produce. The snapshot shares cells with
-    the online state; use it (e.g. for
-    {!Lockdoc_core.Violation.find} with [jobs = 1]) before feeding
-    more events. *)
+(** The live dataset the online derivator absorbs into — first-access
+    order per type key, exactly as [Dataset.of_store] would produce.
+    Not a copy: feeding more events changes it, so read it (e.g. with
+    {!Lockdoc_core.Violation.find} at [jobs = 1]) before feeding
+    on. *)
 
 val freeze :
   ?strategy:Lockdoc_core.Selection.strategy ->
@@ -60,15 +54,16 @@ val freeze :
   ?jobs:int ->
   t ->
   Lockdoc_core.Dataset.t * Lockdoc_core.Derivator.mined list
-(** Current rules from the online counters, plus the dataset snapshot
-    they were derived from. Byte-identical (via
+(** Current rules, plus the live dataset ({!dataset}) they were
+    derived from. Byte-identical (via
     {!Lockdoc_core.Report.mined_to_json}) to
     [Derivator.derive_all ?strategy ?tac] on a batch import of the
     same prefix.
 
     Freezing is incremental: each group memoizes its last rule for the
-    [(strategy, tac)] it was scored with, and only groups that gained
-    or lost a cell since then are re-scored (counted by the
+    [(strategy, tac)] it was scored with and the group's
+    {!Lockdoc_core.Dataset.stamp} at the time; only groups whose stamp
+    moved since then are re-scored (counted by the
     [stream.online.rescored] metric). [jobs] fans the re-scoring of
     those groups out over domains ({!Lockdoc_util.Pool}) without
     sealing the store — the workers only read; memos are written back

@@ -240,6 +240,30 @@ let test_missing_input_file () =
       check Alcotest.bool "EXIT STATUS lists 123" true
         (contains man "123 on indiscriminate errors"))
 
+(* A simulator fault is a one-line diagnostic and exit 3, listed in
+   every command's EXIT STATUS, not cmdliner's exit-125 dump. These
+   fs_bench seeds hit a use-after-free in the simulated dput. *)
+let test_simulator_fault () =
+  List.iter
+    (fun seed ->
+      let code, out, err = run [ "replay"; "fs_bench"; "--seed"; seed ] in
+      check Alcotest.int ("seed " ^ seed ^ ": exit 3") 3 code;
+      check Alcotest.string ("seed " ^ seed ^ ": nothing on stdout") "" out;
+      check Alcotest.string ("seed " ^ seed ^ ": one-line diagnostic")
+        "lockdoc: simulator fault: use-after-free of dentry.d_subdirs (in dput)\n"
+        err)
+    [ "9"; "16" ];
+  List.iter
+    (fun cmd ->
+      let _, man, _ = run [ cmd; "--help=plain" ] in
+      check Alcotest.bool (cmd ^ ": EXIT STATUS lists 3") true
+        (contains man "on a simulator fault"))
+    [
+      "trace"; "import"; "pack"; "unpack"; "recover"; "fsck"; "derive"; "doc";
+      "check"; "violations"; "lockdep"; "lint"; "lockmeter"; "sanitize";
+      "replay"; "export"; "relations"; "profile"; "repro"; "serve"; "feed";
+    ]
+
 (* ---- pack / unpack / binary fsck ---------------------------------- *)
 
 let test_pack_unpack_roundtrip () =
@@ -328,6 +352,7 @@ let () =
           Alcotest.test_case "feed needs input" `Quick test_feed_needs_input;
           Alcotest.test_case "missing input file" `Quick
             test_missing_input_file;
+          Alcotest.test_case "simulator fault" `Quick test_simulator_fault;
         ] );
       ( "binary",
         [

@@ -173,11 +173,15 @@ let clock_pipeline () =
   let store, _ = Import.run trace in
   Dataset.of_store store
 
+let minutes_combos dataset = Dataset.combos_of dataset ("clock", "minutes", Rule.W)
+
 let test_clock_minutes_support () =
   let dataset = clock_pipeline () in
   let obs = Dataset.by_member dataset "clock" ~member:"minutes" ~kind:Rule.W in
   check Alcotest.int "17 write observations" 17 (List.length obs);
-  let sa rule = (Hypothesis.support_of rule obs).Hypothesis.sa in
+  let combos = minutes_combos dataset in
+  check Alcotest.int "the multiset adds up to 17" 17 (Hypothesis.total combos);
+  let sa rule = (Hypothesis.support_of rule combos).Hypothesis.sa in
   check Alcotest.int "no lock" 17 (sa []);
   check Alcotest.int "sec_lock" 17 (sa [ g "sec_lock" ]);
   check Alcotest.int "sec -> min" 16 (sa [ g "sec_lock"; g "min_lock" ]);
@@ -186,8 +190,7 @@ let test_clock_minutes_support () =
 
 let test_clock_selection_strategies () =
   let dataset = clock_pipeline () in
-  let obs = Dataset.by_member dataset "clock" ~member:"minutes" ~kind:Rule.W in
-  let scored = Hypothesis.enumerate obs in
+  let scored = Hypothesis.score (minutes_combos dataset) in
   (* The paper's strategy picks the true two-lock rule... *)
   let lockdoc = Selection.select ~tac:0.9 scored in
   check Alcotest.string "lockdoc winner" "sec_lock -> min_lock"

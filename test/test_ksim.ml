@@ -223,7 +223,7 @@ let test_memory_use_after_free () =
              (try
                 ignore (Memory.read inst "t_a");
                 Alcotest.fail "expected use-after-free failure"
-              with Failure _ -> ()) );
+              with Memory.Use_after_free _ -> ()) );
        ])
 
 let test_memory_lock_member_rejected () =

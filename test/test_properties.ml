@@ -13,6 +13,7 @@ module Store = Lockdoc_db.Store
 module Filter = Lockdoc_db.Filter
 module Import = Lockdoc_db.Import
 module Dataset = Lockdoc_core.Dataset
+module Lockdesc = Lockdoc_core.Lockdesc
 module Rule = Lockdoc_core.Rule
 module Hypothesis = Lockdoc_core.Hypothesis
 module Prng = Lockdoc_util.Prng
@@ -163,20 +164,25 @@ let prop_wor_exclusive =
       let _, store, _ = import_of seed in
       let dataset = Dataset.of_store store in
       let obs = Dataset.observations dataset "widget" in
-      (* After folding, the underlying access sets of distinct
-         observations are disjoint. *)
+      (* After folding, every access row lands in exactly one
+         observation, and no two observations share a (allocation,
+         member, transaction) cell. *)
       let seen = Hashtbl.create 64 in
-      List.for_all
-        (fun (o : Dataset.obs) ->
-          List.for_all
-            (fun id ->
-              if Hashtbl.mem seen id then false
-              else begin
-                Hashtbl.replace seen id ();
-                true
-              end)
-            o.Dataset.o_accesses)
-        obs)
+      List.fold_left (fun acc (o : Dataset.obs) -> acc + o.Dataset.o_events) 0 obs
+      = Store.n_accesses store
+      && List.for_all
+           (fun (o : Dataset.obs) ->
+             let a = Store.access store o.Dataset.o_first in
+             match a.Schema.ac_txn with
+             | None -> o.Dataset.o_events = 1
+             | Some txn ->
+                 let cell = (a.Schema.ac_alloc, o.Dataset.o_member, txn) in
+                 (not (Hashtbl.mem seen cell))
+                 && (Hashtbl.replace seen cell ();
+                     true))
+           obs)
+
+let combos_of dataset member kind = Dataset.combos_of dataset ("widget", member, kind)
 
 let prop_enumerate_supported =
   QCheck.Test.make ~name:"enumerated hypotheses have sa >= 1" ~count:100
@@ -185,11 +191,11 @@ let prop_enumerate_supported =
       let dataset = Dataset.of_store store in
       List.for_all
         (fun member ->
-          let obs = Dataset.by_member dataset "widget" ~member ~kind:Rule.W in
-          obs = []
+          let combos = combos_of dataset member Rule.W in
+          combos = []
           || List.for_all
                (fun (s : Hypothesis.scored) -> s.Hypothesis.support.Hypothesis.sa >= 1)
-               (Hypothesis.enumerate obs))
+               (Hypothesis.score combos))
         [ "w_a"; "w_b"; "w_c" ])
 
 let prop_winner_complies_with_majority =
@@ -201,16 +207,129 @@ let prop_winner_complies_with_majority =
         (fun member ->
           List.for_all
             (fun kind ->
-              let obs = Dataset.by_member dataset "widget" ~member ~kind in
-              obs = []
+              combos_of dataset member kind = []
               ||
               let mined =
-                Lockdoc_core.Derivator.derive_observations ~ty:"widget" ~member
-                  ~kind obs
+                Lockdoc_core.Derivator.derive_member dataset "widget" ~member
+                  ~kind
               in
               mined.Lockdoc_core.Derivator.m_support.Hypothesis.sr >= 0.9)
             [ Rule.R; Rule.W ])
         [ "w_a"; "w_b"; "w_c" ])
+
+(* {2 The combination multiset} *)
+
+(* Lock lists over a small pool, so duplicates, repeats and nesting
+   arise often: [Es "l"] and [Eo ("l", "widget")] are the same lock
+   class held on two instances (same-class nesting), and a list may
+   hold one lock twice (a recursive re-acquisition). *)
+let lock_pool =
+  [| Lockdesc.Global "a"; Lockdesc.Global "b"; Lockdesc.Es "l";
+     Lockdesc.Eo ("l", "widget") |]
+
+let gen_observations =
+  let open QCheck.Gen in
+  let combo = list_size (int_bound 4) (map (Array.get lock_pool) (int_bound 3)) in
+  list_size (int_range 1 5) combo >>= fun base ->
+  list_size (int_bound 30) (oneofl base)
+
+let arb_observations =
+  QCheck.make gen_observations
+    ~print:
+      (QCheck.Print.list (fun locks ->
+           "[" ^ String.concat "; " (List.map Lockdesc.to_string locks) ^ "]"))
+
+(* One observation at a time: the candidates are the ordered subsets of
+   every observation's locks, and [sa] counts complying observations. *)
+let score_expanded observations =
+  let candidates =
+    match Rule.dedup_rules (List.concat_map Rule.subsequences observations) with
+    | [] -> [ Rule.no_lock ]
+    | rules -> rules
+  in
+  let total = List.length observations in
+  List.map
+    (fun rule ->
+      let sa = List.length (List.filter (fun held -> Rule.complies ~rule ~held) observations) in
+      {
+        Hypothesis.rule;
+        support =
+          { Hypothesis.sa; sr = (if total = 0 then 0. else float_of_int sa /. float_of_int total) };
+      })
+    candidates
+  |> Hypothesis.sort_scored
+
+let multiset observations =
+  let counts = Hashtbl.create 8 in
+  List.iter
+    (fun locks ->
+      Hashtbl.replace counts locks
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts locks)))
+    observations;
+  Hashtbl.fold (fun locks n acc -> (locks, n) :: acc) counts []
+
+let prop_multiset_scores_as_expanded =
+  QCheck.Test.make ~name:"multiset scores as its expanded observations"
+    ~count:300 arb_observations (fun observations ->
+      let expected = score_expanded observations in
+      Hypothesis.score (multiset observations) = expected
+      && Hypothesis.score (List.map (fun locks -> (locks, 1)) observations)
+         = expected)
+
+(* A from-scratch fold of the first [n] access rows: settle every
+   cell's final kind first, then count combinations — no cell ever
+   moves between groups. *)
+let scratch_groups store n =
+  let cells = Hashtbl.create 64 and order = ref [] in
+  for id = 0 to n - 1 do
+    let a = Store.access store id in
+    let key =
+      ( a.Schema.ac_alloc,
+        a.Schema.ac_member,
+        Option.value ~default:(-1 - id) a.Schema.ac_txn )
+    in
+    let kind = if a.Schema.ac_kind = Event.Write then Rule.W else Rule.R in
+    match Hashtbl.find_opt cells key with
+    | Some (_, locks) -> if kind = Rule.W then Hashtbl.replace cells key (Rule.W, locks)
+    | None ->
+        let locks =
+          match a.Schema.ac_txn with
+          | Some txn -> Dataset.locks_of_txn store ~accessed_alloc:a.Schema.ac_alloc txn
+          | None -> []
+        in
+        Hashtbl.replace cells key (kind, locks);
+        order := key :: !order
+  done;
+  let groups = Hashtbl.create 8 in
+  List.iter
+    (fun ((_, member, _) as key) ->
+      let kind, locks = Hashtbl.find cells key in
+      let g = ("widget", member, kind) in
+      Hashtbl.replace groups g
+        (locks :: Option.value ~default:[] (Hashtbl.find_opt groups g)))
+    !order;
+  Hashtbl.fold
+    (fun g observations acc ->
+      (g, List.sort compare (multiset observations)) :: acc)
+    groups []
+  |> List.sort compare
+
+let prop_incremental_fold =
+  QCheck.Test.make ~name:"incremental R->W moves equal a from-scratch fold"
+    ~count:100 seed_arb (fun seed ->
+      let _, store, _ = import_of seed in
+      let dataset = Dataset.create store in
+      let ok = ref true in
+      for id = 0 to Store.n_accesses store - 1 do
+        Dataset.absorb dataset (Store.access store id);
+        let incremental =
+          List.map
+            (fun (g, group) -> (g, List.sort compare (Dataset.combos group)))
+            (Dataset.groups dataset)
+        in
+        if incremental <> scratch_groups store (id + 1) then ok := false
+      done;
+      !ok)
 
 (* {2 JSON encoder} *)
 
@@ -277,6 +396,8 @@ let () =
         [ qtest prop_fold_bound; qtest prop_wor_exclusive ] );
       ( "hypotheses",
         [ qtest prop_enumerate_supported; qtest prop_winner_complies_with_majority ] );
+      ( "multiset",
+        [ qtest prop_multiset_scores_as_expanded; qtest prop_incremental_fold ] );
       ( "report",
         [
           qtest prop_json_balanced;

@@ -1,12 +1,15 @@
 (* The streaming layer, locked down differentially.
 
-   Two oracles anchor everything here:
+   Three oracles anchor everything here:
 
    - the text format: packing a trace and unpacking it again must
      reproduce the exact event/layout sequence (byte-identical lines);
    - the batch pipeline: the online derivator's [freeze] must emit
      rules and violations byte-identical to import+derive_all on the
-     same event prefix, at several prefixes, for -j 1 and -j 4.
+     same event prefix, at several prefixes, for -j 1 and -j 4;
+   - the brute-force miner of [Oracle]: both paths must match its
+     rules and violations byte for byte, across selection strategies,
+     tac values and the fold's ablation knobs.
 
    Plus unit/property coverage of the codec primitives (varint/zigzag
    boundaries, interning determinism, CRC rejection of bit flips,
@@ -27,6 +30,7 @@ module Derivator = Lockdoc_core.Derivator
 module Violation = Lockdoc_core.Violation
 module Report = Lockdoc_core.Report
 module Rule = Lockdoc_core.Rule
+module Selection = Lockdoc_core.Selection
 module Varint = Lockdoc_stream.Varint
 module Codec = Lockdoc_stream.Codec
 module Online = Lockdoc_stream.Online
@@ -284,6 +288,69 @@ let test_online_matches_batch () =
       done)
     families
 
+(* ---- The brute-force oracle --------------------------------------- *)
+
+(* Both derivation paths — a batch [Dataset.of_store] fold with
+   [derive_all], and the online [freeze] of a live stream — against the
+   brute-force miner of [Oracle], byte for byte, at five prefixes. The
+   ablation knobs of the fold are covered on the batch path, where
+   they are selectable; selection strategy and tac on both. *)
+let test_oracle () =
+  let knobs = [ (true, false); (false, false); (true, true); (false, true) ] in
+  let strategies = [ Selection.Lockdoc; Selection.Naive ] in
+  List.iter
+    (fun name ->
+      for seed = 0 to n_seeds - 1 do
+        let trace = Run.workload_trace ~seed:(200 + seed) name in
+        let n = Array.length trace.Trace.events in
+        let online = Online.create trace.Trace.layouts in
+        let fed = ref 0 in
+        List.iter
+          (fun prefix ->
+            for i = !fed to prefix - 1 do
+              Online.feed online trace.Trace.events.(i)
+            done;
+            fed := prefix;
+            let sub =
+              { trace with Trace.events = Array.sub trace.Trace.events 0 prefix }
+            in
+            let store, _ = Import.run sub in
+            List.iter
+              (fun (wor, side_sensitive) ->
+                let dataset = Dataset.of_store ~wor ~side_sensitive store in
+                List.iter
+                  (fun strategy ->
+                    List.iter
+                      (fun tac ->
+                        let id =
+                          Printf.sprintf "%s/seed %d@%d wor=%b side=%b %s tac %.1f"
+                            name seed prefix wor side_sensitive
+                            (match strategy with
+                            | Selection.Lockdoc -> "lockdoc"
+                            | Selection.Naive -> "naive")
+                            tac
+                        in
+                        let rules, violations =
+                          Oracle.outputs ~wor ~side_sensitive ~strategy ~tac store
+                        in
+                        let agree path (ds, mined) =
+                          check Alcotest.string (id ^ ": " ^ path ^ " rules") rules
+                            (Report.mined_to_json mined);
+                          check Alcotest.string (id ^ ": " ^ path ^ " violations")
+                            violations
+                            (Report.violations_to_json (Violation.find ds mined))
+                        in
+                        agree "derive_all"
+                          (dataset, Derivator.derive_all ~strategy ~tac dataset);
+                        if wor && not side_sensitive then
+                          agree "online" (Online.freeze ~strategy ~tac online))
+                      [ 0.5; 0.9 ])
+                  strategies)
+              knobs)
+          (List.sort_uniq compare [ 0; n / 4; n / 2; (3 * n) / 4; n ])
+      done)
+    families
+
 (* ---- The freeze memo ---------------------------------------------- *)
 
 (* Each group memoizes its last rule; these pin that a memo never
@@ -497,6 +564,12 @@ let () =
             `Slow test_online_matches_batch;
           Alcotest.test_case "binary streamed pipeline" `Quick
             test_streamed_binary_pipeline;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case
+            (Printf.sprintf "brute force (%d seeds)" n_seeds)
+            `Slow test_oracle;
         ] );
       ( "freeze-memo",
         [
