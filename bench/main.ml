@@ -130,17 +130,9 @@ let microbenches () =
         (Staged.stage (fun () -> ignore (Dataset.of_store store)));
       Test.make ~name:"derive: all types"
         (Staged.stage (fun () -> ignore (Derivator.derive_all dataset)));
-      (* Same work on a domain pool. *)
-      Test.make ~name:(Printf.sprintf "derive: all types (-j %d)" par_jobs)
-        (Staged.stage (fun () ->
-             ignore (Derivator.derive_all ~jobs:par_jobs dataset)));
       Test.make ~name:"violations: scan mined rules"
         (Staged.stage (fun () ->
              ignore (Lockdoc_core.Violation.find dataset mined)));
-      Test.make
-        ~name:(Printf.sprintf "violations: scan mined rules (-j %d)" par_jobs)
-        (Staged.stage (fun () ->
-             ignore (Lockdoc_core.Violation.find ~jobs:par_jobs dataset mined)));
       Test.make
         ~name:(Printf.sprintf "families: 6 workload pipelines (-j %d)" par_jobs)
         (Staged.stage (fun () ->

@@ -85,17 +85,6 @@ let tac_arg =
   Arg.(value & opt fraction_float 0.9 & info [ "tac" ] ~docv:"T"
          ~doc:"Acceptance threshold for hypothesis selection, in [0,1].")
 
-let jobs_arg =
-  Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Analysis domains (a positive integer). The default uses the \
-               recommended domain count of this machine; 1 forces the \
-               sequential path. The output is bit-identical for every \
-               $(docv).")
-
-let resolve_jobs = function
-  | None -> Lockdoc_util.Pool.default_jobs ()
-  | Some j -> j
-
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
          ~doc:"Record internal metrics (counters, histograms, spans) during \
@@ -337,6 +326,12 @@ let recover_cmd =
     with_metrics metrics @@ fun () ->
     let module Durable = Lockdoc_db.Durable in
     let module Store = Lockdoc_db.Store in
+    (* [Durable.recover] treats a missing directory as an empty one
+       ([import --durable] starts from it); here it is a missing input. *)
+    if not (Sys.file_exists dir) then
+      raise (Sys_error (dir ^ ": No such file or directory"));
+    if not (Sys.is_directory dir) then
+      raise (Sys_error (dir ^ ": Not a directory"));
     let r = Durable.recover ~dir in
     (match r.Durable.r_snapshot with
     | Some s -> Printf.printf "snapshot: %s\n" s
@@ -384,9 +379,8 @@ let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.")
 
 let derive_cmd =
-  let run mode path ty tac json jobs metrics =
+  let run mode path ty tac json metrics =
     with_metrics metrics @@ fun () ->
-    let jobs = resolve_jobs jobs in
     let dataset, _ = load_dataset ~mode path in
     let keys =
       match ty with Some key -> [ key ] | None -> Dataset.type_keys dataset
@@ -394,20 +388,20 @@ let derive_cmd =
     if json then
       print_endline
         (Lockdoc_core.Report.mined_to_json
-           (List.concat_map (Derivator.derive_type ~tac ~jobs dataset) keys))
+           (List.concat_map (Derivator.derive_type ~tac dataset) keys))
     else
       List.iter
         (fun key ->
           Printf.printf "== %s ==\n" key;
           List.iter
             (fun m -> print_endline ("  " ^ Docgen.member_line m))
-            (Derivator.derive_type ~tac ~jobs dataset key))
+            (Derivator.derive_type ~tac dataset key))
         keys
   in
   Cmd.v (Cmd.info ~exits "derive" ~doc:"Mine locking rules from a trace")
     Term.(
       const run $ mode_arg $ trace_file_arg $ type_arg $ tac_arg $ json_arg
-      $ jobs_arg $ metrics_arg)
+      $ metrics_arg)
 
 (* {2 doc} *)
 
@@ -416,20 +410,17 @@ let doc_cmd =
     Arg.(value & opt string "inode" & info [ "type" ] ~docv:"TYPE"
            ~doc:"Base data type to document (subclasses merged).")
   in
-  let run path base tac jobs metrics =
+  let run path base tac metrics =
     with_metrics metrics @@ fun () ->
     let dataset, _ = load_dataset path in
-    let mined =
-      Derivator.derive_merged ~tac ~jobs:(resolve_jobs jobs) dataset base
-    in
+    let mined = Derivator.derive_merged ~tac dataset base in
     print_endline
       (Docgen.generate ~kind:Lockdoc_core.Rule.W ~title:base mined);
     print_endline
       (Docgen.generate ~kind:Lockdoc_core.Rule.R ~title:(base ^ " (reads)") mined)
   in
   Cmd.v (Cmd.info ~exits "doc" ~doc:"Generate locking documentation from a trace")
-    Term.(
-      const run $ trace_file_arg $ base_arg $ tac_arg $ jobs_arg $ metrics_arg)
+    Term.(const run $ trace_file_arg $ base_arg $ tac_arg $ metrics_arg)
 
 (* {2 check} *)
 
@@ -452,14 +443,12 @@ let doc_specs () =
     Doc.rules
 
 let check_cmd =
-  let run mode path jobs metrics =
+  let run mode path metrics =
     with_metrics metrics @@ fun () ->
     let dataset, _ = load_dataset ~mode path in
     let module Checker = Lockdoc_core.Checker in
     let module Rule = Lockdoc_core.Rule in
-    let checked =
-      Checker.check_many ~jobs:(resolve_jobs jobs) dataset (doc_specs ())
-    in
+    let checked = Checker.check_many dataset (doc_specs ()) in
     List.iter
       (fun (c : Checker.checked) ->
         Printf.printf "%-14s %-24s %s  %-40s sr=%6.2f%%  %s\n" c.Checker.c_type
@@ -472,7 +461,7 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info ~exits "check" ~doc:"Check the documented locking rules against a trace")
-    Term.(const run $ mode_arg $ trace_file_arg $ jobs_arg $ metrics_arg)
+    Term.(const run $ mode_arg $ trace_file_arg $ metrics_arg)
 
 (* {2 fsck} *)
 
@@ -579,12 +568,11 @@ let violations_cmd =
     Arg.(value & opt non_negative_int 20 & info [ "limit" ] ~docv:"N"
            ~doc:"Maximum violations to print.")
   in
-  let run mode path ty tac limit json jobs metrics =
+  let run mode path ty tac limit json metrics =
     with_metrics metrics @@ fun () ->
-    let jobs = resolve_jobs jobs in
     let dataset, _ = load_dataset ~mode path in
-    let mined = Derivator.derive_all ~tac ~jobs dataset in
-    let violations = Violation.find ~jobs dataset mined in
+    let mined = Derivator.derive_all ~tac dataset in
+    let violations = Violation.find dataset mined in
     let violations =
       match ty with
       | None -> violations
@@ -611,7 +599,7 @@ let violations_cmd =
   Cmd.v (Cmd.info ~exits "violations" ~doc:"Locate locking-rule violations in a trace")
     Term.(
       const run $ mode_arg $ trace_file_arg $ type_arg $ tac_arg $ limit_arg
-      $ json_arg $ jobs_arg $ metrics_arg)
+      $ json_arg $ metrics_arg)
 
 (* {2 lockmeter} *)
 
@@ -710,7 +698,7 @@ let lint_cmd =
     Arg.(value & opt positive_int 1 & info [ "scale" ] ~docv:"N"
            ~doc:"Workload iteration multiplier (trace volume).")
   in
-  let run workload seed scale json jobs metrics =
+  let run workload seed scale json metrics =
     if not (List.mem workload Run.workload_names) then begin
       Printf.eprintf "lockdoc: unknown workload %S (known: %s)\n" workload
         (String.concat ", " Run.workload_names);
@@ -718,7 +706,7 @@ let lint_cmd =
     end;
     with_metrics metrics @@ fun () ->
     let trace = Run.workload_trace ~seed ~scale workload in
-    let report = Lint.run ~jobs:(resolve_jobs jobs) ~workload trace in
+    let report = Lint.run ~workload trace in
     if json then
       print_endline (Lockdoc_core.Report.to_string (Lint.to_json report))
     else print_string (Lint.render report)
@@ -735,7 +723,7 @@ let lint_cmd =
           (member, lock-context) pairs are reported as coverage gaps.")
     Term.(
       const run $ workload_arg $ lint_seed_arg $ lint_scale_arg $ json_arg
-      $ jobs_arg $ metrics_arg)
+      $ metrics_arg)
 
 (* {2 sanitize} *)
 
@@ -759,17 +747,14 @@ let sanitize_cmd =
     Arg.(value & opt positive_int 1 & info [ "scale" ] ~docv:"N"
            ~doc:"Workload iteration multiplier (trace volume).")
   in
-  let run workload clean seed scale json jobs metrics =
+  let run workload clean seed scale json metrics =
     if not (List.mem workload Run.workload_names) then begin
       Printf.eprintf "lockdoc: unknown workload %S (known: %s)\n" workload
         (String.concat ", " Run.workload_names);
       exit 1
     end;
     with_metrics metrics @@ fun () ->
-    let report =
-      Sanitize.run ~jobs:(resolve_jobs jobs) ~seed ~scale ~bugs:(not clean)
-        workload
-    in
+    let report = Sanitize.run ~seed ~scale ~bugs:(not clean) workload in
     if json then print_endline (Sanitize.to_json report)
     else print_string (Sanitize.render report)
   in
@@ -782,7 +767,7 @@ let sanitize_cmd =
           ground-truth bugs and the mined-rule violation scanner.")
     Term.(
       const run $ workload_arg $ clean_arg $ sanitize_seed_arg
-      $ sanitize_scale_arg $ json_arg $ jobs_arg $ metrics_arg)
+      $ sanitize_scale_arg $ json_arg $ metrics_arg)
 
 (* {2 replay} *)
 
@@ -811,7 +796,7 @@ let replay_cmd =
            ~doc:"Directed schedules per finding per search round (a \
                  positive integer).")
   in
-  let run workload clean seed scale budget json jobs metrics =
+  let run workload clean seed scale budget json metrics =
     if not (List.mem workload Run.workload_names) then begin
       Printf.eprintf "lockdoc: unknown workload %S (known: %s)\n" workload
         (String.concat ", " Run.workload_names);
@@ -819,8 +804,7 @@ let replay_cmd =
     end;
     with_metrics metrics @@ fun () ->
     let report =
-      Replay.run ~jobs:(resolve_jobs jobs) ~seed ~scale ~budget
-        ~bugs:(not clean) workload
+      Replay.run ~seed ~scale ~budget ~bugs:(not clean) workload
     in
     if json then print_endline (Replay.to_json report)
     else print_string (Replay.render report)
@@ -835,7 +819,7 @@ let replay_cmd =
           read section, init/teardown quiescence, budget exhausted).")
     Term.(
       const run $ workload_arg $ clean_arg $ replay_seed_arg
-      $ replay_scale_arg $ budget_arg $ json_arg $ jobs_arg $ metrics_arg)
+      $ replay_scale_arg $ budget_arg $ json_arg $ metrics_arg)
 
 (* {2 profile} *)
 
@@ -845,7 +829,7 @@ let profile_cmd =
            ~doc:"Workload to profile: $(b,mix) (the full benchmark mix, the \
                  default) or one benchmark family.")
   in
-  let run scale seed tac jobs workload json metrics =
+  let run scale seed tac workload json metrics =
     if workload <> "mix" && not (List.mem workload Run.workload_names) then
       begin
         Printf.eprintf "lockdoc: unknown workload %S (known: mix, %s)\n"
@@ -853,7 +837,6 @@ let profile_cmd =
           (String.concat ", " Run.workload_names);
         exit 1
       end;
-    let jobs = resolve_jobs jobs in
     Obs.set_enabled true;
     let phase name f = Obs.Span.timed ("profile/" ^ name) f in
     let trace, t_trace =
@@ -867,14 +850,14 @@ let profile_cmd =
       phase "observations" (fun () -> Dataset.of_store store)
     in
     let mined, t_derive =
-      phase "derive" (fun () -> Derivator.derive_all ~tac ~jobs dataset)
+      phase "derive" (fun () -> Derivator.derive_all ~tac dataset)
     in
     let checked, t_check =
       phase "check" (fun () ->
-          Lockdoc_core.Checker.check_many ~jobs dataset (doc_specs ()))
+          Lockdoc_core.Checker.check_many dataset (doc_specs ()))
     in
     let violations, t_violations =
-      phase "violations" (fun () -> Violation.find ~jobs dataset mined)
+      phase "violations" (fun () -> Violation.find dataset mined)
     in
     let phases =
       [
@@ -915,7 +898,6 @@ let profile_cmd =
                 ("workload", R.S workload);
                 ("scale", R.I scale);
                 ("seed", R.I seed);
-                ("jobs", R.I jobs);
                 ( "phases",
                   R.O (List.map (fun (n, c) -> (n, clock_j c)) phases) );
                 ("total", clock_j total);
@@ -931,8 +913,7 @@ let profile_cmd =
               ]))
     end
     else begin
-      Printf.printf "profile: %s (scale %d, seed %d, jobs %d)\n" workload
-        scale seed jobs;
+      Printf.printf "profile: %s (scale %d, seed %d)\n" workload scale seed;
       Printf.printf "%-14s %12s %12s\n" "phase" "wall" "cpu";
       let row name (c : Obs.Clock.t) =
         Printf.printf "%-14s %9.1f ms %9.1f ms\n" name
@@ -956,10 +937,9 @@ let profile_cmd =
        ~doc:
          "Run the pipeline end to end on one workload with metrics enabled \
           and print per-phase wall/cpu timings plus the busiest internal \
-          counters. Wall and CPU time are reported separately: CPU time \
-          sums over domains and exceeds wall time for parallel phases.")
+          counters. Wall and CPU time are reported separately.")
     Term.(
-      const run $ scale_arg $ seed_arg $ tac_arg $ jobs_arg $ workload_arg
+      const run $ scale_arg $ seed_arg $ tac_arg $ workload_arg
       $ json_arg $ metrics_arg)
 
 (* {2 repro} *)
@@ -1103,8 +1083,25 @@ let feed_cmd =
                  online derivation changes past its debounce, each printed \
                  as one JSON line — no polling.")
   in
+  (* An unreachable or failing daemon is reported like a missing file:
+     one line naming the address, exit 123. *)
+  let reach_daemon ?tcp ~socket f =
+    let address =
+      match tcp with
+      | Some (host, port) -> Printf.sprintf "%s:%d" host port
+      | None -> socket
+    in
+    let fail reason =
+      Printf.eprintf "lockdoc: feed: %s: %s\n" address reason;
+      exit Cmd.Exit.some_error
+    in
+    try f () with
+    | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+    | Sockserv.Error reason -> fail reason
+  in
   let run socket tcp session trace query shutdown follow json metrics =
     with_metrics metrics @@ fun () ->
+    reach_daemon ?tcp ~socket @@ fun () ->
     if shutdown then begin
       match Sockserv.request ?tcp ~socket Proto.Shutdown with
       | Proto.Closing { reason } -> Printf.printf "daemon closing: %s\n" reason

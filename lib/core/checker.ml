@@ -1,4 +1,3 @@
-module Pool = Lockdoc_util.Pool
 module Obs = Lockdoc_obs.Obs
 
 let c_specs = Obs.counter "check.specs"
@@ -42,10 +41,9 @@ type spec = {
   sp_rule : Rule.t;
 }
 
-let check_many ?(jobs = 1) dataset specs =
+let check_many dataset specs =
   Obs.add c_specs (List.length specs);
-  if jobs > 1 then Lockdoc_db.Store.seal (Dataset.store dataset);
-  Pool.map ~jobs
+  List.map
     (fun s ->
       check_rule dataset ~ty:s.sp_type ~member:s.sp_member ~kind:s.sp_kind
         s.sp_rule)

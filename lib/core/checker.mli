@@ -33,11 +33,9 @@ type spec = {
 }
 (** One documented rule to put on trial. *)
 
-val check_many : ?jobs:int -> Dataset.t -> spec list -> checked list
+val check_many : Dataset.t -> spec list -> checked list
 (** {!check_rule} over a whole documented-rule corpus, input order
-    preserved. [jobs] (default 1) distributes the per-rule scans over
-    that many domains; results are bit-identical to the sequential path
-    ([jobs > 1] seals the store — see {!Lockdoc_db.Store.seal}). *)
+    preserved. *)
 
 type summary = {
   s_type : string;

@@ -1,5 +1,3 @@
-module Pool = Lockdoc_util.Pool
-module Store = Lockdoc_db.Store
 module Obs = Lockdoc_obs.Obs
 
 let c_groups = Obs.counter "derive.groups"
@@ -17,12 +15,6 @@ type mined = {
 }
 
 let default_tac = 0.9
-
-(* Workers only read the dataset (and through it the store). Seal the
-   store before fanning out so any later mutation attempt fails loudly
-   instead of racing — see DESIGN.md 5d. *)
-let seal_for ~jobs dataset =
-  if jobs > 1 then Store.seal (Dataset.store dataset)
 
 let derive_combos ?strategy ?(tac = default_tac) (ty, member, kind) combos =
   let hypotheses = Hypothesis.score combos in
@@ -48,27 +40,23 @@ let derive_member ?strategy ?tac dataset key ~member ~kind =
   derive_combos ?strategy ?tac (key, member, kind)
     (Dataset.combos_of dataset (key, member, kind))
 
-let derive_merged ?strategy ?tac ?(jobs = 1) dataset base =
-  seal_for ~jobs dataset;
-  Pool.map ~jobs
+let derive_merged ?strategy ?tac dataset base =
+  List.map
     (fun ((member, kind), combos) ->
       derive_combos ?strategy ?tac (base, member, kind) combos)
     (Dataset.merged dataset base)
 
 (* Groups come in canonical order (type keys, then (member, kind),
-   ascending). That order is both the sharding unit and the merge order
-   of the parallel path, which is what makes [derive_all ~jobs:n]
-   bit-identical to the sequential left-to-right map for every [n]. *)
-let derive_groups ?strategy ?tac ~jobs dataset groups =
-  seal_for ~jobs dataset;
-  Pool.map ~jobs (fun (key, g) -> derive_group ?strategy ?tac key g) groups
+   ascending), and the rules keep it. *)
+let derive_groups ?strategy ?tac groups =
+  List.map (fun (key, g) -> derive_group ?strategy ?tac key g) groups
 
-let derive_type ?strategy ?tac ?(jobs = 1) dataset ty =
+let derive_type ?strategy ?tac dataset ty =
   Dataset.groups dataset
   |> List.filter (fun ((key, _, _), _) -> key = ty)
-  |> derive_groups ?strategy ?tac ~jobs dataset
+  |> derive_groups ?strategy ?tac
 
-let derive_all ?strategy ?tac ?(jobs = 1) dataset =
-  derive_groups ?strategy ?tac ~jobs dataset (Dataset.groups dataset)
+let derive_all ?strategy ?tac ?jobs:_ dataset =
+  derive_groups ?strategy ?tac (Dataset.groups dataset)
 
 let needs_no_lock mined = Rule.equal mined.m_winner Rule.no_lock

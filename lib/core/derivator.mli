@@ -27,7 +27,7 @@ val derive_group :
     derivator's freeze, goes through this one scorer. *)
 
 val derive_merged :
-  ?strategy:Selection.strategy -> ?tac:float -> ?jobs:int -> Dataset.t ->
+  ?strategy:Selection.strategy -> ?tac:float -> Dataset.t ->
   string -> mined list
 (** Derive rules for a base type with all subclasses merged (the
     multisets of every matching subclass key are added up) — the view
@@ -46,7 +46,7 @@ val derive_member :
     "no lock" rule with zero support. *)
 
 val derive_type :
-  ?strategy:Selection.strategy -> ?tac:float -> ?jobs:int -> Dataset.t ->
+  ?strategy:Selection.strategy -> ?tac:float -> Dataset.t ->
   string -> mined list
 (** All observed members of a type key, reads and writes separately. *)
 
@@ -55,14 +55,11 @@ val derive_all :
   mined list
 (** Mine every non-empty (type key, member, access kind) group of the
     dataset, in canonical order: type keys ascending, then (member,
-    kind) ascending within each key.
+    kind) ascending within each key. Runs on the calling domain.
 
-    [jobs] (default 1) fans the per-group work out over that many
-    domains via {!Lockdoc_util.Pool}; groups are sharded by key and
-    merged in canonical key order, so the result is bit-identical to
-    the sequential path for every domain count. [jobs > 1] seals the
-    underlying store ({!Lockdoc_db.Store.seal}): workers share it
-    read-only. *)
+    [jobs] is ignored. It is kept only so existing callers that still
+    pass it compile, and goes once the benchmark harness stops passing
+    it. *)
 
 val needs_no_lock : mined -> bool
 (** The winner is the "no lock" rule (the #Nl columns of paper Tab. 6). *)

@@ -1,6 +1,5 @@
 module Schema = Lockdoc_db.Schema
 module Store = Lockdoc_db.Store
-module Pool = Lockdoc_util.Pool
 module Obs = Lockdoc_obs.Obs
 
 let c_groups = Obs.counter "violations.groups"
@@ -17,12 +16,11 @@ type violation = {
   v_stack : string list;
 }
 
-let find ?(jobs = 1) dataset mined =
+let find ?jobs:_ dataset mined =
   let store = Dataset.store dataset in
   Obs.add c_groups (List.length mined);
-  if jobs > 1 then Store.seal store;
   let out =
-    Pool.concat_map ~jobs
+    List.concat_map
     (fun (m : Derivator.mined) ->
       if
         Rule.equal m.Derivator.m_winner Rule.no_lock

@@ -16,10 +16,12 @@ type violation = {
 
 val find : ?jobs:int -> Dataset.t -> Derivator.mined list -> violation list
 (** Scan every mined rule with sr < 1 for non-complying observations.
-    Rules whose winner is "no lock" cannot be violated. [jobs]
-    (default 1) shards the scan by mined rule over that many domains;
-    the violation list is bit-identical to the sequential scan
-    ([jobs > 1] seals the store — see {!Lockdoc_db.Store.seal}). *)
+    Rules whose winner is "no lock" cannot be violated. Violations come
+    in the order of [mined].
+
+    [jobs] is ignored. It is kept only so existing callers that still
+    pass it compile, and goes once the benchmark harness stops passing
+    it. *)
 
 type summary = {
   vs_type : string;

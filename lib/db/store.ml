@@ -15,9 +15,6 @@ type t = {
   mutable on_op : (Op.t -> unit) option;
       (* Must stay None while the store is marshalled: closures don't
          serialise. Snapshot clears it via [with_logger]. *)
-  mutable sealed : bool;
-      (* Parallel analysis shares the store read-only across domains;
-         once sealed, row mutations are refused. *)
 }
 
 let create () =
@@ -32,18 +29,7 @@ let create () =
     dt_by_name = Hashtbl.create 32;
     by_type_key = Hashtbl.create 64;
     on_op = None;
-    sealed = false;
   }
-
-let seal t = t.sealed <- true
-
-let is_sealed t = t.sealed
-
-let guard_unsealed t fn =
-  if t.sealed then
-    invalid_arg
-      (Printf.sprintf
-         "Store.%s: store is sealed (read-only for parallel analysis)" fn)
 
 let set_logger t log = t.on_op <- log
 
@@ -55,7 +41,6 @@ let with_logger t log f =
 let log t op = match t.on_op with Some f -> f op | None -> ()
 
 let add_data_type t layout =
-  guard_unsealed t "add_data_type";
   let dt_id = Vec.length t.data_types in
   let row =
     { dt_id; dt_name = layout.Lockdoc_trace.Layout.ty_name; dt_layout = layout }
@@ -66,7 +51,6 @@ let add_data_type t layout =
   row
 
 let add_allocation t ~ptr ~size ~ty ~subclass ~start =
-  guard_unsealed t "add_allocation";
   let al_id = Vec.length t.allocations in
   let row =
     {
@@ -84,7 +68,6 @@ let add_allocation t ~ptr ~size ~ty ~subclass ~start =
   row
 
 let add_lock t ~ptr ~kind ~name ~parent =
-  guard_unsealed t "add_lock";
   let lk_id = Vec.length t.locks in
   let row = { lk_id; lk_ptr = ptr; lk_kind = kind; lk_name = name; lk_parent = parent } in
   ignore (Vec.push t.locks row);
@@ -92,7 +75,6 @@ let add_lock t ~ptr ~kind ~name ~parent =
   row
 
 let add_txn t ~locks ~ctx =
-  guard_unsealed t "add_txn";
   let tx_id = Vec.length t.txns in
   let row = { tx_id; tx_locks = locks; tx_ctx = ctx } in
   ignore (Vec.push t.txns row);
@@ -124,7 +106,6 @@ let access t id = lookup ~fn:"access" ~table:"accesses" t.accesses id
 let stack t id = lookup ~fn:"stack" ~table:"stacks" t.stacks id
 
 let set_alloc_end t id at =
-  guard_unsealed t "set_alloc_end";
   let al = allocation t id in
   al.al_end <- at;
   log t (Op.Set_alloc_end { al = id; at })
@@ -134,14 +115,12 @@ let intern_stack t frames =
   match Hashtbl.find_opt t.stack_index key with
   | Some id -> id
   | None ->
-      guard_unsealed t "intern_stack";
       let id = Vec.push t.stacks frames in
       Hashtbl.replace t.stack_index key id;
       log t (Op.Intern_stack frames);
       id
 
 let add_access t ~event ~alloc ~member ~kind ~txn ~loc ~stack ~ctx =
-  guard_unsealed t "add_access";
   let ac_id = Vec.length t.accesses in
   let row =
     {

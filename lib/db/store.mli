@@ -2,7 +2,11 @@
 
     Substitutes the paper's MariaDB instance: tables are growable arrays
     with hash indexes, and the analysis-phase "queries" are the accessor
-    functions below. Rows are created exclusively by {!Import}. *)
+    functions below. Rows are created exclusively by {!Import}.
+
+    A store is not synchronised: one domain owns it. Where the analysis
+    does use other domains (per-family pipelines, serve seal jobs),
+    each of them imports into a store of its own. *)
 
 open Schema
 
@@ -40,17 +44,6 @@ val intern_stack : t -> string list -> int
 
 val set_alloc_end : t -> int -> int option -> unit
 (** Record the free event index of an allocation. *)
-
-(** {2 Sealing}
-
-    Parallel analysis ({!Lockdoc_util.Pool}) shares one store read-only
-    across domains. [seal] makes that invariant checkable: every row
-    mutation above raises [Invalid_argument] afterwards. Sealing is
-    one-way and is asserted by the [jobs > 1] paths of the derivator,
-    checker and violation scanner before fanning out. *)
-
-val seal : t -> unit
-val is_sealed : t -> bool
 
 (** {2 Operation log}
 

@@ -18,16 +18,15 @@ type t = {
   timings : (string * Obs.Clock.t) list;
 }
 
-(* [Sys.time] is process CPU time: with [jobs > 1] it sums the work of
-   every domain and overstates a phase by up to the job count. Measure
-   wall and CPU separately and report both. *)
+(* Every phase runs on the calling domain; wall and CPU time are
+   recorded separately for the Sec. 7.2 statistics. *)
 let timed name f timings =
   let result, dt =
     Obs.Span.time ("context/" ^ name) (fun () -> Obs.Clock.timed f)
   in
   (result, (name, dt) :: timings)
 
-let create ?(scale = 8) ?(seed = 42) ?(jobs = 1) () =
+let create ?(scale = 8) ?(seed = 42) () =
   let config =
     {
       Run.kernel = { Kernel.default_config with Kernel.seed };
@@ -45,10 +44,10 @@ let create ?(scale = 8) ?(seed = 42) ?(jobs = 1) () =
     timed "observations" (fun () -> Dataset.of_store store) timings
   in
   let mined, timings =
-    timed "derivation" (fun () -> Derivator.derive_all ~jobs dataset) timings
+    timed "derivation" (fun () -> Derivator.derive_all dataset) timings
   in
   let violations, timings =
-    timed "counterexamples" (fun () -> Violation.find ~jobs dataset mined) timings
+    timed "counterexamples" (fun () -> Violation.find dataset mined) timings
   in
   { config; trace; coverage; store; import_stats; dataset; mined; violations;
     timings = List.rev timings }
@@ -61,6 +60,7 @@ let mined_for t key =
 type family = {
   w_name : string;
   w_trace : Lockdoc_trace.Trace.t;
+  w_dataset : Dataset.t;
   w_groups : int;
   w_mined : Derivator.mined list;
   w_violations : Violation.violation list;
@@ -73,8 +73,8 @@ let analyse_family (name, trace) =
   let dataset =
     Obs.Span.time "families/observations" (fun () -> Dataset.of_store store)
   in
-  (* Worker-local pipeline: each family owns its store, so the analysis
-     inside a worker stays sequential (no nested pools). *)
+  (* Each family owns its store, so a worker shares nothing with the
+     others; the analysis inside it is sequential. *)
   let mined =
     Obs.Span.time "families/derive" (fun () -> Derivator.derive_all dataset)
   in
@@ -84,6 +84,7 @@ let analyse_family (name, trace) =
   {
     w_name = name;
     w_trace = trace;
+    w_dataset = dataset;
     w_groups = List.length mined;
     w_mined = mined;
     w_violations = violations;
@@ -93,7 +94,8 @@ let families ?(seed = 11) ?scale ?(jobs = 1) () =
   (* Trace generation stays on the calling domain: the simulated kernel
      holds global state (static locks, the current run, fault sites), so
      only one simulation may run per process. Everything downstream of
-     the trace is per-family-private and fans out. *)
+     the trace is per-family-private and fans out: this is one of the
+     two places the analysis uses more than one domain (DESIGN 5d). *)
   let traces =
     List.map
       (fun name -> (name, Run.workload_trace ~seed ?scale name))

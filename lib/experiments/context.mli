@@ -3,9 +3,8 @@
 
     Building a context runs the full pipeline of the paper's Fig. 5 —
     tracing (phase ❶), import/filtering, rule derivation (phase ❷) — and
-    records per-phase timings (wall clock and CPU time, separately —
-    CPU time alone double-counts parallel phases) for the Sec. 7.2
-    statistics. *)
+    records per-phase timings (wall clock and CPU time, separately) for
+    the Sec. 7.2 statistics. *)
 
 type t = {
   config : Lockdoc_ksim.Run.config;
@@ -21,10 +20,9 @@ type t = {
       (** phase name, elapsed wall/cpu seconds *)
 }
 
-val create : ?scale:int -> ?seed:int -> ?jobs:int -> unit -> t
-(** Defaults: scale 8 (a few hundred thousand events), seed 42, jobs 1.
-    [jobs > 1] runs derivation and counterexample extraction on that
-    many domains; the context is bit-identical either way. *)
+val create : ?scale:int -> ?seed:int -> unit -> t
+(** Defaults: scale 8 (a few hundred thousand events), seed 42. Every
+    phase runs on the calling domain. *)
 
 val mined_for : t -> string -> Lockdoc_core.Derivator.mined list
 (** Mined rules of one type key. *)
@@ -34,6 +32,7 @@ val mined_for : t -> string -> Lockdoc_core.Derivator.mined list
 type family = {
   w_name : string;
   w_trace : Lockdoc_trace.Trace.t;
+  w_dataset : Lockdoc_core.Dataset.t;  (** built on the worker domain *)
   w_groups : int;  (** derivation groups, i.e. mined rules *)
   w_mined : Lockdoc_core.Derivator.mined list;
   w_violations : Lockdoc_core.Violation.violation list;
@@ -46,6 +45,7 @@ val families : ?seed:int -> ?scale:int -> ?jobs:int -> unit -> family list
 (** One isolated pipeline per benchmark family
     ({!Lockdoc_ksim.Run.workload_names}). Trace generation runs on the
     calling domain — the simulated kernel holds process-global state —
-    but each family's import/derive/scan pipeline is private to its
-    trace, so with [jobs > 1] the pipelines fan out across domains.
+    but each family's import/derive/scan pipeline imports into a store
+    of its own, so with [jobs > 1] (default 1) the pipelines fan out
+    across domains with {!Lockdoc_util.Pool.map}.
     Output order and contents do not depend on [jobs]. *)

@@ -30,7 +30,6 @@
    of the shutdown entry points are exempt, mirroring the importer's
    init/teardown filter. *)
 
-module Pool = Lockdoc_util.Pool
 module Store = Lockdoc_db.Store
 module Schema = Lockdoc_db.Schema
 module Event = Lockdoc_trace.Event
@@ -181,10 +180,8 @@ let analyse_instance store accesses =
     (List.rev !order)
 
 (* Work items: one per (type key, instance), in (key, allocation id)
-   order. Pool.map keeps the input order, so the merged report is
-   byte-identical for every job count. *)
-let analyse ?(jobs = 1) store =
-  if jobs > 1 then Store.seal store;
+   order. *)
+let analyse store =
   let items =
     List.concat_map
       (fun key ->
@@ -206,7 +203,7 @@ let analyse ?(jobs = 1) store =
       (Store.type_keys store)
   in
   let per_instance =
-    Pool.map ~jobs (fun (key, accesses) -> (key, analyse_instance store accesses)) items
+    List.map (fun (key, accesses) -> (key, analyse_instance store accesses)) items
   in
   (* Merge instance evidence into per (type, member) races: instance
      count, folded bare accesses, earliest witness. *)

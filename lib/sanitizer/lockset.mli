@@ -33,11 +33,9 @@ val quiescent_frames : string list
     under them are exempt. Shared with the replay engine's quiescence
     triage. *)
 
-val analyse : ?jobs:int -> Lockdoc_db.Store.t -> race list
-(** Run the detector over every (instance, member) stream. [jobs]
-    (default 1) shards by instance over that many domains; the report
-    is bit-identical for every job count ([jobs > 1] seals the
-    store). Sorted by (type key, member). *)
+val analyse : Lockdoc_db.Store.t -> race list
+(** Run the detector over every (instance, member) stream. Sorted by
+    (type key, member). *)
 
 val render : race list -> string
 (** Human-readable summary, one line per racy (type, member). *)

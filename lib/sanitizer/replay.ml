@@ -11,11 +11,10 @@
    the moment the flagged class is acquired with interrupts enabled and
    catch the handler's in-atomic deadlock as the witness.
 
-   The directed phase is sequential — the simulator is a pile of per-run
-   global state (DESIGN 5d) — so [jobs] only fans out the pure verdict
-   synthesis, and the report is bit-identical for every job count. *)
+   Everything runs on the calling domain: the simulator is a pile of
+   per-run global state (DESIGN 5d), and verdict synthesis is too cheap
+   to fan out. *)
 
-module Pool = Lockdoc_util.Pool
 module Trace = Lockdoc_trace.Trace
 module Event = Lockdoc_trace.Event
 module Srcloc = Lockdoc_trace.Srcloc
@@ -569,7 +568,7 @@ let collect ~seed ~scale ~budget ~bugs ~workload targets =
   done;
   evs
 
-(* {2 Verdict synthesis (pure — this is the [jobs] fan-out)} *)
+(* {2 Verdict synthesis (pure)} *)
 
 let decide ev =
   match ev with
@@ -619,7 +618,7 @@ let search ?(seed = 7) ?(scale = 1) ?(budget = 8) ~bugs ~workload targets =
 
 (* {2 The full pipeline} *)
 
-let run ?(jobs = 1) ?(seed = 7) ?(scale = 1) ?(budget = 8) ~bugs workload =
+let run ?jobs:_ ?(seed = 7) ?(scale = 1) ?(budget = 8) ~bugs workload =
   if not (List.mem workload Run.workload_names) then
     invalid_arg ("Replay.run: unknown workload " ^ workload);
   let (trace, truth), _ =
@@ -629,11 +628,11 @@ let run ?(jobs = 1) ?(seed = 7) ?(scale = 1) ?(budget = 8) ~bugs workload =
   let (races, irq_unsafe, violations), _ =
     Obs.Span.timed "replay/findings" (fun () ->
         let store, _stats = Import.run trace in
-        let races = Lockset.analyse ~jobs store in
+        let races = Lockset.analyse store in
         let irq = Irq.analyse store in
         let dataset = Dataset.of_store store in
-        let mined = Derivator.derive_all ~jobs dataset in
-        (races, irq.Irq.i_unsafe, Violation.find ~jobs dataset mined))
+        let mined = Derivator.derive_all dataset in
+        (races, irq.Irq.i_unsafe, Violation.find dataset mined))
   in
   (* One replay target per distinct finding, remembering every detector
      that flagged it; races sort before irq classes, each by id. *)
@@ -676,7 +675,7 @@ let run ?(jobs = 1) ?(seed = 7) ?(scale = 1) ?(budget = 8) ~bugs workload =
         collect ~seed ~scale ~budget ~bugs ~workload targets)
   in
   let decided, _ =
-    Obs.Span.timed "replay/verdicts" (fun () -> Pool.map ~jobs decide evs)
+    Obs.Span.timed "replay/verdicts" (fun () -> List.map decide evs)
   in
   List.iter
     (fun (v, _) ->

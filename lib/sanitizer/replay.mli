@@ -16,10 +16,8 @@
     is held with interrupts enabled and catching the handler's
     in-atomic deadlock.
 
-    Directed execution is sequential (the simulator has per-run global
-    state; see DESIGN 5d) — the [jobs] fan-out parallelises verdict
-    synthesis over findings, and the report is bit-identical for every
-    job count. *)
+    Everything runs sequentially on the calling domain (the simulator
+    has per-run global state; see DESIGN 5d). *)
 
 type reason =
   | Caller_holds_lock of string
@@ -108,8 +106,11 @@ val run :
     every finding, and score precision/recall before and after triage.
     [budget] (default 8) bounds directed schedules per finding per
     round. Raises [Invalid_arg] for workloads outside
-    {!Lockdoc_ksim.Run.workload_names}. Bit-identical for every
-    [jobs]. *)
+    {!Lockdoc_ksim.Run.workload_names}.
+
+    [jobs] is ignored. It is kept only so existing callers that still
+    pass it compile, and goes once the benchmark harness stops passing
+    it. *)
 
 val render : report -> string
 (** Human-readable report: per-finding verdicts with witnesses or

@@ -27,19 +27,19 @@ type report = {
   s_crossval : Crossval.t;
 }
 
-let analyse ?(jobs = 1) ~workload ~seed ~scale ~bugs ~truth trace =
+let analyse ?jobs:_ ~workload ~seed ~scale ~bugs ~truth trace =
   let (store, stats), _ =
     Obs.Span.timed "sanitize/import" (fun () -> Import.run trace)
   in
   let s_races, _ =
-    Obs.Span.timed "sanitize/lockset" (fun () -> Lockset.analyse ~jobs store)
+    Obs.Span.timed "sanitize/lockset" (fun () -> Lockset.analyse store)
   in
   let s_irq, _ = Obs.Span.timed "sanitize/irq" (fun () -> Irq.analyse store) in
   let s_crossval, _ =
     Obs.Span.timed "sanitize/crossval" (fun () ->
         let dataset = Dataset.of_store store in
-        let mined = Derivator.derive_all ~jobs dataset in
-        let violations = Violation.find ~jobs dataset mined in
+        let mined = Derivator.derive_all dataset in
+        let violations = Violation.find dataset mined in
         Crossval.evaluate ~races:s_races ~irq:s_irq ~truth ~violations)
   in
   {
@@ -55,12 +55,12 @@ let analyse ?(jobs = 1) ~workload ~seed ~scale ~bugs ~truth trace =
     s_crossval;
   }
 
-let run ?(jobs = 1) ?(seed = 7) ?(scale = 1) ~bugs workload =
+let run ?(seed = 7) ?(scale = 1) ~bugs workload =
   let (trace, truth), _ =
     Obs.Span.timed "sanitize/trace" (fun () ->
         Run.sanitize_trace ~seed ~scale ~bugs workload)
   in
-  analyse ~jobs ~workload ~seed ~scale ~bugs ~truth trace
+  analyse ~workload ~seed ~scale ~bugs ~truth trace
 
 let render r =
   let buf = Buffer.create 512 in

@@ -5,8 +5,7 @@
     benchmark family plus a work-queueing thread and a deterministic
     timer interrupt, with fault sites forced to exactly the seeded
     ground-truth bugs or silenced entirely. The report is deterministic
-    for a fixed (workload, seed, scale, bugs) and bit-identical for
-    every [jobs] count. *)
+    for a fixed (workload, seed, scale, bugs). *)
 
 type report = {
   s_workload : string;
@@ -30,9 +29,13 @@ val analyse :
   truth:Lockdoc_ksim.Seeded.truth ->
   Lockdoc_trace.Trace.t ->
   report
-(** Import and analyse an existing sanitizer trace. *)
+(** Import and analyse an existing sanitizer trace.
 
-val run : ?jobs:int -> ?seed:int -> ?scale:int -> bugs:bool -> string -> report
+    [jobs] is ignored. It is kept only so existing callers that still
+    pass it compile, and goes once the benchmark harness stops passing
+    it. *)
+
+val run : ?seed:int -> ?scale:int -> bugs:bool -> string -> report
 (** Generate the trace and analyse it. Raises [Invalid_arg] for
     workloads outside {!Lockdoc_ksim.Run.workload_names}. *)
 

@@ -470,15 +470,15 @@ let deliver_c2s st vc =
    [Dataset.of_store] fold of the whole trace and a fresh
    [derive_all] instead of the seal's incremental absorbs and
    memoized freezes. *)
-let batch_reference ~tac ~jobs (trace : Trace.t) =
+let batch_reference ~tac (trace : Trace.t) =
   let g = Import.engine trace.layouts in
   Array.iter (Import.feed g) trace.events;
   ignore (Import.finalize g);
   let dataset = Dataset.of_store (Import.engine_store g) in
-  let mined = Derivator.derive_all ~tac ~jobs dataset in
+  let mined = Derivator.derive_all ~tac dataset in
   let rules = Report.mined_to_json mined in
   let violations =
-    Report.violations_to_json (Violation.find ~jobs dataset mined)
+    Report.violations_to_json (Violation.find dataset mined)
   in
   (Array.length trace.events, rules, violations)
 
@@ -624,7 +624,7 @@ let run ?(seed = 1) ?(scale = 1) ?durable_root ?(transport = `Unix_sock)
         match cl.result with Some r -> r | None -> assert false
       in
       let e_events, e_rules, e_violations =
-        batch_reference ~tac:cfg.Server.tac ~jobs:1 trace
+        batch_reference ~tac:cfg.Server.tac trace
       in
       if events <> e_events then
         failwith

@@ -378,7 +378,7 @@ let feed ?(rows_per_frame = 256) ?(max_attempts = 200) ?tcp ?follow ~socket
   in
   let rec go attempts =
     if attempts > max_attempts then
-      raise (Error "feed: too many reconnect attempts")
+      raise (Error "too many reconnect attempts")
     else
       match attempt () with
       | sealed -> sealed

@@ -49,7 +49,6 @@ type order_check = {
 
 type t = {
   workload : string;
-  jobs : int;
   summary : Summary.t;
   import_stats : Import.stats;
   mined_rules : int;
@@ -103,7 +102,7 @@ let kept_site (s : Summary.site) =
       | m -> m.Layout.m_kind = Layout.Data
       | exception Not_found -> false)
 
-let run ?(jobs = 1) ~workload trace =
+let run ?jobs:_ ~workload trace =
   (* Dynamic side 1: the paper's pipeline — import (irq inheritance on)
      and mine rules per merged base type. *)
   let store, stats = Import.run trace in
@@ -117,7 +116,7 @@ let run ?(jobs = 1) ~workload trace =
         List.map
           (fun (m : Derivator.mined) ->
             ((base, m.Derivator.m_member, access_of_rule m.Derivator.m_kind), m))
-          (Derivator.derive_merged ~jobs dataset base))
+          (Derivator.derive_merged dataset base))
       bases
   in
   let find_mined ty member kind = List.assoc_opt (ty, member, kind) mined in
@@ -126,7 +125,7 @@ let run ?(jobs = 1) ~workload trace =
   let store_sep, _ = Import.run ~irq_mode:Import.Separate trace in
   let dyn_order = Lockdep.analyse store_sep in
   (* Static side. *)
-  let summary = Summary.analyse ~jobs () in
+  let summary = Summary.analyse () in
   let sites = List.filter kept_site summary.Summary.sites in
   let violations =
     List.filter_map
@@ -265,7 +264,6 @@ let run ?(jobs = 1) ~workload trace =
   in
   {
     workload;
-    jobs;
     summary;
     import_stats = stats;
     mined_rules = List.length mined;

@@ -64,7 +64,6 @@ type order_check = {
 
 type t = {
   workload : string;
-  jobs : int;
   summary : Summary.t;
   import_stats : Import.stats;
   mined_rules : int;  (** (type, member, kind) rules mined from the trace *)
@@ -75,8 +74,11 @@ type t = {
 }
 
 val run : ?jobs:int -> workload:string -> Lockdoc_trace.Trace.t -> t
-(** Full pipeline over one trace. [jobs] parallelises both the mining
-    and the static fixpoints; output is bit-identical for any value. *)
+(** Full pipeline over one trace.
+
+    [jobs] is ignored. It is kept only so existing callers that still
+    pass it compile, and goes once the benchmark harness stops passing
+    it. *)
 
 val render : t -> string
 (** Plain-text report (tables + findings). *)

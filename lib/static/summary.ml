@@ -1,7 +1,6 @@
 module Event = Lockdoc_trace.Event
 module Skeleton = Lockdoc_ksim.Skeleton
 module Lockdep = Lockdoc_core.Lockdep
-module Pool = Lockdoc_util.Pool
 
 type slock = Sg of string | Sm of { ty : string; var : string; member : string }
 
@@ -245,7 +244,7 @@ let rec walk mode effects emit st (node : Skeleton.node) =
 
 let max_rounds = 1000
 
-let compute_effects mode jobs bodies =
+let compute_effects mode bodies =
   let tbl : (string, eff) Hashtbl.t = Hashtbl.create 256 in
   let get name = Option.value ~default:e0 (Hashtbl.find_opt tbl name) in
   let rounds = ref 0 in
@@ -254,7 +253,7 @@ let compute_effects mode jobs bodies =
     incr rounds;
     if !rounds > max_rounds then failwith "Summary: effect fixpoint diverges";
     let results =
-      Pool.map ~jobs (fun (name, b) -> (name, walk mode get None e0 b)) bodies
+      List.map (fun (name, b) -> (name, walk mode get None e0 b)) bodies
     in
     changed := false;
     List.iter
@@ -275,8 +274,8 @@ let compute_effects mode jobs bodies =
 
 type leafrec = { lr_node : Skeleton.node; lr_must : eff; lr_may : eff }
 
-let leaf_records jobs must_eff may_eff bodies =
-  Pool.map ~jobs
+let leaf_records must_eff may_eff bodies =
+  List.map
     (fun (name, b) ->
       let collect mode effects =
         let acc = ref [] in
@@ -297,7 +296,7 @@ let leaf_records jobs must_eff may_eff bodies =
    Roots are pinned to the empty lockset (they are invoked directly by
    workload drivers); functions never reached keep the empty lockset. *)
 
-let compute_entries mode jobs fns records =
+let compute_entries mode fns records =
   let entry : (string, held list) Hashtbl.t = Hashtbl.create 256 in
   let roots = Hashtbl.create 64 in
   List.iter
@@ -313,7 +312,7 @@ let compute_entries mode jobs fns records =
     incr rounds;
     if !rounds > max_rounds then failwith "Summary: entry fixpoint diverges";
     let contribs =
-      Pool.map ~jobs
+      List.map
         (fun (name, leafs) ->
           match Hashtbl.find_opt entry name with
           | None -> []
@@ -495,7 +494,7 @@ let masked held =
     (fun h -> h.h_lock = Sg "irqoff" || h.h_lock = Sg "bhoff")
     held
 
-let analyse ?(jobs = 1) () =
+let analyse () =
   let fns = Skeleton.all () in
   let bodies =
     List.filter_map
@@ -507,11 +506,11 @@ let analyse ?(jobs = 1) () =
   in
   let fn_info = Hashtbl.create 256 in
   List.iter (fun (f : Skeleton.fn) -> Hashtbl.replace fn_info f.Skeleton.sk_name f) fns;
-  let must_eff, er1 = compute_effects Must jobs bodies in
-  let may_eff, er2 = compute_effects May jobs bodies in
-  let records = leaf_records jobs must_eff may_eff bodies in
-  let must_entry, nr1 = compute_entries Must jobs fns records in
-  let may_entry, nr2 = compute_entries May jobs fns records in
+  let must_eff, er1 = compute_effects Must bodies in
+  let may_eff, er2 = compute_effects May bodies in
+  let records = leaf_records must_eff may_eff bodies in
+  let must_entry, nr1 = compute_entries Must fns records in
+  let may_entry, nr2 = compute_entries May fns records in
   let roots =
     List.filter_map
       (fun (f : Skeleton.fn) ->
@@ -521,7 +520,7 @@ let analyse ?(jobs = 1) () =
   let witness_path = compute_witnesses records roots in
   (* Per-function leaf materialisation. *)
   let materialised =
-    Pool.map ~jobs
+    List.map
       (fun (name, leafs) ->
         let f = Hashtbl.find fn_info name in
         let e_must = must_entry name and e_may = may_entry name in

@@ -16,10 +16,8 @@
       process context without interrupts masked).
 
     The engine is a deterministic Jacobi fixpoint: per round, every
-    function body is summarised independently ({!Lockdoc_util.Pool}
-    fans the walks out over domains, order-preserving), then entry
-    locksets are recombined sequentially in sorted function order — the
-    result is bit-identical for every [jobs] count.
+    function body is summarised against the previous round's tables,
+    then entry locksets are recombined in sorted function order.
 
     Functions with [Wild] bodies (constructors, destructors, atomic
     helpers) are excluded throughout, mirroring the dynamic importer's
@@ -110,10 +108,8 @@ type t = {
       (** fn -> shortest call path from a root (BFS, name-ordered) *)
 }
 
-val analyse : ?jobs:int -> unit -> t
-(** Run all analyses over the current {!Lockdoc_ksim.Skeleton} registry.
-    [jobs] (default 1) parallelises the per-function walks; the result
-    is bit-identical for any value. *)
+val analyse : unit -> t
+(** Run all analyses over the current {!Lockdoc_ksim.Skeleton} registry. *)
 
 val witness : t -> string -> string list
 (** Call path for a function; [[fn]] if it was never reached. *)

@@ -4,7 +4,6 @@ module Dataset = Lockdoc_core.Dataset
 module Selection = Lockdoc_core.Selection
 module Derivator = Lockdoc_core.Derivator
 module Report = Lockdoc_core.Report
-module Pool = Lockdoc_util.Pool
 module Obs = Lockdoc_obs.Obs
 
 let c_absorbed = Obs.counter "stream.online.accesses"
@@ -68,36 +67,27 @@ let finalize t =
   drain t;
   stats
 
-let freeze_json ?strategy ?(tac = Derivator.default_tac) ?(jobs = 1) t =
+let freeze_json ?strategy ?(tac = Derivator.default_tac) t =
   Obs.incr c_freezes;
   let live = Dataset.groups t.ds in
-  let fresh (key, g) =
+  let rule (key, g) =
     match Hashtbl.find_opt t.memos key with
-    | Some mm ->
-        mm.mm_stamp = Dataset.stamp g
-        && mm.mm_strategy = strategy
-        && Float.equal mm.mm_tac tac
-    | None -> false
-  in
-  let dirty = List.filter (fun e -> not (fresh e)) live in
-  Obs.add c_rescored (List.length dirty);
-  (* Workers only read the groups; memos are written back here, on the
-     calling domain. *)
-  let rules =
-    Pool.map ~jobs
-      (fun (key, g) ->
+    | Some mm
+      when mm.mm_stamp = Dataset.stamp g
+           && mm.mm_strategy = strategy
+           && Float.equal mm.mm_tac tac ->
+        mm.mm_rule
+    | _ ->
+        Obs.incr c_rescored;
         let m = Derivator.derive_group ?strategy ~tac key g in
-        (m, Report.mined_rule_to_json m))
-      dirty
+        let rule = (m, Report.mined_rule_to_json m) in
+        Hashtbl.replace t.memos key
+          { mm_stamp = Dataset.stamp g; mm_strategy = strategy; mm_tac = tac;
+            mm_rule = rule };
+        rule
   in
-  List.iter2
-    (fun (key, g) rule ->
-      Hashtbl.replace t.memos key
-        { mm_stamp = Dataset.stamp g; mm_strategy = strategy; mm_tac = tac;
-          mm_rule = rule })
-    dirty rules;
-  (t.ds, List.map (fun (key, _) -> (Hashtbl.find t.memos key).mm_rule) live)
+  (t.ds, List.map rule live)
 
-let freeze ?strategy ?tac ?jobs t =
-  let dataset, rules = freeze_json ?strategy ?tac ?jobs t in
+let freeze ?strategy ?tac t =
+  let dataset, rules = freeze_json ?strategy ?tac t in
   (dataset, List.map fst rules)

@@ -11,8 +11,7 @@
     memoized rule of every other group — producing
     {!Lockdoc_core.Derivator.mined} values byte-identical to
     [Derivator.derive_all] run on a batch import of the same event
-    prefix. Unlike [derive_all ~jobs], freezing never seals the store,
-    so feeding can continue afterwards. See DESIGN.md 5i. *)
+    prefix. Feeding can continue after a freeze. See DESIGN.md 5i. *)
 
 type t
 
@@ -45,13 +44,11 @@ val dataset : t -> Lockdoc_core.Dataset.t
 (** The live dataset the online derivator absorbs into — first-access
     order per type key, exactly as [Dataset.of_store] would produce.
     Not a copy: feeding more events changes it, so read it (e.g. with
-    {!Lockdoc_core.Violation.find} at [jobs = 1]) before feeding
-    on. *)
+    {!Lockdoc_core.Violation.find}) before feeding on. *)
 
 val freeze :
   ?strategy:Lockdoc_core.Selection.strategy ->
   ?tac:float ->
-  ?jobs:int ->
   t ->
   Lockdoc_core.Dataset.t * Lockdoc_core.Derivator.mined list
 (** Current rules, plus the live dataset ({!dataset}) they were
@@ -64,15 +61,11 @@ val freeze :
     [(strategy, tac)] it was scored with and the group's
     {!Lockdoc_core.Dataset.stamp} at the time; only groups whose stamp
     moved since then are re-scored (counted by the
-    [stream.online.rescored] metric). [jobs] fans the re-scoring of
-    those groups out over domains ({!Lockdoc_util.Pool}) without
-    sealing the store — the workers only read; memos are written back
-    on the calling domain. *)
+    [stream.online.rescored] metric). *)
 
 val freeze_json :
   ?strategy:Lockdoc_core.Selection.strategy ->
   ?tac:float ->
-  ?jobs:int ->
   t ->
   Lockdoc_core.Dataset.t * (Lockdoc_core.Derivator.mined * string) list
 (** {!freeze}, with each rule paired with its memoized

@@ -32,7 +32,6 @@ let rec record failures idx exn bt =
       record failures idx exn bt
 
 let init ?jobs n f =
-  if n < 0 then invalid_arg "Pool.init: negative length";
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   if jobs <= 1 || n <= 1 then Array.init n f
   else begin
@@ -40,7 +39,7 @@ let init ?jobs n f =
     let next = Atomic.make 0 in
     let failures = Atomic.make None in
     (* Small chunks keep the domains balanced when item costs are
-       skewed (a handful of hot type keys dominate derivation). *)
+       skewed (one family's pipeline can dwarf another's). *)
     let chunk = max 1 (n / (jobs * 8)) in
     let workers = min jobs n in
     (* Per-worker task tallies, each slot private to one worker until
@@ -93,16 +92,9 @@ let init ?jobs n f =
           results
   end
 
-let map_array ?jobs f items = init ?jobs (Array.length items) (fun i -> f items.(i))
-
 let map ?jobs f items =
-  Array.to_list (map_array ?jobs f (Array.of_list items))
-
-let mapi ?jobs f items =
   let arr = Array.of_list items in
-  Array.to_list (init ?jobs (Array.length arr) (fun i -> f i arr.(i)))
-
-let concat_map ?jobs f items = List.concat (map ?jobs f items)
+  Array.to_list (init ?jobs (Array.length arr) (fun i -> f arr.(i)))
 
 (* ---- Detached jobs ------------------------------------------------- *)
 

@@ -1,5 +1,8 @@
-(** A fixed-size domain work-pool for embarrassingly parallel analysis
-    phases.
+(** Domain parallelism for the two coarse units that pay for it:
+    per-family pipelines ({!map}, used by
+    [Lockdoc_experiments.Context.families]) and the serve daemon's
+    detached seal jobs ({!spawn}). Everything else runs on the calling
+    domain.
 
     Work items are distributed over a fixed number of OCaml 5 domains
     through a chunked atomic work queue; results are collected into the
@@ -13,37 +16,23 @@
     would have raised first.
 
     Workers run concurrently in shared memory: they must not mutate
-    shared state. The analysis pipeline guarantees this by sealing the
-    trace store ({!Lockdoc_db.Store.seal} — but see that module) before
-    fanning out. *)
+    shared state. Each per-family worker imports into a store of its
+    own. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to [[1, 64]]. *)
 
-val init : ?jobs:int -> int -> (int -> 'a) -> 'a array
-(** [init ~jobs n f] is [Array.init n f] evaluated on [jobs] domains
-    (the calling domain included). [jobs] defaults to {!default_jobs};
-    [jobs <= 1] or [n <= 1] runs sequentially on the calling domain
-    without spawning. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map], order preserved. *)
-
-val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.mapi], order preserved. *)
-
-val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map], order preserved. *)
-
-val concat_map : ?jobs:int -> ('a -> 'b list) -> 'a list -> 'b list
-(** Parallel [List.concat_map]: the per-item lists are concatenated in
-    input order. *)
+(** Parallel [List.map], order preserved, evaluated on [jobs] domains
+    (the calling domain included). [jobs] defaults to {!default_jobs};
+    [jobs <= 1] or fewer than two items runs sequentially on the
+    calling domain without spawning. *)
 
 (** {2 Detached jobs}
 
     One-shot background work on its own domain, for callers that need
     to keep serving while an analysis runs — the serve daemon seals
-    sessions this way. Unlike the map family above there is no queue:
+    sessions this way. Unlike {!map} there is no queue:
     one [spawn] is one domain, and the caller owns its lifecycle. *)
 
 type 'a job

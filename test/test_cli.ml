@@ -141,13 +141,9 @@ let test_checked_flags_reject () =
       [ "replay"; "pipe"; "--seed"; "banana" ];
       [ "replay"; "pipe"; "--scale"; "-2" ];
       [ "sanitize"; "pipe"; "--seed"; "0x" ];
-      [ "lint"; "fs_bench"; "-j"; "0" ];
-      [ "lint"; "fs_bench"; "-j"; "x" ];
-      [ "lint"; "fs_bench"; "--jobs"; "-4" ];
       [ "lint"; "fs_bench"; "--scale"; "0" ];
       [ "lint"; "fs_bench"; "--scale"; "huge" ];
       [ "lint"; "fs_bench"; "--seed"; "3.5" ];
-      [ "profile"; "pipe"; "--jobs"; "0" ];
     ]
 
 (* Rejections must be one-line diagnostics naming the flag, not a
@@ -169,11 +165,6 @@ let test_replay_unknown_workload () =
     (contains err "fs_bench")
 
 let test_lint_flags_diagnose () =
-  let code, _, err = run [ "lint"; "fs_bench"; "-j"; "0" ] in
-  check Alcotest.bool "jobs: non-zero exit" true (code <> 0);
-  check Alcotest.bool "jobs: names the flag" true (contains err "-j");
-  check Alcotest.bool "jobs: says what it expected" true
-    (contains err "positive integer");
   let code, _, err = run [ "lint"; "fs_bench"; "--scale"; "huge" ] in
   check Alcotest.bool "scale: non-zero exit" true (code <> 0);
   check Alcotest.bool "scale: names the flag" true (contains err "--scale")
@@ -213,6 +204,46 @@ let test_feed_needs_input () =
   check Alcotest.bool "explains itself" true
     (contains err "feed needs a TRACE")
 
+(* A daemon that cannot be reached is a one-line diagnostic naming the
+   address and exit 123, both for a one-shot query and for a trace feed
+   (which first exhausts its reconnect attempts). *)
+let test_feed_unreachable () =
+  with_fixtures (fun ~dir ~clean ~bad:_ ->
+      let socket = Filename.concat dir "nosock" in
+      List.iter
+        (fun (what, args, reason) ->
+          let code, out, err = run ([ "feed"; "--socket"; socket ] @ args) in
+          check Alcotest.int (what ^ ": exit 123") 123 code;
+          check Alcotest.string (what ^ ": nothing on stdout") "" out;
+          check Alcotest.string (what ^ ": one-line diagnostic")
+            (Printf.sprintf "lockdoc: feed: %s: %s\n" socket reason)
+            err)
+        [
+          ("query", [ "--query"; "metrics" ], "No such file or directory");
+          ("trace", [ clean ], "too many reconnect attempts");
+        ])
+
+(* No analysis command takes a domain count: analysis runs on the
+   calling domain. *)
+let test_jobs_flag_removed () =
+  List.iter
+    (fun args ->
+      let code, _, err = run args in
+      let cmd = List.hd args in
+      check Alcotest.int (cmd ^ ": cli error") 124 code;
+      check Alcotest.bool (cmd ^ ": unknown option") true
+        (contains err "unknown option '-j'"))
+    [
+      [ "derive"; "-j"; "2"; "x.trace" ];
+      [ "doc"; "-j"; "2"; "x.trace" ];
+      [ "check"; "-j"; "2"; "x.trace" ];
+      [ "violations"; "-j"; "2"; "x.trace" ];
+      [ "lint"; "-j"; "2"; "pipe" ];
+      [ "sanitize"; "-j"; "2"; "pipe" ];
+      [ "replay"; "-j"; "2"; "pipe" ];
+      [ "profile"; "-j"; "2"; "pipe" ];
+    ]
+
 (* A missing input file is a one-line diagnostic naming the path and
    an exit code the man page documents, not cmdliner's exit-125
    "internal error, uncaught exception" dump. *)
@@ -230,11 +261,19 @@ let test_missing_input_file () =
           check Alcotest.string (cmd ^ ": one-line diagnostic")
             (Printf.sprintf "lockdoc: %s: No such file or directory\n" path)
             err)
-        [ "derive"; "violations"; "import"; "fsck" ];
+        [ "derive"; "violations"; "import"; "fsck"; "recover" ];
       let code, _, err = run [ "derive"; dir ] in
       check Alcotest.int "directory: exit 123" 123 code;
       check Alcotest.string "directory: names the path"
         (Printf.sprintf "lockdoc: %s: Is a directory\n" dir)
+        err;
+      let file = Filename.concat dir "plain" in
+      Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+      let code, out, err = run [ "recover"; file ] in
+      check Alcotest.int "recover file: exit 123" 123 code;
+      check Alcotest.string "recover file: nothing on stdout" "" out;
+      check Alcotest.string "recover file: names the path"
+        (Printf.sprintf "lockdoc: %s: Not a directory\n" file)
         err;
       let _, man, _ = run [ "derive"; "--help=plain" ] in
       check Alcotest.bool "EXIT STATUS lists 123" true
@@ -350,6 +389,9 @@ let () =
           Alcotest.test_case "lint json smoke" `Quick test_lint_json_smoke;
           Alcotest.test_case "profile json smoke" `Quick test_profile_json;
           Alcotest.test_case "feed needs input" `Quick test_feed_needs_input;
+          Alcotest.test_case "feed unreachable daemon" `Quick
+            test_feed_unreachable;
+          Alcotest.test_case "jobs flag removed" `Quick test_jobs_flag_removed;
           Alcotest.test_case "missing input file" `Quick
             test_missing_input_file;
           Alcotest.test_case "simulator fault" `Quick test_simulator_fault;

@@ -71,21 +71,15 @@ let test_corruption_recovery () =
         match
           let t, reader_diags = Trace.read_lines ~mode:Trace.Lenient lines' in
           let store, stats = Import.run ~mode:Import.Lenient t in
-          (* Whatever survived recovery must also analyse identically on
-             a domain pool: parallel derivation is exercised on degraded
-             inputs, not only on clean traces. *)
-          let dataset = Dataset.of_store store in
-          let seq = Report.mined_to_json (Derivator.derive_all ~jobs:1 dataset) in
-          let par = Report.mined_to_json (Derivator.derive_all ~jobs:4 dataset) in
-          (List.length reader_diags + Import.anomaly_total stats, seq = par)
+          (* Whatever survived recovery must also analyse: derivation is
+             exercised on degraded inputs, not only on clean traces. *)
+          ignore (Derivator.derive_all (Dataset.of_store store));
+          List.length reader_diags + Import.anomaly_total stats
         with
-        | anomalies, par_identical ->
+        | anomalies ->
             if anomalies = 0 then
               Alcotest.failf "%s: no anomaly reported for [%s]" id
-                (String.concat "; " (List.map Corrupt.describe ops));
-            if not par_identical then
-              Alcotest.failf "%s: -j 4 diverges from -j 1 on recovered store"
-                id
+                (String.concat "; " (List.map Corrupt.describe ops))
         | exception e ->
             Alcotest.failf "%s: lenient pipeline raised %s for [%s]" id
               (Printexc.to_string e)

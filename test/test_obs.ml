@@ -276,8 +276,8 @@ let test_reset () =
 let render_analysis trace =
   let store, stats = Import.run trace in
   let dataset = Dataset.of_store store in
-  let mined = Derivator.derive_all ~jobs:2 dataset in
-  let violations = Violation.find ~jobs:2 dataset mined in
+  let mined = Derivator.derive_all dataset in
+  let violations = Violation.find dataset mined in
   String.concat "\n"
     [
       Report.mined_to_json mined;
@@ -300,17 +300,6 @@ let test_metrics_do_not_change_output () =
     (match Obs.find_counter (Obs.snapshot ()) "import.events" with
     | Some n -> n > 0
     | None -> false)
-
-let test_metrics_allowed_on_sealed_store () =
-  let trace = Run.workload_trace ~seed:3 ~scale:1 "pipe" in
-  let store, _ = Import.run trace in
-  let dataset = Dataset.of_store store in
-  Lockdoc_db.Store.seal store;
-  fresh ();
-  (* Derivation on a sealed store with metrics enabled must not raise:
-     metric recording mutates no store row. *)
-  let mined = Derivator.derive_all ~jobs:2 dataset in
-  check Alcotest.bool "derived on sealed store" true (mined <> [])
 
 let () =
   Alcotest.run "obs"
@@ -358,7 +347,5 @@ let () =
         [
           Alcotest.test_case "analysis bytes unchanged" `Quick
             test_metrics_do_not_change_output;
-          Alcotest.test_case "recording on sealed store" `Quick
-            test_metrics_allowed_on_sealed_store;
         ] );
     ]

@@ -1,43 +1,50 @@
-(* Differential verification of the parallel analysis pipeline.
+(* Differential verification of the one analysis fan-out left:
+   [Context.families], which runs one import/derive/scan pipeline per
+   workload family on [jobs] domains.
 
-   The contract of Derivator/Checker/Violation's [jobs] parameter is
-   that the output is *byte-identical* to the sequential path for every
-   domain count. This harness enforces it the hard way: for every
-   isolated workload family and a bank of pinned seeds, render the
-   mined rules (winners plus full hypothesis rankings), the violation
-   report, the documentation-check verdicts and the generated docgen
-   comments at -j 1, and require the -j 2/4/8 renderings to be equal
-   strings.
+   Its contract is that the output does not depend on [jobs]. For a
+   bank of pinned seeds, render every family's mined rules (winners
+   plus full hypothesis rankings), violations, documentation-check
+   verdicts and generated docgen comments at ~jobs:1, and require the
+   ~jobs:2 and ~jobs:4 renderings to be equal strings. The check and
+   docgen outputs are computed from the dataset each worker built.
+
+   Every other analysis layer runs on the calling domain. The entry
+   points that still accept [?jobs] ignore it; the "no hidden fan-out"
+   case pins that.
 
    LOCKDOC_PAR_SEEDS overrides the seed-bank size (default 20). *)
 
-module Trace = Lockdoc_trace.Trace
-module Import = Lockdoc_db.Import
-module Store = Lockdoc_db.Store
 module Run = Lockdoc_ksim.Run
 module Doc = Lockdoc_ksim.Documentation
-module Dataset = Lockdoc_core.Dataset
 module Derivator = Lockdoc_core.Derivator
 module Checker = Lockdoc_core.Checker
 module Violation = Lockdoc_core.Violation
 module Docgen = Lockdoc_core.Docgen
 module Report = Lockdoc_core.Report
 module Rule = Lockdoc_core.Rule
+module Context = Lockdoc_experiments.Context
+module Sanitize = Lockdoc_sanitizer.Sanitize
+module Replay = Lockdoc_sanitizer.Replay
+module Lint = Lockdoc_static.Lint
+module Import = Lockdoc_db.Import
+module Dataset = Lockdoc_core.Dataset
 module Pool = Lockdoc_util.Pool
+module Obs = Lockdoc_obs.Obs
 
 let check = Alcotest.check
 
-(* Metrics on for the whole differential suite: the -j N vs -j 1
-   byte-identity checks double as evidence that concurrent metric
-   recording never perturbs analysis output. *)
-let () = Lockdoc_obs.Obs.set_enabled true
+(* Metrics on for the whole suite: the ~jobs:N vs ~jobs:1 byte-identity
+   checks double as evidence that concurrent metric recording never
+   perturbs analysis output. *)
+let () = Obs.set_enabled true
 
 let n_seeds =
   match Sys.getenv_opt "LOCKDOC_PAR_SEEDS" with
   | Some s -> (try max 1 (int_of_string s) with Failure _ -> 20)
   | None -> 20
 
-let job_counts = [ 2; 4; 8 ]
+let job_counts = [ 2; 4 ]
 
 let doc_specs =
   List.map
@@ -51,85 +58,76 @@ let doc_specs =
       })
     Doc.rules
 
-(* Every analysis artefact the CLI can emit, rendered to one string. *)
-let render ~jobs dataset =
-  let mined = Derivator.derive_all ~jobs dataset in
-  let violations = Violation.find ~jobs dataset mined in
-  let checked = Checker.check_many ~jobs dataset doc_specs in
+(* Every analysis artefact the CLI can emit for one family, rendered to
+   one string. *)
+let render (f : Context.family) =
+  let dataset = f.Context.w_dataset in
   let doc base =
-    let merged = Derivator.derive_merged ~jobs dataset base in
+    let merged = Derivator.derive_merged dataset base in
     Docgen.generate ~kind:Rule.W ~title:base merged
     ^ "\n"
     ^ Docgen.generate ~kind:Rule.R ~title:(base ^ " (reads)") merged
   in
   String.concat "\n--\n"
     [
-      Report.mined_to_json mined;
-      Report.violations_to_json violations;
-      Report.checked_to_json checked;
+      f.Context.w_name;
+      Report.mined_to_json f.Context.w_mined;
+      Report.violations_to_json f.Context.w_violations;
+      Report.checked_to_json (Checker.check_many dataset doc_specs);
       doc "inode";
       doc "dentry";
     ]
 
-let test_differential () =
-  List.iter
-    (fun name ->
-      for seed = 0 to n_seeds - 1 do
-        let trace = Run.workload_trace ~seed name in
-        let store, _ = Import.run trace in
-        let dataset = Dataset.of_store store in
-        let sequential = render ~jobs:1 dataset in
-        List.iter
-          (fun jobs ->
-            let parallel = render ~jobs dataset in
+let test_families_differential () =
+  for seed = 0 to n_seeds - 1 do
+    let sequential = List.map render (Context.families ~seed ~jobs:1 ()) in
+    List.iter
+      (fun jobs ->
+        let parallel = List.map render (Context.families ~seed ~jobs ()) in
+        check Alcotest.int
+          (Printf.sprintf "seed %d: ~jobs:%d family count" seed jobs)
+          (List.length sequential) (List.length parallel);
+        List.iter2
+          (fun s p ->
             check Alcotest.string
-              (Printf.sprintf "%s/seed %d: -j %d == -j 1" name seed jobs)
-              sequential parallel)
-          job_counts
-      done)
-    Run.workload_names
+              (Printf.sprintf "seed %d: ~jobs:%d == ~jobs:1" seed jobs)
+              s p)
+          sequential parallel)
+      job_counts
+  done
 
-(* The read-only invariant is enforced, not just documented: a parallel
-   run seals the store, after which any row mutation must raise. *)
-let test_seal_enforced () =
-  let trace = Run.workload_trace ~seed:0 "pipe" in
+let counter name =
+  Option.value ~default:0 (Obs.find_counter (Obs.snapshot ()) name)
+
+(* The five entry points that keep [?jobs] for existing callers must
+   not spawn a single domain for it. *)
+let test_no_hidden_fanout () =
+  Obs.reset ();
+  let trace = Run.workload_trace ~seed:3 "pipe" in
   let store, _ = Import.run trace in
   let dataset = Dataset.of_store store in
-  check Alcotest.bool "fresh store unsealed" false (Store.is_sealed store);
-  ignore (Derivator.derive_all ~jobs:2 dataset);
-  check Alcotest.bool "parallel run seals" true (Store.is_sealed store);
-  Alcotest.check_raises "mutation refused"
-    (Invalid_argument
-       "Store.add_txn: store is sealed (read-only for parallel analysis)")
-    (fun () -> ignore (Store.add_txn store ~locks:[] ~ctx:0))
-
-(* Sequential analysis must never seal: the durable-import resume path
-   keeps appending rows to a recovered store after deriving from it. *)
-let test_sequential_does_not_seal () =
-  let trace = Run.workload_trace ~seed:1 "device" in
-  let store, _ = Import.run trace in
-  let dataset = Dataset.of_store store in
-  ignore (Derivator.derive_all ~jobs:1 dataset);
-  ignore (Violation.find dataset (Derivator.derive_all dataset));
-  ignore (Checker.check_many dataset doc_specs);
-  check Alcotest.bool "still unsealed" false (Store.is_sealed store)
+  let mined = Derivator.derive_all ~jobs:4 dataset in
+  ignore (Violation.find ~jobs:4 dataset mined);
+  let san_trace, truth = Run.sanitize_trace ~seed:7 ~bugs:true "pipe" in
+  ignore
+    (Sanitize.analyse ~jobs:4 ~workload:"pipe" ~seed:7 ~scale:1 ~bugs:true
+       ~truth san_trace);
+  ignore (Replay.run ~jobs:4 ~seed:7 ~bugs:true "pipe");
+  ignore (Lint.run ~jobs:4 ~workload:"pipe" trace);
+  check Alcotest.int "pool.runs" 0 (counter "pool.runs");
+  check Alcotest.int "pool.jobs" 0 (counter "pool.jobs");
+  (* The counters do move when a domain pool runs. *)
+  ignore (Pool.map ~jobs:2 succ [ 1; 2 ]);
+  check Alcotest.int "pool.runs after Pool.map" 1 (counter "pool.runs")
 
 let () =
   Alcotest.run "parallel"
     [
       ( "differential",
         [
-          Alcotest.test_case
-            (Printf.sprintf "-j {2,4,8} == -j 1 (%d families x %d seeds)"
-               (List.length Run.workload_names)
-               n_seeds)
-            `Slow test_differential;
+          Alcotest.test_case "families ~jobs:{2,4} == ~jobs:1" `Slow
+            test_families_differential;
         ] );
-      ( "store sealing",
-        [
-          Alcotest.test_case "parallel seals, mutation raises" `Quick
-            test_seal_enforced;
-          Alcotest.test_case "sequential leaves store unsealed" `Quick
-            test_sequential_does_not_seal;
-        ] );
+      ( "sequential",
+        [ Alcotest.test_case "no hidden fan-out" `Quick test_no_hidden_fanout ] );
     ]

@@ -259,11 +259,6 @@ let test_union_covers_all_seeded_sites () =
         true (List.mem site confirmed))
     declared
 
-let test_jobs_identical () =
-  let j1 = Replay.to_json (Replay.run ~jobs:1 ~seed:7 ~bugs:true "fs_bench") in
-  let j4 = Replay.to_json (Replay.run ~jobs:4 ~seed:7 ~bugs:true "fs_bench") in
-  Alcotest.(check string) "-j 4 byte-identical to -j 1" j1 j4
-
 let () =
   let matrix name f =
     List.map
@@ -298,9 +293,5 @@ let () =
         [
           Alcotest.test_case "all seeded sites confirmed across families"
             `Slow test_union_covers_all_seeded_sites;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "-j 1 vs -j 4 identical" `Slow test_jobs_identical;
         ] );
     ]

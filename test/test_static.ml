@@ -49,20 +49,6 @@ let test_explain_seeded name () =
       check Alcotest.bool (explain_failure_msg name r) true (Explain.is_clean r))
     [ true; false ]
 
-let test_summary_deterministic () =
-  let s1 = Summary.analyse ~jobs:1 () in
-  let s4 = Summary.analyse ~jobs:4 () in
-  check Alcotest.bool "summary -j1 = -j4" true (s1 = s4)
-
-let test_lint_bit_identical name () =
-  let trace = Run.workload_trace name in
-  let r1 = Lint.run ~jobs:1 ~workload:name trace in
-  let r4 = Lint.run ~jobs:4 ~workload:name trace in
-  check Alcotest.string "text -j1 = -j4" (Lint.render r1) (Lint.render r4);
-  check Alcotest.string "json -j1 = -j4"
-    (Report.to_string (Lint.to_json r1))
-    (Report.to_string (Lint.to_json r4))
-
 (* Every seeded data race writes a member the static analysis must see
    as a write site with an empty protective must-held set. *)
 let test_seeded_races_reported () =
@@ -124,9 +110,6 @@ let () =
     [
       ("explain clean", fam test_explain_clean Run.workload_names);
       ("explain seeded", fam test_explain_seeded Run.workload_names);
-      ( "determinism",
-        Alcotest.test_case "summary -j" `Quick test_summary_deterministic
-        :: fam test_lint_bit_identical [ "fs_bench"; "pipe" ] );
       ( "cross-validation",
         [
           Alcotest.test_case "seeded races unprotected" `Quick

@@ -236,13 +236,13 @@ let test_torn_tail () =
 
 (* ---- Online vs batch: the differential anchor --------------------- *)
 
-let batch_outputs trace prefix ~jobs =
+let batch_outputs trace prefix =
   let sub = { trace with Trace.events = Array.sub trace.Trace.events 0 prefix } in
   let store, _ = Import.run sub in
   let dataset = Dataset.of_store store in
-  let mined = Derivator.derive_all ~jobs dataset in
+  let mined = Derivator.derive_all dataset in
   ( Report.mined_to_json mined,
-    Report.violations_to_json (Violation.find ~jobs dataset mined) )
+    Report.violations_to_json (Violation.find dataset mined) )
 
 let test_online_matches_batch () =
   List.iter
@@ -269,22 +269,14 @@ let test_online_matches_batch () =
             let online_viol =
               Report.violations_to_json (Violation.find ds mined)
             in
-            let batch_rules, batch_viol = batch_outputs trace prefix ~jobs:1 in
+            let batch_rules, batch_viol = batch_outputs trace prefix in
             check Alcotest.string
               (Printf.sprintf "%s@%d: rules" id prefix)
               batch_rules online_rules;
             check Alcotest.string
               (Printf.sprintf "%s@%d: violations" id prefix)
               batch_viol online_viol)
-          prefixes;
-        (* Parallel reconstruction at the full prefix: freeze on 4
-           domains (store stays unsealed), then the batch -j 4 oracle. *)
-        let _, mined4 = Online.freeze ~jobs:4 online in
-        let batch_rules4, _ = batch_outputs trace n ~jobs:4 in
-        check Alcotest.string (id ^ ": -j 4 rules") batch_rules4
-          (Report.mined_to_json mined4);
-        check Alcotest.bool (id ^ ": freeze left store unsealed") false
-          (Lockdoc_db.Store.is_sealed (Online.store online))
+          prefixes
       done)
     families
 
@@ -527,7 +519,7 @@ let test_streamed_binary_pipeline () =
   let o = Option.get !online in
   let _, mined = Online.freeze o in
   let batch_rules, _ =
-    batch_outputs trace (Array.length trace.Trace.events) ~jobs:1
+    batch_outputs trace (Array.length trace.Trace.events)
   in
   check Alcotest.string "binary-streamed rules match batch" batch_rules
     (Report.mined_to_json mined)

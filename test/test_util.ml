@@ -192,21 +192,6 @@ let test_pool_exception_lowest_index () =
     | exception Boom p -> check Alcotest.int "lowest failing index" 3 p
   done
 
-let test_pool_variants () =
-  let items = List.init 50 Fun.id in
-  check (Alcotest.list Alcotest.int) "mapi"
-    (List.mapi (fun i x -> i + (x * 3)) items)
-    (Pool.mapi ~jobs:4 (fun i x -> i + (x * 3)) items);
-  check (Alcotest.list Alcotest.int) "concat_map"
-    (List.concat_map (fun x -> [ x; -x ]) items)
-    (Pool.concat_map ~jobs:4 (fun x -> [ x; -x ]) items);
-  check (Alcotest.array Alcotest.int) "map_array"
-    (Array.init 50 (fun i -> i * i))
-    (Pool.map_array ~jobs:4 (fun x -> x * x) (Array.of_list items));
-  check (Alcotest.array Alcotest.int) "init"
-    (Array.init 50 (fun i -> i + 1))
-    (Pool.init ~jobs:4 50 (fun i -> i + 1))
-
 let prop_pool_order_preserved =
   QCheck.Test.make ~name:"Pool.map preserves input order for any job count"
     ~count:100
@@ -397,8 +382,6 @@ let () =
             test_pool_exception_payload;
           Alcotest.test_case "lowest failing index wins" `Quick
             test_pool_exception_lowest_index;
-          Alcotest.test_case "mapi/concat_map/map_array/init" `Quick
-            test_pool_variants;
           qtest prop_pool_order_preserved;
           qtest prop_pool_matches_sequential;
           Alcotest.test_case "detached job result" `Quick test_pool_job_result;
