@@ -29,8 +29,13 @@ module Memory = Lockdoc_ksim.Memory
 let sim_fault_exit = 3
 
 let exits =
-  Cmd.Exit.info sim_fault_exit
-    ~doc:"on a simulator fault (the simulated kernel accessed freed memory)."
+  Cmd.Exit.info 1
+    ~doc:
+      "on an unknown workload or experiment, a fatal trace anomaly, or \
+       input the command cannot take (a text trace for $(b,unpack), no \
+       TRACE for $(b,feed))."
+  :: Cmd.Exit.info sim_fault_exit
+       ~doc:"on a simulator fault (the simulated kernel accessed freed memory)."
   :: Cmd.Exit.defaults
 
 (* {2 Checked numeric converters}
@@ -958,7 +963,7 @@ let repro_cmd =
       (fun id ->
         match Registry.find id with
         | None ->
-            Printf.eprintf "unknown experiment %s (known: %s)\n" id
+            Printf.eprintf "lockdoc: unknown experiment %s (known: %s)\n" id
               (String.concat ", " Registry.ids);
             exit 1
         | Some e ->
@@ -1023,9 +1028,18 @@ let serve_cmd =
         tac;
       }
     in
-    Printf.printf "lockdoc serve: listening on %s\n%!" socket;
-    let on_tcp_port p = Printf.printf "lockdoc serve: listening on tcp port %d\n%!" p in
-    Lockdoc_serve.Sockserv.serve ~config ?tcp ~on_tcp_port ~socket ();
+    let on_ready tcp_port =
+      Printf.printf "lockdoc serve: listening on %s\n%!" socket;
+      Option.iter
+        (Printf.printf "lockdoc serve: listening on tcp port %d\n%!")
+        tcp_port
+    in
+    (* A listener that cannot be set up is reported like a missing
+       file: one line naming the address, exit 123. *)
+    (try Lockdoc_serve.Sockserv.serve ~config ?tcp ~on_ready ~socket ()
+     with Lockdoc_serve.Sockserv.Error reason ->
+       Printf.eprintf "lockdoc: serve: %s\n" reason;
+       exit Cmd.Exit.some_error);
     Printf.printf "lockdoc serve: shut down\n"
   in
   Cmd.v
@@ -1033,8 +1047,7 @@ let serve_cmd =
        ~doc:
          "Run the supervised analysis daemon: clients stream trace rows \
           over a Unix socket (and optionally TCP, $(b,--tcp)) into isolated \
-          per-session imports and seal them into mined rules — sealing runs \
-          on its own analysis domain, so other clients keep being served. \
+          per-session imports and seal them into mined rules. \
           Session crashes are restarted with capped backoff; with \
           $(b,--durable), sessions survive them with their accepted rows \
           intact.")

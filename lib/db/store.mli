@@ -5,8 +5,8 @@
     functions below. Rows are created exclusively by {!Import}.
 
     A store is not synchronised: one domain owns it. Where the analysis
-    does use other domains (per-family pipelines, serve seal jobs),
-    each of them imports into a store of its own. *)
+    does use other domains (per-family pipelines), each of them imports
+    into a store of its own. *)
 
 open Schema
 

@@ -22,15 +22,24 @@
     The pre-existing pipeline timed phases with [Sys.time ()], which is
     {e process CPU time}: on [n] busy domains it advances up to [n]
     seconds per wall second, so parallel phases looked slower than
-    sequential ones. [Clock] keeps the two notions separate. *)
+    sequential ones. [Clock] keeps the two notions separate.
+
+    The wall clock is [CLOCK_MONOTONIC]: spans, histograms and the
+    serve daemon's deadlines are all durations, and a wall-clock step
+    (NTP, a manual date set) must not move them. Its epoch is
+    unspecified (seconds since boot on Linux); only differences mean
+    anything. *)
 
 module Clock : sig
   type t = {
-    wall : float;  (** elapsed real time, seconds ([Unix.gettimeofday]) *)
+    wall : float;  (** elapsed real time, seconds ([CLOCK_MONOTONIC]) *)
     cpu : float;  (** process CPU time, seconds ([Sys.time]) *)
   }
 
   val wall : unit -> float
+  (** Monotonic seconds: never decreases, unaffected by wall-clock
+      steps. *)
+
   val cpu : unit -> float
 
   val now : unit -> t

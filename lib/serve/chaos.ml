@@ -510,18 +510,6 @@ let run ?(seed = 1) ?(scale = 1) ?durable_root ?(transport = `Unix_sock)
   Crashpoint.reset ();
   let cfg = chaos_config ~durable_root in
   let rng = Prng.of_int seed in
-  (* Seal jobs run deferred on the virtual clock: the engine parks the
-     session in [Sealing] when the Seal frame lands, the job executes
-     a seeded number of ticks later, and the next [step] delivers
-     [Sealed] — the same asynchrony the Unix loop gets from analysis
-     domains, but deterministic. A retransmitted Seal or stream query
-     inside the window earns [retry-after], which the clients above
-     already honour. *)
-  let seal_jobs = ref [] in
-  let now_tick = ref 0 in
-  let runner f =
-    seal_jobs := (!now_tick + 10 + Prng.int rng 21, f) :: !seal_jobs
-  in
   let mk_client idx name =
     let trace = Run_.workload_trace ~seed:(seed + idx) ~scale name in
     let lines = Array.of_list (Trace.to_lines trace) in
@@ -555,7 +543,7 @@ let run ?(seed = 1) ?(scale = 1) ?durable_root ?(transport = `Unix_sock)
       fault;
       transport;
       rng;
-      srv = Server.create ~config:cfg ~runner ();
+      srv = Server.create ~config:cfg ();
       vconns = Hashtbl.create 16;
       clients = [| c0; c1 |];
       probe = None;
@@ -598,15 +586,7 @@ let run ?(seed = 1) ?(scale = 1) ?durable_root ?(transport = `Unix_sock)
       route st outs
     end;
     Array.iter (act st) st.clients;
-    now_tick := st.tick;
     List.iter (deliver_c2s st) (sorted_vconns st);
-    (* Seal jobs whose deferral elapsed run now, on the loop, before
-       the step that will drain their completions. *)
-    let due, rest =
-      List.partition (fun (at, _) -> at <= st.tick) !seal_jobs
-    in
-    seal_jobs := rest;
-    List.iter (fun (_, f) -> f ()) (List.rev due);
     route st (Server.step st.srv ~now:(now st));
     List.iter (deliver_s2c st) (sorted_vconns st);
     let pending = Server.pending_total st.srv in

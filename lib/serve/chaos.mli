@@ -66,7 +66,4 @@ val run :
     delivers each frame as one chunk, [`Tcp] re-cuts every frame at
     seeded offsets into multiple runs, as a real TCP byte stream may —
     the fault family then plays out over reassembled fragments.
-    Sealing is asynchronous on the virtual clock (a seeded deferral
-    between the accepted [Seal] and the [Sealed] reply), mirroring the
-    Unix front end's analysis domains deterministically.
     Deterministic for fixed arguments. *)

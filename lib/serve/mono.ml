@@ -1,6 +1,3 @@
-(* CLOCK_MONOTONIC in seconds. Monotonic_clock is bechamel's one-stub
-   library (clock_gettime(CLOCK_MONOTONIC) in nanoseconds); the float
-   conversion keeps ~microsecond precision over centuries of uptime,
-   far below the timeouts measured with it. *)
-
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+(* Kept only as an alias for lockbench/tracer.ml; new code reads
+   {!Lockdoc_obs.Obs.Clock.wall}, the same CLOCK_MONOTONIC seconds. *)
+let now = Lockdoc_obs.Obs.Clock.wall

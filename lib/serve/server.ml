@@ -6,12 +6,11 @@
    transport actions. No sockets, no clocks, no threads: the Unix
    front end ({!Sockserv}) and the connection-chaos harness ({!Chaos})
    drive the very same state machine, one with real file descriptors
-   and the monotonic clock ({!Mono}), the other with scripted faults
-   and virtual time. That is what makes every failure mode injectable
-   and every outcome assertable. The one concession to concurrency is
-   the seal: derivation runs wherever the injected [runner] puts it
-   (an analysis domain, a deferred virtual tick, or inline), and its
-   completion re-enters the engine through a queue drained by [step].
+   and the monotonic clock, the other with scripted faults and virtual
+   time. That is what makes every failure mode injectable and every
+   outcome assertable. The engine is single-threaded: a seal runs
+   inline in the [on_bytes] call that delivers the [Seal] frame, on
+   the same online engine every [stream] query already freezes.
 
    Isolation invariants:
    - a connection owns its frame decoder; a framing violation kills
@@ -117,23 +116,8 @@ type sealed = {
          Kept so a late subscriber still gets a keyed snapshot push. *)
 }
 
-(* What a seal job hands back across the domain boundary. Plain
-   immutable data: the strings are fully materialised on the analysis
-   domain, the loop only wraps them in protocol messages. *)
-type seal_result = {
-  r_events : int;
-  r_rules : string;
-  r_violations : string;
-  r_rule_objs : (string * string) list;
-}
-
 type session_state =
   | Stream
-  | Sealing
-      (* Seal accepted; derivation is running on an analysis domain (or
-         inline under the synchronous runner). Late rows are protocol
-         errors, premature seal/stream answer [retry-after], and the
-         session is exempt from idle GC until the job reports back. *)
   | Sealed_s of sealed
   | Failed of string
 
@@ -171,18 +155,6 @@ type conn = {
 
 type t = {
   cfg : config;
-  runner : (unit -> unit) -> unit;
-      (* How seal jobs execute. The default runs the job inline (the
-         engine stays single-threaded and [Sealed] is produced in the
-         same [on_bytes] call, exactly the pre-async behaviour); the
-         Unix front end substitutes a {!Lockdoc_util.Pool.spawn}-based
-         runner so the select loop keeps serving, and the chaos harness
-         a tick-deferred one so virtual time exercises [Sealing]. *)
-  seal_mu : Mutex.t;
-  seal_done : (string * (seal_result, exn) result) Queue.t;
-      (* Completions crossing back from analysis domains, drained on
-         the loop by [drain_seals]. Guarded by [seal_mu]; jobs only
-         push, the loop only pops. *)
   conns : (int, conn) Hashtbl.t;
   sessions : (string, session) Hashtbl.t;
   mutable next_conn : int;
@@ -192,15 +164,12 @@ type t = {
 
 type output = Send of int * Proto.server_msg | Close of int * string
 
-let create ?(config = default_config) ?(runner = fun f -> f ()) () =
+let create ?(config = default_config) () =
   (match config.durable_root with
   | Some root -> if not (Sys.file_exists root) then Sys.mkdir root 0o755
   | None -> ());
   {
     cfg = config;
-    runner;
-    seal_mu = Mutex.create ();
-    seal_done = Queue.create ();
     conns = Hashtbl.create 16;
     sessions = Hashtbl.create 16;
     next_conn = 0;
@@ -231,7 +200,6 @@ type session_view = {
 
 let state_string = function
   | Stream -> "streaming"
-  | Sealing -> "sealing"
   | Sealed_s _ -> "sealed"
   | Failed reason -> "failed: " ^ reason
 
@@ -360,6 +328,13 @@ let feed_one t s ~now =
     let _, t0 = Queue.pop s.s_markers in
     if Obs.enabled () then
       Obs.observe h_frame_latency (1000. *. (now -. t0))
+  done
+
+(* Apply every queued event: what a [stream] query, a subscription
+   snapshot and a seal must see. *)
+let feed_pending t s ~now =
+  while not (Queue.is_empty s.s_pending) do
+    feed_one t s ~now
   done
 
 (* Rebuild a session's import state by replaying its durable journal
@@ -639,7 +614,6 @@ let handle_rows t c s ~now start lines =
          attached connection), kept for defence in depth. *)
       proto_error t c ("session failed: " ^ reason)
   | Sealed_s _ -> proto_error t c "rows after seal"
-  | Sealing -> proto_error t c "rows while sealing"
   | Stream -> (
       Obs.incr c_rows;
       if start > s.s_accepted then begin
@@ -745,7 +719,7 @@ let handle_rows t c s ~now start lines =
                     detach t c.c_id;
                     outs)))
 
-(* ---- Sealing (off-loop) and rule pushes --------------------------- *)
+(* ---- Seals and rule pushes ---------------------------------------- *)
 
 let mined_key (m : Derivator.mined) =
   m.Derivator.m_type ^ "/" ^ m.Derivator.m_member ^ "/"
@@ -802,118 +776,59 @@ let push_msg s ~state ~events ~objs ~violations ~added ~removed =
   in
   Proto.Info { json }
 
-(* Move the seal off the loop: capture everything the derivation needs,
-   flip the session to [Sealing], and hand the work to the runner. The
-   loop keeps serving other connections; [drain_seals] picks up the
-   completion. Under the synchronous default runner the job runs inline
-   here and [drain_seals] (called right after by [handle_seal]) replies
-   [Sealed] in the same [on_bytes] call — the pre-async contract. *)
-let begin_seal t s =
+(* Seal on the loop: apply the queued rows, finalize and freeze the
+   engine, and cache the result. Replies go to the attached connection:
+   the subscriber's final push (its last delta) first, then [Sealed]. *)
+let seal t s ~now =
   Crashpoint.hit "serve.seal";
-  let events =
-    List.rev (Queue.fold (fun acc (ev, _) -> ev :: acc) [] s.s_pending)
-  in
-  drop_pending t s;
+  let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
+  feed_pending t s ~now;
   close_wal s;
   let onl = online_of s in
-  let tac = t.cfg.tac and sid = s.s_id in
-  s.s_state <- Sealing;
-  t.runner (fun () ->
-      (* Analysis-domain side. [onl] is owned by this job until the
-         completion is drained: every on-loop path checks [Sealing]
-         before touching the session's engine. *)
-      let result =
-        match
-          let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
-          List.iter
-            (fun ev ->
-              Crashpoint.hit "serve.feed";
-              Online.feed onl ev)
-            events;
-          let _stats = Online.finalize onl in
-          let objs, violations = freeze_rules ~tac onl in
-          let violations = Lazy.force violations in
-          if Obs.enabled () then
-            Obs.observe h_seal (1000. *. (Obs.Clock.wall () -. t0));
-          {
-            r_events = Online.position onl;
-            r_rules = objs_array objs;
-            r_violations = violations;
-            r_rule_objs = objs;
-          }
-        with
-        | r -> Ok r
-        | exception exn -> Error exn
+  let _stats = Online.finalize onl in
+  let objs, violations = freeze_rules ~tac:t.cfg.tac onl in
+  let sd =
+    {
+      sd_events = Online.position onl;
+      sd_rules = objs_array objs;
+      sd_violations = Lazy.force violations;
+      sd_rule_objs = objs;
+    }
+  in
+  if Obs.enabled () then
+    Obs.observe h_seal (1000. *. (Obs.Clock.wall () -. t0));
+  s.s_state <- Sealed_s sd;
+  s.s_last_activity <- now;
+  Obs.incr c_seals;
+  match s.s_conn with
+  | Some cid ->
+      let push =
+        if s.s_sub then begin
+          let added, removed = rules_delta ~prev:s.s_pub ~next:objs in
+          s.s_pub <- objs;
+          s.s_pub_pos <- sd.sd_events;
+          s.s_pub_t <- now;
+          [
+            Send
+              ( cid,
+                push_msg s ~state:"sealed" ~events:sd.sd_events ~objs
+                  ~violations:sd.sd_violations ~added ~removed );
+          ]
+        end
+        else []
       in
-      Mutex.lock t.seal_mu;
-      Queue.push (sid, result) t.seal_done;
-      Mutex.unlock t.seal_mu)
-
-(* Collect finished seal jobs and resolve their sessions. A completion
-   whose session is no longer [Sealing] (failed and rebuilt in the
-   meantime) is stale and dropped — the job only ever touched its own
-   captured engine. *)
-let drain_seals t ~now =
-  let completed = ref [] in
-  Mutex.lock t.seal_mu;
-  while not (Queue.is_empty t.seal_done) do
-    completed := Queue.pop t.seal_done :: !completed
-  done;
-  Mutex.unlock t.seal_mu;
-  List.concat_map
-    (fun (sid, result) ->
-      match Hashtbl.find_opt t.sessions sid with
-      | Some ({ s_state = Sealing; _ } as s) -> (
-          match result with
-          | Ok r ->
-              s.s_state <-
-                Sealed_s
-                  {
-                    sd_events = r.r_events;
-                    sd_rules = r.r_rules;
-                    sd_violations = r.r_violations;
-                    sd_rule_objs = r.r_rule_objs;
-                  };
-              s.s_applied <- s.s_accepted;
-              s.s_last_activity <- now;
-              Obs.incr c_seals;
-              (match s.s_conn with
-              | Some cid ->
-                  (* Final push first (the subscriber's last delta),
-                     then the [Sealed] reply the sealing client awaits. *)
-                  let push =
-                    if s.s_sub then begin
-                      let added, removed =
-                        rules_delta ~prev:s.s_pub ~next:r.r_rule_objs
-                      in
-                      s.s_pub <- r.r_rule_objs;
-                      s.s_pub_pos <- r.r_events;
-                      s.s_pub_t <- now;
-                      [
-                        Send
-                          ( cid,
-                            push_msg s ~state:"sealed" ~events:r.r_events
-                              ~objs:r.r_rule_objs ~violations:r.r_violations
-                              ~added ~removed );
-                      ]
-                    end
-                    else []
-                  in
-                  push
-                  @ [
-                      Send
-                        ( cid,
-                          Proto.Sealed
-                            {
-                              events = r.r_events;
-                              rules = r.r_rules;
-                              violations = r.r_violations;
-                            } );
-                    ]
-              | None -> [])
-          | Error exn -> session_fail t s ~now exn)
-      | _ -> [])
-    (List.rev !completed)
+      push
+      @ [
+          Send
+            ( cid,
+              Proto.Sealed
+                {
+                  events = sd.sd_events;
+                  rules = sd.sd_rules;
+                  violations = sd.sd_violations;
+                } );
+        ]
+  | None -> []
 
 let handle_seal t c s ~now rows =
   match s.s_state with
@@ -930,21 +845,6 @@ let handle_seal t c s ~now rows =
                 violations = sd.sd_violations;
               } );
       ]
-  | Sealing ->
-      (* A retransmitted seal raced the running job: hold the client
-         off, the [Sealed] reply arrives when the job completes. *)
-      Obs.incr c_retry_after;
-      s.s_last_activity <- now;
-      [
-        Send
-          ( c.c_id,
-            Proto.Retry_after
-              {
-                ms = t.cfg.retry_after_ms;
-                expected = Some s.s_accepted;
-                reason = "seal in progress";
-              } );
-      ]
   | Stream when rows <> s.s_accepted ->
       (* The client streamed [rows] rows but some never arrived (or it
          rewound short): answer the watermark instead of sealing a
@@ -952,10 +852,7 @@ let handle_seal t c s ~now rows =
       Obs.incr c_nacks;
       [ Send (c.c_id, Proto.Nack { expected = s.s_accepted }) ]
   | Stream | Failed _ -> (
-      try
-        begin_seal t s;
-        s.s_last_activity <- now;
-        drain_seals t ~now
+      try seal t s ~now
       with exn ->
         let outs = session_fail t s ~now exn in
         detach t c.c_id;
@@ -989,20 +886,6 @@ let handle_stream t c s ~now =
   in
   match s.s_state with
   | Failed reason -> proto_error t c ("session failed: " ^ reason)
-  | Sealing ->
-      (* The engine is busy on the analysis domain; the final answer is
-         moments away anyway. *)
-      Obs.incr c_retry_after;
-      [
-        Send
-          ( c.c_id,
-            Proto.Retry_after
-              {
-                ms = t.cfg.retry_after_ms;
-                expected = Some s.s_accepted;
-                reason = "seal in progress";
-              } );
-      ]
   | Sealed_s sd ->
       (* Sealed sessions answer their cached (final) result. *)
       reply ~state:"sealed" ~events:sd.sd_events ~rules:sd.sd_rules
@@ -1010,9 +893,7 @@ let handle_stream t c s ~now =
   | Stream -> (
       try
         Crashpoint.hit "serve.stream";
-        while not (Queue.is_empty s.s_pending) do
-          feed_one t s ~now
-        done;
+        feed_pending t s ~now;
         s.s_last_activity <- now;
         match s.s_online with
         | None ->
@@ -1037,13 +918,6 @@ let handle_subscribe t c s ~now =
   Obs.incr c_subscribes;
   match s.s_state with
   | Failed reason -> proto_error t c ("session failed: " ^ reason)
-  | Sealing ->
-      (* The engine is on the analysis domain, so no snapshot yet: the
-         completion push in [drain_seals] doubles as one. *)
-      s.s_sub <- true;
-      s.s_pub <- [];
-      s.s_last_activity <- now;
-      []
   | Sealed_s sd ->
       s.s_sub <- true;
       s.s_pub <- sd.sd_rule_objs;
@@ -1060,9 +934,7 @@ let handle_subscribe t c s ~now =
   | Stream -> (
       try
         Crashpoint.hit "serve.stream";
-        while not (Queue.is_empty s.s_pending) do
-          feed_one t s ~now
-        done;
+        feed_pending t s ~now;
         s.s_sub <- true;
         s.s_last_activity <- now;
         match s.s_online with
@@ -1215,9 +1087,6 @@ let on_bytes t ~now cid bytes =
 
 let step t ~now =
   let outs = ref [] in
-  (* Seal jobs that completed since the last tick resolve first, so a
-     [Sealed] reply is never delayed behind this tick's ingest work. *)
-  outs := drain_seals t ~now;
   (* Idle connections: a peer that has gone silent past the timeout is
      closed; its session stays resumable. *)
   List.iter

@@ -11,9 +11,9 @@
       timeouts, session GC.
 
     The Unix socket front end ({!Sockserv}) drives it with real file
-    descriptors and the monotonic clock ({!Mono}); the chaos harness
-    ({!Chaos}) drives the identical machine with scripted faults and
-    virtual time.
+    descriptors and the monotonic clock ({!Lockdoc_obs.Obs.Clock.wall});
+    the chaos harness ({!Chaos}) drives the identical machine with
+    scripted faults and virtual time.
 
     {2 Fault isolation}
 
@@ -62,20 +62,13 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?runner:((unit -> unit) -> unit) -> unit -> t
-(** Creates [durable_root] if configured and missing.
-
-    [runner] is how seal jobs execute. The default runs the job inline:
-    the engine stays single-threaded and a [Seal] frame is answered
-    [Sealed] within the same {!on_bytes} call. A front end that must
-    not block hands the job to another domain (the Unix loop uses
-    {!Lockdoc_util.Pool.spawn}; the chaos harness defers it to a later
-    virtual tick): the session then sits in a [sealing] state — late
-    rows are protocol errors, [seal]/[stream] answer [retry-after] —
-    until a subsequent {!step} collects the completion and emits
-    [Sealed]. The job is self-contained (it owns the session's engine
-    while sealing) and reports back through an internal queue; the
-    runner must execute it exactly once. *)
+val create : ?config:config -> unit -> t
+(** Creates [durable_root] if configured and missing. The engine is
+    single-threaded: a [Seal] frame is answered [Sealed] within the
+    same {!on_bytes} call, after the session's queued rows are applied
+    and its online engine is frozen — the work a [stream] query on the
+    same state already does inline. A seal that raises fails the
+    session like any other worker exception. *)
 
 val config : t -> config
 
@@ -98,10 +91,9 @@ val on_close : t -> now:float -> int -> unit
     which stays resumable. *)
 
 val step : t -> now:float -> output list
-(** One supervision tick: seal completions, idle timeouts, bounded
-    ingest processing, debounced subscription pushes, session GC. Call
-    regularly (the cadence bounds ingest latency, seal-reply latency
-    under an asynchronous runner, and timeout precision — not
+(** One supervision tick: idle timeouts, bounded ingest processing,
+    debounced subscription pushes, session GC. Call regularly (the
+    cadence bounds ingest latency and timeout precision — not
     correctness). *)
 
 val encode_output : output -> int * [ `Send of string | `Close of string ]

@@ -3,19 +3,17 @@
    Everything interesting happens in {!Server}; this loop only moves
    bytes. One select loop over two listeners (Unix-domain socket
    always, TCP optionally), per-connection outboxes; a connection is
-   closed when the engine says so and its outbox has drained. Seal
-   jobs run off-loop on dedicated analysis domains ({!Pool.spawn}) —
-   the loop enqueues, keeps serving, and the engine's [step] delivers
-   [Sealed] when the domain reports back. The loop ends when the
-   engine enters shutdown and the goodbyes have been flushed.
+   closed when the engine says so and its outbox has drained. The loop
+   ends when the engine enters shutdown and the goodbyes have been
+   flushed.
 
-   Every deadline here is measured on {!Mono.now}: a wall-clock step
-   (NTP, manual date set) must never idle-close a healthy client or
-   stall timeout detection. Syscalls tolerate [EINTR] — a signal
-   landing mid-[write]/[read]/[accept]/[select] restarts the call
-   instead of tearing down a connection. *)
+   Every deadline here is measured on {!Obs.Clock.wall}, which is
+   CLOCK_MONOTONIC: a wall-clock step (NTP, manual date set) must never
+   idle-close a healthy client or stall timeout detection. Syscalls
+   tolerate [EINTR] — a signal landing mid-[write]/[read]/[accept]/
+   [select] restarts the call instead of tearing down a connection. *)
 
-module Pool = Lockdoc_util.Pool
+module Obs = Lockdoc_obs.Obs
 
 type sealed = { events : int; rules : string; violations : string }
 
@@ -59,46 +57,55 @@ type sconn = {
   mutable close_after : bool;  (* close once the outbox drains *)
 }
 
-let serve ?config ?tcp ?on_tcp_port ~socket () =
+(* Bind and listen on [sockaddr ()]; any failure, name resolution
+   included, is one [Error] naming [address]. *)
+let listen_on ~address domain sockaddr =
+  try
+    let addr = sockaddr () in
+    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    try
+      if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+      Unix.bind fd addr;
+      Unix.listen fd 64;
+      Unix.set_nonblock fd;
+      fd
+    with e ->
+      Unix.close fd;
+      raise e
+  with
+  | Unix.Unix_error (e, _, _) ->
+      raise (Error (address ^ ": " ^ Unix.error_message e))
+  | Error reason -> raise (Error (address ^ ": " ^ reason))
+
+let serve ?config ?tcp ?on_ready ~socket () =
   ignore_sigpipe ();
-  (* One seal = one analysis domain. The loop reaps finished domains as
-     it goes (poll, then the immediate await) and joins stragglers on
-     the way out so no domain outlives the daemon. *)
-  let jobs = ref [] in
-  let reap_finished () =
-    jobs :=
-      List.filter
-        (fun j ->
-          match Pool.poll j with
-          | Some _ ->
-              ignore (Pool.await j);
-              false
-          | None -> true)
-        !jobs
-  in
-  let runner f = jobs := Pool.spawn f :: !jobs in
-  let srv = Server.create ?config ~runner () in
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let srv = Server.create ?config () in
   if Sys.file_exists socket then Sys.remove socket;
-  Unix.bind listen_fd (Unix.ADDR_UNIX socket);
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
+  let listen_fd =
+    listen_on ~address:socket Unix.PF_UNIX (fun () -> Unix.ADDR_UNIX socket)
+  in
   let tcp_fd =
     match tcp with
     | None -> None
-    | Some (host, port) ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (inet_addr host, port));
-        Unix.listen fd 64;
-        Unix.set_nonblock fd;
-        (* Report the bound port — with [port = 0] the kernel picked an
-           ephemeral one, which tests need to discover. *)
-        (match (Unix.getsockname fd, on_tcp_port) with
-        | Unix.ADDR_INET (_, p), Some f -> f p
-        | _ -> ());
-        Some fd
+    | Some (host, port) -> (
+        try
+          Some
+            (listen_on
+               ~address:(Printf.sprintf "%s:%d" host port)
+               Unix.PF_INET
+               (fun () -> Unix.ADDR_INET (inet_addr host, port)))
+        with e ->
+          (* The socket file is ours: leave nothing behind. *)
+          Unix.close listen_fd;
+          Sys.remove socket;
+          raise e)
   in
+  (* Report the bound port — with [port = 0] the kernel picked an
+     ephemeral one, which tests need to discover. *)
+  (match (Option.map Unix.getsockname tcp_fd, on_ready) with
+  | Some (Unix.ADDR_INET (_, p)), Some f -> f (Some p)
+  | _, Some f -> f None
+  | _, None -> ());
   let listeners = listen_fd :: Option.to_list tcp_fd in
   let conns : (Unix.file_descr, sconn) Hashtbl.t = Hashtbl.create 16 in
   let by_cid : (int, sconn) Hashtbl.t = Hashtbl.create 16 in
@@ -134,7 +141,7 @@ let serve ?config ?tcp ?on_tcp_port ~socket () =
      with
     | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | Unix.Unix_error _ ->
-        Server.on_close srv ~now:(Mono.now ()) sc.cid;
+        Server.on_close srv ~now:(Obs.Clock.wall ()) sc.cid;
         drop sc);
     if
       sc.close_after && Buffer.length sc.out = 0
@@ -143,7 +150,7 @@ let serve ?config ?tcp ?on_tcp_port ~socket () =
   in
   let running = ref true in
   while !running do
-    let now = Mono.now () in
+    let now = Obs.Clock.wall () in
     let readable = listeners @ Hashtbl.fold (fun fd _ a -> fd :: a) conns [] in
     let writable =
       Hashtbl.fold
@@ -209,7 +216,6 @@ let serve ?config ?tcp ?on_tcp_port ~socket () =
                     (Server.on_bytes srv ~now sc.cid
                        (Bytes.sub_string buf 0 n))))
       rs;
-    reap_finished ();
     route (Server.step srv ~now);
     List.iter
       (fun fd ->
@@ -225,9 +231,6 @@ let serve ?config ?tcp ?on_tcp_port ~socket () =
     if Server.shutting_down srv && Hashtbl.length conns = 0 then
       running := false
   done;
-  (* Join any seal domain still running (a shutdown can race an
-     in-flight seal; its completion is simply never delivered). *)
-  List.iter (fun j -> ignore (Pool.await j)) !jobs;
   List.iter
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     listeners;
@@ -433,7 +436,4 @@ let stream_query ?tcp ~socket ~session () =
           json
       | Proto.Err { code; reason } ->
           raise (Error (Printf.sprintf "server error [%s]: %s" code reason))
-      | Proto.Retry_after { reason; _ } ->
-          (* e.g. the session is mid-seal on an analysis domain *)
-          raise (Error ("server busy: " ^ reason))
       | _ -> raise (Error "unexpected reply to stream query"))

@@ -2,17 +2,15 @@
 
     {!serve} drives the sans-IO {!Server} with real file descriptors in
     a single-threaded select loop: per-connection outboxes, bounded
-    reads, {!Mono.now} (CLOCK_MONOTONIC) as the clock, [EINTR]-safe
-    syscalls. It always listens on a Unix-domain socket and optionally
-    on TCP too — both transports feed the identical engine and frame
-    codec. Seal-time derivation runs off-loop, one analysis domain per
-    sealing session, so a large seal never stalls the other clients'
-    round-trips. It returns once a client sends [Shutdown] and every
-    reply has been flushed.
+    reads, {!Lockdoc_obs.Obs.Clock.wall} (CLOCK_MONOTONIC) as the
+    clock, [EINTR]-safe syscalls. It always listens on a Unix-domain
+    socket and optionally on TCP too — both transports feed the
+    identical engine and frame codec. It returns once a client sends
+    [Shutdown] and every reply has been flushed.
 
     {!feed} is the matching robust client: it streams rows, honours
-    [Nack] rewinds and [retry-after] pauses (including the [sealing]
-    interim state), and transparently reconnects (resuming from the
+    [Nack] rewinds and [retry-after] pauses, and transparently
+    reconnects (resuming from the
     server's watermark) when the connection drops or the session is
     restarted by the supervisor. With [~follow] it also subscribes to
     pushed rule updates and hands every [Info] frame to the callback.
@@ -23,22 +21,27 @@
 type sealed = { events : int; rules : string; violations : string }
 
 exception Error of string
-(** A fatal protocol or transport failure (clients, plus {!serve} for
-    an unresolvable TCP host — never for a connected client's sins). *)
+(** A fatal protocol or transport failure (clients, plus {!serve} for a
+    listener it cannot set up — never for a connected client's sins). *)
 
 val serve :
   ?config:Server.config ->
   ?tcp:string * int ->
-  ?on_tcp_port:(int -> unit) ->
+  ?on_ready:(int option -> unit) ->
   socket:string ->
   unit ->
   unit
 (** Listen on [socket] (an existing file there is replaced) — and, when
     [tcp] is given, on that [(host, port)] as well ([SO_REUSEADDR];
     port [0] binds an ephemeral port) — and run until shutdown.
-    [on_tcp_port] is called once with the actually-bound TCP port
-    before the loop starts serving, which is how tests discover an
-    ephemeral port. Removes the socket file on the way out. *)
+    [on_ready] is called once every listener is bound, before the loop
+    starts serving, with the actually-bound TCP port when [tcp] is
+    given; that is how tests discover an ephemeral port. Removes the
+    socket file on the way out.
+
+    A listener that cannot be set up (bind failure, unresolvable host)
+    raises {!Error} ["<address>: <reason>"]; the socket file is then
+    removed too. *)
 
 val feed :
   ?rows_per_frame:int ->
@@ -66,5 +69,4 @@ val stream_query :
 (** Attach to [session] and ask the online derivator for its current
     rules ([Query Stream_rules]): returns the server's [Info] JSON.
     The session is left unsealed and resumable. Raises {!Error} on a
-    structured rejection (including [retry-after] while the session is
-    mid-seal). *)
+    structured rejection. *)

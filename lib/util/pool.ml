@@ -95,36 +95,3 @@ let init ?jobs n f =
 let map ?jobs f items =
   let arr = Array.of_list items in
   Array.to_list (init ?jobs (Array.length arr) (fun i -> f arr.(i)))
-
-(* ---- Detached jobs ------------------------------------------------- *)
-
-let c_jobs = Obs.counter "pool.jobs"
-
-(* The result crosses domains through the atomic cell (set before the
-   domain terminates), so [poll] never touches the domain handle; the
-   handle is only consumed by the one permitted [await]. *)
-type 'a job = {
-  j_cell : ('a, exn) result option Atomic.t;
-  j_domain : unit Domain.t;
-  j_reaped : bool Atomic.t;
-}
-
-let spawn f =
-  Obs.incr c_jobs;
-  let cell = Atomic.make None in
-  let domain =
-    Domain.spawn (fun () ->
-        let r = match f () with v -> Ok v | exception exn -> Error exn in
-        Atomic.set cell (Some r))
-  in
-  { j_cell = cell; j_domain = domain; j_reaped = Atomic.make false }
-
-let poll j = Atomic.get j.j_cell
-
-let await j =
-  if not (Atomic.compare_and_set j.j_reaped false true) then
-    invalid_arg "Pool.await: job already awaited";
-  Domain.join j.j_domain;
-  match Atomic.get j.j_cell with
-  | Some r -> r
-  | None -> assert false (* the domain sets the cell before exiting *)

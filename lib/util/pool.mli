@@ -1,8 +1,7 @@
-(** Domain parallelism for the two coarse units that pay for it:
+(** Domain parallelism for the one coarse unit that pays for it:
     per-family pipelines ({!map}, used by
-    [Lockdoc_experiments.Context.families]) and the serve daemon's
-    detached seal jobs ({!spawn}). Everything else runs on the calling
-    domain.
+    [Lockdoc_experiments.Context.families]). Everything else runs on
+    the calling domain.
 
     Work items are distributed over a fixed number of OCaml 5 domains
     through a chunked atomic work queue; results are collected into the
@@ -27,27 +26,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     (the calling domain included). [jobs] defaults to {!default_jobs};
     [jobs <= 1] or fewer than two items runs sequentially on the
     calling domain without spawning. *)
-
-(** {2 Detached jobs}
-
-    One-shot background work on its own domain, for callers that need
-    to keep serving while an analysis runs — the serve daemon seals
-    sessions this way. Unlike {!map} there is no queue:
-    one [spawn] is one domain, and the caller owns its lifecycle. *)
-
-type 'a job
-(** A computation running (or finished) on a dedicated domain. *)
-
-val spawn : (unit -> 'a) -> 'a job
-(** Start [f] on a fresh domain immediately. The job captures a normal
-    return as [Ok] and any exception as [Error] — nothing escapes onto
-    the spawning domain until {!await}. *)
-
-val poll : 'a job -> ('a, exn) result option
-(** Non-blocking completion check: [None] while the job still runs.
-    A [Some] result does not reap the domain — call {!await} (which is
-    then immediate) exactly once per job to release it. *)
-
-val await : 'a job -> ('a, exn) result
-(** Join the job's domain and return its outcome. Must be called
-    exactly once per job; a second call raises [Invalid_argument]. *)

@@ -158,11 +158,22 @@ let test_checked_flags_diagnose () =
   check Alcotest.bool "seed: non-zero exit" true (code <> 0);
   check Alcotest.bool "seed: names the flag" true (contains err "--seed")
 
+(* An unknown workload or experiment name: exit 1 and one line,
+   prefixed like every other diagnostic, that lists the known names. *)
+let check_unknown_name args ~unknown ~known =
+  let code, out, err = run args in
+  let what = String.concat " " args in
+  check Alcotest.int (what ^ ": exit 1") 1 code;
+  check Alcotest.string (what ^ ": nothing on stdout") "" out;
+  check Alcotest.bool (what ^ ": one prefixed line") true
+    (String.starts_with ~prefix:("lockdoc: " ^ unknown) err
+    && String.index err '\n' = String.length err - 1);
+  check Alcotest.bool (what ^ ": lists the known names") true
+    (contains err known)
+
 let test_replay_unknown_workload () =
-  let code, _, err = run [ "replay"; "warp_drive" ] in
-  check Alcotest.int "exit 1" 1 code;
-  check Alcotest.bool "lists the known families" true
-    (contains err "fs_bench")
+  check_unknown_name [ "replay"; "warp_drive" ] ~unknown:"unknown workload"
+    ~known:"fs_bench"
 
 let test_lint_flags_diagnose () =
   let code, _, err = run [ "lint"; "fs_bench"; "--scale"; "huge" ] in
@@ -170,12 +181,12 @@ let test_lint_flags_diagnose () =
   check Alcotest.bool "scale: names the flag" true (contains err "--scale")
 
 let test_lint_unknown_workload () =
-  let code, _, err = run [ "lint"; "warp_drive" ] in
-  check Alcotest.int "exit 1" 1 code;
-  check Alcotest.bool "says unknown workload" true
-    (contains err "unknown workload");
-  check Alcotest.bool "lists the known families" true
-    (contains err "fs_bench")
+  check_unknown_name [ "lint"; "warp_drive" ] ~unknown:"unknown workload"
+    ~known:"fs_bench"
+
+let test_repro_unknown_experiment () =
+  check_unknown_name [ "repro"; "nosuch" ] ~unknown:"unknown experiment"
+    ~known:"tab5"
 
 let test_lint_json_smoke () =
   let code, out, _ = run [ "lint"; "pipe"; "--json" ] in
@@ -221,6 +232,48 @@ let test_feed_unreachable () =
         [
           ("query", [ "--query"; "metrics" ], "No such file or directory");
           ("trace", [ clean ], "too many reconnect attempts");
+        ])
+
+(* A listener `serve` cannot set up is one line naming the address and
+   exit 123, with no socket file left behind — also when the Unix
+   socket was already bound and the TCP listener after it fails. *)
+let test_serve_startup_failure () =
+  let dir = temp_dir "cli_serve" in
+  let held = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close held;
+      rm_rf dir)
+    (fun () ->
+      Unix.bind held (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen held 1;
+      let in_use =
+        match Unix.getsockname held with
+        | Unix.ADDR_INET (_, port) -> Printf.sprintf "127.0.0.1:%d" port
+        | _ -> assert false
+      in
+      let socket = Filename.concat dir "s.sock" in
+      let absent = Filename.concat dir "absent/s.sock" in
+      List.iter
+        (fun (what, args, expected) ->
+          let code, out, err = run ("serve" :: args) in
+          check Alcotest.int (what ^ ": exit 123") 123 code;
+          check Alcotest.string (what ^ ": nothing on stdout") "" out;
+          check Alcotest.string (what ^ ": one-line diagnostic")
+            ("lockdoc: serve: " ^ expected ^ "\n")
+            err;
+          check Alcotest.bool (what ^ ": no socket file left") false
+            (Sys.file_exists socket))
+        [
+          ( "missing directory",
+            [ "--socket"; absent ],
+            absent ^ ": No such file or directory" );
+          ( "unresolvable host",
+            [ "--socket"; socket; "--tcp"; "999.1.1.1:80" ],
+            "999.1.1.1:80: cannot resolve host 999.1.1.1" );
+          ( "port in use",
+            [ "--socket"; socket; "--tcp"; in_use ],
+            in_use ^ ": Address already in use" );
         ])
 
 (* No analysis command takes a domain count: analysis runs on the
@@ -296,7 +349,9 @@ let test_simulator_fault () =
     (fun cmd ->
       let _, man, _ = run [ cmd; "--help=plain" ] in
       check Alcotest.bool (cmd ^ ": EXIT STATUS lists 3") true
-        (contains man "on a simulator fault"))
+        (contains man "on a simulator fault");
+      check Alcotest.bool (cmd ^ ": EXIT STATUS lists 1") true
+        (contains man "1   on an unknown workload or experiment"))
     [
       "trace"; "import"; "pack"; "unpack"; "recover"; "fsck"; "derive"; "doc";
       "check"; "violations"; "lockdep"; "lint"; "lockmeter"; "sanitize";
@@ -386,11 +441,15 @@ let () =
             test_lint_flags_diagnose;
           Alcotest.test_case "lint rejects unknown workload" `Quick
             test_lint_unknown_workload;
+          Alcotest.test_case "repro rejects unknown experiment" `Quick
+            test_repro_unknown_experiment;
           Alcotest.test_case "lint json smoke" `Quick test_lint_json_smoke;
           Alcotest.test_case "profile json smoke" `Quick test_profile_json;
           Alcotest.test_case "feed needs input" `Quick test_feed_needs_input;
           Alcotest.test_case "feed unreachable daemon" `Quick
             test_feed_unreachable;
+          Alcotest.test_case "serve startup failures" `Quick
+            test_serve_startup_failure;
           Alcotest.test_case "jobs flag removed" `Quick test_jobs_flag_removed;
           Alcotest.test_case "missing input file" `Quick
             test_missing_input_file;

@@ -11,11 +11,10 @@
      sequencing (nack / idempotent retransmit / seal-count guard),
      backpressure and per-session isolation, fault isolation (garbled
      connection vs crashed worker), the supervisor (backoff, durable
-     rebuild, permanent failure), timeouts, supersede, shutdown; the
-     off-loop seal (the [Sealing] interim state pinned with a parked
-     runner, then a real analysis domain proving the loop keeps
-     serving); debounced rule-subscription pushes checked against a
-     [stream] query at the same watermark. Every completed session
+     rebuild, permanent failure, a crash inside the seal), timeouts,
+     supersede, shutdown; debounced rule-subscription pushes checked
+     against a [stream] query at the same watermark. Every completed
+     session
      checks the byte-identity oracle: mined rules and violations equal
      to the batch pipeline's.
    - [Chaos]: one run per fault family and per transport segmentation
@@ -36,7 +35,6 @@ module Import = Lockdoc_db.Import
 module Crashpoint = Lockdoc_db.Crashpoint
 module Trace = Lockdoc_trace.Trace
 module Run = Lockdoc_ksim.Run
-module Pool = Lockdoc_util.Pool
 module Dataset = Lockdoc_core.Dataset
 module Derivator = Lockdoc_core.Derivator
 module Violation = Lockdoc_core.Violation
@@ -631,8 +629,21 @@ let test_server_crash_backoff_durable_recovery () =
       check Alcotest.int "journal rebuild resumes at watermark" accepted resume;
       stream_all srv ~now:2.0 c3 ~start:accepted
         (List.filteri (fun i _ -> i >= accepted) lines);
+      (* A crash inside the seal itself fails the session on the
+         sealing connection. The journal already holds every row, so
+         after the (doubled) backoff a reconnect resumes at the full
+         watermark and the re-seal still matches the batch oracle. *)
+      Crashpoint.arm ~after:1;
+      expect_err_close "crash inside the seal" "session-failed"
+        (send srv ~now:2.0 c3 (Proto.Seal { rows = total }));
+      Crashpoint.reset ();
+      check Alcotest.int "two restarts on the ledger" 2
+        (session_view srv "s").Server.v_restarts;
+      let c4, resume = connect srv ~now:4.0 "s" in
+      check Alcotest.int "rebuild after a seal crash resumes at the end"
+        total resume;
       let sealed =
-        expect_sealed "seal" (send srv ~now:2.0 c3 (Proto.Seal { rows = total }))
+        expect_sealed "seal" (send srv ~now:4.0 c4 (Proto.Seal { rows = total }))
       in
       check_oracle "crash-recovered stream" trace sealed)
 
@@ -785,102 +796,6 @@ let test_server_stream_query () =
     (expected ~state:"sealed" ~events:(Array.length trace.Trace.events)
        ~accepted:total (rules, violations))
     (stream_json "sealed")
-
-(* ---- Off-loop sealing --------------------------------------------- *)
-
-(* The [Sealing] interim state, pinned with a runner that parks the
-   seal job instead of executing it: every reply the engine gives while
-   the derivation is "in flight" is deterministic and assertable. *)
-let test_server_sealing_state_machine () =
-  let trace = Lazy.force pipe_trace in
-  let lines = Trace.to_lines trace in
-  let total = List.length lines in
-  let parked = ref [] in
-  let srv = Server.create ~runner:(fun f -> parked := !parked @ [ f ]) () in
-  let now = 0.0 in
-  let cid, _ = connect srv ~now "s" in
-  stream_all srv ~now cid ~start:0 lines;
-  (* Seal is accepted; the job is parked, so no reply yet. *)
-  expect_silent "seal parks the job"
-    (send srv ~now cid (Proto.Seal { rows = total }));
-  check Alcotest.int "one job parked" 1 (List.length !parked);
-  check Alcotest.string "interim state" "sealing"
-    (session_view srv "s").Server.v_state;
-  (* A retransmitted seal and a stream query are held off, not refused:
-     retry-after carrying the accepted watermark. *)
-  (match
-     only_send "re-seal" (send srv ~now cid (Proto.Seal { rows = total }))
-   with
-  | _, Proto.Retry_after { expected; reason; _ } ->
-      check (Alcotest.option Alcotest.int) "watermark" (Some total) expected;
-      check Alcotest.string "re-seal reason" "seal in progress" reason
-  | _ -> Alcotest.fail "expected Retry_after for a seal race");
-  (match
-     only_send "stream query"
-       (send srv ~now cid (Proto.Query Proto.Stream_rules))
-   with
-  | _, Proto.Retry_after { reason; _ } ->
-      check Alcotest.string "query reason" "seal in progress" reason
-  | _ -> Alcotest.fail "expected Retry_after for a mid-seal stream query");
-  (* Late rows are a protocol error: the stream contract ended at seal. *)
-  expect_err_close "late rows" "proto"
-    (send srv ~now cid (Proto.Rows { start = total; lines = [ "E\topen\tx:1" ] }));
-  (* The sealing session is exempt from idle GC while the job runs. *)
-  expect_silent "gc pass" (Server.step srv ~now:1000.0);
-  check Alcotest.int "sealing session survives gc" 1 (Server.n_sessions srv);
-  (* A reconnect attaches to the sealing session at the watermark. *)
-  let _c2, resume = connect srv ~now:1000.0 "s" in
-  check Alcotest.int "resume at watermark" total resume;
-  (* The job completes; the next step delivers [Sealed] to the attached
-     connection, byte-identical to the batch pipeline. *)
-  List.iter (fun f -> f ()) !parked;
-  let sealed = expect_sealed "sealed on step" (Server.step srv ~now:1000.0) in
-  check_oracle "deferred seal" trace sealed;
-  check Alcotest.string "final state" "sealed"
-    (session_view srv "s").Server.v_state
-
-(* The same seal on a real analysis domain: while the derivation runs,
-   the engine keeps answering other connections — the whole point of
-   taking the seal off the loop. *)
-let test_server_seal_async_serves_meanwhile () =
-  let trace = Lazy.force pipe_trace in
-  let lines = Trace.to_lines trace in
-  let total = List.length lines in
-  let spawned = ref [] in
-  let srv =
-    Server.create ~runner:(fun f -> spawned := Pool.spawn f :: !spawned) ()
-  in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun j -> ignore (Pool.await j)) !spawned)
-    (fun () ->
-      let cid, _ = connect srv ~now:0.0 "big" in
-      stream_all srv ~now:0.0 cid ~start:0 lines;
-      expect_silent "seal accepted"
-        (send srv ~now:0.0 cid (Proto.Seal { rows = total }));
-      check Alcotest.string "sealing meanwhile" "sealing"
-        (session_view srv "big").Server.v_state;
-      (* A second client is served while the domain grinds. *)
-      let other, outs = Server.accept srv ~now:0.0 in
-      expect_silent "accept" outs;
-      let pings = ref 0 in
-      let rec wait n =
-        if n = 0 then Alcotest.fail "seal never completed"
-        else begin
-          (match
-             only_send "ping while sealing" (send srv ~now:0.0 other Proto.Ping)
-           with
-          | _, Proto.Pong -> incr pings
-          | _ -> Alcotest.fail "expected Pong");
-          match Server.step srv ~now:0.0 with
-          | [] ->
-              Unix.sleepf 0.002;
-              wait (n - 1)
-          | outs -> expect_sealed "sealed" outs
-        end
-      in
-      let sealed = wait 5000 in
-      check_oracle "async seal" trace sealed;
-      check Alcotest.bool "pings served during the seal" true (!pings >= 1))
 
 (* ---- Rule subscriptions ------------------------------------------- *)
 
@@ -1042,11 +957,8 @@ let test_chaos_kill_requires_journal () =
 
 (* ---- Real sockets, spawned daemon --------------------------------- *)
 
-(* The daemon runs as the real `lockdoc serve` binary: forking the test
-   image is off the table once any analysis domain has been spawned
-   (OCaml forbids [Unix.fork] after domain creation, and both the
-   async-seal test above and the daemon's own off-loop sealing create
-   domains), and exec'ing the CLI makes these end-to-end anyway. *)
+(* The daemon runs as the real `lockdoc serve` binary: exec'ing the CLI
+   makes these end-to-end, startup and shutdown included. *)
 let exe =
   (* Relative to the test runner, not the cwd: `dune runtest` and a bare
      `dune exec test/test_serve.exe` run from different directories. *)
@@ -1221,10 +1133,6 @@ let () =
             test_server_ping_query_bye_shutdown;
           Alcotest.test_case "stream query answers the live prefix" `Quick
             test_server_stream_query;
-          Alcotest.test_case "sealing interim state" `Quick
-            test_server_sealing_state_machine;
-          Alcotest.test_case "async seal serves meanwhile" `Quick
-            test_server_seal_async_serves_meanwhile;
           Alcotest.test_case "subscription pushes match the watermark" `Quick
             test_server_subscription_push;
         ] );

@@ -208,47 +208,6 @@ let prop_pool_matches_sequential =
       let f (a, b) = List.init (a mod 5) (fun i -> i + b) in
       Pool.map ~jobs f items = List.map f items)
 
-let test_pool_job_result () =
-  let j = Pool.spawn (fun () -> List.init 100 Fun.id |> List.fold_left ( + ) 0) in
-  (* Poll until done — a Some from poll must agree with await, and a
-     job that has already completed awaits immediately. *)
-  let rec wait n =
-    match Pool.poll j with
-    | Some r -> r
-    | None ->
-        if n = 0 then Alcotest.fail "job never completed";
-        Unix.sleepf 0.005;
-        wait (n - 1)
-  in
-  (match wait 2000 with
-  | Ok v -> check Alcotest.int "poll sees the result" 4950 v
-  | Error e -> Alcotest.failf "job failed: %s" (Printexc.to_string e));
-  match Pool.await j with
-  | Ok v -> check Alcotest.int "await agrees" 4950 v
-  | Error e -> Alcotest.failf "await failed: %s" (Printexc.to_string e)
-
-let test_pool_job_exception () =
-  let j = Pool.spawn (fun () -> raise (Boom 17)) in
-  (match Pool.await j with
-  | Error (Boom p) -> check Alcotest.int "payload intact" 17 p
-  | Error e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
-  | Ok _ -> Alcotest.fail "expected Error");
-  (* The domain is reaped: a second await is a caller bug. *)
-  match Pool.await j with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "double await must raise Invalid_argument"
-
-let test_pool_jobs_concurrent () =
-  (* Several detached jobs run at once and each returns its own answer
-     regardless of completion order. *)
-  let js = List.init 6 (fun i -> (i, Pool.spawn (fun () -> i * i))) in
-  List.iter
-    (fun (i, j) ->
-      match Pool.await j with
-      | Ok v -> check Alcotest.int (Printf.sprintf "job %d" i) (i * i) v
-      | Error e -> Alcotest.failf "job %d failed: %s" i (Printexc.to_string e))
-    js
-
 (* {2 Fnv} *)
 
 (* Canonical FNV-1a 32-bit vectors, plus the filesystem names whose
@@ -384,11 +343,6 @@ let () =
             test_pool_exception_lowest_index;
           qtest prop_pool_order_preserved;
           qtest prop_pool_matches_sequential;
-          Alcotest.test_case "detached job result" `Quick test_pool_job_result;
-          Alcotest.test_case "detached job exception, single await" `Quick
-            test_pool_job_exception;
-          Alcotest.test_case "detached jobs concurrent" `Quick
-            test_pool_jobs_concurrent;
         ] );
       ( "fnv",
         [
