@@ -203,9 +203,10 @@ let trace_cmd =
 let import_cmd =
   let durable_arg =
     Arg.(value & opt (some string) None & info [ "durable" ] ~docv:"DIR"
-           ~doc:"Import durably: write-ahead-log every store operation and \
-                 checkpoint into $(docv). A crashed import resumes from the \
-                 last checkpoint when rerun with the same $(docv).")
+           ~doc:"Import durably: journal every trace event and checkpoint \
+                 into $(docv). A crashed import resumes from the last \
+                 checkpoint when rerun with the same $(docv); a $(docv) \
+                 written by an older version is started afresh.")
   in
   let checkpoint_arg =
     Arg.(value & opt positive_int 50_000 & info [ "checkpoint-every" ]
@@ -228,8 +229,12 @@ let import_cmd =
         or_fail @@ fun () ->
         let trace = load_trace ~binary mode path in
         let _, stats, progress =
-          Lockdoc_db.Durable.import ~dir ~checkpoint_every ~mode
-            ~trace_file:path trace
+          try
+            Lockdoc_db.Durable.import ~dir ~checkpoint_every ~mode
+              ~trace_file:path trace
+          with Lockdoc_db.Durable.Foreign_dir msg ->
+            Printf.eprintf "lockdoc: import: %s\n" msg;
+            exit 1
         in
         if progress.Lockdoc_db.Durable.pr_resumed_from > 0 then
           Printf.printf "resumed from event %d\n"
@@ -339,20 +344,26 @@ let recover_cmd =
       raise (Sys_error (dir ^ ": Not a directory"));
     let r = Durable.recover ~dir in
     (match r.Durable.r_snapshot with
-    | Some s -> Printf.printf "snapshot: %s\n" s
-    | None -> Printf.printf "snapshot: none (replaying WAL from scratch)\n");
-    Printf.printf "wal: %d record(s) replayed up to lsn %d\n"
-      r.Durable.r_replayed r.Durable.r_wal_lsn;
-    (match r.Durable.r_torn with
-    | Some reason -> Printf.printf "wal tail: %s (truncated there)\n" reason
-    | None -> Printf.printf "wal tail: clean\n");
-    Printf.printf "state: %s"
-      (if r.Durable.r_complete then "complete import"
-       else "interrupted import");
-    if not r.Durable.r_complete && r.Durable.r_trace_file <> "" then
-      Printf.printf " (resume with: lockdoc import --durable %s %s)" dir
-        r.Durable.r_trace_file;
-    print_newline ();
+    | None ->
+        Printf.printf "snapshot: none (%s)\n"
+          (Option.value r.Durable.r_stop ~default:"empty directory")
+    | Some s ->
+        Printf.printf "snapshot: %s\n" s;
+        Printf.printf "wal: %d event(s) replayed up to lsn %d\n"
+          r.Durable.r_replayed r.Durable.r_wal_lsn;
+        (match r.Durable.r_stop with
+        | Some reason ->
+            Printf.printf "wal tail: %s (truncated there)\n" reason
+        | None -> Printf.printf "wal tail: clean\n");
+        Printf.printf "state: %s"
+          (if r.Durable.r_complete then "complete import"
+           else
+             Printf.sprintf "interrupted import at event %d"
+               r.Durable.r_trace_offset);
+        if not r.Durable.r_complete && r.Durable.r_trace_file <> "" then
+          Printf.printf " (resume with: lockdoc import --durable %s %s)" dir
+            r.Durable.r_trace_file;
+        print_newline ());
     let s = r.Durable.r_store in
     Printf.printf
       "store: %d access(es), %d txn(s), %d lock(s), %d allocation(s), %d \
@@ -373,9 +384,12 @@ let recover_cmd =
   Cmd.v
     (Cmd.info ~exits "recover"
        ~doc:
-         "Rebuild a store from a durable directory (snapshot + WAL tail) \
-          without the source trace. Tolerates torn and corrupt WAL tails: \
-          replay stops at the first bad record instead of failing.")
+         "Rebuild a store from a durable directory without the source \
+          trace: load the last snapshot and re-import the events journaled \
+          after it. Tolerates torn and corrupt journal tails: replay stops \
+          at the first bad record instead of failing. A directory without \
+          a loadable snapshot (or in an older format) yields an empty \
+          store and the reason.")
     Term.(const run $ dir_arg $ derive_arg $ tac_arg $ metrics_arg)
 
 (* {2 derive} *)

@@ -1,29 +1,36 @@
-(* The durable import coordinator: WAL + periodic snapshots + manifest.
+(* The durable import coordinator: event journal + periodic snapshots
+   + manifest.
 
    Invariants:
    - The manifest rename is the commit point of a checkpoint. Before
      it lands, the previous checkpoint is still the truth.
-   - The WAL covers everything SINCE the manifest's snapshot: a row-
-     creating op with LSN l >= m_wal_lsn is not in the snapshot.
-   - Op order is referentially closed (an op only references rows
-     created by earlier ops), so replaying any valid WAL prefix onto
-     its snapshot yields a consistent store. [recover] exploits this:
-     it replays up to the first torn/corrupt record and stops there.
-   - Resuming an import does NOT replay the WAL tail: the tail past
+   - The journal holds one trace line per imported event, appended
+     after [Import.feed] accepted it, so the record at LSN l is trace
+     event l and a snapshot's [m_wal_lsn] equals its [m_trace_offset].
+     Records with LSN >= m_wal_lsn are not in the snapshot.
+   - The first checkpoint commits before the first event is fed, so a
+     valid directory never has journal records without a snapshot.
+   - Import is deterministic, so feeding any valid journal prefix to
+     the snapshot's engine yields exactly the store a plain import of
+     that trace prefix builds. [recover] exploits this: it re-feeds up
+     to the first torn, undecodable or rejected record and stops there.
+   - Resuming an import does NOT replay the journal tail: the tail past
      the checkpoint is discarded ([Wal.truncate_after]) and the trace
-     suffix is re-imported deterministically, which also regenerates
-     the identical tail. The tail only matters to [recover], i.e. to
-     readers who want the freshest consistent store without the source
-     trace at hand. *)
+     suffix is re-imported, which also regenerates the identical tail.
+     The tail only matters to [recover], i.e. to readers who want the
+     freshest consistent store without the source trace at hand. *)
 
 module Trace = Lockdoc_trace.Trace
+module Event = Lockdoc_trace.Event
 module Obs = Lockdoc_obs.Obs
 
 let c_checkpoints = Obs.counter "durable.checkpoints"
 let c_resumes = Obs.counter "durable.resumes"
 let c_recoveries = Obs.counter "durable.recoveries"
-let c_replayed = Obs.counter "durable.ops_replayed"
+let c_replayed = Obs.counter "durable.events_replayed"
 let h_checkpoint_ms = Obs.histogram "durable.checkpoint_ms"
+
+exception Foreign_dir of string
 
 type progress = {
   pr_resumed_from : int;
@@ -36,7 +43,7 @@ type recovery = {
   r_snapshot : string option;
   r_wal_lsn : int;
   r_replayed : int;
-  r_torn : string option;
+  r_stop : string option;
   r_trace_offset : int;
   r_trace_file : string;
   r_complete : bool;
@@ -71,8 +78,7 @@ let gc_snapshots ~dir ~keep =
         remove_if (Filename.concat dir f))
     (Sys.readdir dir)
 
-let import ~dir ?(checkpoint_every = 50_000) ?segment_bytes ?wal_sync_every
-    ?filter ?irq_mode ?mode ?(trace_file = "") trace =
+let import ~dir ?(checkpoint_every = 50_000) ?mode ?(trace_file = "") trace =
   if checkpoint_every <= 0 then
     invalid_arg "Durable.import: checkpoint_every must be positive";
   ensure_dir dir;
@@ -87,12 +93,18 @@ let import ~dir ?(checkpoint_every = 50_000) ?segment_bytes ?wal_sync_every
           && (m.Snapshot.m_trace_file = "" || trace_file = ""
              || m.Snapshot.m_trace_file = trace_file)
         in
-        if not identity_ok then
-          failwith
-            (Printf.sprintf
-               "durable dir %s belongs to a different trace (%s, %d events; \
-                given %d events)"
-               dir m.Snapshot.m_trace_file m.Snapshot.m_trace_events n);
+        if not identity_ok then begin
+          let describe file n =
+            if file = "" then Printf.sprintf "%d events" n
+            else Printf.sprintf "%s, %d events" file n
+          in
+          raise
+            (Foreign_dir
+               (Printf.sprintf "%s belongs to a different trace (%s; given %s)"
+                  dir
+                  (describe m.Snapshot.m_trace_file m.Snapshot.m_trace_events)
+                  (describe trace_file n)))
+        end;
         match Snapshot.load (Filename.concat dir m.Snapshot.m_snapshot) with
         | Some p -> Some (m, p)
         | None ->
@@ -110,7 +122,7 @@ let import ~dir ?(checkpoint_every = 50_000) ?segment_bytes ?wal_sync_every
         stats,
         { pr_resumed_from = n; pr_checkpoints = 0; pr_wal_records = 0 } )
   | resume ->
-      let engine, start_pos, start_lsn, seq0 =
+      let engine, start_pos, seq0 =
         match resume with
         | Some (m, { Snapshot.p_engine = Some g; _ }) ->
             let seq =
@@ -118,21 +130,18 @@ let import ~dir ?(checkpoint_every = 50_000) ?segment_bytes ?wal_sync_every
               | Some s -> s + 1
               | None -> 1
             in
-            (* Ops past the checkpoint will be regenerated by replaying
-               the trace suffix; drop them so the WAL and the store
-               never disagree. *)
+            (* Events past the checkpoint will be journaled again as the
+               trace suffix is re-imported; drop them so the journal and
+               the store never disagree. *)
             Wal.truncate_after ~dir ~lsn:m.Snapshot.m_wal_lsn;
-            (g, Import.position g, m.Snapshot.m_wal_lsn, seq)
+            (g, Import.position g, seq)
         | _ ->
             reset_dir dir;
-            (Import.engine ?filter ?irq_mode ?mode trace.Trace.layouts, 0, 0, 0)
+            (Import.engine ?mode trace.Trace.layouts, 0, 0)
       in
       let store = Import.engine_store engine in
-      let wal =
-        Wal.create ~dir ?segment_bytes ?sync_every:wal_sync_every
-          ~start_lsn ()
-      in
-      Store.set_logger store (Some (fun op -> Wal.append wal (Op.to_line op)));
+      (* LSN = trace position: one record per event. *)
+      let wal = Wal.create ~dir ~start_lsn:start_pos () in
       let seq = ref seq0 in
       let checkpoints = ref 0 in
       if start_pos > 0 then Obs.incr c_resumes;
@@ -170,84 +179,76 @@ let import ~dir ?(checkpoint_every = 50_000) ?segment_bytes ?wal_sync_every
         if Obs.enabled () then
           Obs.observe h_checkpoint_ms ((Obs.Clock.wall () -. t0) *. 1000.)
       in
-      (try
-         if start_pos = 0 then checkpoint ~complete:false ~stats:None;
-         while Import.position engine < n do
-           Crashpoint.hit "import.event";
-           let pos = Import.position engine in
-           Import.feed engine events.(pos);
-           let pos = pos + 1 in
-           if pos mod checkpoint_every = 0 && pos < n then
-             checkpoint ~complete:false ~stats:None
-         done;
-         let stats = Import.finalize engine in
-         checkpoint ~complete:true ~stats:(Some stats);
-         Wal.close wal;
-         Store.set_logger store None;
-         ( store,
-           stats,
-           {
-             pr_resumed_from = start_pos;
-             pr_checkpoints = !checkpoints;
-             pr_wal_records = Wal.lsn wal - start_lsn;
-           } )
-       with e ->
-         (* Leave the durable dir in whatever state the "crash" left it;
-            that is the whole point. But don't leak the logger closure
-            into a store some caller may still hold. *)
-         Store.set_logger store None;
-         raise e)
+      if start_pos = 0 then checkpoint ~complete:false ~stats:None;
+      while Import.position engine < n do
+        Crashpoint.hit "import.event";
+        let ev = events.(Import.position engine) in
+        Import.feed engine ev;
+        Wal.append wal (Event.to_line ev);
+        let pos = Import.position engine in
+        if pos mod checkpoint_every = 0 && pos < n then
+          checkpoint ~complete:false ~stats:None
+      done;
+      let stats = Import.finalize engine in
+      checkpoint ~complete:true ~stats:(Some stats);
+      Wal.close wal;
+      ( store,
+        stats,
+        {
+          pr_resumed_from = start_pos;
+          pr_checkpoints = !checkpoints;
+          pr_wal_records = Wal.lsn wal - start_pos;
+        } )
+
+let empty_recovery reason =
+  {
+    r_store = Store.create ();
+    r_snapshot = None;
+    r_wal_lsn = 0;
+    r_replayed = 0;
+    r_stop = Some reason;
+    r_trace_offset = 0;
+    r_trace_file = "";
+    r_complete = false;
+  }
 
 let recover ~dir =
-  let manifest = Snapshot.read_manifest ~dir in
+  Obs.incr c_recoveries;
   let payload =
-    match manifest with
+    match Snapshot.read_manifest ~dir with
     | Some m -> (
         match Snapshot.load (Filename.concat dir m.Snapshot.m_snapshot) with
         | Some p -> Some p
         | None -> Snapshot.latest_loadable ~dir)
     | None -> Snapshot.latest_loadable ~dir
   in
-  let store, meta =
-    match payload with
-    | Some p -> (p.Snapshot.p_store, Some p.Snapshot.p_meta)
-    | None -> (Store.create (), None)
-  in
-  let from =
-    match meta with Some m -> m.Snapshot.m_wal_lsn | None -> 0
-  in
-  let records, torn = Wal.read ~dir ~from in
-  let replayed = ref 0 in
-  let stop = ref torn in
-  (try
-     List.iter
-       (fun (lsn, payload) ->
-         try
-           Store.apply store (Op.of_line payload);
-           incr replayed
-         with e ->
-           (* A record that framed correctly but doesn't decode or
-              apply (a flipped bit can survive into a plausible field):
-              same treatment as a torn tail — trust nothing past it. *)
-           stop :=
-             Some
-               (Printf.sprintf "undecodable op at lsn %d: %s" lsn
-                  (Printexc.to_string e));
-           raise Exit)
-       records
-   with Exit -> ());
-  Obs.incr c_recoveries;
-  Obs.add c_replayed !replayed;
-  {
-    r_store = store;
-    r_snapshot = Option.map (fun m -> m.Snapshot.m_snapshot) meta;
-    r_wal_lsn = from + !replayed;
-    r_replayed = !replayed;
-    r_torn = !stop;
-    r_trace_offset =
-      (match meta with Some m -> m.Snapshot.m_trace_offset | None -> 0);
-    r_trace_file =
-      (match meta with Some m -> m.Snapshot.m_trace_file | None -> "");
-    r_complete =
-      (match meta with Some m -> m.Snapshot.m_complete | None -> false);
-  }
+  match payload with
+  | None when Snapshot.old_format ~dir ->
+      empty_recovery
+        "old-format directory (lockdoc-durable 1); rerun import --durable \
+         to rebuild it"
+  | None -> empty_recovery "no loadable snapshot"
+  | Some { Snapshot.p_meta = m; p_store; p_engine; _ } ->
+      (* A completed snapshot has no engine, and nothing was journaled
+         after its checkpoint. *)
+      let replayed, torn, offset =
+        match p_engine with
+        | None -> (0, None, m.Snapshot.m_trace_offset)
+        | Some g ->
+            let replayed, torn =
+              Wal.replay ~dir ~from:m.Snapshot.m_wal_lsn (fun line ->
+                  Import.feed g (Event.of_line line))
+            in
+            (replayed, torn, Import.position g)
+      in
+      Obs.add c_replayed replayed;
+      {
+        r_store = p_store;
+        r_snapshot = Some m.Snapshot.m_snapshot;
+        r_wal_lsn = m.Snapshot.m_wal_lsn + replayed;
+        r_replayed = replayed;
+        r_stop = torn;
+        r_trace_offset = offset;
+        r_trace_file = m.Snapshot.m_trace_file;
+        r_complete = m.Snapshot.m_complete;
+      }

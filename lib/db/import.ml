@@ -128,8 +128,7 @@ let zero_counters () =
 
 (* The incremental importer. Everything in here is plain marshalable
    data — no closures — so a checkpoint can capture mid-import state
-   with [Marshal]. The op logger lives on the {!Store}, not here, and
-   is cleared by the snapshot layer before marshalling. *)
+   with [Marshal]. *)
 type engine = {
   g_filter : Filter.t;
   g_irq_mode : irq_mode;
@@ -148,9 +147,8 @@ type engine = {
 }
 
 let engine ?(filter = Filter.default) ?(irq_mode = Inherit) ?(mode = Strict)
-    ?log layouts =
+    layouts =
   let store = Store.create () in
-  Store.set_logger store log;
   let dt_ids = Hashtbl.create 32 in
   List.iter
     (fun layout ->

@@ -82,12 +82,9 @@ val engine :
   ?filter:Filter.t ->
   ?irq_mode:irq_mode ->
   ?mode:mode ->
-  ?log:(Op.t -> unit) ->
   Lockdoc_trace.Layout.t list ->
   engine
-(** Fresh engine over the given layouts. [log], when given, is
-    installed as the store's op logger before the layout rows are
-    created, so every row the engine makes is observed. *)
+(** Fresh engine over the given layouts. *)
 
 val feed : engine -> Lockdoc_trace.Event.t -> unit
 (** Process one event. Events must be fed in trace order; the engine

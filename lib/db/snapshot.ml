@@ -28,7 +28,10 @@ type payload = {
   p_stats : Import.stats option; (* Some once the import completed *)
 }
 
-let magic = "LOCKDOCSNAP1\n"
+(* Bump the magic (and the manifest version below) whenever the
+   marshalled layout of [payload] changes: unmarshalling a blob into a
+   different type is unsafe, so an old snapshot must fail to load. *)
+let magic = "LOCKDOCSNAP2\n"
 
 let snapshot_name seq = Printf.sprintf "snap-%06d.snap" seq
 
@@ -50,11 +53,7 @@ let snapshots ~dir =
 
 let save ~dir p =
   let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
-  (* The store's op logger is a closure; Marshal refuses those. Clear
-     it for the duration of serialisation. *)
-  let blob =
-    Store.with_logger p.p_store None (fun () -> Marshal.to_string p [])
-  in
+  let blob = Marshal.to_string p [] in
   let path = Filename.concat dir p.p_meta.m_snapshot in
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc ->
@@ -112,13 +111,27 @@ let latest_loadable ~dir =
 (* ---- Manifest ----------------------------------------------------- *)
 
 let manifest_file = "MANIFEST"
+let manifest_version = "lockdoc-durable 2"
+
+let old_format ~dir =
+  let first_line path =
+    try In_channel.with_open_bin path In_channel.input_line with _ -> None
+  in
+  let old = function
+    | Some "lockdoc-durable 1" | Some "LOCKDOCSNAP1" -> true
+    | _ -> false
+  in
+  old (first_line (Filename.concat dir manifest_file))
+  || List.exists
+       (fun (_, name) -> old (first_line (Filename.concat dir name)))
+       (snapshots ~dir)
 
 let write_manifest ~dir m =
   let path = Filename.concat dir manifest_file in
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc ->
       Crashpoint.hit "manifest.write";
-      Printf.fprintf oc "lockdoc-durable 1\n";
+      Printf.fprintf oc "%s\n" manifest_version;
       Printf.fprintf oc "snapshot=%s\n" m.m_snapshot;
       Printf.fprintf oc "wal_lsn=%d\n" m.m_wal_lsn;
       Printf.fprintf oc "trace_offset=%d\n" m.m_trace_offset;
@@ -137,7 +150,7 @@ let read_manifest ~dir =
     match
       In_channel.with_open_bin path (fun ic ->
           match In_channel.input_line ic with
-          | Some "lockdoc-durable 1" ->
+          | Some v when v = manifest_version ->
               let tbl = Hashtbl.create 8 in
               let rec loop () =
                 match In_channel.input_line ic with

@@ -34,8 +34,7 @@ val snapshots : dir:string -> (int * string) list
 (** Snapshot files as [(seq, name)], newest first. *)
 
 val save : dir:string -> payload -> unit
-(** Serialise atomically under [p_meta.m_snapshot]. Clears the store's
-    op logger during marshalling (closures don't serialise). *)
+(** Serialise atomically under [p_meta.m_snapshot]. *)
 
 val load : string -> payload option
 (** [None] on any damage: missing file, bad magic, short read,
@@ -46,4 +45,9 @@ val latest_loadable : dir:string -> payload option
 
 val write_manifest : dir:string -> meta -> unit
 val read_manifest : dir:string -> meta option
-(** [None] on a missing, damaged or unversioned manifest. *)
+(** [None] on a missing, damaged, unversioned or old-format manifest. *)
+
+val old_format : dir:string -> bool
+(** [dir] holds a manifest or snapshot of the previous on-disk format
+    ([lockdoc-durable 1] / [LOCKDOCSNAP1]), which this version cannot
+    load. *)

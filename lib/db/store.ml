@@ -12,9 +12,6 @@ type t = {
   dt_by_name : (string, int) Hashtbl.t;
   by_type_key : (string, int list ref) Hashtbl.t;
       (* type key -> access ids, reversed *)
-  mutable on_op : (Op.t -> unit) option;
-      (* Must stay None while the store is marshalled: closures don't
-         serialise. Snapshot clears it via [with_logger]. *)
 }
 
 let create () =
@@ -28,17 +25,7 @@ let create () =
     stack_index = Hashtbl.create 256;
     dt_by_name = Hashtbl.create 32;
     by_type_key = Hashtbl.create 64;
-    on_op = None;
   }
-
-let set_logger t log = t.on_op <- log
-
-let with_logger t log f =
-  let saved = t.on_op in
-  t.on_op <- log;
-  Fun.protect ~finally:(fun () -> t.on_op <- saved) f
-
-let log t op = match t.on_op with Some f -> f op | None -> ()
 
 let add_data_type t layout =
   let dt_id = Vec.length t.data_types in
@@ -47,7 +34,6 @@ let add_data_type t layout =
   in
   ignore (Vec.push t.data_types row);
   Hashtbl.replace t.dt_by_name row.dt_name dt_id;
-  log t (Op.Add_data_type layout);
   row
 
 let add_allocation t ~ptr ~size ~ty ~subclass ~start =
@@ -64,21 +50,18 @@ let add_allocation t ~ptr ~size ~ty ~subclass ~start =
     }
   in
   ignore (Vec.push t.allocations row);
-  log t (Op.Add_allocation { ptr; size; ty; subclass; start });
   row
 
 let add_lock t ~ptr ~kind ~name ~parent =
   let lk_id = Vec.length t.locks in
   let row = { lk_id; lk_ptr = ptr; lk_kind = kind; lk_name = name; lk_parent = parent } in
   ignore (Vec.push t.locks row);
-  log t (Op.Add_lock { ptr; kind; name; parent });
   row
 
 let add_txn t ~locks ~ctx =
   let tx_id = Vec.length t.txns in
   let row = { tx_id; tx_locks = locks; tx_ctx = ctx } in
   ignore (Vec.push t.txns row);
-  log t (Op.Add_txn { locks; ctx });
   row
 
 let lookup ~fn ~table vec id =
@@ -107,8 +90,7 @@ let stack t id = lookup ~fn:"stack" ~table:"stacks" t.stacks id
 
 let set_alloc_end t id at =
   let al = allocation t id in
-  al.al_end <- at;
-  log t (Op.Set_alloc_end { al = id; at })
+  al.al_end <- at
 
 let intern_stack t frames =
   let key = String.concat "\x00" frames in
@@ -117,7 +99,6 @@ let intern_stack t frames =
   | None ->
       let id = Vec.push t.stacks frames in
       Hashtbl.replace t.stack_index key id;
-      log t (Op.Intern_stack frames);
       id
 
 let add_access t ~event ~alloc ~member ~kind ~txn ~loc ~stack ~ctx =
@@ -147,20 +128,7 @@ let add_access t ~event ~alloc ~member ~kind ~txn ~loc ~stack ~ctx =
         cell
   in
   cell := ac_id :: !cell;
-  log t (Op.Add_access { event; alloc; member; kind; txn; loc; stack; ctx });
   row
-
-let apply t = function
-  | Op.Add_data_type layout -> ignore (add_data_type t layout)
-  | Op.Add_allocation { ptr; size; ty; subclass; start } ->
-      ignore (add_allocation t ~ptr ~size ~ty ~subclass ~start)
-  | Op.Set_alloc_end { al; at } -> set_alloc_end t al at
-  | Op.Add_lock { ptr; kind; name; parent } ->
-      ignore (add_lock t ~ptr ~kind ~name ~parent)
-  | Op.Add_txn { locks; ctx } -> ignore (add_txn t ~locks ~ctx)
-  | Op.Add_access { event; alloc; member; kind; txn; loc; stack; ctx } ->
-      ignore (add_access t ~event ~alloc ~member ~kind ~txn ~loc ~stack ~ctx)
-  | Op.Intern_stack frames -> ignore (intern_stack t frames)
 
 let n_accesses t = Vec.length t.accesses
 let n_txns t = Vec.length t.txns

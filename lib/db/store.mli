@@ -45,22 +45,6 @@ val intern_stack : t -> string list -> int
 val set_alloc_end : t -> int -> int option -> unit
 (** Record the free event index of an allocation. *)
 
-(** {2 Operation log}
-
-    The durability layer observes every row-creating mutation as an
-    {!Op.t}. The logger must be [None] whenever the store is
-    marshalled (closures don't serialise) — see {!with_logger}. *)
-
-val set_logger : t -> (Op.t -> unit) option -> unit
-val with_logger : t -> (Op.t -> unit) option -> (unit -> 'a) -> 'a
-(** [with_logger t log f] runs [f] with the logger swapped to [log],
-    restoring the previous logger afterwards (even on exceptions). *)
-
-val apply : t -> Op.t -> unit
-(** Replay a logged operation. Replaying a WAL in order against the
-    store it was logged from reproduces the original store (row ids
-    are allocation order). *)
-
 (** {2 Lookup}
 
     Accessors raise [Invalid_argument] naming the table and id when

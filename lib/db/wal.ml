@@ -11,7 +11,7 @@ module Obs = Lockdoc_obs.Obs
 
 (* Durability metrics. [wal.flushes] counts channel flushes — the
    simulated-persistence equivalent of fsync; [wal.torn_tail] counts
-   replays that stopped early at damage. *)
+   replays that stopped early at damage or a rejected record. *)
 let c_appends = Obs.counter "wal.appends"
 let c_bytes = Obs.counter "wal.bytes"
 let c_flushes = Obs.counter "wal.flushes"
@@ -202,10 +202,9 @@ let parse_segment ~start content =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let read ~dir ~from =
-  let segments = segment_files ~dir in
-  let out = ref [] in
-  let torn = ref None in
+let replay ~dir ~from f =
+  let applied = ref 0 in
+  let stop = ref None in
   let expected = ref from in
   (try
      List.iter
@@ -215,22 +214,34 @@ let read ~dir ~from =
               caller cares about: records at or past the gap cannot be
               trusted. (A gap wholly below [from] is survivable — the
               snapshot already covers it.) *)
-           torn :=
-             Some (Printf.sprintf "missing records before lsn %d" start);
+           stop := Some (Printf.sprintf "missing records before lsn %d" start);
            raise Exit
          end
          else begin
            let parsed = parse_segment ~start (read_file path) in
            List.iter
              (fun (lsn, payload) ->
-               if lsn >= from then out := (lsn, payload) :: !out;
+               if lsn >= from then begin
+                 match f payload with
+                 | () -> incr applied
+                 | exception e ->
+                     (* A record that framed correctly but that the
+                        caller rejects (a flipped bit can survive into
+                        a plausible field): same treatment as a torn
+                        tail — trust nothing past it. *)
+                     stop :=
+                       Some
+                         (Printf.sprintf "rejected record at lsn %d: %s" lsn
+                            (Printexc.to_string e));
+                     raise Exit
+               end;
                expected := lsn + 1)
              parsed.ps_records;
-           (match parsed.ps_torn with
+           match parsed.ps_torn with
            | Some reason when !expected >= from ->
                (* Damage at or past the point the caller cares about:
                   stop here for good. *)
-               torn := Some reason;
+               stop := Some reason;
                raise Exit
            | Some _ ->
                (* Damage confined below [from]; later segments may
@@ -238,14 +249,18 @@ let read ~dir ~from =
                   start at or below our resume point. The [start >
                   expected] guard above enforces that. *)
                ()
-           | None -> ())
+           | None -> ()
          end)
-       segments
+       (segment_files ~dir)
    with Exit -> ());
-  let records = List.rev !out in
-  Obs.add c_replayed (List.length records);
-  if !torn <> None then Obs.incr c_torn;
-  (records, !torn)
+  Obs.add c_replayed !applied;
+  if !stop <> None then Obs.incr c_torn;
+  (!applied, !stop)
+
+let read ~dir ~from =
+  let out = ref [] in
+  let _, torn = replay ~dir ~from (fun payload -> out := payload :: !out) in
+  (List.mapi (fun i payload -> (from + i, payload)) (List.rev !out), torn)
 
 (* ---- Maintenance -------------------------------------------------- *)
 

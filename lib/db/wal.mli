@@ -46,11 +46,14 @@ val lsn : writer -> int
 
 (** {2 Reading} *)
 
-val read : dir:string -> from:int -> (int * string) list * string option
-(** [read ~dir ~from] returns the records with LSN >= [from], in order,
-    and the reason reading stopped early (torn tail, checksum mismatch,
-    missing segment) if it did. Damage strictly below [from] is
-    ignored as long as the records at and past [from] are reachable. *)
+val replay : dir:string -> from:int -> (string -> unit) -> int * string option
+(** [replay ~dir ~from f] gives the payload of every record with
+    LSN >= [from] to [f], in LSN order, and returns how many [f]
+    accepted and the reason replay stopped early, if it did: a torn
+    tail, a checksum mismatch, a missing segment, or the first record
+    [f] raised on (nothing past it is given to [f]). Damage strictly
+    below [from] is ignored as long as the records at and past [from]
+    are reachable. *)
 
 (** {2 Maintenance} *)
 
@@ -65,6 +68,9 @@ val drop_below : dir:string -> lsn:int -> unit
     proves every contained record precedes [lsn]. *)
 
 (**/**)
+
+val read : dir:string -> from:int -> (int * string) list * string option
+(** {!replay} collecting [(lsn, payload)] pairs. Exposed for tests. *)
 
 val segment_files : dir:string -> (int * string) list
 (** Segments as [(start_lsn, path)], ascending. Exposed for tests. *)

@@ -341,7 +341,7 @@ let feed_pending t s ~now =
    (the valid WAL prefix). Rows were validated before they were
    journaled, so replay re-feeds them directly; a record that no longer
    parses (bit rot that survived framing) truncates the journal there —
-   same discipline as {!Lockdoc_db.Durable.recover} — and the client
+   [Wal.replay], as in {!Lockdoc_db.Durable.recover} — and the client
    re-sends the tail. *)
 let rebuild_session t id ~now =
   let s = fresh_session t id ~now in
@@ -349,28 +349,21 @@ let rebuild_session t id ~now =
   | None -> open_wal t s ~start_lsn:0
   | Some dir ->
       let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
-      let records, _torn = Wal.read ~dir ~from:0 in
-      let stop = ref false in
-      List.iter
-        (fun (_lsn, line) ->
-          if not !stop then
-            match
-              if String.length line >= 2 && String.sub line 0 2 = "T\t" then (
-                let l =
-                  Layout.of_string (String.sub line 2 (String.length line - 2))
-                in
-                if s.s_seen_event then failwith "layout after events";
-                s.s_layouts_rev <- l :: s.s_layouts_rev)
-              else begin
-                s.s_seen_event <- true;
-                Online.feed (online_of s) (Event.of_line line)
-              end
-            with
-            | () ->
-                s.s_accepted <- s.s_accepted + 1;
-                s.s_applied <- s.s_applied + 1
-            | exception _ -> stop := true)
-        records;
+      let replayed, _stop =
+        Wal.replay ~dir ~from:0 (fun line ->
+            if String.length line >= 2 && String.sub line 0 2 = "T\t" then (
+              let l =
+                Layout.of_string (String.sub line 2 (String.length line - 2))
+              in
+              if s.s_seen_event then failwith "layout after events";
+              s.s_layouts_rev <- l :: s.s_layouts_rev)
+            else begin
+              s.s_seen_event <- true;
+              Online.feed (online_of s) (Event.of_line line)
+            end)
+      in
+      s.s_accepted <- replayed;
+      s.s_applied <- replayed;
       Wal.truncate_after ~dir ~lsn:s.s_accepted;
       open_wal t s ~start_lsn:s.s_accepted;
       if s.s_accepted > 0 then begin

@@ -29,8 +29,8 @@ type t = {
   mutable seen : int;  (* access rows absorbed so far *)
 }
 
-let create ?filter ?irq_mode ?mode layouts =
-  let eng = Import.engine ?filter ?irq_mode ?mode layouts in
+let create layouts =
+  let eng = Import.engine layouts in
   let st = Import.engine_store eng in
   {
     eng;

@@ -15,18 +15,16 @@
 
 type t
 
-val create :
-  ?filter:Lockdoc_db.Filter.t ->
-  ?irq_mode:Lockdoc_db.Import.irq_mode ->
-  ?mode:Lockdoc_db.Import.mode ->
-  Lockdoc_trace.Layout.t list ->
-  t
+val create : Lockdoc_trace.Layout.t list -> t
+(** Fresh derivator over [layouts]. The wrapped engine imports with
+    {!Lockdoc_db.Import.engine}'s defaults: the default filter,
+    [Inherit] and [Strict]. *)
 
 val feed : t -> Lockdoc_trace.Event.t -> unit
 (** Feed one event through the import engine and absorb any access row
     it produced into the dataset. May raise
-    {!Lockdoc_trace.Trace.Invalid} in [Strict] mode, like the
-    engine. *)
+    {!Lockdoc_trace.Trace.Invalid}, like the engine in [Strict]
+    mode. *)
 
 val position : t -> int
 (** Events consumed so far (the import engine's position). *)

@@ -13,6 +13,9 @@
 
 module Trace = Lockdoc_trace.Trace
 module Run = Lockdoc_ksim.Run
+module Durable = Lockdoc_db.Durable
+module Store = Lockdoc_db.Store
+module Wal = Lockdoc_db.Wal
 
 let check = Alcotest.check
 let exe = Filename.concat Filename.parent_dir_name "bin/lockdoc.exe"
@@ -358,6 +361,103 @@ let test_simulator_fault () =
       "replay"; "export"; "relations"; "profile"; "repro"; "serve"; "feed";
     ]
 
+(* ---- import --durable / recover ----------------------------------- *)
+
+let ends_with s suffix =
+  let ls = String.length s and lx = String.length suffix in
+  ls >= lx && String.sub s (ls - lx) lx = suffix
+
+(* A durable directory belongs to the trace it was started with; using
+   it for another one is input the command cannot take: one line, exit
+   1, and the directory untouched. *)
+let test_durable_foreign_dir () =
+  with_fixtures (fun ~dir ~clean ~bad:_ ->
+      let state = Filename.concat dir "state" in
+      let code, _, _ = run [ "import"; clean; "--durable"; state ] in
+      check Alcotest.int "first import exits 0" 0 code;
+      let manifest = Filename.concat state "MANIFEST" in
+      let before = read_file manifest in
+      let other = Filename.concat dir "other.trace" in
+      Trace.save other (Run.workload_trace ~seed:3 "pipe");
+      let code, out, err = run [ "import"; other; "--durable"; state ] in
+      check Alcotest.int "exit 1" 1 code;
+      check Alcotest.string "nothing on stdout" "" out;
+      check Alcotest.string "one-line diagnostic"
+        (Printf.sprintf
+           "lockdoc: import: %s belongs to a different trace (%s, %d events; \
+            given %s, %d events)\n"
+           state clean
+           (Array.length (Trace.load clean).Trace.events)
+           other
+           (Array.length (Trace.load other).Trace.events))
+        err;
+      check Alcotest.string "MANIFEST untouched" before (read_file manifest))
+
+(* The row-op journal of the first durable format ("lockdoc-durable 1",
+   "LOCKDOCSNAP1") cannot be read any more. Such a directory recovers
+   to an empty store with a reason naming the format, and import
+   --durable over it starts afresh. *)
+let v1_op_line = "AC\t26\t0\ts_flags\tr\t0\tfs/super.c:427\t0\t1"
+
+let test_recover_old_format () =
+  with_fixtures (fun ~dir ~clean ~bad:_ ->
+      let n = Array.length (Trace.load clean).Trace.events in
+      let state = Filename.concat dir "state" in
+      Sys.mkdir state 0o755;
+      let write name s =
+        Out_channel.with_open_bin (Filename.concat state name) (fun oc ->
+            output_string oc s)
+      in
+      write "MANIFEST"
+        (Printf.sprintf
+           "lockdoc-durable 1\nsnapshot=snap-000000.snap\nwal_lsn=0\n\
+            trace_offset=0\ntrace_file=%s\ntrace_events=%d\ncomplete=false\n"
+           clean n);
+      let blob = "an old marshalled payload" in
+      let hdr = Bytes.create 8 in
+      Bytes.set_int32_le hdr 0 (Int32.of_int (String.length blob));
+      Bytes.set_int32_le hdr 4 (Int32.of_int (Wal.crc32 blob));
+      write "snap-000000.snap" ("LOCKDOCSNAP1\n" ^ Bytes.to_string hdr ^ blob);
+      let w = Wal.create ~dir:state () in
+      Wal.append w v1_op_line;
+      Wal.close w;
+      let reason =
+        "old-format directory (lockdoc-durable 1); rerun import --durable to \
+         rebuild it"
+      in
+      let r = Durable.recover ~dir:state in
+      check Alcotest.(option string) "reason names the old format"
+        (Some reason) r.Durable.r_stop;
+      check Alcotest.(option string) "no snapshot" None r.Durable.r_snapshot;
+      check Alcotest.int "empty store: accesses" 0
+        (Store.n_accesses r.Durable.r_store);
+      check Alcotest.int "empty store: types" 0
+        (Store.n_data_types r.Durable.r_store);
+      let code, out, err = run [ "recover"; state ] in
+      check Alcotest.int "recover exits 0" 0 code;
+      check Alcotest.string "recover: nothing on stderr" "" err;
+      check Alcotest.string "recover prints the reason"
+        (Printf.sprintf
+           "snapshot: none (%s)\nstore: 0 access(es), 0 txn(s), 0 lock(s), 0 \
+            allocation(s), 0 type(s)\n"
+           reason)
+        out;
+      let code, out, _ = run [ "import"; clean; "--durable"; state ] in
+      check Alcotest.int "import --durable exits 0" 0 code;
+      check Alcotest.bool "started afresh" false (contains out "resumed");
+      let _, plain, _ = run [ "import"; clean ] in
+      check Alcotest.bool "stats match a plain import" true
+        (ends_with out plain);
+      check Alcotest.bool "manifest rewritten in the current format" true
+        (String.starts_with ~prefix:"lockdoc-durable 2\n"
+           (read_file (Filename.concat state "MANIFEST")));
+      let code, out, _ = run [ "recover"; "--derive"; state ] in
+      check Alcotest.int "recover --derive exits 0" 0 code;
+      check Alcotest.bool "complete" true (contains out "state: complete import");
+      let _, derived, _ = run [ "derive"; clean ] in
+      check Alcotest.bool "recovered rules match derive" true
+        (derived <> "" && ends_with out derived))
+
 (* ---- pack / unpack / binary fsck ---------------------------------- *)
 
 let test_pack_unpack_roundtrip () =
@@ -454,6 +554,13 @@ let () =
           Alcotest.test_case "missing input file" `Quick
             test_missing_input_file;
           Alcotest.test_case "simulator fault" `Quick test_simulator_fault;
+        ] );
+      ( "durable",
+        [
+          Alcotest.test_case "import over another trace's dir" `Quick
+            test_durable_foreign_dir;
+          Alcotest.test_case "recover old-format dir" `Quick
+            test_recover_old_format;
         ] );
       ( "binary",
         [

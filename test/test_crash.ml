@@ -10,8 +10,9 @@
       snapshot / manifest / event-loop machinery;
    2. optionally corrupt the tail of the surviving WAL (truncation,
       bit flip, torn final record — seed-chosen);
-   3. `Durable.recover` must not raise and must yield a consistent
-      prefix of the golden store;
+   3. `Durable.recover` must not raise and must yield a prefix of the
+      golden store: its rules and violations are byte-identical to a
+      plain import of the first `r_trace_offset` events;
    4. resuming `Durable.import` over the same directory must complete
       and produce stats, derived rules and violations byte-identical
       to the uninterrupted run.
@@ -132,11 +133,22 @@ let test_crash_recover_resume () =
             (* 2: for 3 of 4 seeds, additionally corrupt the WAL tail. *)
             if seed mod 4 <> 0 then
               ignore (Crashpoint.corrupt_tail ~dir ~seed:(seed * 7919 + 13));
-            (* 3: recovery must never raise, and must be a prefix. *)
+            (* 3: recovery must never raise, and must be exactly a
+               plain import of the first [r_trace_offset] events. *)
             (match Durable.recover ~dir with
             | r ->
                 if Store.n_accesses r.Durable.r_store > g.go_accesses then
-                  Alcotest.failf "%s: recovered MORE than the golden run" id
+                  Alcotest.failf "%s: recovered MORE than the golden run" id;
+                let prefix = Import.engine g.go_trace.Trace.layouts in
+                for i = 0 to r.Durable.r_trace_offset - 1 do
+                  Import.feed prefix g.go_trace.Trace.events.(i)
+                done;
+                check
+                  (Alcotest.pair Alcotest.string Alcotest.string)
+                  (Printf.sprintf "%s: recovered = import of %d events" id
+                     r.Durable.r_trace_offset)
+                  (reports (Import.engine_store prefix))
+                  (reports r.Durable.r_store)
             | exception e ->
                 Alcotest.failf "%s: recover raised %s" id
                   (Printexc.to_string e));

@@ -9,7 +9,6 @@ module Event = Lockdoc_trace.Event
 module Srcloc = Lockdoc_trace.Srcloc
 module Schema = Lockdoc_db.Schema
 module Store = Lockdoc_db.Store
-module Op = Lockdoc_db.Op
 module Wal = Lockdoc_db.Wal
 module Snapshot = Lockdoc_db.Snapshot
 module Durable = Lockdoc_db.Durable
@@ -20,6 +19,7 @@ module Run = Lockdoc_ksim.Run
 module Dataset = Lockdoc_core.Dataset
 module Derivator = Lockdoc_core.Derivator
 module Report = Lockdoc_core.Report
+module Violation = Lockdoc_core.Violation
 
 let check = Alcotest.check
 
@@ -47,6 +47,20 @@ let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
 let mined s = Report.mined_to_json (Derivator.derive_all (Dataset.of_store s))
+
+(* Rules and violations JSON of a store. *)
+let reports s =
+  let dataset = Dataset.of_store s in
+  let m = Derivator.derive_all dataset in
+  (Report.mined_to_json m, Report.violations_to_json (Violation.find dataset m))
+
+(* The store a plain import of the first [k] events builds. *)
+let prefix_store trace k =
+  let g = Import.engine trace.Trace.layouts in
+  for i = 0 to k - 1 do
+    Import.feed g trace.Trace.events.(i)
+  done;
+  Import.engine_store g
 
 (* {2 WAL} *)
 
@@ -144,6 +158,27 @@ let test_wal_bit_flip () =
   check Alcotest.bool "prefix survives, no raise" true
     (List.length records >= 98)
 
+let test_wal_replay_stops_at_rejected () =
+  with_dir "lockdoc_wal" @@ fun dir ->
+  let w = Wal.create ~dir ~segment_bytes:64 () in
+  List.iter (Wal.append w) payloads;
+  Wal.close w;
+  let seen = ref [] in
+  let applied, stop =
+    Wal.replay ~dir ~from:10 (fun p ->
+        if p = List.nth payloads 15 then failwith "bad record";
+        seen := p :: !seen)
+  in
+  check Alcotest.int "records before the rejected one" 5 applied;
+  check
+    (Alcotest.list Alcotest.string)
+    "given in LSN order from [from], nothing past the rejection"
+    (List.filteri (fun i _ -> i >= 10 && i < 15) payloads)
+    (List.rev !seen);
+  check (Alcotest.option Alcotest.string) "reason names the lsn"
+    (Some "rejected record at lsn 15: Failure(\"bad record\")")
+    stop
+
 let test_wal_truncate_and_resume () =
   with_dir "lockdoc_wal" @@ fun dir ->
   let w = Wal.create ~dir ~segment_bytes:64 () in
@@ -162,79 +197,6 @@ let test_wal_truncate_and_resume () =
   check Alcotest.int "sequence continued" 43 (List.length records);
   check Alcotest.string "resumed record" "resumed"
     (snd (List.nth records 42))
-
-(* {2 Op codec} *)
-
-let test_op_roundtrip () =
-  let loc = Srcloc.make "fs/inode.c" 77 in
-  let ops =
-    [
-      Op.Add_data_type
-        (Layout.make ~name:"w;x,\ty" [ ("m;1", 8, Layout.Data) ]);
-      Op.Add_allocation
-        { ptr = 0x100; size = 64; ty = 0; subclass = Some "-"; start = 3 };
-      Op.Add_allocation
-        { ptr = 0x200; size = 64; ty = 0; subclass = None; start = 4 };
-      Op.Set_alloc_end { al = 0; at = Some 9 };
-      Op.Set_alloc_end { al = 1; at = None };
-      Op.Add_lock
-        {
-          ptr = 0x108;
-          kind = Event.Spinlock;
-          name = "l;ock";
-          parent = Some (0, "m;1");
-        };
-      Op.Add_txn
-        {
-          locks =
-            [ { Schema.h_lock = 0; h_side = Event.Shared; h_loc = loc } ];
-          ctx = 12;
-        };
-      Op.Add_access
-        {
-          event = 5;
-          alloc = 0;
-          member = "m;1";
-          kind = Event.Write;
-          txn = Some 0;
-          loc;
-          stack = 0;
-          ctx = 12;
-        };
-      Op.Intern_stack [ "f\tn"; "g;h" ];
-    ]
-  in
-  List.iter
-    (fun op ->
-      let line = Op.to_line op in
-      check Alcotest.bool "single line" false (String.contains line '\n');
-      check Alcotest.bool
-        (Printf.sprintf "roundtrip [%s]" line)
-        true
-        (Op.equal op (Op.of_line line)))
-    ops
-
-let test_op_replay () =
-  (* Replaying the logged ops of an import must clone the store. *)
-  let trace = Run.workload_trace ~seed:11 ~scale:1 "fsstress" in
-  let ops = ref [] in
-  let g =
-    Import.engine ~log:(fun op -> ops := op :: !ops) trace.Trace.layouts
-  in
-  Array.iter (Import.feed g) trace.Trace.events;
-  ignore (Import.finalize g);
-  let original = Import.engine_store g in
-  let clone = Store.create () in
-  List.iter (Store.apply clone) (List.rev !ops);
-  check Alcotest.int "accesses" (Store.n_accesses original)
-    (Store.n_accesses clone);
-  check Alcotest.int "txns" (Store.n_txns original) (Store.n_txns clone);
-  check Alcotest.int "locks" (Store.n_locks original) (Store.n_locks clone);
-  check Alcotest.int "stacks" (Store.n_stacks original) (Store.n_stacks clone);
-  check
-    (Alcotest.list Alcotest.string)
-    "type keys" (Store.type_keys original) (Store.type_keys clone);
-  check Alcotest.string "mined rules" (mined original) (mined clone)
 
 (* {2 Snapshots} *)
 
@@ -449,7 +411,7 @@ let test_durable_matches_plain () =
   (* recover from the completed dir reproduces the same store. *)
   let r = Durable.recover ~dir in
   check Alcotest.bool "recover complete" true r.Durable.r_complete;
-  check Alcotest.bool "recover clean" true (r.Durable.r_torn = None);
+  check Alcotest.bool "recover clean" true (r.Durable.r_stop = None);
   check Alcotest.string "recovered rules identical" (mined plain_store)
     (mined r.Durable.r_store);
   (* Re-importing a completed dir is a fast path: no new work. *)
@@ -498,9 +460,60 @@ let test_durable_trace_mismatch () =
   ignore (Durable.import ~dir ~checkpoint_every:5_000 trace);
   match Durable.import ~dir ~checkpoint_every:5_000 other with
   | _ -> Alcotest.fail "expected a trace-identity failure"
-  | exception Failure msg ->
-      check Alcotest.bool "message mentions the dir" true
-        (String.length msg > 0)
+  | exception Durable.Foreign_dir msg ->
+      check Alcotest.string "message names the dir and both traces"
+        (Printf.sprintf "%s belongs to a different trace (%d events; given %d \
+                         events)"
+           dir
+           (Array.length trace.Trace.events)
+           (Array.length other.Trace.events))
+        msg
+
+(* Recovery re-feeds the journal tail past the snapshot to the
+   snapshot's engine; the result must be exactly a plain import of the
+   first [r_trace_offset] events, before and after tail damage. *)
+let test_journal_replay_prefix () =
+  let trace = Run.workload_trace ~seed:11 "fsstress" in
+  let checkpoint_every = Array.length trace.Trace.events / 3 in
+  let total_hits =
+    with_dir "lockdoc_durable" @@ fun dir ->
+    Crashpoint.reset ();
+    ignore (Durable.import ~dir ~checkpoint_every trace);
+    Crashpoint.hits ()
+  in
+  with_dir "lockdoc_durable" @@ fun dir ->
+  Crashpoint.reset ();
+  (* Halfway through the hits is mid-way through the second interval. *)
+  Crashpoint.arm ~after:(total_hits / 2);
+  (match Durable.import ~dir ~checkpoint_every trace with
+  | _ -> Alcotest.fail "expected the armed crash to fire"
+  | exception Crashpoint.Crash _ -> ());
+  Crashpoint.reset ();
+  let check_prefix what =
+    let r = Durable.recover ~dir in
+    check Alcotest.int (what ^ ": lsn tracks the trace offset")
+      r.Durable.r_trace_offset r.Durable.r_wal_lsn;
+    let expected = prefix_store trace r.Durable.r_trace_offset in
+    let rows st =
+      ( List.init (Store.n_accesses st) (Store.access st),
+        List.init (Store.n_txns st) (Store.txn st),
+        List.init (Store.n_stacks st) (Store.stack st) )
+    in
+    check Alcotest.bool (what ^ ": access, txn and stack rows") true
+      (rows expected = rows r.Durable.r_store);
+    check
+      (Alcotest.pair Alcotest.string Alcotest.string)
+      (what ^ ": rules and violations")
+      (reports expected) (reports r.Durable.r_store);
+    r
+  in
+  let r = check_prefix "crashed" in
+  check Alcotest.bool "journal records were replayed" true
+    (r.Durable.r_replayed > 0);
+  ignore (Crashpoint.corrupt_tail ~dir ~seed:5);
+  let r' = check_prefix "corrupted" in
+  check Alcotest.bool "damage only shortens the prefix" true
+    (r'.Durable.r_trace_offset <= r.Durable.r_trace_offset)
 
 let () =
   Alcotest.run "durable"
@@ -516,11 +529,8 @@ let () =
           Alcotest.test_case "bit flip" `Quick test_wal_bit_flip;
           Alcotest.test_case "truncate + resume" `Quick
             test_wal_truncate_and_resume;
-        ] );
-      ( "ops",
-        [
-          Alcotest.test_case "codec roundtrip" `Quick test_op_roundtrip;
-          Alcotest.test_case "replay clones store" `Quick test_op_replay;
+          Alcotest.test_case "replay stops at rejected record" `Quick
+            test_wal_replay_stops_at_rejected;
         ] );
       ( "snapshot",
         [
@@ -547,5 +557,7 @@ let () =
             test_durable_crash_resume;
           Alcotest.test_case "trace identity guard" `Quick
             test_durable_trace_mismatch;
+          Alcotest.test_case "journal replay equals prefix import" `Slow
+            test_journal_replay_prefix;
         ] );
     ]
