@@ -1003,13 +1003,6 @@ let serve_cmd =
              ~doc:"Concurrent client connections; extras are rejected with a \
                    structured retry-after.")
   in
-  let queue_bytes_arg =
-    Arg.(value & opt positive_int Server.default_config.Server.queue_bytes
-         & info [ "queue-bytes" ] ~docv:"N"
-             ~doc:"Per-session pending-ingest budget in bytes (the \
-                   daemon-wide budget is 8x this). Frames that would \
-                   overflow it are rejected whole with retry-after.")
-  in
   let session_timeout_arg =
     Arg.(value
          & opt positive_float Server.default_config.Server.session_timeout
@@ -1029,14 +1022,12 @@ let serve_cmd =
                  ephemeral port, printed at startup). Both transports serve \
                  the identical protocol and sessions.")
   in
-  let run socket tcp max_clients queue_bytes session_timeout durable tac metrics =
+  let run socket tcp max_clients session_timeout durable tac metrics =
     with_metrics metrics @@ fun () ->
     let config =
       {
         Server.default_config with
         Server.max_clients;
-        queue_bytes;
-        total_queue_bytes = 8 * queue_bytes;
         session_timeout;
         durable_root = durable;
         tac;
@@ -1048,8 +1039,8 @@ let serve_cmd =
         (Printf.printf "lockdoc serve: listening on tcp port %d\n%!")
         tcp_port
     in
-    (* A listener that cannot be set up is reported like a missing
-       file: one line naming the address, exit 123. *)
+    (* A listener or durable root that cannot be set up is reported
+       like a missing file: one line naming the address, exit 123. *)
     (try Lockdoc_serve.Sockserv.serve ~config ?tcp ~on_ready ~socket ()
      with Lockdoc_serve.Sockserv.Error reason ->
        Printf.eprintf "lockdoc: serve: %s\n" reason;
@@ -1066,8 +1057,8 @@ let serve_cmd =
           $(b,--durable), sessions survive them with their accepted rows \
           intact.")
     Term.(
-      const run $ socket_arg $ tcp_arg $ max_clients_arg $ queue_bytes_arg
-      $ session_timeout_arg $ durable_arg $ tac_arg $ metrics_arg)
+      const run $ socket_arg $ tcp_arg $ max_clients_arg $ session_timeout_arg
+      $ durable_arg $ tac_arg $ metrics_arg)
 
 let feed_cmd =
   let module Proto = Lockdoc_serve.Proto in
@@ -1214,6 +1205,11 @@ let () =
     (match Cmd.eval ~catch:false main with
     | code -> code
     | exception Sys_error reason ->
+        (* A reader that closed stdout early (EPIPE: serve and feed
+           ignore SIGPIPE) leaves the unwritten bytes buffered, and the
+           flush at exit would raise again: write what still can be,
+           then close it. *)
+        close_out_noerr stdout;
         Printf.eprintf "lockdoc: %s\n" reason;
         Cmd.Exit.some_error
     | exception Memory.Use_after_free what ->

@@ -64,12 +64,10 @@ let segment_files ~dir =
 type writer = {
   w_dir : string;
   w_segment_bytes : int;
-  w_sync_every : int;
   mutable w_oc : out_channel;
   mutable w_seg_start : int;
   mutable w_seg_bytes : int;
   mutable w_lsn : int;
-  mutable w_pending : int;
   w_buf : Buffer.t;
       (* Frames not yet handed to the channel. Keeping our own buffer
          (and flushing the channel immediately after every write) means
@@ -83,18 +81,15 @@ let open_segment dir lsn =
     0o644
     (Filename.concat dir (segment_name lsn))
 
-let create ~dir ?(segment_bytes = 1 lsl 20) ?(sync_every = 1) ?(start_lsn = 0)
-    () =
+let create ~dir ?(segment_bytes = 1 lsl 20) ?(start_lsn = 0) () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   {
     w_dir = dir;
     w_segment_bytes = segment_bytes;
-    w_sync_every = max 1 sync_every;
     w_oc = open_segment dir start_lsn;
     w_seg_start = start_lsn;
     w_seg_bytes = 0;
     w_lsn = start_lsn;
-    w_pending = 0;
     w_buf = Buffer.create 4096;
   }
 
@@ -112,8 +107,7 @@ let flush w =
         Stdlib.flush w.w_oc);
     output_string w.w_oc data;
     Stdlib.flush w.w_oc;
-    Obs.incr c_flushes;
-    w.w_pending <- 0
+    Obs.incr c_flushes
   end
 
 let rotate w =
@@ -139,8 +133,7 @@ let append w payload =
   Obs.add c_bytes (8 + len);
   w.w_seg_bytes <- w.w_seg_bytes + 8 + len;
   w.w_lsn <- w.w_lsn + 1;
-  w.w_pending <- w.w_pending + 1;
-  if w.w_pending >= w.w_sync_every then flush w
+  flush w
 
 let close w =
   flush w;

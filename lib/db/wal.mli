@@ -19,19 +19,13 @@ val crc32 : string -> int
 type writer
 
 val create :
-  dir:string ->
-  ?segment_bytes:int ->
-  ?sync_every:int ->
-  ?start_lsn:int ->
-  unit ->
-  writer
+  dir:string -> ?segment_bytes:int -> ?start_lsn:int -> unit -> writer
 (** Open a fresh segment at [start_lsn] (default 0), truncating any
     existing segment of that name. [segment_bytes] (default 1 MiB)
-    bounds segment size; [sync_every] (default 1) batches that many
-    appends per flush. Creates [dir] if missing. *)
+    bounds segment size. Creates [dir] if missing. *)
 
 val append : writer -> string -> unit
-(** Frame and buffer one record; flushes per [sync_every]. *)
+(** Frame one record and flush it to the file. *)
 
 val flush : writer -> unit
 (** Push all buffered frames to the file. After [flush] returns, every

@@ -47,7 +47,6 @@ type outcome = {
   o_idle_closes : int;
   o_corrupted_tails : int;
   o_rows_resent : int;
-  o_max_pending : int;
 }
 
 (* ---- Simulation fabric -------------------------------------------- *)
@@ -105,7 +104,6 @@ type counters = {
   mutable idle_closes : int;
   mutable corrupted : int;
   mutable resent : int;
-  mutable max_pending : int;
 }
 
 type st = {
@@ -378,9 +376,8 @@ let on_server_msg st cl (msg : Proto.server_msg) =
       rewind st cl resume;
       cl.phase <- Run
   | Proto.Nack { expected } -> rewind st cl expected
-  | Proto.Retry_after { ms; expected; _ } ->
-      cl.pause_until <- st.tick + 1 + ((ms + 9) / 10);
-      Option.iter (rewind st cl) expected
+  | Proto.Retry_after { ms; _ } ->
+      cl.pause_until <- st.tick + 1 + ((ms + 9) / 10)
   | Proto.Sealed { events; rules; violations } ->
       cl.result <- Some (events, rules, violations);
       send st cl Proto.Bye;
@@ -489,7 +486,6 @@ let chaos_config ~durable_root =
     Server.default_config with
     max_clients = 8;
     session_timeout = 2.0;
-    events_per_step = 256;
     retry_after_ms = 30;
     restart_backoff = 0.1;
     max_backoff = 1.0;
@@ -561,7 +557,6 @@ let run ?(seed = 1) ?(scale = 1) ?durable_root ?(transport = `Unix_sock)
           idle_closes = 0;
           corrupted = 0;
           resent = 0;
-          max_pending = 0;
         };
       durable_root;
     }
@@ -588,13 +583,7 @@ let run ?(seed = 1) ?(scale = 1) ?durable_root ?(transport = `Unix_sock)
     Array.iter (act st) st.clients;
     List.iter (deliver_c2s st) (sorted_vconns st);
     route st (Server.step st.srv ~now:(now st));
-    List.iter (deliver_s2c st) (sorted_vconns st);
-    let pending = Server.pending_total st.srv in
-    if pending > st.k.max_pending then st.k.max_pending <- pending;
-    if pending > cfg.Server.total_queue_bytes then
-      failwith
-        (Printf.sprintf "chaos(%s): queued ingest %d exceeds budget %d"
-           (fault_name fault) pending cfg.Server.total_queue_bytes)
+    List.iter (deliver_s2c st) (sorted_vconns st)
   done;
   (* The oracle: both sessions — faulted and clean — must have produced
      exactly the batch pipeline's reports. *)
@@ -634,5 +623,4 @@ let run ?(seed = 1) ?(scale = 1) ?durable_root ?(transport = `Unix_sock)
     o_idle_closes = st.k.idle_closes;
     o_corrupted_tails = st.k.corrupted;
     o_rows_resent = st.k.resent;
-    o_max_pending = st.k.max_pending;
   }

@@ -21,7 +21,6 @@
     clean — to completion, then checks the accepted invariants:
 
     - the daemon survives (no exception escapes the engine);
-    - queued ingest never exceeds the configured global budget;
     - both sessions seal with mined-rule and violation reports
       byte-identical to the batch pipeline over the same trace.
 
@@ -41,14 +40,13 @@ type outcome = {
   o_faults_injected : int;  (** family-specific fault count *)
   o_reconnects : int;
   o_nacks : int;  (** sequence-gap rewinds the server issued *)
-  o_retry_afters : int;  (** load-shed / backoff rejections *)
+  o_retry_afters : int;  (** max-clients / backoff rejections *)
   o_garbled : int;  (** [err garbled] connection closes *)
   o_session_failures : int;  (** [err session-failed] supervisor kills *)
   o_supersedes : int;  (** old connections superseded by reconnects *)
   o_idle_closes : int;  (** connections the daemon idle-closed *)
   o_corrupted_tails : int;  (** journal tails damaged between crashes *)
   o_rows_resent : int;  (** duplicate rows absorbed idempotently *)
-  o_max_pending : int;  (** high-water mark of queued ingest bytes *)
 }
 
 val run :

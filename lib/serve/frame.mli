@@ -38,6 +38,6 @@ val next : decoder -> next
 
 val buffered : decoder -> int
 (** Unconsumed bytes held by the decoder (bounded by one frame plus one
-    read chunk; the session layer counts it against the queue cap). *)
+    read chunk). *)
 
 val is_corrupt : decoder -> bool

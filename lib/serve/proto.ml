@@ -5,12 +5,12 @@
 
    Row frames carry the absolute index of their first row so the
    stream survives lossy transports: a gap nacks with the expected
-   index, an overlap (a retransmission after a retry-after) is
+   index, an overlap (a retransmission after a reconnect) is
    deduplicated idempotently. *)
 
 module Fieldenc = Lockdoc_trace.Fieldenc
 
-let version = 1
+let version = 2
 
 type query = Status | Metrics | Stream_rules
 
@@ -27,7 +27,7 @@ type client_msg =
 type server_msg =
   | Welcome of { resume : int }
   | Nack of { expected : int }
-  | Retry_after of { ms : int; expected : int option; reason : string }
+  | Retry_after of { ms : int; reason : string }
   | Err of { code : string; reason : string }
   | Pong
   | Sealed of { events : int; rules : string; violations : string }
@@ -66,13 +66,8 @@ let client_to_payload = function
 let server_to_payload = function
   | Welcome { resume } -> tab [ "welcome"; string_of_int resume ]
   | Nack { expected } -> tab [ "nack"; string_of_int expected ]
-  | Retry_after { ms; expected; reason } ->
-      tab
-        [
-          "retry-after"; string_of_int ms;
-          (match expected with Some e -> string_of_int e | None -> "-");
-          Fieldenc.encode reason;
-        ]
+  | Retry_after { ms; reason } ->
+      tab [ "retry-after"; string_of_int ms; Fieldenc.encode reason ]
   | Err { code; reason } -> tab [ "err"; code; Fieldenc.encode reason ]
   | Pong -> "pong"
   | Sealed { events; rules; violations } ->
@@ -145,14 +140,10 @@ let server_of_payload payload =
   | [ "nack"; n ], [] ->
       let* expected = int_field "expected" n in
       Ok (Nack { expected })
-  | [ "retry-after"; ms; expected; reason ], [] ->
+  | [ "retry-after"; ms; reason ], [] ->
       let* ms = int_field "ms" ms in
-      let* expected =
-        if expected = "-" then Ok None
-        else Result.map Option.some (int_field "expected" expected)
-      in
       let* reason = decode_field "reason" reason in
-      Ok (Retry_after { ms; expected; reason })
+      Ok (Retry_after { ms; reason })
   | [ "err"; code; reason ], [] ->
       let* reason = decode_field "reason" reason in
       Ok (Err { code; reason })

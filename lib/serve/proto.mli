@@ -13,16 +13,16 @@
     stream safe over lossy or retrying transports. *)
 
 val version : int
+(** 2. Version 1 carried a resend watermark in [Retry_after]. *)
 
 type query =
   | Status
   | Metrics
   | Stream_rules
       (** Current rules from the session's online derivator — requires
-          an attached session (send [Hello] first), drains the
-          session's pending queue and answers [Info] with the live
-          rules/violations JSON {e without} sealing: feeding can
-          continue afterwards. *)
+          an attached session (send [Hello] first) and answers [Info]
+          with the rules/violations JSON of every accepted row
+          {e without} sealing: feeding can continue afterwards. *)
 
 type client_msg =
   | Hello of { version : int; session : string }
@@ -53,13 +53,13 @@ type server_msg =
   | Welcome of { resume : int }
       (** [resume] rows are already accepted; send row [resume] next. *)
   | Nack of { expected : int }  (** Sequence gap: rewind to [expected]. *)
-  | Retry_after of { ms : int; expected : int option; reason : string }
-      (** Load-shed: the frame was NOT accepted; retry after [ms].
-          [expected] carries the session's accepted-row watermark (the
-          row to resend from) when there is session context. *)
+  | Retry_after of { ms : int; reason : string }
+      (** Come back after [ms]: the daemon is at [max_clients], or the
+          session is restarting behind the supervisor's backoff. The
+          connection is closed after this reply. *)
   | Err of { code : string; reason : string }
-      (** Structured rejection. Codes: [proto], [version], [garbled],
-          [oversize], [too-many-clients], [session-failed], [sealed],
+      (** Structured rejection. Codes: [proto], [version], [garbled]
+          (also an over-long frame), [session-failed],
           [permanent-failure], [shutting-down]. *)
   | Pong
   | Sealed of { events : int; rules : string; violations : string }

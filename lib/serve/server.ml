@@ -1,29 +1,26 @@
 (* The supervised multi-client analysis daemon, as a sans-IO engine.
 
-   All protocol, session, supervision and backpressure logic lives here
-   behind four entry points — [accept], [on_bytes], [on_close], [step]
-   — that take the current time as an argument and return a list of
-   transport actions. No sockets, no clocks, no threads: the Unix
-   front end ({!Sockserv}) and the connection-chaos harness ({!Chaos})
-   drive the very same state machine, one with real file descriptors
-   and the monotonic clock, the other with scripted faults and virtual
-   time. That is what makes every failure mode injectable and every
-   outcome assertable. The engine is single-threaded: a seal runs
-   inline in the [on_bytes] call that delivers the [Seal] frame, on
-   the same online engine every [stream] query already freezes.
+   All protocol, session and supervision logic lives here behind four
+   entry points — [accept], [on_bytes], [on_close], [step] — that take
+   the current time as an argument and return a list of transport
+   actions. No sockets, no clocks, no threads: the Unix front end
+   ({!Sockserv}) and the connection-chaos harness ({!Chaos}) drive the
+   very same state machine, one with real file descriptors and the
+   monotonic clock, the other with scripted faults and virtual time.
+   That is what makes every failure mode injectable and every outcome
+   assertable. The engine is single-threaded and does the work in the
+   call that receives it: a rows frame is applied to the session's
+   online engine, a [stream] query freezes it and a seal finalizes it,
+   each inside the [on_bytes] call that delivers the frame.
 
    Isolation invariants:
    - a connection owns its frame decoder; a framing violation kills
      the connection (structured [err garbled]), never the session;
-   - a session owns its import engine, pending queue and WAL journal;
-     a worker exception (protocol abuse, importer anomaly, injected
-     crash) kills the session state, never the daemon — the supervisor
-     tombstones it with capped exponential backoff and lets the client
-     rebuild from the durable journal;
-   - ingest is bounded: a rows frame that would overflow the
-     per-session or global queue budget is rejected whole with a
-     structured [retry-after] — never buffered, never silently
-     dropped. *)
+   - a session owns its online engine and WAL journal; a worker
+     exception (protocol abuse, importer anomaly, injected crash) kills
+     the session state, never the daemon — the supervisor tombstones
+     it with capped exponential backoff and lets the client rebuild
+     from the durable journal. *)
 
 module Trace = Lockdoc_trace.Trace
 module Event = Lockdoc_trace.Event
@@ -60,22 +57,19 @@ let c_subscribes = Obs.counter "serve.subscribes"
 let c_pushes = Obs.counter "serve.pushes"
 let g_sessions = Obs.gauge "serve.sessions"
 let g_conns = Obs.gauge "serve.conns"
-let g_queue_bytes = Obs.gauge "serve.queue_bytes"
-let h_frame_latency = Obs.histogram "serve.frame_latency_ms"
 let h_seal = Obs.histogram "serve.seal_ms"
 let h_rebuild = Obs.histogram "serve.rebuild_ms"
 
 (* ---- Configuration ------------------------------------------------ *)
 
+(* Largest client frame accepted: bounds the rows one [on_bytes] call
+   can apply. *)
+let max_frame = 1 lsl 20
+
 type config = {
   max_clients : int;
-  queue_bytes : int;
-  total_queue_bytes : int;
-  max_frame : int;
   session_timeout : float;
-  events_per_step : int;
   durable_root : string option;
-  wal_sync_every : int;
   retry_after_ms : int;
   restart_backoff : float;
   max_backoff : float;
@@ -88,13 +82,8 @@ type config = {
 let default_config =
   {
     max_clients = 64;
-    queue_bytes = 1 lsl 20;
-    total_queue_bytes = 8 lsl 20;
-    max_frame = 1 lsl 20;
     session_timeout = 30.;
-    events_per_step = 4096;
     durable_root = None;
-    wal_sync_every = 1;
     retry_after_ms = 50;
     restart_backoff = 0.1;
     max_backoff = 5.;
@@ -128,11 +117,7 @@ type session = {
   mutable s_layouts_rev : Layout.t list;
   mutable s_online : Online.t option;
   mutable s_seen_event : bool;  (* an event row was accepted *)
-  mutable s_accepted : int;  (* rows journaled + enqueued (layouts incl.) *)
-  mutable s_applied : int;  (* rows applied to the engine (layouts incl.) *)
-  s_pending : (Event.t * int) Queue.t;  (* event, queue bytes *)
-  mutable s_pending_bytes : int;
-  s_markers : (int * float) Queue.t;  (* frame-end row index, t-enqueue *)
+  mutable s_accepted : int;  (* rows applied and journaled (layouts incl.) *)
   mutable s_wal : Wal.writer option;
   mutable s_restarts : int;
   mutable s_not_before : float;
@@ -158,7 +143,6 @@ type t = {
   conns : (int, conn) Hashtbl.t;
   sessions : (string, session) Hashtbl.t;
   mutable next_conn : int;
-  mutable pending_total : int;
   mutable shutdown : bool;
 }
 
@@ -166,14 +150,15 @@ type output = Send of int * Proto.server_msg | Close of int * string
 
 let create ?(config = default_config) () =
   (match config.durable_root with
-  | Some root -> if not (Sys.file_exists root) then Sys.mkdir root 0o755
-  | None -> ());
+  | Some root when not (Sys.file_exists root) -> Sys.mkdir root 0o755
+  | Some root when not (Sys.is_directory root) ->
+      raise (Sys_error (root ^ ": Not a directory"))
+  | _ -> ());
   {
     cfg = config;
     conns = Hashtbl.create 16;
     sessions = Hashtbl.create 16;
     next_conn = 0;
-    pending_total = 0;
     shutdown = false;
   }
 
@@ -181,7 +166,6 @@ let config t = t.cfg
 let shutting_down t = t.shutdown
 let n_conns t = Hashtbl.length t.conns
 let n_sessions t = Hashtbl.length t.sessions
-let pending_total t = t.pending_total
 
 let sorted_keys tbl compare =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
@@ -192,8 +176,6 @@ type session_view = {
   v_id : string;
   v_state : string;
   v_accepted : int;
-  v_applied : int;
-  v_pending_bytes : int;
   v_restarts : int;
   v_attached : bool;
 }
@@ -211,8 +193,6 @@ let sessions t =
         v_id = s.s_id;
         v_state = state_string s.s_state;
         v_accepted = s.s_accepted;
-        v_applied = s.s_applied;
-        v_pending_bytes = s.s_pending_bytes;
         v_restarts = s.s_restarts;
         v_attached = s.s_conn <> None;
       })
@@ -225,8 +205,6 @@ let status_json t =
        [
          ("clients", I (Hashtbl.length t.conns));
          ("sessions", I (Hashtbl.length t.sessions));
-         ("queue_bytes", I t.pending_total);
-         ("queue_bytes_limit", I t.cfg.total_queue_bytes);
          ("shutting_down", S (string_of_bool t.shutdown));
          ( "session",
            L
@@ -237,8 +215,6 @@ let status_json t =
                       ("id", S v.v_id);
                       ("state", S v.v_state);
                       ("accepted_rows", I v.v_accepted);
-                      ("applied_rows", I v.v_applied);
-                      ("pending_bytes", I v.v_pending_bytes);
                       ("restarts", I v.v_restarts);
                       ("attached", S (string_of_bool v.v_attached));
                     ])
@@ -271,10 +247,6 @@ let fresh_session _t id ~now =
     s_online = None;
     s_seen_event = false;
     s_accepted = 0;
-    s_applied = 0;
-    s_pending = Queue.create ();
-    s_pending_bytes = 0;
-    s_markers = Queue.create ();
     s_wal = None;
     s_restarts = 0;
     s_not_before = now;
@@ -288,10 +260,7 @@ let fresh_session _t id ~now =
 let open_wal t s ~start_lsn =
   match session_dir t s.s_id with
   | None -> ()
-  | Some dir ->
-      s.s_wal <-
-        Some
-          (Wal.create ~dir ~sync_every:t.cfg.wal_sync_every ~start_lsn ())
+  | Some dir -> s.s_wal <- Some (Wal.create ~dir ~start_lsn ())
 
 (* Sessions run the online derivator: the wrapped import engine is fed
    exactly as before, and the dataset it keeps folded lets the [stream]
@@ -303,39 +272,6 @@ let online_of s =
       let o = Online.create (List.rev s.s_layouts_rev) in
       s.s_online <- Some o;
       o
-
-let drop_pending t s =
-  t.pending_total <- t.pending_total - s.s_pending_bytes;
-  s.s_pending_bytes <- 0;
-  Queue.clear s.s_pending;
-  Queue.clear s.s_markers
-
-(* Feed one queued event to the engine. The crash point makes the
-   worker hot path seedable: an armed [Crashpoint] kills exactly this
-   session, and the chaos/supervision tests assert the daemon and the
-   other sessions never notice. *)
-let feed_one t s ~now =
-  let ev, bytes = Queue.pop s.s_pending in
-  Crashpoint.hit "serve.feed";
-  Online.feed (online_of s) ev;
-  s.s_applied <- s.s_applied + 1;
-  s.s_pending_bytes <- s.s_pending_bytes - bytes;
-  t.pending_total <- t.pending_total - bytes;
-  while
-    (not (Queue.is_empty s.s_markers))
-    && fst (Queue.peek s.s_markers) <= s.s_applied
-  do
-    let _, t0 = Queue.pop s.s_markers in
-    if Obs.enabled () then
-      Obs.observe h_frame_latency (1000. *. (now -. t0))
-  done
-
-(* Apply every queued event: what a [stream] query, a subscription
-   snapshot and a seal must see. *)
-let feed_pending t s ~now =
-  while not (Queue.is_empty s.s_pending) do
-    feed_one t s ~now
-  done
 
 (* Rebuild a session's import state by replaying its durable journal
    (the valid WAL prefix). Rows were validated before they were
@@ -363,7 +299,6 @@ let rebuild_session t id ~now =
             end)
       in
       s.s_accepted <- replayed;
-      s.s_applied <- replayed;
       Wal.truncate_after ~dir ~lsn:s.s_accepted;
       open_wal t s ~start_lsn:s.s_accepted;
       if s.s_accepted > 0 then begin
@@ -388,11 +323,9 @@ let session_fail t s ~now exn =
   let reason = Printexc.to_string exn in
   Obs.incr c_session_failures;
   close_wal s;
-  drop_pending t s;
   s.s_online <- None;
   s.s_layouts_rev <- [];
   s.s_accepted <- 0;
-  s.s_applied <- 0;
   s.s_restarts <- s.s_restarts + 1;
   let backoff =
     min t.cfg.max_backoff
@@ -449,7 +382,6 @@ let accept t ~now =
             Proto.Retry_after
               {
                 ms = t.cfg.retry_after_ms;
-                expected = None;
                 reason =
                   Printf.sprintf "at max-clients (%d)" t.cfg.max_clients;
               } );
@@ -461,7 +393,7 @@ let accept t ~now =
     Hashtbl.replace t.conns id
       {
         c_id = id;
-        c_decoder = Frame.decoder ~max_frame:t.cfg.max_frame ();
+        c_decoder = Frame.decoder ~max_frame ();
         c_session = None;
         c_last_activity = now;
       };
@@ -533,7 +465,6 @@ let handle_hello t c ~now version session_id =
                 {
                   ms =
                     int_of_float (ceil ((s.s_not_before -. now) *. 1000.));
-                  expected = None;
                   reason = "session restarting (backoff)";
                 } );
           Close (c.c_id, "backoff");
@@ -600,6 +531,24 @@ let handle_hello t c ~now version session_id =
 
 type parsed_row = P_layout of Layout.t | P_event of Event.t
 
+(* Apply one fresh row. A layout is recorded; an event is fed to the
+   online engine. Either is journaled only once applied, so the journal
+   holds exactly the rows the engine took — the same rule as
+   {!Lockdoc_db.Durable.import}. The crash point makes the worker hot
+   path seedable: an armed [Crashpoint] kills exactly this session, and
+   the chaos/supervision tests assert the daemon and the other sessions
+   never notice. *)
+let apply_row s line p =
+  (match p with
+  | P_layout l -> s.s_layouts_rev <- l :: s.s_layouts_rev
+  | P_event ev ->
+      Crashpoint.hit "serve.feed";
+      Online.feed (online_of s) ev;
+      s.s_seen_event <- true;
+      Obs.incr c_events);
+  (match s.s_wal with Some w -> Wal.append w line | None -> ());
+  s.s_accepted <- s.s_accepted + 1
+
 let handle_rows t c s ~now start lines =
   match s.s_state with
   | Failed reason ->
@@ -622,95 +571,51 @@ let handle_rows t c s ~now start lines =
         in
         if fresh = [] then []  (* pure retransmission; nothing new *)
         else
-          let bytes =
-            List.fold_left (fun a l -> a + String.length l + 1) 0 fresh
-          in
-          if
-            s.s_pending_bytes + bytes > t.cfg.queue_bytes
-            || t.pending_total + bytes > t.cfg.total_queue_bytes
-          then begin
-            Obs.incr c_retry_after;
-            [
-              Send
-                ( c.c_id,
-                  Proto.Retry_after
-                    {
-                      ms = t.cfg.retry_after_ms;
-                      expected = Some s.s_accepted;
-                      reason =
-                        (if s.s_pending_bytes + bytes > t.cfg.queue_bytes
-                         then "session ingest queue full"
-                         else "server ingest queues full");
-                    } );
-            ]
-          end
-          else (
-            (* Validate the whole frame before accepting any of it: a
-               row that does not parse rejects the frame atomically, so
-               the journal only ever holds well-formed rows. *)
-            match
-              List.map
-                (fun line ->
-                  if String.length line >= 2 && String.sub line 0 2 = "T\t"
-                  then
-                    P_layout
-                      (Layout.of_string
-                         (String.sub line 2 (String.length line - 2)))
-                  else P_event (Event.of_line line))
-                lines
-            with
-            | exception Failure reason ->
-                proto_error t c ("unparseable row: " ^ reason)
-            | parsed -> (
-                let parsed_fresh =
-                  if skip = 0 then parsed
-                  else List.filteri (fun i _ -> i >= skip) parsed
-                in
-                let layout_after_event = ref s.s_seen_event in
-                let misordered =
-                  List.exists
-                    (function
-                      | P_layout _ -> !layout_after_event
-                      | P_event _ ->
-                          layout_after_event := true;
-                          false)
-                    parsed_fresh
-                in
-                if misordered then
-                  proto_error t c "layout row after event rows"
-                else
-                  try
-                    Crashpoint.hit "serve.rows";
-                    let had_events = ref false in
-                    List.iter2
-                      (fun line p ->
-                        (match s.s_wal with
-                        | Some w -> Wal.append w line
-                        | None -> ());
-                        match p with
-                        | P_layout l ->
-                            s.s_layouts_rev <- l :: s.s_layouts_rev;
-                            s.s_accepted <- s.s_accepted + 1;
-                            s.s_applied <- s.s_applied + 1
-                        | P_event ev ->
-                            had_events := true;
-                            s.s_seen_event <- true;
-                            let b = String.length line + 1 in
-                            Queue.push (ev, b) s.s_pending;
-                            s.s_pending_bytes <- s.s_pending_bytes + b;
-                            t.pending_total <- t.pending_total + b;
-                            s.s_accepted <- s.s_accepted + 1;
-                            Obs.incr c_events)
-                      fresh parsed_fresh;
-                    (match s.s_wal with Some w -> Wal.flush w | None -> ());
-                    if !had_events then
-                      Queue.push (s.s_accepted, now) s.s_markers;
-                    s.s_last_activity <- now;
-                    []
-                  with exn ->
-                    let outs = session_fail t s ~now exn in
-                    detach t c.c_id;
-                    outs)))
+          (* Validate the whole frame before accepting any of it: a row
+             that does not parse rejects the frame atomically, so the
+             journal only ever holds well-formed rows. *)
+          match
+            List.map
+              (fun line ->
+                if String.length line >= 2 && String.sub line 0 2 = "T\t"
+                then
+                  P_layout
+                    (Layout.of_string
+                       (String.sub line 2 (String.length line - 2)))
+                else P_event (Event.of_line line))
+              lines
+          with
+          | exception Failure reason ->
+              proto_error t c ("unparseable row: " ^ reason)
+          | parsed -> (
+              let parsed_fresh =
+                if skip = 0 then parsed
+                else List.filteri (fun i _ -> i >= skip) parsed
+              in
+              let layout_after_event = ref s.s_seen_event in
+              let misordered =
+                List.exists
+                  (function
+                    | P_layout _ -> !layout_after_event
+                    | P_event _ ->
+                        layout_after_event := true;
+                        false)
+                  parsed_fresh
+              in
+              if misordered then proto_error t c "layout row after event rows"
+              else
+                (* Apply in this call. A row the engine rejects fails
+                   the session here; the rows before it stay applied
+                   and journaled, so a reconnect resumes at it. *)
+                try
+                  Crashpoint.hit "serve.rows";
+                  List.iter2 (apply_row s) fresh parsed_fresh;
+                  s.s_last_activity <- now;
+                  []
+                with exn ->
+                  let outs = session_fail t s ~now exn in
+                  detach t c.c_id;
+                  outs))
 
 (* ---- Seals and rule pushes ---------------------------------------- *)
 
@@ -769,13 +674,12 @@ let push_msg s ~state ~events ~objs ~violations ~added ~removed =
   in
   Proto.Info { json }
 
-(* Seal on the loop: apply the queued rows, finalize and freeze the
-   engine, and cache the result. Replies go to the attached connection:
+(* Seal on the loop: finalize and freeze the engine, and cache the
+   result. Replies go to the attached connection:
    the subscriber's final push (its last delta) first, then [Sealed]. *)
 let seal t s ~now =
   Crashpoint.hit "serve.seal";
   let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
-  feed_pending t s ~now;
   close_wal s;
   let onl = online_of s in
   let _stats = Online.finalize onl in
@@ -862,9 +766,9 @@ let handle_query t c q =
   [ Send (c.c_id, Proto.Info { json }) ]
 
 (* The [stream] query: answer the session's current rules from the
-   online derivator. Drains the pending queue first so the answer
-   reflects every accepted row, then freezes the derivator — the store
-   is never sealed, so the client keeps feeding afterwards. *)
+   online derivator. Every accepted row is already applied, so freezing
+   the derivator answers all of them — the store is never sealed, so
+   the client keeps feeding afterwards. *)
 let handle_stream t c s ~now =
   Obs.incr c_queries;
   Obs.incr c_stream_queries;
@@ -886,13 +790,12 @@ let handle_stream t c s ~now =
   | Stream -> (
       try
         Crashpoint.hit "serve.stream";
-        feed_pending t s ~now;
         s.s_last_activity <- now;
         match s.s_online with
         | None ->
             (* No event fed yet. Do NOT force the engine into existence
                here: it must only be built once every layout row is in,
-               which [feed_one] guarantees (layouts precede events). *)
+               which [apply_row] guarantees (layouts precede events). *)
             reply ~state:"streaming" ~events:0 ~rules:"[]" ~violations:"[]"
         | Some onl ->
             let objs, violations = freeze_rules ~tac:t.cfg.tac onl in
@@ -927,7 +830,6 @@ let handle_subscribe t c s ~now =
   | Stream -> (
       try
         Crashpoint.hit "serve.stream";
-        feed_pending t s ~now;
         s.s_sub <- true;
         s.s_last_activity <- now;
         match s.s_online with
@@ -960,17 +862,15 @@ let handle_subscribe t c s ~now =
         detach t c.c_id;
         outs)
 
-(* The step-time half of subscriptions: once the session has applied
-   every accepted row (the pending queue is empty, so a [stream] query
-   at this instant would answer the same bytes) and the derivation has
+(* The step-time half of subscriptions: once the derivation has
    drifted past the debounce — enough new events AND enough elapsed
-   time — freeze and push the delta. An unchanged freeze advances the
+   time — freeze and push the delta (the bytes a [stream] query at this
+   instant would answer). An unchanged freeze advances the
    ledger silently: subscribers only hear about change. *)
 let session_push t s ~now =
   match (s.s_conn, s.s_state, s.s_online) with
   | Some cid, Stream, Some onl
     when s.s_sub
-         && Queue.is_empty s.s_pending
          && Online.position onl - s.s_pub_pos >= t.cfg.sub_debounce_events
          && now -. s.s_pub_t >= t.cfg.sub_min_interval -> (
       try
@@ -1096,21 +996,6 @@ let step t ~now =
               ]
       | _ -> ())
     (sorted_keys t.conns compare);
-  (* Bounded ingest processing, round-robin over sessions in id order
-     so progress is deterministic and no session can starve others. *)
-  List.iter
-    (fun sid ->
-      match Hashtbl.find_opt t.sessions sid with
-      | None -> ()
-      | Some s -> (
-          try
-            let budget = ref t.cfg.events_per_step in
-            while !budget > 0 && not (Queue.is_empty s.s_pending) do
-              feed_one t s ~now;
-              decr budget
-            done
-          with exn -> outs := !outs @ session_fail t s ~now exn))
-    (sorted_keys t.sessions String.compare);
   (* Debounced rule pushes to subscribed connections. *)
   List.iter
     (fun sid ->
@@ -1128,14 +1013,12 @@ let step t ~now =
       | Some ({ s_state = Stream | Sealed_s _; s_conn = None; _ } as s)
         when now -. s.s_last_activity > t.cfg.session_timeout ->
           close_wal s;
-          drop_pending t s;
           Hashtbl.remove t.sessions sid
       | _ -> ())
     (sorted_keys t.sessions String.compare);
   if Obs.enabled () then begin
     Obs.set_gauge g_sessions (float_of_int (Hashtbl.length t.sessions));
-    Obs.set_gauge g_conns (float_of_int (Hashtbl.length t.conns));
-    Obs.set_gauge g_queue_bytes (float_of_int t.pending_total)
+    Obs.set_gauge g_conns (float_of_int (Hashtbl.length t.conns))
   end;
   !outs
 

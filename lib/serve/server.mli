@@ -1,14 +1,15 @@
 (** The `lockdoc serve` daemon core, as a sans-IO state machine.
 
-    The engine owns every protocol, session, supervision and
-    backpressure decision; transports stay dumb. Four entry points take
-    the current time and return transport actions:
+    The engine owns every protocol, session and supervision decision;
+    transports stay dumb. Four entry points take the current time and
+    return transport actions:
 
     - {!accept} — a transport accepted a connection;
-    - {!on_bytes} — bytes arrived on a connection;
+    - {!on_bytes} — bytes arrived on a connection; every complete frame
+      in them is handled in the call;
     - {!on_close} — a connection vanished;
-    - {!step} — periodic tick: bounded ingest processing, idle
-      timeouts, session GC.
+    - {!step} — periodic tick: idle timeouts, debounced subscription
+      pushes, session GC.
 
     The Unix socket front end ({!Sockserv}) drives it with real file
     descriptors and the monotonic clock ({!Lockdoc_obs.Obs.Clock.wall});
@@ -26,27 +27,26 @@
     after [max_restarts]), and a later reconnect rebuilds it from the
     durable journal. The daemon itself never dies.
 
-    {2 Backpressure}
+    {2 Ingest runs inline}
 
-    Every session journals and queues accepted rows; {!step} drains at
-    most [events_per_step] per session per tick. A rows frame that
-    would push the session past [queue_bytes] — or the daemon past
-    [total_queue_bytes] — is rejected whole with [retry-after]:
-    graceful degradation, never OOM, never a silent drop. *)
+    A [Rows] frame is applied before {!on_bytes} returns: each fresh
+    row is fed to the session's online engine and then journaled, so
+    the journal holds only rows the engine accepted. A row the engine
+    rejects fails the session in the same call; the rows before it stay
+    applied, and a reconnect resumes at the rejected row. Frames are at
+    most {!max_frame} bytes, which bounds the work one call does. *)
+
+val max_frame : int
+(** Largest client frame accepted: 1 MiB. *)
 
 type config = {
   max_clients : int;  (** concurrent connections *)
-  queue_bytes : int;  (** per-session pending-ingest cap *)
-  total_queue_bytes : int;  (** daemon-wide pending-ingest cap *)
-  max_frame : int;  (** largest client frame accepted *)
   session_timeout : float;  (** idle seconds before close / GC *)
-  events_per_step : int;  (** per-session feed budget per {!step} *)
   durable_root : string option;
       (** when set, each session journals accepted rows to
           [root/session-<id>/] in WAL framing and is rebuilt from the
           valid journal prefix on reconnect *)
-  wal_sync_every : int;
-  retry_after_ms : int;  (** suggested delay in load-shed replies *)
+  retry_after_ms : int;  (** suggested delay in max-clients replies *)
   restart_backoff : float;  (** base of the exponential backoff, seconds *)
   max_backoff : float;
   max_restarts : int;  (** failures before [permanent-failure] *)
@@ -63,12 +63,12 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-(** Creates [durable_root] if configured and missing. The engine is
-    single-threaded: a [Seal] frame is answered [Sealed] within the
-    same {!on_bytes} call, after the session's queued rows are applied
-    and its online engine is frozen — the work a [stream] query on the
-    same state already does inline. A seal that raises fails the
-    session like any other worker exception. *)
+(** Creates [durable_root] if configured and missing.
+    @raise Sys_error ["<root>: <reason>"] when [durable_root] is not a
+    directory or cannot be created. The engine is single-threaded: a
+    [Seal] frame is answered [Sealed] within the same {!on_bytes} call,
+    after the session's online engine is finalized and frozen. A seal
+    that raises fails the session like any other worker exception. *)
 
 val config : t -> config
 
@@ -84,17 +84,17 @@ val accept : t -> now:float -> int * output list
     then close. *)
 
 val on_bytes : t -> now:float -> int -> string -> output list
-(** Feed received bytes; decodes and handles every complete frame. *)
+(** Feed received bytes; decodes and handles every complete frame,
+    applying the rows it carries (see {e Ingest runs inline}). *)
 
 val on_close : t -> now:float -> int -> unit
 (** The peer closed (or the transport failed). Detaches the session,
     which stays resumable. *)
 
 val step : t -> now:float -> output list
-(** One supervision tick: idle timeouts, bounded ingest processing,
-    debounced subscription pushes, session GC. Call regularly (the
-    cadence bounds ingest latency and timeout precision — not
-    correctness). *)
+(** One supervision tick: idle timeouts, debounced subscription
+    pushes, session GC. Call regularly (the cadence bounds push latency
+    and timeout precision — not correctness). *)
 
 val encode_output : output -> int * [ `Send of string | `Close of string ]
 (** Wire-encode an output for a byte transport. *)
@@ -105,8 +105,6 @@ type session_view = {
   v_id : string;
   v_state : string;
   v_accepted : int;
-  v_applied : int;
-  v_pending_bytes : int;
   v_restarts : int;
   v_attached : bool;
 }
@@ -114,9 +112,6 @@ type session_view = {
 val sessions : t -> session_view list
 val n_conns : t -> int
 val n_sessions : t -> int
-val pending_total : t -> int
-(** Queued ingest bytes across all sessions — bounded by
-    [total_queue_bytes] at all times. *)
 
 val shutting_down : t -> bool
 val status_json : t -> string

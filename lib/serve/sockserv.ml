@@ -79,7 +79,9 @@ let listen_on ~address domain sockaddr =
 
 let serve ?config ?tcp ?on_ready ~socket () =
   ignore_sigpipe ();
-  let srv = Server.create ?config () in
+  let srv =
+    try Server.create ?config () with Sys_error reason -> raise (Error reason)
+  in
   if Sys.file_exists socket then Sys.remove socket;
   let listen_fd =
     listen_on ~address:socket Unix.PF_UNIX (fun () -> Unix.ADDR_UNIX socket)
@@ -100,13 +102,22 @@ let serve ?config ?tcp ?on_ready ~socket () =
           Sys.remove socket;
           raise e)
   in
-  (* Report the bound port — with [port = 0] the kernel picked an
-     ephemeral one, which tests need to discover. *)
-  (match (Option.map Unix.getsockname tcp_fd, on_ready) with
-  | Some (Unix.ADDR_INET (_, p)), Some f -> f (Some p)
-  | _, Some f -> f None
-  | _, None -> ());
   let listeners = listen_fd :: Option.to_list tcp_fd in
+  (* Report the bound port — with [port = 0] the kernel picked an
+     ephemeral one, which tests need to discover. A reporter that
+     raises (stdout closed under it) stops the daemon before it serves,
+     leaving no socket file behind. *)
+  (try
+     match (Option.map Unix.getsockname tcp_fd, on_ready) with
+     | Some (Unix.ADDR_INET (_, p)), Some f -> f (Some p)
+     | _, Some f -> f None
+     | _, None -> ()
+   with e ->
+     List.iter
+       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+       listeners;
+     Sys.remove socket;
+     raise e);
   let conns : (Unix.file_descr, sconn) Hashtbl.t = Hashtbl.create 16 in
   let by_cid : (int, sconn) Hashtbl.t = Hashtbl.create 16 in
   let buf = Bytes.create 65536 in
@@ -332,8 +343,7 @@ let feed ?(rows_per_frame = 256) ?(max_attempts = 200) ?tcp ?follow ~socket
         send_msg fd (Proto.Hello { version = Proto.version; session });
         let apply_flow = function
           | Proto.Nack { expected } -> cursor := expected
-          | Proto.Retry_after { ms; expected; _ } ->
-              Option.iter (fun e -> cursor := e) expected;
+          | Proto.Retry_after { ms; _ } ->
               Unix.sleepf (float_of_int ms /. 1000.)
           | Proto.Err { code; reason } -> handle_err code reason
           | Proto.Closing _ -> raise (Reconnect 0.02)

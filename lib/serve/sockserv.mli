@@ -10,10 +10,10 @@
 
     {!feed} is the matching robust client: it streams rows, honours
     [Nack] rewinds and [retry-after] pauses, and transparently
-    reconnects (resuming from the
-    server's watermark) when the connection drops or the session is
-    restarted by the supervisor. With [~follow] it also subscribes to
-    pushed rule updates and hands every [Info] frame to the callback.
+    reconnects (resuming from the server's watermark) when the
+    connection drops or the session is restarted by the supervisor.
+    With [~follow] it also subscribes to pushed rule updates and hands
+    every [Info] frame to the callback.
 
     Clients take the daemon's address as the Unix [socket] path, or as
     [?tcp:(host, port)] which takes precedence when present. *)
@@ -37,11 +37,14 @@ val serve :
     [on_ready] is called once every listener is bound, before the loop
     starts serving, with the actually-bound TCP port when [tcp] is
     given; that is how tests discover an ephemeral port. Removes the
-    socket file on the way out.
+    socket file on the way out, also when [on_ready] raises (the
+    exception is re-raised).
 
     A listener that cannot be set up (bind failure, unresolvable host)
     raises {!Error} ["<address>: <reason>"]; the socket file is then
-    removed too. *)
+    removed too. A [durable_root] in [config] that is not a directory
+    or cannot be created raises {!Error} ["<root>: <reason>"] before
+    any socket is bound. *)
 
 val feed :
   ?rows_per_frame:int ->

@@ -134,7 +134,7 @@ let test_checked_flags_reject () =
       [ "serve"; "--session-timeout"; "0" ];
       [ "serve"; "--session-timeout"; "nan" ];
       [ "serve"; "--max-clients"; "-3" ];
-      [ "serve"; "--queue-bytes"; "0" ];
+      [ "serve"; "--max-clients"; "0" ];
       [ "serve"; "--tcp"; "nocolon" ];
       [ "serve"; "--tcp"; "127.0.0.1:notaport" ];
       [ "serve"; "--tcp"; "127.0.0.1:99999" ];
@@ -237,9 +237,10 @@ let test_feed_unreachable () =
           ("trace", [ clean ], "too many reconnect attempts");
         ])
 
-(* A listener `serve` cannot set up is one line naming the address and
-   exit 123, with no socket file left behind — also when the Unix
-   socket was already bound and the TCP listener after it fails. *)
+(* A listener or durable root `serve` cannot set up is one line naming
+   the address and exit 123, with no socket file left behind — also
+   when the Unix socket was already bound and the TCP listener after it
+   fails. *)
 let test_serve_startup_failure () =
   let dir = temp_dir "cli_serve" in
   let held = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -257,6 +258,9 @@ let test_serve_startup_failure () =
       in
       let socket = Filename.concat dir "s.sock" in
       let absent = Filename.concat dir "absent/s.sock" in
+      let afile = Filename.concat dir "afile" in
+      close_out (open_out afile);
+      let orphan = Filename.concat dir "absent/state" in
       List.iter
         (fun (what, args, expected) ->
           let code, out, err = run ("serve" :: args) in
@@ -277,7 +281,43 @@ let test_serve_startup_failure () =
           ( "port in use",
             [ "--socket"; socket; "--tcp"; in_use ],
             in_use ^ ": Address already in use" );
+          ( "durable root is a file",
+            [ "--socket"; socket; "--durable"; afile ],
+            afile ^ ": Not a directory" );
+          ( "durable root in a missing directory",
+            [ "--socket"; socket; "--durable"; orphan ],
+            orphan ^ ": No such file or directory" );
         ])
+
+(* `serve` whose stdout reader has gone away (`lockdoc serve | true`):
+   the startup line cannot be written. One line on stderr, exit 123,
+   no uncaught-exception report, and no socket file left. *)
+let test_serve_closed_stdout () =
+  let dir = temp_dir "cli_serve_pipe" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let socket = Filename.concat dir "s.sock" in
+      let errf = Filename.concat dir "err" in
+      let rd, wr = Unix.pipe ~cloexec:true () in
+      Unix.close rd;
+      let err = Unix.openfile errf [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+      let pid =
+        Unix.create_process exe
+          [| exe; "serve"; "--socket"; socket |]
+          Unix.stdin wr err
+      in
+      Unix.close wr;
+      Unix.close err;
+      let code =
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED c -> c
+        | _ -> Alcotest.fail "serve was killed by a signal"
+      in
+      check Alcotest.int "exit 123" 123 code;
+      check Alcotest.string "one-line diagnostic" "lockdoc: Broken pipe\n"
+        (read_file errf);
+      check Alcotest.bool "no socket file left" false (Sys.file_exists socket))
 
 (* No analysis command takes a domain count: analysis runs on the
    calling domain. *)
@@ -550,6 +590,8 @@ let () =
             test_feed_unreachable;
           Alcotest.test_case "serve startup failures" `Quick
             test_serve_startup_failure;
+          Alcotest.test_case "serve into a closed stdout" `Quick
+            test_serve_closed_stdout;
           Alcotest.test_case "jobs flag removed" `Quick test_jobs_flag_removed;
           Alcotest.test_case "missing input file" `Quick
             test_missing_input_file;

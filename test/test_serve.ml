@@ -9,9 +9,10 @@
    - [Proto]: message round-trips and malformed-payload rejection.
    - [Server]: the sans-IO engine driven directly with virtual time —
      sequencing (nack / idempotent retransmit / seal-count guard),
-     backpressure and per-session isolation, fault isolation (garbled
-     connection vs crashed worker), the supervisor (backoff, durable
-     rebuild, permanent failure, a crash inside the seal), timeouts,
+     inline ingest (a rejected row fails its session inside the call
+     that delivers it), fault isolation (garbled connection vs crashed
+     worker), the supervisor (backoff, durable rebuild, permanent
+     failure, a crash inside the seal), timeouts,
      supersede, shutdown; debounced rule-subscription pushes checked
      against a [stream] query at the same watermark. Every completed
      session
@@ -254,8 +255,8 @@ let server_msgs : Proto.server_msg list =
   [
     Welcome { resume = 42 };
     Nack { expected = 7 };
-    Retry_after { ms = 50; expected = Some 3; reason = "queue\tfull" };
-    Retry_after { ms = 10; expected = None; reason = "backoff" };
+    Retry_after { ms = 50; reason = "at max-clients\t(64)" };
+    Retry_after { ms = 10; reason = "backoff" };
     Err { code = "garbled"; reason = "crc mismatch\nat byte 9" };
     Pong;
     Sealed { events = 9; rules = "{\"rules\":[]}"; violations = "{}" };
@@ -297,7 +298,15 @@ let test_proto_rejects_malformed () =
       match Proto.client_of_payload payload with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted malformed payload %S" payload)
-    bad
+    bad;
+  (* Replies: a version-1 [retry-after] still carried a resend
+     watermark; version 2 has no such field. *)
+  List.iter
+    (fun payload ->
+      match Proto.server_of_payload payload with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted malformed reply %S" payload)
+    [ ""; "retry-after\t50\t3\tqueue full"; "retry-after\tsoon\tx"; "nack" ]
 
 (* ---- Server engine (sans-IO, virtual time) ------------------------ *)
 
@@ -340,15 +349,9 @@ let connect srv ~now session =
   in
   (cid, resume)
 
-(* Client-side flow control: send a frame; absorb Retry_after by
-   stepping the server (draining its queues) and retrying. *)
-let rec send_flow srv ~now cid ~start lines =
-  match send srv ~now cid (Proto.Rows { start; lines }) with
-  | [] -> ()
-  | [ Server.Send (_, Proto.Retry_after _) ] ->
-      ignore (Server.step srv ~now);
-      send_flow srv ~now cid ~start lines
-  | outs -> ignore (only_send "rows" outs)
+(* Send one rows frame; an accepted frame is answered by silence. *)
+let send_rows srv ~now cid ~start lines =
+  expect_silent "rows" (send srv ~now cid (Proto.Rows { start; lines }))
 
 let rec batches n = function
   | [] -> []
@@ -364,7 +367,7 @@ let stream_all srv ~now cid ?(batch = 200) ~start lines =
   let cursor = ref start in
   List.iter
     (fun b ->
-      send_flow srv ~now cid ~start:!cursor b;
+      send_rows srv ~now cid ~start:!cursor b;
       cursor := !cursor + List.length b)
     (batches batch lines)
 
@@ -435,9 +438,6 @@ let test_server_seal_count_guard () =
   | _, Proto.Nack { expected } -> check Alcotest.int "rewind to" 50 expected
   | _ -> Alcotest.fail "expected Nack on seal row-count mismatch"
 
-let frame_bytes lines =
-  List.fold_left (fun a l -> a + String.length l + 1) 0 lines
-
 let take_bytes budget lines =
   let rec go acc b = function
     | l :: tl when b + String.length l + 1 <= budget ->
@@ -446,59 +446,39 @@ let take_bytes budget lines =
   in
   go [] 0 lines
 
-let test_server_backpressure_isolation () =
-  let lines = Trace.to_lines (Lazy.force pipe_trace) in
-  (* Frame 1 (layouts + some events) sized to be admitted exactly;
-     frame 2 sized to overflow the per-session cap while it is still
-     queued, yet fit once drained. *)
-  let f1, rest = take_bytes 9000 lines in
-  let q = frame_bytes f1 + 8 in
-  let f2, rest = take_bytes (q - 100) rest in
-  assert (frame_bytes f2 > q - frame_bytes f1 + 4096);
-  let cfg = { Server.default_config with queue_bytes = q } in
-  let srv = Server.create ~config:cfg () in
-  let now = 0.0 in
-  let a, _ = connect srv ~now "a" in
-  expect_silent "f1 admitted" (send srv ~now a (Proto.Rows { start = 0; lines = f1 }));
-  let accepted1 = (session_view srv "a").Server.v_accepted in
-  check Alcotest.int "f1 rows accepted" (List.length f1) accepted1;
-  (* Queue still holds f1's events: f2 is shed whole, with the resume
-     watermark, and nothing about the session changes. *)
-  (match
-     only_send "f2 shed"
-       (send srv ~now a (Proto.Rows { start = accepted1; lines = f2 }))
-   with
-  | _, Proto.Retry_after { expected; reason; ms } ->
-      check (Alcotest.option Alcotest.int) "watermark" (Some accepted1) expected;
-      check Alcotest.bool "session-level shed" true
-        (String.length reason > 0 && ms > 0)
-  | _ -> Alcotest.fail "expected Retry_after when the session queue is full");
-  check Alcotest.int "shed frame not accepted" accepted1
-    (session_view srv "a").Server.v_accepted;
-  check Alcotest.bool "global budget holds" true
-    (Server.pending_total srv <= cfg.Server.total_queue_bytes);
-  (* A second session is untouched by a's pressure: hard isolation. *)
-  let bq, _ = connect srv ~now "b" in
-  let fb, _ = take_bytes 2000 (Trace.to_lines (Lazy.force device_trace)) in
-  expect_silent "b admitted" (send srv ~now bq (Proto.Rows { start = 0; lines = fb }));
-  check Alcotest.int "b accepted" (List.length fb)
-    (session_view srv "b").Server.v_accepted;
-  (* Draining makes room; the very same frame is then admitted, and the
-     stream runs to a seal that matches the batch pipeline. *)
-  ignore (Server.step srv ~now);
-  check Alcotest.int "drained" 0 (Server.pending_total srv);
-  expect_silent "f2 after drain"
-    (send srv ~now a (Proto.Rows { start = accepted1; lines = f2 }));
-  let cursor = ref (accepted1 + List.length f2) in
-  List.iter
-    (fun bch ->
-      send_flow srv ~now a ~start:!cursor bch;
-      cursor := !cursor + List.length bch)
-    (batches 100 rest);
-  let sealed =
-    expect_sealed "seal" (send srv ~now a (Proto.Seal { rows = !cursor }))
-  in
-  check_oracle "backpressured stream" (Lazy.force pipe_trace) sealed
+(* Rows are applied inside the [on_bytes] call that delivers them: a
+   row the engine rejects (a free of a pointer that was never
+   allocated, fatal in strict mode) fails the session in that same
+   call, the journal holds exactly the rows before it, and a reconnect
+   resumes there. *)
+let test_server_rows_apply_inline () =
+  let root = temp_dir "serve_inline" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      let lines = Trace.to_lines (Lazy.force pipe_trace) in
+      let prefix, rest = take_bytes 9000 lines in
+      let n = List.length prefix in
+      let bad_frame =
+        match rest with
+        | a :: b :: c :: d :: _ -> [ a; b; "F\t1879048192"; c; d ]
+        | _ -> Alcotest.fail "trace too short"
+      in
+      let cfg = { Server.default_config with durable_root = Some root } in
+      let srv = Server.create ~config:cfg () in
+      let cid, _ = connect srv ~now:0.0 "s" in
+      send_rows srv ~now:0.0 cid ~start:0 prefix;
+      expect_err_close "rejected row fails the session in the call"
+        "session-failed"
+        (send srv ~now:0.0 cid (Proto.Rows { start = n; lines = bad_frame }));
+      let replayed, _ =
+        Wal.replay ~dir:(Filename.concat root "session-s") ~from:0 ignore
+      in
+      check Alcotest.int "journal holds the rows before the rejected one"
+        (n + 2) replayed;
+      let _, resume = connect srv ~now:1.0 "s" in
+      check Alcotest.int "reconnect resumes at the rejected row" (n + 2)
+        resume)
 
 let test_server_garbled_connection_session_survives () =
   let trace = Lazy.force pipe_trace in
@@ -668,12 +648,17 @@ let test_server_permanent_failure () =
 let test_server_rejections () =
   let srv = Server.create () in
   let now = 0.0 in
-  (* Version skew. *)
-  let c, outs = Server.accept srv ~now in
-  expect_silent "accept" outs;
-  expect_err_close "version skew" "version"
-    (send srv ~now c
-       (Proto.Hello { version = Proto.version + 1; session = "s" }));
+  (* Version skew, newer and older (version 1 clients expected a
+     resend watermark in retry-after). *)
+  List.iter
+    (fun version ->
+      let c, outs = Server.accept srv ~now in
+      expect_silent "accept" outs;
+      expect_err_close
+        (Printf.sprintf "version %d" version)
+        "version"
+        (send srv ~now c (Proto.Hello { version; session = "s" })))
+    [ Proto.version + 1; 1 ];
   (* Hostile session id (a path, not a name). *)
   let c, _ = Server.accept srv ~now in
   expect_err_close "bad session id" "proto"
@@ -860,7 +845,7 @@ let test_server_subscription_push () =
   let cursor = ref 0 in
   List.iter
     (fun b ->
-      send_flow srv ~now cid ~start:!cursor b;
+      send_rows srv ~now cid ~start:!cursor b;
       cursor := !cursor + List.length b;
       List.iter
         (function
@@ -1117,8 +1102,8 @@ let () =
             test_server_nack_and_idempotency;
           Alcotest.test_case "seal count guard" `Quick
             test_server_seal_count_guard;
-          Alcotest.test_case "backpressure isolation" `Quick
-            test_server_backpressure_isolation;
+          Alcotest.test_case "rows apply inside on_bytes" `Quick
+            test_server_rows_apply_inline;
           Alcotest.test_case "garble kills only the connection" `Quick
             test_server_garbled_connection_session_survives;
           Alcotest.test_case "idle timeout and gc" `Quick
