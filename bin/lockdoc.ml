@@ -181,6 +181,15 @@ let load_dataset ?(mode = Import.Strict) ?binary path =
   let store, stats = Import.run ~mode trace in
   (Dataset.of_store store, stats)
 
+(* A [--type] key the trace never observed would print an empty
+   section and exit 0; name the keys it did observe instead. *)
+let require_type_key ~known key =
+  if not (List.mem key known) then begin
+    Printf.eprintf "lockdoc: no observations for type key %s (known: %s)\n"
+      key (String.concat ", " known);
+    exit 1
+  end
+
 (* {2 trace} *)
 
 let trace_cmd =
@@ -402,7 +411,11 @@ let derive_cmd =
     with_metrics metrics @@ fun () ->
     let dataset, _ = load_dataset ~mode path in
     let keys =
-      match ty with Some key -> [ key ] | None -> Dataset.type_keys dataset
+      match ty with
+      | Some key ->
+          require_type_key ~known:(Dataset.type_keys dataset) key;
+          [ key ]
+      | None -> Dataset.type_keys dataset
     in
     if json then
       print_endline
@@ -432,6 +445,17 @@ let doc_cmd =
   let run path base tac metrics =
     with_metrics metrics @@ fun () ->
     let dataset, _ = load_dataset path in
+    (* [derive_merged] documents a base type with its subclasses. *)
+    let bases =
+      List.sort_uniq String.compare
+        (List.map
+           (fun key ->
+             match String.index_opt key ':' with
+             | Some i -> String.sub key 0 i
+             | None -> key)
+           (Dataset.type_keys dataset))
+    in
+    require_type_key ~known:bases base;
     let mined = Derivator.derive_merged ~tac dataset base in
     print_endline
       (Docgen.generate ~kind:Lockdoc_core.Rule.W ~title:base mined);

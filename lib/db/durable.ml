@@ -223,11 +223,14 @@ let recover ~dir =
     | None -> Snapshot.latest_loadable ~dir
   in
   match payload with
-  | None when Snapshot.old_format ~dir ->
-      empty_recovery
-        "old-format directory (lockdoc-durable 1); rerun import --durable \
-         to rebuild it"
-  | None -> empty_recovery "no loadable snapshot"
+  | None -> (
+      match Snapshot.old_format ~dir with
+      | Some v ->
+          empty_recovery
+            (Printf.sprintf
+               "old-format directory (%s); rerun import --durable to rebuild it"
+               v)
+      | None -> empty_recovery "no loadable snapshot")
   | Some { Snapshot.p_meta = m; p_store; p_engine; _ } ->
       (* A completed snapshot has no engine, and nothing was journaled
          after its checkpoint. *)

@@ -64,20 +64,27 @@ let anomaly_total s =
   + s.anomalies.an_unclosed_txns + s.unbalanced_releases
 
 (* One held lock together with the transaction opened by its acquisition;
-   popping back to it resumes that transaction (paper Sec. 4.2). *)
-type held_entry = { entry : Schema.held; opened_txn : int }
+   popping back to it resumes that transaction (paper Sec. 4.2).
+   [opened] is always [Some tx]; kept accesses share it as their
+   [ac_txn]. *)
+type held_entry = { entry : Schema.held; opened : int option }
 
 type ctx_state = {
   pid : int;
   mutable frames : string list; (* innermost first *)
-  mutable held : held_entry list; (* oldest first *)
-  mutable base_txn : int option; (* txn inherited from the interrupted flow *)
+  mutable held : held_entry list;
+      (* newest first: the head opened the current transaction *)
+  (* Cache of the last [frames] an access saw, compared by physical
+     equality: any push or pop makes a new list and so invalidates it. *)
+  mutable seen_frames : string list;
+  mutable fn_dropped : bool; (* [seen_frames] hit the function blacklist *)
+  mutable stack_id : int; (* interned [seen_frames]; -1 until first kept *)
 }
 
-let cur_txn ctx =
-  match List.rev ctx.held with
-  | last :: _ -> Some last.opened_txn
-  | [] -> ctx.base_txn
+let flow pid held =
+  { pid; frames = []; held; seen_frames = []; fn_dropped = false; stack_id = -1 }
+
+let cur_txn ctx = match ctx.held with he :: _ -> he.opened | [] -> None
 
 (* All per-run counters in one mutable record so the engine marshals as
    plain data. *)
@@ -126,16 +133,89 @@ let zero_counters () =
     k_an_unclosed = 0;
   }
 
+(* What the filters do to accesses of one member; fixed per engine. *)
+type verdict = Keep | Drop_kind | Drop_member
+
+type slot = { s_name : string; s_verdict : verdict }
+
+(* Offset -> member resolution of one data type, built once per engine.
+   [d_at.(offset)] indexes [d_slots] (-1: no member there). A layout
+   whose members reach past [max_table] bytes gets a truncated table;
+   offsets beyond it scan [d_members] the way [Layout.member_at]
+   does. *)
+type dt_table = {
+  d_members : Layout.member array;
+  d_slots : slot array;
+  d_at : int array;
+  d_extent : int; (* no member covers an offset at or past this *)
+}
+
+let max_table = 1 lsl 16
+
+let dt_table filter layout =
+  let members = Array.of_list layout.Layout.members in
+  let verdict m =
+    if
+      (filter.Filter.drop_lock_members && m.Layout.m_kind = Layout.Lock)
+      || (filter.Filter.drop_atomic_members && m.Layout.m_kind = Layout.Atomic)
+    then Drop_kind
+    else if
+      Filter.member_blacklisted filter ~ty:layout.Layout.ty_name
+        ~member:m.Layout.m_name
+    then Drop_member
+    else Keep
+  in
+  let extent =
+    Array.fold_left
+      (fun acc m -> max acc (m.Layout.m_offset + m.Layout.m_size))
+      0 members
+  in
+  let at = Array.make (min extent max_table) (-1) in
+  (* Fill in member order without overwriting, so the first member
+     covering an offset wins, as in [Layout.member_at]. *)
+  Array.iteri
+    (fun i m ->
+      for o = max 0 m.Layout.m_offset
+          to min (Array.length at) (m.Layout.m_offset + m.Layout.m_size) - 1 do
+        if at.(o) < 0 then at.(o) <- i
+      done)
+    members;
+  {
+    d_members = members;
+    d_slots =
+      Array.map (fun m -> { s_name = m.Layout.m_name; s_verdict = verdict m }) members;
+    d_at = at;
+    d_extent = extent;
+  }
+
+(* Index of the member at [offset] (>= 0) in [d], or -1. *)
+let member_index d offset =
+  if offset >= d.d_extent then -1
+  else if offset < Array.length d.d_at then d.d_at.(offset)
+  else
+    let rec scan i =
+      if i = Array.length d.d_members then -1
+      else
+        let m = d.d_members.(i) in
+        if offset >= m.Layout.m_offset && offset < m.Layout.m_offset + m.Layout.m_size
+        then i
+        else scan (i + 1)
+    in
+    scan 0
+
+module StringSet = Set.Make (String)
+
 (* The incremental importer. Everything in here is plain marshalable
    data — no closures — so a checkpoint can capture mid-import state
    with [Marshal]. *)
 type engine = {
-  g_filter : Filter.t;
+  g_fn_blacklist : StringSet.t; (* the filter's function blacklist *)
+  g_tables : dt_table array; (* dt_id -> offset table, filter applied *)
   g_irq_mode : irq_mode;
   g_mode : mode;
   g_store : Store.t;
   g_dt_ids : (string, int) Hashtbl.t;
-  mutable g_live_allocs : int IntMap.t; (* base ptr -> al_id *)
+  mutable g_live_allocs : Schema.allocation IntMap.t; (* base ptr -> row *)
   mutable g_freed : int IntMap.t; (* base ptr -> size, until reused *)
   g_live_locks : (int, int) Hashtbl.t; (* lock ptr -> lk_id *)
   g_locks_of_alloc : (int, int list) Hashtbl.t; (* al_id -> lock ptrs *)
@@ -155,11 +235,12 @@ let engine ?(filter = Filter.default) ?(irq_mode = Inherit) ?(mode = Strict)
       let dt = Store.add_data_type store layout in
       Hashtbl.replace dt_ids dt.Schema.dt_name dt.Schema.dt_id)
     layouts;
-  let root = { pid = 0; frames = []; held = []; base_txn = None } in
+  let root = flow 0 [] in
   let ctxs = Hashtbl.create 32 in
   Hashtbl.replace ctxs 0 root;
   {
-    g_filter = filter;
+    g_fn_blacklist = StringSet.of_list filter.Filter.fn_blacklist;
+    g_tables = Array.of_list (List.map (dt_table filter) layouts);
     g_irq_mode = irq_mode;
     g_mode = mode;
     g_store = store;
@@ -189,10 +270,8 @@ let in_freed g ptr =
 
 let find_alloc g ptr =
   match IntMap.find_last_opt (fun base -> base <= ptr) g.g_live_allocs with
-  | Some (base, al_id) ->
-      let al = Store.allocation g.g_store al_id in
-      if ptr < base + al.Schema.al_size then Some al else None
-  | None -> None
+  | Some (base, al) when ptr < base + al.Schema.al_size -> Some al
+  | _ -> None
 
 let resolve_lock g ~event ptr kind name =
   let c = g.g_c in
@@ -203,11 +282,9 @@ let resolve_lock g ~event ptr kind name =
         match find_alloc g ptr with
         | None -> None
         | Some al ->
-            let dt = Store.data_type g.g_store al.Schema.al_type in
-            let offset = ptr - al.Schema.al_ptr in
-            Option.map
-              (fun m -> (al.Schema.al_id, m.Layout.m_name))
-              (Layout.member_at dt.Schema.dt_layout offset)
+            let d = g.g_tables.(al.Schema.al_type) in
+            let i = member_index d (ptr - al.Schema.al_ptr) in
+            if i < 0 then None else Some (al.Schema.al_id, d.d_slots.(i).s_name)
       in
       (match parent with
       | None ->
@@ -228,45 +305,37 @@ let resolve_lock g ~event ptr kind name =
       Hashtbl.replace g.g_live_locks ptr lk.Schema.lk_id;
       lk
 
-(* Rebuild the nested transactions above a removal point: their opened
-   transactions included the removed lock, so they get fresh rows. *)
-let reopen_txns g ctx kept_prefix tail =
-  let rebuilt =
-    List.fold_left
-      (fun prefix he ->
-        let held_list = List.map (fun e -> e.entry) prefix @ [ he.entry ] in
-        let tx = Store.add_txn g.g_store ~locks:held_list ~ctx:ctx.pid in
-        prefix @ [ { he with opened_txn = tx.Schema.tx_id } ])
-      kept_prefix tail
-  in
-  ctx.held <- rebuilt
+(* Push [entry] on [held] (newest first) and open the transaction of
+   every lock then held, oldest first. *)
+let push_held g ctx entry held =
+  let locks = List.fold_left (fun acc he -> he.entry :: acc) [ entry ] held in
+  let tx = Store.add_txn g.g_store ~locks ~ctx:ctx.pid in
+  { entry; opened = Some tx.Schema.tx_id } :: held
 
 let handle_acquire g ctx ~event ~lock_ptr ~kind ~side ~name ~loc =
   let lk = resolve_lock g ~event lock_ptr kind name in
   let entry = { Schema.h_lock = lk.Schema.lk_id; h_side = side; h_loc = loc } in
-  let held_list = List.map (fun e -> e.entry) ctx.held @ [ entry ] in
-  let tx = Store.add_txn g.g_store ~locks:held_list ~ctx:ctx.pid in
-  ctx.held <- ctx.held @ [ { entry; opened_txn = tx.Schema.tx_id } ]
+  ctx.held <- push_held g ctx entry ctx.held
 
 let handle_release g ctx ~lock_ptr =
   let c = g.g_c in
   match Hashtbl.find_opt g.g_live_locks lock_ptr with
   | None -> c.k_unbalanced <- c.k_unbalanced + 1
-  | Some lk_id ->
-      (* Drop the most recent occurrence of this lock. *)
-      let rec split_last_match rev_seen = function
+  | Some lk_id -> (
+      (* Drop the most recent occurrence of this lock; [above] collects
+         the entries acquired after it, oldest first. *)
+      let rec split above = function
         | [] -> None
-        | he :: rest when he.entry.Schema.h_lock = lk_id
-                          && not (List.exists
-                                    (fun h -> h.entry.Schema.h_lock = lk_id)
-                                    rest) ->
-            Some (List.rev rev_seen, rest)
-        | he :: rest -> split_last_match (he :: rev_seen) rest
+        | he :: older when he.entry.Schema.h_lock = lk_id -> Some (above, older)
+        | he :: older -> split (he :: above) older
       in
-      (match split_last_match [] ctx.held with
+      match split [] ctx.held with
       | None -> c.k_unbalanced <- c.k_unbalanced + 1
-      | Some (prefix, []) -> ctx.held <- prefix
-      | Some (prefix, tail) -> reopen_txns g ctx prefix tail)
+      | Some (above, older) ->
+          (* The transactions opened above the removal point included the
+             removed lock, so they get fresh rows. *)
+          ctx.held <-
+            List.fold_left (fun held he -> push_held g ctx he.entry held) older above)
 
 let feed g ev =
   let idx = g.g_pos in
@@ -286,23 +355,16 @@ let feed g ev =
           match Hashtbl.find_opt g.g_ctxs pid with
           | Some st -> g.g_current <- st
           | None ->
-              let st = { pid; frames = []; held = []; base_txn = None } in
+              let st = flow pid [] in
               Hashtbl.replace g.g_ctxs pid st;
               g.g_current <- st)
       | Event.Softirq | Event.Hardirq ->
           (* Handlers run to completion: always a fresh state. *)
-          let st =
-            match g.g_irq_mode with
-            | Separate -> { pid; frames = []; held = []; base_txn = None }
-            | Inherit ->
-                {
-                  pid;
-                  frames = [];
-                  held = g.g_current.held;
-                  base_txn = g.g_current.base_txn;
-                }
-          in
-          g.g_current <- st)
+          g.g_current <-
+            flow pid
+              (match g.g_irq_mode with
+              | Separate -> []
+              | Inherit -> g.g_current.held))
   | Event.Alloc { ptr; size; data_type; subclass } -> (
       c.k_allocs <- c.k_allocs + 1;
       match Hashtbl.find_opt g.g_dt_ids data_type with
@@ -321,7 +383,7 @@ let feed g ev =
             IntMap.filter
               (fun base fsize -> base + fsize <= ptr || ptr + size <= base)
               g.g_freed;
-          g.g_live_allocs <- IntMap.add ptr al.Schema.al_id g.g_live_allocs)
+          g.g_live_allocs <- IntMap.add ptr al g.g_live_allocs)
   | Event.Free { ptr } -> (
       c.k_frees <- c.k_frees + 1;
       match IntMap.find_opt ptr g.g_live_allocs with
@@ -336,8 +398,8 @@ let feed g ev =
             anomaly g ~event:idx Diag.Free_without_alloc
               (Printf.sprintf "free of 0x%x which was never allocated" ptr)
           end
-      | Some al_id ->
-          let al = Store.allocation g.g_store al_id in
+      | Some al ->
+          let al_id = al.Schema.al_id in
           Store.set_alloc_end g.g_store al_id (Some idx);
           g.g_freed <- IntMap.add ptr al.Schema.al_size g.g_freed;
           g.g_live_allocs <- IntMap.remove ptr g.g_live_allocs;
@@ -357,7 +419,7 @@ let feed g ev =
   | Event.Fun_exit { fn } ->
       let rec pop = function
         | [] -> []
-        | frame :: rest -> if frame = fn then rest else pop rest
+        | frame :: rest -> if String.equal frame fn then rest else pop rest
       in
       g.g_current.frames <- pop g.g_current.frames
   | Event.Mem_access { ptr; size = _; kind; loc } -> (
@@ -371,32 +433,35 @@ let feed g ev =
               (Printf.sprintf "access at 0x%x inside a freed allocation" ptr)
           end
       | Some al -> (
-          let dt = Store.data_type g.g_store al.Schema.al_type in
-          let offset = ptr - al.Schema.al_ptr in
-          match Layout.member_at dt.Schema.dt_layout offset with
-          | None -> c.k_unresolved <- c.k_unresolved + 1
-          | Some m ->
-              let ctx = g.g_current in
-              let filter = g.g_filter in
-              if
-                (filter.Filter.drop_lock_members && m.Layout.m_kind = Layout.Lock)
-                || (filter.Filter.drop_atomic_members
-                    && m.Layout.m_kind = Layout.Atomic)
-              then c.k_f_kind <- c.k_f_kind + 1
-              else if
-                Filter.member_blacklisted filter ~ty:dt.Schema.dt_name
-                  ~member:m.Layout.m_name
-              then c.k_f_member <- c.k_f_member + 1
-              else if Filter.fn_blacklisted filter ctx.frames then
-                c.k_f_fn <- c.k_f_fn + 1
-              else begin
-                c.k_kept <- c.k_kept + 1;
-                let stack = Store.intern_stack g.g_store ctx.frames in
-                ignore
-                  (Store.add_access g.g_store ~event:idx ~alloc:al.Schema.al_id
-                     ~member:m.Layout.m_name ~kind ~txn:(cur_txn ctx) ~loc
-                     ~stack ~ctx:ctx.pid)
-              end)));
+          let d = g.g_tables.(al.Schema.al_type) in
+          let i = member_index d (ptr - al.Schema.al_ptr) in
+          if i < 0 then c.k_unresolved <- c.k_unresolved + 1
+          else
+            let slot = d.d_slots.(i) in
+            match slot.s_verdict with
+            | Drop_kind -> c.k_f_kind <- c.k_f_kind + 1
+            | Drop_member -> c.k_f_member <- c.k_f_member + 1
+            | Keep ->
+                let ctx = g.g_current in
+                if ctx.frames != ctx.seen_frames then begin
+                  ctx.seen_frames <- ctx.frames;
+                  ctx.fn_dropped <-
+                    List.exists
+                      (fun f -> StringSet.mem f g.g_fn_blacklist)
+                      ctx.frames;
+                  ctx.stack_id <- -1
+                end;
+                if ctx.fn_dropped then c.k_f_fn <- c.k_f_fn + 1
+                else begin
+                  c.k_kept <- c.k_kept + 1;
+                  if ctx.stack_id < 0 then
+                    ctx.stack_id <- Store.intern_stack g.g_store ctx.frames;
+                  ignore
+                    (Store.add_access g.g_store ~event:idx
+                       ~alloc:al.Schema.al_id ~member:slot.s_name ~kind
+                       ~txn:(cur_txn ctx) ~loc ~stack:ctx.stack_id
+                       ~ctx:ctx.pid)
+                end)));
   g.g_pos <- idx + 1
 
 let stats g =
@@ -443,7 +508,7 @@ let finalize g =
           anomaly g ~event:g.g_pos Diag.Unclosed_txn
             (Printf.sprintf "flow %d still holds %s at end of trace" st.pid
                lk.Schema.lk_name))
-        st.held)
+        (List.rev st.held))
     g.g_ctxs;
   let s = stats g in
   Obs.incr c_runs;

@@ -31,7 +31,7 @@ type payload = {
 (* Bump the magic (and the manifest version below) whenever the
    marshalled layout of [payload] changes: unmarshalling a blob into a
    different type is unsafe, so an old snapshot must fail to load. *)
-let magic = "LOCKDOCSNAP2\n"
+let magic = "LOCKDOCSNAP3\n"
 
 let snapshot_name seq = Printf.sprintf "snap-%06d.snap" seq
 
@@ -111,20 +111,27 @@ let latest_loadable ~dir =
 (* ---- Manifest ----------------------------------------------------- *)
 
 let manifest_file = "MANIFEST"
-let manifest_version = "lockdoc-durable 2"
+let manifest_version = "lockdoc-durable 3"
+
+(* First lines of the manifests and snapshots of earlier formats,
+   with the format each one names. *)
+let old_formats =
+  [
+    ("lockdoc-durable 1", "lockdoc-durable 1");
+    ("LOCKDOCSNAP1", "lockdoc-durable 1");
+    ("lockdoc-durable 2", "lockdoc-durable 2");
+    ("LOCKDOCSNAP2", "lockdoc-durable 2");
+  ]
 
 let old_format ~dir =
   let first_line path =
     try In_channel.with_open_bin path In_channel.input_line with _ -> None
   in
-  let old = function
-    | Some "lockdoc-durable 1" | Some "LOCKDOCSNAP1" -> true
-    | _ -> false
-  in
-  old (first_line (Filename.concat dir manifest_file))
-  || List.exists
-       (fun (_, name) -> old (first_line (Filename.concat dir name)))
-       (snapshots ~dir)
+  let old path = Option.bind (first_line path) (fun l -> List.assoc_opt l old_formats) in
+  match old (Filename.concat dir manifest_file) with
+  | Some _ as v -> v
+  | None ->
+      List.find_map (fun (_, name) -> old (Filename.concat dir name)) (snapshots ~dir)
 
 let write_manifest ~dir m =
   let path = Filename.concat dir manifest_file in

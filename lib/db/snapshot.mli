@@ -47,7 +47,7 @@ val write_manifest : dir:string -> meta -> unit
 val read_manifest : dir:string -> meta option
 (** [None] on a missing, damaged, unversioned or old-format manifest. *)
 
-val old_format : dir:string -> bool
-(** [dir] holds a manifest or snapshot of the previous on-disk format
-    ([lockdoc-durable 1] / [LOCKDOCSNAP1]), which this version cannot
-    load. *)
+val old_format : dir:string -> string option
+(** [Some v] when [dir] holds a manifest or snapshot of an earlier
+    on-disk format, which this version cannot load; [v] names it
+    (["lockdoc-durable 1"] or ["lockdoc-durable 2"]). *)

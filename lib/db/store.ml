@@ -11,7 +11,10 @@ type t = {
   stack_index : (string, int) Hashtbl.t;
   dt_by_name : (string, int) Hashtbl.t;
   by_type_key : (string, int list ref) Hashtbl.t;
-      (* type key -> access ids, reversed *)
+      (* type key -> access ids, reversed; a key whose cell is still
+         empty has allocations but no accesses yet *)
+  alloc_cells : int list ref Vec.t;
+      (* al_id -> its type key's cell, resolved once at allocation *)
 }
 
 let create () =
@@ -25,6 +28,7 @@ let create () =
     stack_index = Hashtbl.create 256;
     dt_by_name = Hashtbl.create 32;
     by_type_key = Hashtbl.create 64;
+    alloc_cells = Vec.create ();
   }
 
 let add_data_type t layout =
@@ -34,22 +38,6 @@ let add_data_type t layout =
   in
   ignore (Vec.push t.data_types row);
   Hashtbl.replace t.dt_by_name row.dt_name dt_id;
-  row
-
-let add_allocation t ~ptr ~size ~ty ~subclass ~start =
-  let al_id = Vec.length t.allocations in
-  let row =
-    {
-      al_id;
-      al_ptr = ptr;
-      al_size = size;
-      al_type = ty;
-      al_subclass = subclass;
-      al_start = start;
-      al_end = None;
-    }
-  in
-  ignore (Vec.push t.allocations row);
   row
 
 let add_lock t ~ptr ~kind ~name ~parent =
@@ -76,6 +64,33 @@ let data_type t id = lookup ~fn:"data_type" ~table:"data_types" t.data_types id
 
 let data_type_by_name t name =
   Option.map (Vec.get t.data_types) (Hashtbl.find_opt t.dt_by_name name)
+
+let add_allocation t ~ptr ~size ~ty ~subclass ~start =
+  let dt = data_type t ty in
+  let al_id = Vec.length t.allocations in
+  let row =
+    {
+      al_id;
+      al_ptr = ptr;
+      al_size = size;
+      al_type = ty;
+      al_subclass = subclass;
+      al_start = start;
+      al_end = None;
+    }
+  in
+  let key = type_key dt row in
+  let cell =
+    match Hashtbl.find_opt t.by_type_key key with
+    | Some cell -> cell
+    | None ->
+        let cell = ref [] in
+        Hashtbl.replace t.by_type_key key cell;
+        cell
+  in
+  ignore (Vec.push t.allocations row);
+  ignore (Vec.push t.alloc_cells cell);
+  row
 
 let allocation t id =
   lookup ~fn:"allocation" ~table:"allocations" t.allocations id
@@ -117,15 +132,8 @@ let add_access t ~event ~alloc ~member ~kind ~txn ~loc ~stack ~ctx =
     }
   in
   ignore (Vec.push t.accesses row);
-  let al = allocation t alloc in
-  let key = type_key (data_type t al.al_type) al in
   let cell =
-    match Hashtbl.find_opt t.by_type_key key with
-    | Some cell -> cell
-    | None ->
-        let cell = ref [] in
-        Hashtbl.replace t.by_type_key key cell;
-        cell
+    lookup ~fn:"add_access" ~table:"allocations" t.alloc_cells alloc
   in
   cell := ac_id :: !cell;
   row
@@ -142,7 +150,9 @@ let iter_allocations t f = Vec.iter f t.allocations
 let iter_locks t f = Vec.iter f t.locks
 
 let type_keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.by_type_key []
+  Hashtbl.fold
+    (fun k cell acc -> if !cell = [] then acc else k :: acc)
+    t.by_type_key []
   |> List.sort String.compare
 
 let accesses_of_type t key =

@@ -20,6 +20,9 @@ val add_data_type : t -> Lockdoc_trace.Layout.t -> data_type
 val add_allocation :
   t -> ptr:int -> size:int -> ty:int -> subclass:string option -> start:int ->
   allocation
+(** Also resolves the allocation's type key (see {!type_keys}) once, so
+    {!add_access} does no string work. [ty] must be a data type id. *)
+
 val add_lock :
   t ->
   ptr:int ->

@@ -234,6 +234,15 @@ let encode_trace ?segment_bytes trace =
 
 (* ---- Decoder ------------------------------------------------------ *)
 
+(* String ids and line numbers are small ints: hash them as themselves
+   instead of through the polymorphic hash and compare. *)
+module IntTbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash n = n land max_int
+end)
+
 type decoder = {
   mode : Trace.mode;
   file : string option;
@@ -241,7 +250,10 @@ type decoder = {
   mutable off : int;
   mutable seen_magic : bool;
   mutable dead : bool;  (* framing lost for good (bad magic / absurd length) *)
-  table : (int, string) Hashtbl.t;
+  table : string IntTbl.t;
+  locs : Srcloc.t IntTbl.t IntTbl.t;
+      (* file id -> line -> the one shared location; dropped when the
+         id is interned again *)
   mutable rev_events : Event.t list;  (* drained by [events] *)
   mutable rev_layouts : Layout.t list;
   mutable rev_diags : Diag.t list;
@@ -257,7 +269,8 @@ let decoder ?(mode = Trace.Strict) ?file () =
     off = 0;
     seen_magic = false;
     dead = false;
-    table = Hashtbl.create 256;
+    table = IntTbl.create 256;
+    locs = IntTbl.create 64;
     rev_events = [];
     rev_layouts = [];
     rev_diags = [];
@@ -274,163 +287,162 @@ let report d kind msg =
       d.rev_diags <- diag :: d.rev_diags
 
 let resolve d id =
-  match Hashtbl.find_opt d.table id with
-  | Some s -> s
-  | None -> failwith (Printf.sprintf "unknown string id %d" id)
+  match IntTbl.find d.table id with
+  | s -> s
+  | exception Not_found -> failwith (Printf.sprintf "unknown string id %d" id)
+
+let intern d id s =
+  IntTbl.replace d.table id s;
+  IntTbl.remove d.locs id
+
+let loc_of d file_id line =
+  match IntTbl.find (IntTbl.find d.locs file_id) line with
+  | loc -> loc
+  | exception Not_found ->
+      let loc = Srcloc.make (resolve d file_id) line in
+      (match IntTbl.find d.locs file_id with
+      | by_line -> IntTbl.replace by_line line loc
+      | exception Not_found ->
+          let by_line = IntTbl.create 64 in
+          IntTbl.replace by_line line loc;
+          IntTbl.replace d.locs file_id by_line);
+      loc
+
+(* An operand that does not parse: without a valid varint there is no
+   way to find the next record boundary. *)
+exception Torn of string
+
+(* A record whose operand widths are unknown: resynchronise at the next
+   segment, not mid-payload. *)
+exception Unknown_opcode
 
 (* Decode one segment payload. Returns normally even on damage: every
    anomaly is reported through [report] (which raises in Strict mode).
-   Operand parse errors abandon the rest of the payload — without a
-   valid varint there is no way to find the next record boundary —
-   while string-resolution errors skip just the offending record. *)
+   Each record reads all its operands first, updating the delta
+   registers, and only then resolves interned strings and codes. A
+   [Torn] operand abandons the rest of the payload; a resolution
+   [Failure] (say, an id whose intern record lived in a corrupt,
+   skipped segment) loses only its own record, and later deltas stay
+   meaningful. *)
 let decode_payload d payload =
   let len = String.length payload in
   let pos = ref 0 in
   (* Per-segment delta registers, mirroring the encoder's reset. *)
   let r_ptr = ref 0 and r_lock = ref 0 and r_line = ref 0 and r_pid = ref 0 in
   let uint () =
-    let v, next = Varint.read_uint payload !pos in
-    pos := next;
-    v
-  in
-  let int () =
-    let v, next = Varint.read_int payload !pos in
-    pos := next;
-    v
+    match Varint.read_uint_at payload pos with
+    | v -> v
+    | exception Failure msg -> raise (Torn msg)
   in
   let delta reg =
-    let v = !reg + int () in
-    reg := v;
-    v
+    match Varint.read_int_at payload pos with
+    | v ->
+        let v = !reg + v in
+        reg := v;
+        v
+    | exception Failure msg -> raise (Torn msg)
   in
-  let loc_of (file_id, line) = Srcloc.make (resolve d file_id) line in
   let emit ev =
     d.rev_events <- ev :: d.rev_events;
     d.n_events <- d.n_events + 1;
     Obs.incr c_events
   in
+  let record op =
+    if op = op_intern then begin
+      let id = uint () in
+      let n = uint () in
+      if n < 0 || n > len - !pos then raise (Torn "string length overruns segment");
+      let s = String.sub payload !pos n in
+      pos := !pos + n;
+      intern d id s
+    end
+    else if op = op_layout then
+      let id = uint () in
+      d.rev_layouts <- Layout.of_string (resolve d id) :: d.rev_layouts
+    else if op = op_alloc then begin
+      let ptr = delta r_ptr in
+      let size = uint () in
+      let dt = uint () in
+      let sub = uint () in
+      let subclass = if sub = 0 then None else Some (resolve d (sub - 1)) in
+      emit (Event.Alloc { ptr; size; data_type = resolve d dt; subclass })
+    end
+    else if op = op_free then emit (Event.Free { ptr = delta r_ptr })
+    else if op = op_acquire then begin
+      let lock_ptr = delta r_lock in
+      let kind = uint () in
+      let side = uint () in
+      let name = uint () in
+      let file = uint () in
+      let line = delta r_line in
+      let side =
+        match side with
+        | 0 -> Event.Exclusive
+        | 1 -> Event.Shared
+        | c -> failwith (Printf.sprintf "bad side code %d" c)
+      in
+      emit
+        (Event.Lock_acquire
+           {
+             lock_ptr;
+             kind = lock_kind_of_code kind;
+             side;
+             name = resolve d name;
+             loc = loc_of d file line;
+           })
+    end
+    else if op = op_release then begin
+      let lock_ptr = delta r_lock in
+      let file = uint () in
+      let line = delta r_line in
+      emit (Event.Lock_release { lock_ptr; loc = loc_of d file line })
+    end
+    else if op = op_mem then begin
+      let ptr = delta r_ptr in
+      let size = uint () in
+      let kind = uint () in
+      let file = uint () in
+      let line = delta r_line in
+      let kind =
+        match kind with
+        | 0 -> Event.Read
+        | 1 -> Event.Write
+        | c -> failwith (Printf.sprintf "bad access code %d" c)
+      in
+      emit (Event.Mem_access { ptr; size; kind; loc = loc_of d file line })
+    end
+    else if op = op_enter then begin
+      let fn = uint () in
+      let file = uint () in
+      let line = delta r_line in
+      emit (Event.Fun_enter { fn = resolve d fn; loc = loc_of d file line })
+    end
+    else if op = op_exit then emit (Event.Fun_exit { fn = resolve d (uint ()) })
+    else if op = op_ctx then begin
+      let pid = delta r_pid in
+      let kind = uint () in
+      emit (Event.Ctx_switch { pid; kind = ctx_of_code kind })
+    end
+    else raise Unknown_opcode
+  in
   let stop = ref false in
   while (not !stop) && !pos < len do
     match uint () with
-    | exception Failure msg ->
+    | exception Torn msg ->
         report d Diag.Truncated_record ("segment record: " ^ msg);
         stop := true
     | op -> (
-        (* Phase 1: parse operands and update registers (keeps later
-           deltas meaningful even when this record is dropped). *)
-        match
-          match op with
-          | op when op = op_intern ->
-              let id = uint () in
-              let n = uint () in
-              if n < 0 || n > len - !pos then failwith "string length overruns segment";
-              let s = String.sub payload !pos n in
-              pos := !pos + n;
-              `Intern (id, s)
-          | op when op = op_layout -> `Layout (uint ())
-          | op when op = op_alloc ->
-              let ptr = delta r_ptr in
-              let size = uint () in
-              let dt = uint () in
-              let sub = uint () in
-              `Alloc (ptr, size, dt, sub)
-          | op when op = op_free -> `Free (delta r_ptr)
-          | op when op = op_acquire ->
-              let ptr = delta r_lock in
-              let kind = uint () in
-              let side = uint () in
-              let name = uint () in
-              let file = uint () in
-              let line = delta r_line in
-              `Acquire (ptr, kind, side, name, (file, line))
-          | op when op = op_release ->
-              let ptr = delta r_lock in
-              let file = uint () in
-              let line = delta r_line in
-              `Release (ptr, (file, line))
-          | op when op = op_mem ->
-              let ptr = delta r_ptr in
-              let size = uint () in
-              let kind = uint () in
-              let file = uint () in
-              let line = delta r_line in
-              `Mem (ptr, size, kind, (file, line))
-          | op when op = op_enter ->
-              let fn = uint () in
-              let file = uint () in
-              let line = delta r_line in
-              `Enter (fn, (file, line))
-          | op when op = op_exit -> `Exit (uint ())
-          | op when op = op_ctx ->
-              let pid = delta r_pid in
-              let kind = uint () in
-              `Ctx (pid, kind)
-          | op -> `Unknown op
-        with
-        | exception Failure msg ->
+        match record op with
+        | () -> ()
+        | exception Torn msg ->
             report d Diag.Truncated_record ("segment record: " ^ msg);
             stop := true
-        | `Unknown op ->
-            (* Operand widths are unknowable: resynchronise at the next
-               segment, not mid-payload. *)
+        | exception Failure msg ->
+            report d Diag.Malformed_field ("binary record: " ^ msg)
+        | exception Unknown_opcode ->
             report d Diag.Unknown_tag
               (Printf.sprintf "unknown binary record opcode %d" op);
-            stop := true
-        | parsed -> (
-            (* Phase 2: resolve interned strings and emit. A bad id (its
-               intern record lived in a corrupt, skipped segment) loses
-               only this record. *)
-            match
-              match parsed with
-              | `Intern (id, s) -> Hashtbl.replace d.table id s
-              | `Layout id ->
-                  let l = Layout.of_string (resolve d id) in
-                  d.rev_layouts <- l :: d.rev_layouts
-              | `Alloc (ptr, size, dt, sub) ->
-                  let subclass =
-                    if sub = 0 then None else Some (resolve d (sub - 1))
-                  in
-                  emit
-                    (Event.Alloc
-                       { ptr; size; data_type = resolve d dt; subclass })
-              | `Free ptr -> emit (Event.Free { ptr })
-              | `Acquire (lock_ptr, kind, side, name, loc) ->
-                  let side =
-                    match side with
-                    | 0 -> Event.Exclusive
-                    | 1 -> Event.Shared
-                    | c -> failwith (Printf.sprintf "bad side code %d" c)
-                  in
-                  emit
-                    (Event.Lock_acquire
-                       {
-                         lock_ptr;
-                         kind = lock_kind_of_code kind;
-                         side;
-                         name = resolve d name;
-                         loc = loc_of loc;
-                       })
-              | `Release (lock_ptr, loc) ->
-                  emit (Event.Lock_release { lock_ptr; loc = loc_of loc })
-              | `Mem (ptr, size, kind, loc) ->
-                  let kind =
-                    match kind with
-                    | 0 -> Event.Read
-                    | 1 -> Event.Write
-                    | c -> failwith (Printf.sprintf "bad access code %d" c)
-                  in
-                  emit (Event.Mem_access { ptr; size; kind; loc = loc_of loc })
-              | `Enter (fn, loc) ->
-                  emit
-                    (Event.Fun_enter { fn = resolve d fn; loc = loc_of loc })
-              | `Exit fn -> emit (Event.Fun_exit { fn = resolve d fn })
-              | `Ctx (pid, kind) ->
-                  emit (Event.Ctx_switch { pid; kind = ctx_of_code kind })
-              | `Unknown _ -> assert false (* handled above *)
-            with
-            | () -> ()
-            | exception Failure msg ->
-                report d Diag.Malformed_field ("binary record: " ^ msg)))
+            stop := true)
   done
 
 let get_u32 s pos =

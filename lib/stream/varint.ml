@@ -24,17 +24,28 @@ let write_uint buf n =
 
 let write_int buf n = write_uint buf (zigzag n)
 
+(* A top-level loop with explicit arguments: a local closure would be
+   allocated on every call. *)
+let rec read_from s pos acc shift p =
+  if p >= String.length s then failwith "varint: truncated"
+  else if shift > 56 then failwith "varint: overlong encoding"
+  else
+    let b = Char.code (String.unsafe_get s p) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then begin
+      pos := p + 1;
+      acc
+    end
+    else read_from s pos acc (shift + 7) (p + 1)
+
+let read_uint_at s pos = read_from s pos 0 0 !pos
+
+let read_int_at s pos = unzigzag (read_uint_at s pos)
+
 let read_uint s pos =
-  let len = String.length s in
-  let rec go acc shift pos =
-    if pos >= len then failwith "varint: truncated"
-    else if shift > 56 then failwith "varint: overlong encoding"
-    else
-      let b = Char.code s.[pos] in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
-  in
-  go 0 0 pos
+  let next = ref pos in
+  let v = read_uint_at s next in
+  (v, !next)
 
 let read_int s pos =
   let u, next = read_uint s pos in

@@ -178,6 +178,17 @@ let test_replay_unknown_workload () =
   check_unknown_name [ "replay"; "warp_drive" ] ~unknown:"unknown workload"
     ~known:"fs_bench"
 
+(* A --type key the trace never observed: exit 1 and one line naming
+   the keys it did observe, for derive (type keys) and doc (base
+   types), instead of an empty section and exit 0. *)
+let test_unknown_type_key () =
+  with_fixtures @@ fun ~dir:_ ~clean ~bad:_ ->
+  List.iter
+    (fun args ->
+      check_unknown_name args ~unknown:"no observations for type key nosuch (known: "
+        ~known:"pipe_inode_info")
+    [ [ "derive"; clean; "--type"; "nosuch" ]; [ "doc"; clean; "--type"; "nosuch" ] ]
+
 let test_lint_flags_diagnose () =
   let code, _, err = run [ "lint"; "fs_bench"; "--scale"; "huge" ] in
   check Alcotest.bool "scale: non-zero exit" true (code <> 0);
@@ -433,70 +444,91 @@ let test_durable_foreign_dir () =
         err;
       check Alcotest.string "MANIFEST untouched" before (read_file manifest))
 
-(* The row-op journal of the first durable format ("lockdoc-durable 1",
-   "LOCKDOCSNAP1") cannot be read any more. Such a directory recovers
-   to an empty store with a reason naming the format, and import
-   --durable over it starts afresh. *)
+(* Directories of the earlier durable formats cannot be read any more:
+   version 1 ("lockdoc-durable 1", "LOCKDOCSNAP1") journaled row ops,
+   version 2 ("lockdoc-durable 2", "LOCKDOCSNAP2") marshalled an older
+   engine and store. Such a directory recovers to an empty store with a
+   reason naming the format, never unmarshals its snapshot, and import
+   --durable over it starts afresh. The version-2 snapshot below is a
+   well-formed marshalled blob with a valid CRC, so only the format
+   check keeps it from being read as a payload. *)
 let v1_op_line = "AC\t26\t0\ts_flags\tr\t0\tfs/super.c:427\t0\t1"
 
 let test_recover_old_format () =
-  with_fixtures (fun ~dir ~clean ~bad:_ ->
-      let n = Array.length (Trace.load clean).Trace.events in
-      let state = Filename.concat dir "state" in
-      Sys.mkdir state 0o755;
-      let write name s =
-        Out_channel.with_open_bin (Filename.concat state name) (fun oc ->
-            output_string oc s)
-      in
-      write "MANIFEST"
-        (Printf.sprintf
-           "lockdoc-durable 1\nsnapshot=snap-000000.snap\nwal_lsn=0\n\
-            trace_offset=0\ntrace_file=%s\ntrace_events=%d\ncomplete=false\n"
-           clean n);
-      let blob = "an old marshalled payload" in
-      let hdr = Bytes.create 8 in
-      Bytes.set_int32_le hdr 0 (Int32.of_int (String.length blob));
-      Bytes.set_int32_le hdr 4 (Int32.of_int (Wal.crc32 blob));
-      write "snap-000000.snap" ("LOCKDOCSNAP1\n" ^ Bytes.to_string hdr ^ blob);
-      let w = Wal.create ~dir:state () in
-      Wal.append w v1_op_line;
-      Wal.close w;
-      let reason =
-        "old-format directory (lockdoc-durable 1); rerun import --durable to \
-         rebuild it"
-      in
-      let r = Durable.recover ~dir:state in
-      check Alcotest.(option string) "reason names the old format"
-        (Some reason) r.Durable.r_stop;
-      check Alcotest.(option string) "no snapshot" None r.Durable.r_snapshot;
-      check Alcotest.int "empty store: accesses" 0
-        (Store.n_accesses r.Durable.r_store);
-      check Alcotest.int "empty store: types" 0
-        (Store.n_data_types r.Durable.r_store);
-      let code, out, err = run [ "recover"; state ] in
-      check Alcotest.int "recover exits 0" 0 code;
-      check Alcotest.string "recover: nothing on stderr" "" err;
-      check Alcotest.string "recover prints the reason"
-        (Printf.sprintf
-           "snapshot: none (%s)\nstore: 0 access(es), 0 txn(s), 0 lock(s), 0 \
-            allocation(s), 0 type(s)\n"
-           reason)
-        out;
-      let code, out, _ = run [ "import"; clean; "--durable"; state ] in
-      check Alcotest.int "import --durable exits 0" 0 code;
-      check Alcotest.bool "started afresh" false (contains out "resumed");
-      let _, plain, _ = run [ "import"; clean ] in
-      check Alcotest.bool "stats match a plain import" true
-        (ends_with out plain);
-      check Alcotest.bool "manifest rewritten in the current format" true
-        (String.starts_with ~prefix:"lockdoc-durable 2\n"
-           (read_file (Filename.concat state "MANIFEST")));
-      let code, out, _ = run [ "recover"; "--derive"; state ] in
-      check Alcotest.int "recover --derive exits 0" 0 code;
-      check Alcotest.bool "complete" true (contains out "state: complete import");
-      let _, derived, _ = run [ "derive"; clean ] in
-      check Alcotest.bool "recovered rules match derive" true
-        (derived <> "" && ends_with out derived))
+  List.iter
+    (fun (version, snap_magic, blob, wal_line) ->
+      with_fixtures (fun ~dir ~clean ~bad:_ ->
+          let n = Array.length (Trace.load clean).Trace.events in
+          let state = Filename.concat dir "state" in
+          Sys.mkdir state 0o755;
+          let write name s =
+            Out_channel.with_open_bin (Filename.concat state name) (fun oc ->
+                output_string oc s)
+          in
+          write "MANIFEST"
+            (Printf.sprintf
+               "%s\nsnapshot=snap-000000.snap\nwal_lsn=0\n\
+                trace_offset=0\ntrace_file=%s\ntrace_events=%d\ncomplete=false\n"
+               version clean n);
+          let hdr = Bytes.create 8 in
+          Bytes.set_int32_le hdr 0 (Int32.of_int (String.length blob));
+          Bytes.set_int32_le hdr 4 (Int32.of_int (Wal.crc32 blob));
+          write "snap-000000.snap" (snap_magic ^ Bytes.to_string hdr ^ blob);
+          let w = Wal.create ~dir:state () in
+          Wal.append w (wal_line clean);
+          Wal.close w;
+          let reason =
+            Printf.sprintf
+              "old-format directory (%s); rerun import --durable to rebuild it"
+              version
+          in
+          let r = Durable.recover ~dir:state in
+          check Alcotest.(option string) (version ^ ": reason names the old format")
+            (Some reason) r.Durable.r_stop;
+          check Alcotest.(option string) (version ^ ": no snapshot") None
+            r.Durable.r_snapshot;
+          check Alcotest.int (version ^ ": empty store: accesses") 0
+            (Store.n_accesses r.Durable.r_store);
+          check Alcotest.int (version ^ ": empty store: types") 0
+            (Store.n_data_types r.Durable.r_store);
+          let code, out, err = run [ "recover"; state ] in
+          check Alcotest.int (version ^ ": recover exits 0") 0 code;
+          check Alcotest.string (version ^ ": recover: nothing on stderr") "" err;
+          check Alcotest.string (version ^ ": recover prints the reason")
+            (Printf.sprintf
+               "snapshot: none (%s)\nstore: 0 access(es), 0 txn(s), 0 lock(s), 0 \
+                allocation(s), 0 type(s)\n"
+               reason)
+            out;
+          let code, out, _ = run [ "import"; clean; "--durable"; state ] in
+          check Alcotest.int (version ^ ": import --durable exits 0") 0 code;
+          check Alcotest.bool (version ^ ": started afresh") false
+            (contains out "resumed");
+          let _, plain, _ = run [ "import"; clean ] in
+          check Alcotest.bool (version ^ ": stats match a plain import") true
+            (ends_with out plain);
+          check Alcotest.bool (version ^ ": manifest rewritten in the current format")
+            true
+            (String.starts_with ~prefix:"lockdoc-durable 3\n"
+               (read_file (Filename.concat state "MANIFEST")));
+          let code, out, _ = run [ "recover"; "--derive"; state ] in
+          check Alcotest.int (version ^ ": recover --derive exits 0") 0 code;
+          check Alcotest.bool (version ^ ": complete") true
+            (contains out "state: complete import");
+          let _, derived, _ = run [ "derive"; clean ] in
+          check Alcotest.bool (version ^ ": recovered rules match derive") true
+            (derived <> "" && ends_with out derived)))
+    [
+      ( "lockdoc-durable 1",
+        "LOCKDOCSNAP1\n",
+        "an old marshalled payload",
+        fun _ -> v1_op_line );
+      ( "lockdoc-durable 2",
+        "LOCKDOCSNAP2\n",
+        Marshal.to_string ([ 1; 2; 3 ], "not this version's payload") [],
+        fun clean ->
+          Lockdoc_trace.Event.to_line (Trace.load clean).Trace.events.(0) );
+    ]
 
 (* ---- pack / unpack / binary fsck ---------------------------------- *)
 
@@ -577,6 +609,7 @@ let () =
             test_checked_flags_diagnose;
           Alcotest.test_case "replay rejects unknown workload" `Quick
             test_replay_unknown_workload;
+          Alcotest.test_case "unknown type key" `Quick test_unknown_type_key;
           Alcotest.test_case "lint flags diagnose" `Quick
             test_lint_flags_diagnose;
           Alcotest.test_case "lint rejects unknown workload" `Quick

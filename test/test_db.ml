@@ -114,6 +114,30 @@ let test_address_reuse () =
   check (Alcotest.option Alcotest.int) "first freed" (Some 3)
     (Store.allocation store a0.Schema.ac_alloc).Schema.al_end
 
+(* Offsets past the importer's dense offset table (64 KiB) resolve by
+   scanning the layout, like [Layout.member_at]. *)
+let test_oversized_member () =
+  let big =
+    Layout.make ~name:"big"
+      [ ("head", 8, Layout.Data); ("blob", 1 lsl 17, Layout.Data); ("tail", 8, Layout.Data) ]
+  in
+  let sink = Trace.sink () in
+  List.iter (Trace.emit sink)
+    [
+      Event.Ctx_switch { pid = 1; kind = Event.Task };
+      Event.Alloc { ptr = base; size = big.Layout.ty_size + 8; data_type = "big"; subclass = None };
+      read (base + 100);
+      read (base + 100_000);
+      read (base + 8 + (1 lsl 17));
+      read (base + big.Layout.ty_size);
+    ];
+  let store, stats =
+    Import.run ~filter:Filter.empty (Trace.finish ~layouts:[ big ] sink)
+  in
+  check Alcotest.int "past the last member" 1 stats.Import.unresolved;
+  check (Alcotest.list Alcotest.string) "members" [ "blob"; "blob"; "tail" ]
+    (List.init (Store.n_accesses store) (fun i -> (Store.access store i).Schema.ac_member))
+
 (* {2 Transaction reconstruction} *)
 
 let lock1 = 0x10
@@ -494,15 +518,299 @@ let test_modes_agree_on_clean_trace () =
     |> List.exists (fun l ->
            String.length l >= 9 && String.sub l 0 9 = "anomalies"))
 
+(* {2 Import-output goldens}
+
+   MD5 of the full CSV export (every table, stacks and txns included)
+   of each workload family at seed 3 under both IRQ modes, plus one
+   corrupted trace imported leniently. The family traces carry no
+   interrupts, so the scale-1 benchmark mix at seed 3 is pinned too:
+   its interrupt handlers make the two IRQ modes differ. The
+   digests were taken from the importer before its hot path was made
+   flat; any change to row order, ids, stacks or transactions shows up
+   here. Never regenerate them to make this test pass.
+
+   The simulator numbers a function's source lines when the function
+   is first declared, so a trace's locations depend on which
+   simulations ran earlier in the process. All golden traces are
+   therefore built together, in a fixed order, and this group runs
+   first in the suite. *)
+
+let golden_traces =
+  lazy
+    (let plain =
+       List.map
+         (fun name -> (name, Lockdoc_ksim.Run.workload_trace ~seed:3 name))
+         Lockdoc_ksim.Run.workload_names
+     in
+     let mix =
+       let config =
+         {
+           Lockdoc_ksim.Run.default_config with
+           kernel = { Lockdoc_ksim.Kernel.default_config with seed = 3 };
+           scale = 1;
+         }
+       in
+       fst (Lockdoc_ksim.Run.benchmark_mix ~config ())
+     in
+     plain @ [ ("mix", mix) ])
+
+let export_digest store =
+  let dir = Filename.temp_file "lockdoc_golden" "" in
+  Sys.remove dir;
+  Lockdoc_db.Csv.export ~dir store;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) Lockdoc_db.Csv.files;
+      Sys.rmdir dir)
+    (fun () ->
+      Lockdoc_db.Csv.files
+      |> List.map (fun f ->
+             f ^ "\n"
+             ^ In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+      |> String.concat "" |> Digest.string |> Digest.to_hex)
+
+let golden_digests =
+  [
+    ("fs_bench/inherit", "006d59a6010f5f17687bb372a8a5656a");
+    ("fs_bench/separate", "006d59a6010f5f17687bb372a8a5656a");
+    ("fsstress/inherit", "fa7a8d86bf861aeb4589f97629db16c0");
+    ("fsstress/separate", "fa7a8d86bf861aeb4589f97629db16c0");
+    ("fs_inod/inherit", "2b5913378bcc49901d27e98c869dab94");
+    ("fs_inod/separate", "2b5913378bcc49901d27e98c869dab94");
+    ("pipe/inherit", "f3017099155dd8898c9bd2d54e236134");
+    ("pipe/separate", "f3017099155dd8898c9bd2d54e236134");
+    ("symlink/inherit", "354884cd9947f783bf493e244a6f6f08");
+    ("symlink/separate", "354884cd9947f783bf493e244a6f6f08");
+    ("device/inherit", "e095e5d52b2b22be0865dc8700a77fbf");
+    ("device/separate", "e095e5d52b2b22be0865dc8700a77fbf");
+    ("mix/inherit", "1c090bff2c7c1625c389d198ab5248ab");
+    ("mix/separate", "5adb22aa6a26efe9fc2fb689894e7c2e");
+  ]
+
+let test_golden_digests () =
+  let got =
+    List.concat_map
+      (fun (name, trace) ->
+        List.map
+          (fun (mode_name, irq_mode) ->
+            let store, _ = Import.run ~irq_mode trace in
+            (name ^ "/" ^ mode_name, export_digest store))
+          [ ("inherit", Import.Inherit); ("separate", Import.Separate) ])
+      (Lazy.force golden_traces)
+  in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "export digests" golden_digests got
+
+(* fs_bench at seed 3 damaged by [Corrupt.corrupt ~seed:9], which
+   triggers five of the importer's anomaly classes. *)
+let golden_corrupt_digest = "387623fef5c56af0d1344dfd422fd2de"
+
+let test_golden_corrupt () =
+  let lines = Trace.to_lines (List.assoc "fs_bench" (Lazy.force golden_traces)) in
+  let lines, _ = Lockdoc_trace.Corrupt.corrupt ~seed:9 lines in
+  let trace, _ = Trace.read_lines ~mode:Trace.Lenient lines in
+  let store, stats = Import.run ~mode:Import.Lenient trace in
+  check Alcotest.string "export digest" golden_corrupt_digest (export_digest store);
+  check Alcotest.int "unbalanced releases" 1 stats.Import.unbalanced_releases;
+  check Alcotest.bool "anomaly counts"
+    true
+    (stats.Import.anomalies
+    = {
+        Import.no_anomalies with
+        Import.an_double_free = 1;
+        an_access_after_free = 61;
+        an_acquire_on_freed = 1;
+        an_unclosed_txns = 2;
+      })
+
+(* {2 Per-flow caches}
+
+   The importer caches, per flow, the function-blacklist verdict and the
+   interned stack id of the last frames list an access saw, and keeps
+   the held-lock stack newest first. These traces drive each cache
+   across the events that must invalidate it. *)
+
+let enter fn = Event.Fun_enter { fn; loc }
+let leave fn = Event.Fun_exit { fn }
+let stack_id store i = (Store.access store i).Schema.ac_stack
+let stack_of store i = Store.stack store (stack_id store i)
+
+let test_cache_blacklisted_frame () =
+  let filter = { Filter.empty with Filter.fn_blacklist = [ "init_fn" ] } in
+  let store, stats =
+    import ~filter
+      [
+        task;
+        alloc base;
+        enter "outer";
+        write base (* kept: [outer] *);
+        enter "init_fn";
+        write base (* filtered *);
+        enter "helper";
+        write base (* filtered: init_fn is still below *);
+        leave "helper";
+        leave "init_fn";
+        write base (* kept: back to [outer] *);
+        enter "helper";
+        write base (* kept: [helper; outer] *);
+        leave "helper";
+        write base (* kept: [outer] *);
+      ]
+  in
+  check Alcotest.int "filtered under init_fn" 2 stats.Import.filtered_fn;
+  check Alcotest.int "kept" 4 stats.Import.accesses_kept;
+  check (Alcotest.list Alcotest.string) "shorter stack after exit" [ "outer" ]
+    (stack_of store 1);
+  check Alcotest.int "same id as before the blacklisted frame"
+    (stack_id store 0) (stack_id store 1);
+  check (Alcotest.list Alcotest.string) "deeper stack" [ "helper"; "outer" ]
+    (stack_of store 2);
+  check Alcotest.int "back again" (stack_id store 0) (stack_id store 3);
+  check Alcotest.int "two stacks interned" 2 (Store.n_stacks store)
+
+let cache_irq_events =
+  [
+    task;
+    alloc base;
+    enter "task_fn";
+    acquire ~name:"task_lock" lock1;
+    write base (* 0: task txn, [task_fn] *);
+    Event.Ctx_switch { pid = 1001; kind = Event.Hardirq };
+    read base (* 1: handler, no frames *);
+    enter "irq_fn";
+    read base (* 2: [irq_fn] *);
+    Event.Ctx_switch { pid = 1; kind = Event.Task };
+    write base (* 3: task again *);
+    release lock1;
+    write base (* 4: no txn *);
+  ]
+
+let test_cache_irq_switch () =
+  let store, _ =
+    Import.run ~filter:Filter.empty ~irq_mode:Import.Inherit (mk_trace cache_irq_events)
+  in
+  let txn i = access_txn store i in
+  check Alcotest.bool "task access in a txn" true (txn 0 <> None);
+  check (Alcotest.option Alcotest.int) "handler sees the interrupted txn" (txn 0)
+    (txn 1);
+  check (Alcotest.list Alcotest.string) "handler starts with no frames" []
+    (stack_of store 1);
+  check (Alcotest.list Alcotest.string) "handler frame" [ "irq_fn" ]
+    (stack_of store 2);
+  check (Alcotest.option Alcotest.int) "task txn after the switch back" (txn 0)
+    (txn 3);
+  check Alcotest.int "task stack id after the switch back" (stack_id store 0)
+    (stack_id store 3);
+  check (Alcotest.option Alcotest.int) "released" None (txn 4);
+  let store, _ =
+    Import.run ~filter:Filter.empty ~irq_mode:Import.Separate (mk_trace cache_irq_events)
+  in
+  check (Alcotest.option Alcotest.int) "separate handler: no txn" None
+    (access_txn store 1);
+  check (Alcotest.option Alcotest.int) "separate: task txn kept"
+    (access_txn store 0) (access_txn store 3)
+
+let test_cache_out_of_order_release () =
+  let lock3 = 0x30 in
+  let store, stats =
+    import ~filter:Filter.empty
+      [
+        task;
+        alloc base;
+        acquire ~name:"A" lock1;
+        acquire ~name:"B" lock2;
+        acquire ~name:"C" lock3;
+        read base (* A B C *);
+        release lock1 (* out of order: B and C reopen *);
+        read base (* B C *);
+        release lock3;
+        read base (* B, the rebuilt txn *);
+        acquire ~name:"A" lock1;
+        read base (* B A *);
+        release lock2 (* out of order again: A reopens *);
+        read base (* A *);
+        release lock1;
+        read base (* none *);
+      ]
+  in
+  check Alcotest.int "balanced" 0 stats.Import.unbalanced_releases;
+  let locks i = Option.map (txn_locks store) (access_txn store i) in
+  check
+    (Alcotest.list (Alcotest.option (Alcotest.list Alcotest.string)))
+    "current txn after each release"
+    [
+      Some [ "A"; "B"; "C" ];
+      Some [ "B"; "C" ];
+      Some [ "B" ];
+      Some [ "B"; "A" ];
+      Some [ "A" ];
+      None;
+    ]
+    (List.init 6 locks);
+  check Alcotest.bool "resumed txn is the rebuilt one" true
+    (access_txn store 2 <> access_txn store 0)
+
+(* A checkpoint marshals the engine mid-flow; the resumed engine must
+   produce the rows of an uninterrupted import, caches included. Every
+   split point of the hand-built traces, and a few of the scale-1 mix. *)
+let resumed_digest ?irq_mode ~filter trace split =
+  let g = Import.engine ~filter ?irq_mode trace.Trace.layouts in
+  Array.iteri (fun i ev -> if i < split then Import.feed g ev) trace.Trace.events;
+  let g : Import.engine = Marshal.from_string (Marshal.to_string g []) 0 in
+  Array.iteri (fun i ev -> if i >= split then Import.feed g ev) trace.Trace.events;
+  ignore (Import.finalize g);
+  export_digest (Import.engine_store g)
+
+let test_cache_checkpoint_resume () =
+  let check_splits ~name ?irq_mode ~filter trace splits =
+    let store, _ = Import.run ~filter ?irq_mode trace in
+    let whole = export_digest store in
+    List.iter
+      (fun split ->
+        check Alcotest.string
+          (Printf.sprintf "%s: resumed at %d" name split)
+          whole
+          (resumed_digest ?irq_mode ~filter trace split))
+      splits
+  in
+  let hand = mk_trace (cache_irq_events @ [ enter "init_fn"; write base; leave "init_fn"; write base ]) in
+  let all n = List.init (n + 1) Fun.id in
+  check_splits ~name:"hand-built"
+    ~filter:{ Filter.empty with Filter.fn_blacklist = [ "init_fn" ] }
+    hand
+    (all (Array.length hand.Trace.events));
+  let mix = List.assoc "mix" (Lazy.force golden_traces) in
+  let n = Array.length mix.Trace.events in
+  List.iter
+    (fun irq_mode ->
+      check_splits ~name:"mix" ~irq_mode ~filter:Filter.default mix
+        (List.init 5 (fun i -> (i + 1) * n / 6)))
+    [ Import.Inherit; Import.Separate ]
+
 let () =
   Alcotest.run "db"
     [
+      ( "golden",
+        [
+          Alcotest.test_case "export digests" `Quick test_golden_digests;
+          Alcotest.test_case "corrupt export digest" `Quick test_golden_corrupt;
+        ] );
+      ( "caches",
+        [
+          Alcotest.test_case "blacklisted frame" `Quick test_cache_blacklisted_frame;
+          Alcotest.test_case "irq switch" `Quick test_cache_irq_switch;
+          Alcotest.test_case "out-of-order release" `Quick
+            test_cache_out_of_order_release;
+          Alcotest.test_case "checkpoint resume" `Quick test_cache_checkpoint_resume;
+        ] );
       ( "resolution",
         [
           Alcotest.test_case "member resolution" `Quick test_resolution;
           Alcotest.test_case "unresolved access" `Quick test_unresolved_access;
           Alcotest.test_case "subclass keys" `Quick test_subclass_keys;
           Alcotest.test_case "address reuse" `Quick test_address_reuse;
+          Alcotest.test_case "oversized member" `Quick test_oversized_member;
         ] );
       ( "transactions",
         [

@@ -135,6 +135,38 @@ let test_roundtrip_families () =
       done)
     families
 
+(* The decoder shares one location per (file id, line). String ids are
+   explicit, so a later segment may intern an id again with another
+   string; locations decoded after that must name the new file. Two
+   encoders each intern "file" id 0, and the second one's segment is
+   appended to the first one's stream. *)
+let test_reinterned_file_id () =
+  let mem file =
+    Event.Mem_access
+      { ptr = 0x1000; size = 8; kind = Event.Read; loc = Lockdoc_trace.Srcloc.make file 5 }
+  in
+  let packed file =
+    let out = Buffer.create 64 in
+    let e = Codec.encoder (Buffer.add_string out) in
+    Codec.add_event e (mem file);
+    Codec.add_event e (mem file);
+    Codec.close_encoder e;
+    Buffer.contents out
+  in
+  let second = packed "fs/b.c" in
+  let stream =
+    packed "fs/a.c"
+    ^ String.sub second (String.length Codec.magic)
+        (String.length second - String.length Codec.magic)
+  in
+  let trace, diags = Codec.decode_string ~mode:Trace.Strict stream in
+  check Alcotest.int "no diags" 0 (List.length diags);
+  check
+    (Alcotest.list Alcotest.string)
+    "locations follow the re-interned id"
+    (List.map Event.to_line [ mem "fs/a.c"; mem "fs/a.c"; mem "fs/b.c"; mem "fs/b.c" ])
+    (List.map Event.to_line (Array.to_list trace.Trace.events))
+
 let test_chunked_feed () =
   let trace = Run.workload_trace ~seed:11 "pipe" in
   let packed = Codec.encode_trace trace in
@@ -540,6 +572,7 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "families (%d seeds)" n_seeds)
             `Slow test_roundtrip_families;
+          Alcotest.test_case "re-interned file id" `Quick test_reinterned_file_id;
           Alcotest.test_case "chunked feeding" `Quick test_chunked_feed;
           Alcotest.test_case "empty trace" `Quick test_empty_trace;
         ] );
