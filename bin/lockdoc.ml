@@ -165,14 +165,16 @@ let load_trace ?(binary = false) mode path =
   trace
 
 (* Strict-mode readers/importers raise on the first fatal anomaly; turn
-   that into a proper error message instead of an uncaught exception. *)
-let or_fail f =
+   that into a proper error message instead of an uncaught exception.
+   Commands without [--lenient] pass [~lenient:false] and get no hint. *)
+let or_fail ?(lenient = true) f =
   try f ()
   with Trace.Invalid d ->
     Printf.eprintf "lockdoc: fatal trace anomaly: %s\n"
       (Lockdoc_trace.Diag.to_string d);
-    Printf.eprintf "lockdoc: rerun with --lenient (or `lockdoc fsck`) to \
-                    recover and survey the damage\n";
+    if lenient then
+      Printf.eprintf "lockdoc: rerun with --lenient (or `lockdoc fsck`) to \
+                      recover and survey the damage\n";
     exit 1
 
 let load_dataset ?(mode = Import.Strict) ?binary path =
@@ -653,7 +655,8 @@ let lockmeter_cmd =
   in
   let run path top json metrics =
     with_metrics metrics @@ fun () ->
-    let trace = Trace.load path in
+    or_fail ~lenient:false @@ fun () ->
+    let trace = load_trace Import.Strict path in
     let store, _ = Import.run trace in
     let stats = Lockdoc_core.Lockmeter.analyse trace store in
     if json then
@@ -675,7 +678,8 @@ let export_cmd =
   in
   let run path dir metrics =
     with_metrics metrics @@ fun () ->
-    let trace = Trace.load path in
+    or_fail ~lenient:false @@ fun () ->
+    let trace = load_trace Import.Strict path in
     let store, _ = Import.run trace in
     Lockdoc_db.Csv.export ~dir store;
     Printf.printf "exported %d accesses / %d txns / %d locks to %s/{%s}\n"
@@ -711,7 +715,8 @@ let relations_cmd =
 let lockdep_cmd =
   let run path json metrics =
     with_metrics metrics @@ fun () ->
-    let trace = Trace.load path in
+    or_fail ~lenient:false @@ fun () ->
+    let trace = load_trace Import.Strict path in
     let store, _ = Import.run trace in
     let report = Lockdoc_core.Lockdep.analyse store in
     if json then print_endline (Lockdoc_core.Report.lockdep_to_json report)

@@ -26,26 +26,3 @@ val create : ?scale:int -> ?seed:int -> unit -> t
 
 val mined_for : t -> string -> Lockdoc_core.Derivator.mined list
 (** Mined rules of one type key. *)
-
-(** {2 Per-workload-family pipelines} *)
-
-type family = {
-  w_name : string;
-  w_trace : Lockdoc_trace.Trace.t;
-  w_dataset : Lockdoc_core.Dataset.t;  (** built on the worker domain *)
-  w_groups : int;  (** derivation groups, i.e. mined rules *)
-  w_mined : Lockdoc_core.Derivator.mined list;
-  w_violations : Lockdoc_core.Violation.violation list;
-}
-
-val analyse_family : string * Lockdoc_trace.Trace.t -> family
-(** Import + derive + scan one named trace, sequentially. *)
-
-val families : ?seed:int -> ?scale:int -> ?jobs:int -> unit -> family list
-(** One isolated pipeline per benchmark family
-    ({!Lockdoc_ksim.Run.workload_names}). Trace generation runs on the
-    calling domain — the simulated kernel holds process-global state —
-    but each family's import/derive/scan pipeline imports into a store
-    of its own, so with [jobs > 1] (default 1) the pipelines fan out
-    across domains with {!Lockdoc_util.Pool.map}.
-    Output order and contents do not depend on [jobs]. *)

@@ -254,16 +254,14 @@ let closure nfa set =
   seen
 
 let nfa_cache : (string, int * nfa) Hashtbl.t = Hashtbl.create 256
-let nfa_cache_mutex = Mutex.create ()
 
 let nfa_of fn node =
-  Mutex.protect nfa_cache_mutex (fun () ->
-      match Hashtbl.find_opt nfa_cache fn.sk_name with
-      | Some sn -> sn
-      | None ->
-          let sn = compile node in
-          Hashtbl.replace nfa_cache fn.sk_name sn;
-          sn)
+  match Hashtbl.find_opt nfa_cache fn.sk_name with
+  | Some sn -> sn
+  | None ->
+      let sn = compile node in
+      Hashtbl.replace nfa_cache fn.sk_name sn;
+      sn
 
 let accepts fn letters =
   match fn.sk_body with

@@ -21,29 +21,22 @@ end
 
 (* ---- Enabling ----------------------------------------------------- *)
 
-let enabled_flag = Atomic.make false
+(* Everything below assumes one domain (obs.mli): plain refs and
+   mutable fields, no atomics, no lock. *)
+let enabled_flag = ref false
 
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
+let set_enabled b = enabled_flag := b
+let enabled () = !enabled_flag
 
 (* ---- Registry ----------------------------------------------------- *)
 
-(* One mutex guards handle creation, span aggregation and snapshots —
-   all cold paths. The hot paths (incr/add/observe) touch only atomics
-   owned by the handle. *)
-let mu = Mutex.create ()
-
-let locked f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
-type counter = { c_v : int Atomic.t }
-type gauge = { g_v : float Atomic.t }
+type counter = { mutable c_v : int }
+type gauge = { mutable g_v : float }
 
 type histogram = {
   h_buckets : float array;  (* upper bounds, strictly increasing *)
-  h_counts : int Atomic.t array;  (* length = buckets + 1 (overflow) *)
-  h_sum : float Atomic.t;
+  h_counts : int array;  (* length = buckets + 1 (overflow) *)
+  mutable h_sum : float;
 }
 
 type span_cell = {
@@ -57,66 +50,46 @@ let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 let spans : (string, span_cell) Hashtbl.t = Hashtbl.create 32
 
-let counter name =
-  locked (fun () ->
-      match Hashtbl.find_opt counters name with
-      | Some c -> c
-      | None ->
-          let c = { c_v = Atomic.make 0 } in
-          Hashtbl.replace counters name c;
-          c)
+let find_or_add tbl name make =
+  match Hashtbl.find_opt tbl name with
+  | Some v -> v
+  | None ->
+      let v = make () in
+      Hashtbl.replace tbl name v;
+      v
 
-let incr c = if Atomic.get enabled_flag then Atomic.incr c.c_v
+let counter name = find_or_add counters name (fun () -> { c_v = 0 })
 
-let add c n = if Atomic.get enabled_flag && n <> 0 then ignore (Atomic.fetch_and_add c.c_v n)
+let incr c = if !enabled_flag then c.c_v <- c.c_v + 1
 
-let counter_value c = Atomic.get c.c_v
+let add c n = if !enabled_flag then c.c_v <- c.c_v + n
 
-let gauge name =
-  locked (fun () ->
-      match Hashtbl.find_opt gauges name with
-      | Some g -> g
-      | None ->
-          let g = { g_v = Atomic.make 0. } in
-          Hashtbl.replace gauges name g;
-          g)
+let counter_value c = c.c_v
 
-let set_gauge g v = if Atomic.get enabled_flag then Atomic.set g.g_v v
+let gauge name = find_or_add gauges name (fun () -> { g_v = 0. })
 
-let gauge_value g = Atomic.get g.g_v
+let set_gauge g v = if !enabled_flag then g.g_v <- v
+
+let gauge_value g = g.g_v
 
 let default_buckets =
   [| 0.05; 0.1; 0.25; 0.5; 1.; 2.5; 5.; 10.; 25.; 50.; 100.; 250.; 500.;
      1000.; 2500.; 5000.; 10000. |]
 
 let histogram ?(buckets = default_buckets) name =
-  locked (fun () ->
-      match Hashtbl.find_opt histograms name with
-      | Some h -> h
-      | None ->
-          Array.iteri
-            (fun i b ->
-              if i > 0 && buckets.(i - 1) >= b then
-                invalid_arg
-                  (Printf.sprintf
-                     "Obs.histogram %s: buckets must be strictly increasing"
-                     name))
-            buckets;
-          let h =
-            {
-              h_buckets = Array.copy buckets;
-              h_counts =
-                Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
-              h_sum = Atomic.make 0.;
-            }
-          in
-          Hashtbl.replace histograms name h;
-          h)
-
-(* Lock-free float accumulation: CAS on the boxed value. *)
-let rec atomic_fadd a x =
-  let cur = Atomic.get a in
-  if not (Atomic.compare_and_set a cur (cur +. x)) then atomic_fadd a x
+  find_or_add histograms name (fun () ->
+      Array.iteri
+        (fun i b ->
+          if i > 0 && buckets.(i - 1) >= b then
+            invalid_arg
+              (Printf.sprintf
+                 "Obs.histogram %s: buckets must be strictly increasing" name))
+        buckets;
+      {
+        h_buckets = Array.copy buckets;
+        h_counts = Array.make (Array.length buckets + 1) 0;
+        h_sum = 0.;
+      })
 
 let bucket_index buckets v =
   let n = Array.length buckets in
@@ -130,50 +103,43 @@ let bucket_index buckets v =
   go 0 n
 
 let observe h v =
-  if Atomic.get enabled_flag then begin
-    Atomic.incr h.h_counts.(bucket_index h.h_buckets v);
-    atomic_fadd h.h_sum v
+  if !enabled_flag then begin
+    let i = bucket_index h.h_buckets v in
+    h.h_counts.(i) <- h.h_counts.(i) + 1;
+    h.h_sum <- h.h_sum +. v
   end
 
-let histogram_count h =
-  Array.fold_left (fun acc c -> acc + Atomic.get c) 0 h.h_counts
+let histogram_count h = Array.fold_left ( + ) 0 h.h_counts
 
-let histogram_sum h = Atomic.get h.h_sum
+let histogram_sum h = h.h_sum
 
 (* ---- Spans -------------------------------------------------------- *)
 
-let span_stack : string list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let span_stack : string list ref = ref []
 
 module Span = struct
-  let current_path () = !(Domain.DLS.get span_stack)
+  let current_path () = !span_stack
 
   let record name (d : Clock.t) =
-    if Atomic.get enabled_flag then
-      locked (fun () ->
-          let cell =
-            match Hashtbl.find_opt spans name with
-            | Some c -> c
-            | None ->
-                let c = { sc_count = 0; sc_wall = 0.; sc_cpu = 0. } in
-                Hashtbl.replace spans name c;
-                c
-          in
-          cell.sc_count <- cell.sc_count + 1;
-          cell.sc_wall <- cell.sc_wall +. d.Clock.wall;
-          cell.sc_cpu <- cell.sc_cpu +. d.Clock.cpu)
+    if !enabled_flag then begin
+      let cell =
+        find_or_add spans name (fun () ->
+            { sc_count = 0; sc_wall = 0.; sc_cpu = 0. })
+      in
+      cell.sc_count <- cell.sc_count + 1;
+      cell.sc_wall <- cell.sc_wall +. d.Clock.wall;
+      cell.sc_cpu <- cell.sc_cpu +. d.Clock.cpu
+    end
 
   let push name =
-    let stack = Domain.DLS.get span_stack in
     let path =
-      match !stack with [] -> name | parent :: _ -> parent ^ "/" ^ name
+      match !span_stack with [] -> name | parent :: _ -> parent ^ "/" ^ name
     in
-    stack := path :: !stack;
+    span_stack := path :: !span_stack;
     path
 
   let pop () =
-    let stack = Domain.DLS.get span_stack in
-    match !stack with [] -> () | _ :: rest -> stack := rest
+    match !span_stack with [] -> () | _ :: rest -> span_stack := rest
 
   let timed name f =
     let path = push name in
@@ -185,22 +151,21 @@ module Span = struct
     (result, d)
 
   let time name f =
-    if not (Atomic.get enabled_flag) then f ()
+    if not !enabled_flag then f ()
     else fst (timed name f)
 end
 
 (* ---- Reset -------------------------------------------------------- *)
 
 let reset () =
-  locked (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.c_v 0) counters;
-      Hashtbl.iter (fun _ g -> Atomic.set g.g_v 0.) gauges;
-      Hashtbl.iter
-        (fun _ h ->
-          Array.iter (fun c -> Atomic.set c 0) h.h_counts;
-          Atomic.set h.h_sum 0.)
-        histograms;
-      Hashtbl.reset spans)
+  Hashtbl.iter (fun _ c -> c.c_v <- 0) counters;
+  Hashtbl.iter (fun _ g -> g.g_v <- 0.) gauges;
+  Hashtbl.iter
+    (fun _ h ->
+      Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
+      h.h_sum <- 0.)
+    histograms;
+  Hashtbl.reset spans
 
 (* ---- Snapshots ---------------------------------------------------- *)
 
@@ -225,23 +190,21 @@ let sorted_bindings tbl f =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let snapshot () =
-  locked (fun () ->
-      {
-        sn_counters = sorted_bindings counters (fun c -> Atomic.get c.c_v);
-        sn_gauges = sorted_bindings gauges (fun g -> Atomic.get g.g_v);
-        sn_histograms =
-          sorted_bindings histograms (fun h ->
-              let counts = Array.map Atomic.get h.h_counts in
-              {
-                hs_buckets = Array.copy h.h_buckets;
-                hs_counts = counts;
-                hs_count = Array.fold_left ( + ) 0 counts;
-                hs_sum = Atomic.get h.h_sum;
-              });
-        sn_spans =
-          sorted_bindings spans (fun c ->
-              { sp_count = c.sc_count; sp_wall = c.sc_wall; sp_cpu = c.sc_cpu });
-      })
+  {
+    sn_counters = sorted_bindings counters (fun c -> c.c_v);
+    sn_gauges = sorted_bindings gauges (fun g -> g.g_v);
+    sn_histograms =
+      sorted_bindings histograms (fun h ->
+          {
+            hs_buckets = Array.copy h.h_buckets;
+            hs_counts = Array.copy h.h_counts;
+            hs_count = histogram_count h;
+            hs_sum = h.h_sum;
+          });
+    sn_spans =
+      sorted_bindings spans (fun c ->
+          { sp_count = c.sc_count; sp_wall = c.sc_wall; sp_cpu = c.sc_cpu });
+  }
 
 let snapshot_to_json s =
   Json.O

@@ -1,28 +1,29 @@
-(** Domain-safe observability: metrics registry, timing spans and a
-    JSON snapshot API.
+(** Observability: metrics registry, timing spans and a JSON snapshot
+    API.
 
-    Everything here may be called concurrently from OCaml 5 domains:
-    counters and histogram buckets are atomics, span aggregation and
-    handle registration take a single global mutex (both are cold
-    paths). Recording never mutates anything outside this module — in
-    particular it never touches a {!Lockdoc_db.Store}, which is why
-    instrumented analysis code may run on sealed stores — and never
-    writes to stdout/stderr, so enabling metrics cannot change analysis
-    output bytes.
+    Single-domain contract: every function here must be called from the
+    one domain the program runs on. Counters, gauges and histogram
+    buckets are plain mutable fields, the enabled flag is a [bool ref]
+    and the span stack a plain list; nothing takes a lock. Nothing in
+    [lib/] or [bin/] spawns a domain, and a tier-1 check in [test/dune]
+    fails if [Domain], [Atomic] or [Mutex] appear there. Recording never
+    mutates anything outside this module — in particular it never
+    touches a {!Lockdoc_db.Store} — and never writes to stdout/stderr,
+    so enabling metrics cannot change analysis output bytes.
 
     Recording is off by default. {!set_enabled}[ true] (done by the CLI
     when [--metrics] or [lockdoc profile] is used, and by the
     differential test harnesses) turns every [incr]/[observe]/span
-    recording into a live update; when disabled they cost one atomic
-    load. Handles may be created at module-initialisation time either
-    way. *)
+    recording into a live update; when disabled they cost one load and
+    a branch. Handles may be created at module-initialisation time
+    either way. *)
 
 (** {1 Clocks}
 
     The pre-existing pipeline timed phases with [Sys.time ()], which is
-    {e process CPU time}: on [n] busy domains it advances up to [n]
-    seconds per wall second, so parallel phases looked slower than
-    sequential ones. [Clock] keeps the two notions separate.
+    {e process CPU time}: it stops while the process waits on I/O or a
+    socket, so it is not elapsed time. [Clock] keeps the two notions
+    separate.
 
     The wall clock is [CLOCK_MONOTONIC]: spans, histograms and the
     serve daemon's deadlines are all durations, and a wall-clock step
@@ -103,9 +104,9 @@ val histogram_sum : histogram -> float
 (** {1 Spans}
 
     A span is a named wall+cpu duration aggregated per name. Nested
-    spans (per domain, tracked with domain-local state) record under a
-    slash-joined path: [Span.time "derive" (fun () -> Span.time "enumerate" …)]
-    records ["derive"] and ["derive/enumerate"]. *)
+    spans record under a slash-joined path:
+    [Span.time "derive" (fun () -> Span.time "enumerate" …)] records
+    ["derive"] and ["derive/enumerate"]. *)
 
 module Span : sig
   val time : string -> (unit -> 'a) -> 'a
@@ -123,7 +124,7 @@ module Span : sig
       output come from the same accumulators). *)
 
   val current_path : unit -> string list
-  (** Enclosing span names of the calling domain, innermost first.
+  (** Enclosing span names, innermost first.
       Exposed for tests. *)
 end
 
@@ -146,9 +147,7 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** A consistent-enough copy of every registered metric, sorted by
-    name. Counters race benignly with concurrent increments (each value
-    is individually atomic). *)
+(** A copy of every registered metric, sorted by name. *)
 
 val snapshot_to_json : snapshot -> Json.t
 val to_json_string : unit -> string

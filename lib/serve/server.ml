@@ -273,12 +273,21 @@ let online_of s =
       s.s_online <- Some o;
       o
 
+type parsed_row = P_layout of Layout.t | P_event of Event.t
+
+(* One rows-frame row: a ["T\t"] layout row or an event row. Raises
+   [Failure] on a row that does not parse. *)
+let parse_row line =
+  if String.length line >= 2 && String.sub line 0 2 = "T\t" then
+    P_layout (Layout.of_string (String.sub line 2 (String.length line - 2)))
+  else P_event (Event.of_line line)
+
 (* Rebuild a session's import state by replaying its durable journal
    (the valid WAL prefix). Rows were validated before they were
-   journaled, so replay re-feeds them directly; a record that no longer
-   parses (bit rot that survived framing) truncates the journal there —
-   [Wal.replay], as in {!Lockdoc_db.Durable.recover} — and the client
-   re-sends the tail. *)
+   journaled, so replay re-feeds them directly, not through [apply_row]
+   and its crash point; a record that no longer parses (bit rot that
+   survived framing) truncates the journal there — [Wal.replay], as in
+   {!Lockdoc_db.Durable.recover} — and the client re-sends the tail. *)
 let rebuild_session t id ~now =
   let s = fresh_session t id ~now in
   (match session_dir t id with
@@ -287,16 +296,13 @@ let rebuild_session t id ~now =
       let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
       let replayed, _stop =
         Wal.replay ~dir ~from:0 (fun line ->
-            if String.length line >= 2 && String.sub line 0 2 = "T\t" then (
-              let l =
-                Layout.of_string (String.sub line 2 (String.length line - 2))
-              in
-              if s.s_seen_event then failwith "layout after events";
-              s.s_layouts_rev <- l :: s.s_layouts_rev)
-            else begin
-              s.s_seen_event <- true;
-              Online.feed (online_of s) (Event.of_line line)
-            end)
+            match parse_row line with
+            | P_layout l ->
+                if s.s_seen_event then failwith "layout after events";
+                s.s_layouts_rev <- l :: s.s_layouts_rev
+            | P_event ev ->
+                s.s_seen_event <- true;
+                Online.feed (online_of s) ev)
       in
       s.s_accepted <- replayed;
       Wal.truncate_after ~dir ~lsn:s.s_accepted;
@@ -529,8 +535,6 @@ let handle_hello t c ~now version session_id =
           | None -> proto_error t c (Printexc.to_string exn)))
   end
 
-type parsed_row = P_layout of Layout.t | P_event of Event.t
-
 (* Apply one fresh row. A layout is recorded; an event is fed to the
    online engine. Either is journaled only once applied, so the journal
    holds exactly the rows the engine took — the same rule as
@@ -574,17 +578,7 @@ let handle_rows t c s ~now start lines =
           (* Validate the whole frame before accepting any of it: a row
              that does not parse rejects the frame atomically, so the
              journal only ever holds well-formed rows. *)
-          match
-            List.map
-              (fun line ->
-                if String.length line >= 2 && String.sub line 0 2 = "T\t"
-                then
-                  P_layout
-                    (Layout.of_string
-                       (String.sub line 2 (String.length line - 2)))
-                else P_event (Event.of_line line))
-              lines
-          with
+          match List.map parse_row lines with
           | exception Failure reason ->
               proto_error t c ("unparseable row: " ^ reason)
           | parsed -> (

@@ -155,9 +155,4 @@ let read_file_lines path =
 
 let read ?(mode = Strict) path = read_lines ~mode ~file:path (read_file_lines path)
 
-let load path =
-  match read ~mode:Strict path with
-  | t, _ -> t
-  | exception Invalid d -> failwith (Diag.to_string d)
-
 let count t pred = Array.fold_left (fun acc e -> if pred e then acc + 1 else acc) 0 t.events

@@ -39,10 +39,6 @@ val read : ?mode:mode -> string -> t * Diag.t list
 (** [read path] is {!read_lines} over the lines of [path]. Raises
     [Sys_error] if the file cannot be opened. *)
 
-val load : string -> t
-(** Inverse of {!save}. Strict: raises [Failure] carrying the file name
-    and line number of the first bad line, or [Sys_error]. *)
-
 val of_lines : string list -> t
 (** Strict parse; raises [Failure] with the offending line number. *)
 

@@ -3,7 +3,7 @@
    [int_of_string] raises a bare [Failure "int_of_string"], which the
    CLI used to surface as an uncaught exception with a backtrace. These
    parsers return a one-line diagnostic instead, and encode the
-   positivity requirements (-j 0 domains is meaningless, a checkpoint
+   positivity requirements (a --top of 0 shows nothing, a checkpoint
    period of 0 would checkpoint forever) at the parsing boundary. *)
 
 let int_arg s =

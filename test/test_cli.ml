@@ -438,9 +438,9 @@ let test_durable_foreign_dir () =
            "lockdoc: import: %s belongs to a different trace (%s, %d events; \
             given %s, %d events)\n"
            state clean
-           (Array.length (Trace.load clean).Trace.events)
+           (Array.length (fst (Trace.read clean)).Trace.events)
            other
-           (Array.length (Trace.load other).Trace.events))
+           (Array.length (fst (Trace.read other)).Trace.events))
         err;
       check Alcotest.string "MANIFEST untouched" before (read_file manifest))
 
@@ -458,7 +458,7 @@ let test_recover_old_format () =
   List.iter
     (fun (version, snap_magic, blob, wal_line) ->
       with_fixtures (fun ~dir ~clean ~bad:_ ->
-          let n = Array.length (Trace.load clean).Trace.events in
+          let n = Array.length (fst (Trace.read clean)).Trace.events in
           let state = Filename.concat dir "state" in
           Sys.mkdir state 0o755;
           let write name s =
@@ -527,7 +527,7 @@ let test_recover_old_format () =
         "LOCKDOCSNAP2\n",
         Marshal.to_string ([ 1; 2; 3 ], "not this version's payload") [],
         fun clean ->
-          Lockdoc_trace.Event.to_line (Trace.load clean).Trace.events.(0) );
+          Lockdoc_trace.Event.to_line (fst (Trace.read clean)).Trace.events.(0) );
     ]
 
 (* ---- pack / unpack / binary fsck ---------------------------------- *)
@@ -590,6 +590,68 @@ let test_fsck_detects_binary () =
       check Alcotest.bool "torn tail diagnosed" true
         (contains out "reader anomalies"))
 
+(* lockmeter, lockdep and export read through the same loader as
+   derive: a packed trace gives the output of its text twin, and a
+   damaged text trace gives exit 1 and one diagnostic line instead of an
+   uncaught exception. *)
+let baselines dir =
+  let csv = Filename.concat dir "csv" in
+  let export trace =
+    let code, out, err = run [ "export"; trace; "-d"; csv ] in
+    let tables =
+      List.map
+        (fun f -> read_file (Filename.concat csv f))
+        (if code = 0 then Lockdoc_db.Csv.files else [])
+    in
+    (code, String.concat "\n" (out :: tables), err)
+  in
+  [
+    ("lockmeter", fun trace -> run [ "lockmeter"; trace; "--json" ]);
+    ("lockdep", fun trace -> run [ "lockdep"; trace; "--json" ]);
+    ("export", export);
+  ]
+
+let test_baselines_read_packed () =
+  with_fixtures (fun ~dir ~clean ~bad:_ ->
+      let packed = Filename.concat dir "clean.bin" in
+      let code, _, _ = run [ "pack"; clean; "-o"; packed ] in
+      check Alcotest.int "pack exits 0" 0 code;
+      List.iter
+        (fun (name, cmd) ->
+          let code, from_text, _ = cmd clean in
+          check Alcotest.int (name ^ " on text exits 0") 0 code;
+          let code, from_bin, err = cmd packed in
+          check Alcotest.int (name ^ " on packed exits 0") 0 code;
+          check Alcotest.string (name ^ " on packed: empty stderr") "" err;
+          check Alcotest.string (name ^ ": packed output = text output")
+            from_text from_bin)
+        (baselines dir))
+
+let test_baselines_damaged_trace () =
+  with_fixtures (fun ~dir ~clean ~bad:_ ->
+      let damaged = Filename.concat dir "damaged.trace" in
+      let lines = String.split_on_char '\n' (read_file clean) in
+      Out_channel.with_open_bin damaged (fun oc ->
+          List.iteri
+            (fun i l ->
+              if i = 1 then output_string oc "T\tbroken layout\n";
+              if l <> "" then output_string oc (l ^ "\n"))
+            lines);
+      List.iter
+        (fun (name, cmd) ->
+          let code, out, err = cmd damaged in
+          check Alcotest.int (name ^ " exit 1") 1 code;
+          check Alcotest.string (name ^ ": nothing on stdout") "" out;
+          check Alcotest.bool (name ^ ": no uncaught exception") false
+            (contains err "uncaught");
+          match String.split_on_char '\n' err with
+          | [ line; "" ] ->
+              check Alcotest.bool (name ^ ": names the anomaly: " ^ line) true
+                (contains line "lockdoc: fatal trace anomaly: "
+                && contains line (damaged ^ ":2:"))
+          | _ -> Alcotest.failf "%s: expected one stderr line, got %S" name err)
+        (baselines dir))
+
 let () =
   Alcotest.run "cli"
     [
@@ -645,5 +707,9 @@ let () =
             test_unpack_rejects_text;
           Alcotest.test_case "fsck detects binary traces" `Quick
             test_fsck_detects_binary;
+          Alcotest.test_case "baselines read packed traces" `Quick
+            test_baselines_read_packed;
+          Alcotest.test_case "baselines reject damaged traces" `Quick
+            test_baselines_damaged_trace;
         ] );
     ]

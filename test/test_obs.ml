@@ -1,4 +1,4 @@
-(* Unit and property tests for the observability layer: domain-safe
+(* Unit and property tests for the observability layer: single-domain
    counters/histograms, span nesting, the JSON codec, the wall/cpu
    clock split, and — the load-bearing guarantee — that enabling
    metrics changes no analysis output bytes. *)
@@ -39,16 +39,6 @@ let test_counter_disabled () =
   Obs.add c 100;
   check Alcotest.int "no recording when disabled" 0 (Obs.counter_value c)
 
-let test_counter_domains () =
-  fresh ();
-  let c = Obs.counter "t.domains" in
-  let per_domain = 10_000 in
-  let worker () = for _ = 1 to per_domain do Obs.incr c done in
-  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  check Alcotest.int "no lost increments across 4 domains" (4 * per_domain)
-    (Obs.counter_value c)
-
 (* {2 Gauges} *)
 
 let test_gauge () =
@@ -80,23 +70,6 @@ let test_histogram_increasing () =
   Alcotest.check_raises "non-increasing buckets rejected"
     (Invalid_argument "Obs.histogram t.bad: buckets must be strictly increasing")
     (fun () -> ignore (Obs.histogram ~buckets:[| 1.; 1. |] "t.bad"))
-
-let test_histogram_domains () =
-  fresh ();
-  let h = Obs.histogram "t.hist.domains" in
-  let per_domain = 1_000 in
-  let worker () =
-    for i = 1 to per_domain do Obs.observe h (float_of_int i) done
-  in
-  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  check Alcotest.int "total observations" (4 * per_domain)
-    (Obs.histogram_count h);
-  (* Integer-valued floats below 2^53: the CAS-loop sum is exact in any
-     interleaving. *)
-  let expected = 4. *. float_of_int (per_domain * (per_domain + 1) / 2) in
-  check (Alcotest.float 0.) "exact concurrent sum" expected
-    (Obs.histogram_sum h)
 
 let prop_histogram_counts_observations =
   QCheck.Test.make ~name:"histogram count = observations, any values"
@@ -308,7 +281,6 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_counter_basic;
           Alcotest.test_case "disabled" `Quick test_counter_disabled;
-          Alcotest.test_case "merge across domains" `Quick test_counter_domains;
         ] );
       ("gauges", [ Alcotest.test_case "set/get" `Quick test_gauge ]);
       ( "histograms",
@@ -316,7 +288,6 @@ let () =
           Alcotest.test_case "bucketing" `Quick test_histogram_buckets;
           Alcotest.test_case "rejects non-increasing" `Quick
             test_histogram_increasing;
-          Alcotest.test_case "concurrent totals" `Quick test_histogram_domains;
           qtest prop_histogram_counts_observations;
         ] );
       ( "spans",

@@ -176,7 +176,7 @@ let test_trace_save_load () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Trace.save path trace;
-      let back = Trace.load path in
+      let back, _ = Trace.read path in
       check Alcotest.int "events" (Array.length trace.Trace.events)
         (Array.length back.Trace.events);
       check Alcotest.int "count reads" 1
@@ -208,9 +208,10 @@ let test_load_reports_file_and_line () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      match Trace.load path with
+      match Trace.read path with
       | _ -> Alcotest.fail "bad file accepted"
-      | exception Failure msg ->
+      | exception Trace.Invalid d ->
+          let msg = Diag.to_string d in
           check Alcotest.bool ("file name in: " ^ msg) true
             (contains ~sub:path msg);
           check Alcotest.bool ("line number in: " ^ msg) true

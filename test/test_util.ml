@@ -149,65 +149,6 @@ let test_vec_growth () =
   check (Alcotest.option Alcotest.int) "find_opt" (Some 77)
     (Vec.find_opt (fun x -> x = 77) v)
 
-(* {2 Pool} *)
-
-module Pool = Lockdoc_util.Pool
-
-exception Boom of int
-
-let test_pool_empty_and_singleton () =
-  List.iter
-    (fun jobs ->
-      check (Alcotest.list Alcotest.int)
-        (Printf.sprintf "empty input, %d jobs" jobs)
-        []
-        (Pool.map ~jobs (fun x -> x * 2) []);
-      check (Alcotest.list Alcotest.int)
-        (Printf.sprintf "singleton input, %d jobs" jobs)
-        [ 14 ]
-        (Pool.map ~jobs (fun x -> x * 2) [ 7 ]))
-    [ 1; 4; 64 ]
-
-let test_pool_more_jobs_than_items () =
-  check (Alcotest.list Alcotest.int) "3 items on 64 domains" [ 0; 2; 4 ]
-    (Pool.map ~jobs:64 (fun x -> x * 2) [ 0; 1; 2 ])
-
-let test_pool_exception_payload () =
-  (* The exception a worker raises must surface unwrapped, payload
-     intact, re-raised with the captured backtrace. *)
-  match Pool.map ~jobs:4 (fun x -> if x >= 90 then raise (Boom x) else x)
-          (List.init 100 Fun.id)
-  with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom p -> check Alcotest.int "payload intact" 90 p
-
-let test_pool_exception_lowest_index () =
-  (* Several workers fail: the surfaced exception is the one the
-     sequential map would have raised first, regardless of scheduling. *)
-  for _ = 1 to 20 do
-    match Pool.map ~jobs:8 (fun x -> if x mod 7 = 3 then raise (Boom x) else x)
-            (List.init 200 Fun.id)
-    with
-    | _ -> Alcotest.fail "expected Boom"
-    | exception Boom p -> check Alcotest.int "lowest failing index" 3 p
-  done
-
-let prop_pool_order_preserved =
-  QCheck.Test.make ~name:"Pool.map preserves input order for any job count"
-    ~count:100
-    QCheck.(pair (list small_int) (int_range 1 9))
-    (fun (items, jobs) ->
-      Pool.map ~jobs (fun x -> x * x) items = List.map (fun x -> x * x) items)
-
-let prop_pool_matches_sequential =
-  QCheck.Test.make
-    ~name:"Pool.map equals List.map for a stateless allocating worker"
-    ~count:50
-    QCheck.(pair (list (pair small_int small_int)) (int_range 2 8))
-    (fun (items, jobs) ->
-      let f (a, b) = List.init (a mod 5) (fun i -> i + b) in
-      Pool.map ~jobs f items = List.map f items)
-
 (* {2 Fnv} *)
 
 (* Canonical FNV-1a 32-bit vectors, plus the filesystem names whose
@@ -331,18 +272,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_vec_basic;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "growth" `Quick test_vec_growth;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "empty and singleton" `Quick
-            test_pool_empty_and_singleton;
-          Alcotest.test_case "jobs > items" `Quick test_pool_more_jobs_than_items;
-          Alcotest.test_case "exception payload survives" `Quick
-            test_pool_exception_payload;
-          Alcotest.test_case "lowest failing index wins" `Quick
-            test_pool_exception_lowest_index;
-          qtest prop_pool_order_preserved;
-          qtest prop_pool_matches_sequential;
         ] );
       ( "fnv",
         [
