@@ -238,9 +238,10 @@ let recover ~dir =
         match p_engine with
         | None -> (0, None, m.Snapshot.m_trace_offset)
         | Some g ->
+            let scanner = Event.scanner () in
             let replayed, torn =
               Wal.replay ~dir ~from:m.Snapshot.m_wal_lsn (fun line ->
-                  Import.feed g (Event.of_line line))
+                  Import.feed g (Event.parse scanner line))
             in
             (replayed, torn, Import.position g)
       in

@@ -118,6 +118,7 @@ type session = {
   mutable s_online : Online.t option;
   mutable s_seen_event : bool;  (* an event row was accepted *)
   mutable s_accepted : int;  (* rows applied and journaled (layouts incl.) *)
+  s_scanner : Event.scanner;  (* interns this session's names and locations *)
   mutable s_wal : Wal.writer option;
   mutable s_restarts : int;
   mutable s_not_before : float;
@@ -247,6 +248,7 @@ let fresh_session _t id ~now =
     s_online = None;
     s_seen_event = false;
     s_accepted = 0;
+    s_scanner = Event.scanner ();
     s_wal = None;
     s_restarts = 0;
     s_not_before = now;
@@ -275,12 +277,13 @@ let online_of s =
 
 type parsed_row = P_layout of Layout.t | P_event of Event.t
 
-(* One rows-frame row: a ["T\t"] layout row or an event row. Raises
-   [Failure] on a row that does not parse. *)
-let parse_row line =
-  if String.length line >= 2 && String.sub line 0 2 = "T\t" then
+(* One rows-frame row: a ["T\t"] layout row or an event row, scanned
+   with the session's intern table. Raises [Failure] on a row that does
+   not parse. *)
+let parse_row s line =
+  if String.length line >= 2 && line.[0] = 'T' && line.[1] = '\t' then
     P_layout (Layout.of_string (String.sub line 2 (String.length line - 2)))
-  else P_event (Event.of_line line)
+  else P_event (Event.parse s.s_scanner line)
 
 (* Rebuild a session's import state by replaying its durable journal
    (the valid WAL prefix). Rows were validated before they were
@@ -296,7 +299,7 @@ let rebuild_session t id ~now =
       let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
       let replayed, _stop =
         Wal.replay ~dir ~from:0 (fun line ->
-            match parse_row line with
+            match parse_row s line with
             | P_layout l ->
                 if s.s_seen_event then failwith "layout after events";
                 s.s_layouts_rev <- l :: s.s_layouts_rev
@@ -578,7 +581,7 @@ let handle_rows t c s ~now start lines =
           (* Validate the whole frame before accepting any of it: a row
              that does not parse rejects the frame atomically, so the
              journal only ever holds well-formed rows. *)
-          match List.map parse_row lines with
+          match List.map (parse_row s) lines with
           | exception Failure reason ->
               proto_error t c ("unparseable row: " ^ reason)
           | parsed -> (

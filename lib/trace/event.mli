@@ -56,8 +56,34 @@ val to_line : t -> string
     {!Fieldenc}-escaped, so identifiers may contain tabs, newlines or
     separator characters without breaking framing. *)
 
+val add_line : Buffer.t -> t -> unit
+(** [add_line b e] appends [to_line e] to [b] (no newline); {!to_line}
+    is defined through it. *)
+
 val of_line : string -> t
 (** Inverse of {!to_line}. Raises [Failure] on malformed input. *)
+
+type scanner
+(** An intern table for one read: one string per function, lock or type
+    name and one {!Srcloc.t} per raw location field, looked up by the
+    bytes of the field so that a hit allocates nothing. Holds the
+    scanner's cursor, so one read uses one scanner at a time. *)
+
+val scanner : unit -> scanner
+
+val scan : scanner -> string -> int -> int -> t option
+(** [scan sc s start stop] parses the line [s.[start] .. s.[stop - 1]]
+    (no newline) in place, or declines it with [None]. It declines every
+    line it is not certain about: any escape, an int other than an
+    optional leading ['-'] and 1 to 18 decimal digits, a wrong field
+    count, an unknown tag or enum. An accepted line yields an event equal
+    to {!of_line} of the same line; a declined one is for {!of_line} to
+    parse or reject. Raises [Invalid_argument] on a slice outside [s]. *)
+
+val parse : scanner -> string -> t
+(** [parse sc line] is {!scan} over the whole line, falling back to
+    {!of_line} when the scanner declines. Raises [Failure] as {!of_line}
+    does. *)
 
 val arity_of_tag : string -> int option
 (** Expected field count (including the tag itself) for a record tag, or

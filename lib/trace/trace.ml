@@ -1,26 +1,25 @@
 type t = { layouts : Layout.t list; events : Event.t array }
 
-type sink = { mutable rev_events : Event.t list; mutable n : int }
+(* A growable array: emitting stores the event in place, and [finish]
+   copies the filled prefix out once. *)
+type sink = { mutable buf : Event.t array; mutable n : int }
 
-let sink () = { rev_events = []; n = 0 }
+let placeholder = Event.Free { ptr = 0 }
+
+let sink () = { buf = Array.make 1024 placeholder; n = 0 }
 
 let emit s e =
-  s.rev_events <- e :: s.rev_events;
+  if s.n = Array.length s.buf then begin
+    let buf = Array.make (2 * s.n) placeholder in
+    Array.blit s.buf 0 buf 0 s.n;
+    s.buf <- buf
+  end;
+  s.buf.(s.n) <- e;
   s.n <- s.n + 1
 
 let emitted s = s.n
 
-let finish ~layouts s =
-  let events = Array.make s.n (Event.Free { ptr = 0 }) in
-  (* rev_events holds the newest event first; fill from the back. *)
-  let rec fill i = function
-    | [] -> ()
-    | e :: rest ->
-        events.(i) <- e;
-        fill (i - 1) rest
-  in
-  fill (s.n - 1) s.rev_events;
-  { layouts; events }
+let finish ~layouts s = { layouts; events = Array.sub s.buf 0 s.n }
 
 let to_lines t =
   let layout_lines = List.map (fun l -> "T\t" ^ Layout.to_string l) t.layouts in
@@ -57,71 +56,98 @@ let () =
     | Invalid d -> Some (Diag.to_string d)
     | _ -> None)
 
-let read_lines ?(mode = Strict) ?file lines =
-  let diags = ref [] in
-  let report d =
-    count_anomaly d;
-    match mode with
-    | Strict -> raise (Invalid d)
-    | Lenient ->
-        Obs.incr c_recovered;
-        diags := d :: !diags
-  in
-  let seen_types = Hashtbl.create 16 in
-  let layouts, rev_events, _ =
-    List.fold_left
-      (fun (layouts, events, lineno) line ->
-        let diag kind message =
-          report (Diag.make ?file ~line:lineno kind message)
-        in
-        Obs.incr c_rows;
-        if String.length line = 0 then (layouts, events, lineno + 1)
-        else if String.length line >= 2 && String.sub line 0 2 = "T\t" then begin
-          let spec = String.sub line 2 (String.length line - 2) in
-          match Layout.of_string spec with
-          | l ->
-              if Hashtbl.mem seen_types l.Layout.ty_name then begin
-                diag Diag.Duplicate_layout
-                  ("layout for " ^ l.Layout.ty_name
-                 ^ " already declared; keeping the first");
-                (layouts, events, lineno + 1)
-              end
-              else begin
-                Hashtbl.replace seen_types l.Layout.ty_name ();
-                (l :: layouts, events, lineno + 1)
-              end
-          | exception Failure msg ->
-              diag Diag.Malformed_field msg;
-              (layouts, events, lineno + 1)
-        end
-        else begin
-          let fields = String.split_on_char '\t' line in
-          let tag = match fields with t :: _ -> t | [] -> "" in
-          (match Event.arity_of_tag tag with
-          | None ->
-              diag Diag.Unknown_tag
-                (Printf.sprintf "unknown record tag %S in line %S" tag line);
-              (layouts, events, lineno + 1)
-          | Some arity when List.length fields <> arity ->
-              diag Diag.Truncated_record
-                (Printf.sprintf "%s record has %d fields, expected %d: %S" tag
-                   (List.length fields) arity line);
-              (layouts, events, lineno + 1)
-          | Some _ -> (
-              match Event.of_line line with
-              | ev -> (layouts, ev :: events, lineno + 1)
-              | exception Failure msg ->
-                  diag Diag.Malformed_field msg;
-                  (layouts, events, lineno + 1)))
-        end)
-      ([], [], 1) lines
-  in
-  let t =
-    { layouts = List.rev layouts; events = Array.of_list (List.rev rev_events) }
-  in
+(* One read: the mode, the scanner's intern table, and what has been
+   read so far. [step] takes one line as a slice of [s] and numbers it,
+   blank lines included. *)
+type reader = {
+  r_mode : mode;
+  r_file : string option;
+  r_scanner : Event.scanner;
+  r_sink : sink;
+  r_seen_types : (string, unit) Hashtbl.t;
+  mutable r_layouts_rev : Layout.t list;
+  mutable r_diags_rev : Diag.t list;
+  mutable r_lineno : int;
+}
+
+let reader mode file =
+  {
+    r_mode = mode;
+    r_file = file;
+    r_scanner = Event.scanner ();
+    r_sink = sink ();
+    r_seen_types = Hashtbl.create 16;
+    r_layouts_rev = [];
+    r_diags_rev = [];
+    r_lineno = 1;
+  }
+
+let report r d =
+  count_anomaly d;
+  match r.r_mode with
+  | Strict -> raise (Invalid d)
+  | Lenient ->
+      Obs.incr c_recovered;
+      r.r_diags_rev <- d :: r.r_diags_rev
+
+let diag r lineno kind message =
+  report r (Diag.make ?file:r.r_file ~line:lineno kind message)
+
+let layout_row r lineno spec =
+  match Layout.of_string spec with
+  | l ->
+      if Hashtbl.mem r.r_seen_types l.Layout.ty_name then
+        diag r lineno Diag.Duplicate_layout
+          ("layout for " ^ l.Layout.ty_name
+         ^ " already declared; keeping the first")
+      else begin
+        Hashtbl.replace r.r_seen_types l.Layout.ty_name ();
+        r.r_layouts_rev <- l :: r.r_layouts_rev
+      end
+  | exception Failure msg -> diag r lineno Diag.Malformed_field msg
+
+(* The reference path for an event line the scanner declined, and the
+   only producer of event-line diagnostics. *)
+let reference_event r lineno line =
+  let fields = String.split_on_char '\t' line in
+  let tag = match fields with t :: _ -> t | [] -> "" in
+  match Event.arity_of_tag tag with
+  | None ->
+      diag r lineno Diag.Unknown_tag
+        (Printf.sprintf "unknown record tag %S in line %S" tag line)
+  | Some arity when List.length fields <> arity ->
+      diag r lineno Diag.Truncated_record
+        (Printf.sprintf "%s record has %d fields, expected %d: %S" tag
+           (List.length fields) arity line)
+  | Some _ -> (
+      match Event.of_line line with
+      | ev -> emit r.r_sink ev
+      | exception Failure msg -> diag r lineno Diag.Malformed_field msg)
+
+let step r s start stop =
+  Obs.incr c_rows;
+  let lineno = r.r_lineno in
+  r.r_lineno <- lineno + 1;
+  if stop - start >= 2 && s.[start] = 'T' && s.[start + 1] = '\t' then
+    layout_row r lineno (String.sub s (start + 2) (stop - start - 2))
+  else if stop > start then
+    match Event.scan r.r_scanner s start stop with
+    | Some ev -> emit r.r_sink ev
+    | None ->
+        reference_event r lineno
+          (if start = 0 && stop = String.length s then s
+           else String.sub s start (stop - start))
+
+let finish_read r =
+  let t = finish ~layouts:(List.rev r.r_layouts_rev) r.r_sink in
   Obs.add c_events (Array.length t.events);
   Obs.add c_layouts (List.length t.layouts);
-  (t, List.rev !diags)
+  (t, List.rev r.r_diags_rev)
+
+let read_lines ?(mode = Strict) ?file lines =
+  let r = reader mode file in
+  List.iter (fun line -> step r line 0 (String.length line)) lines;
+  finish_read r
 
 (* Strict reading used to raise a bare [Failure] from deep inside the
    parser; callers now always get the file (when known) and line number. *)
@@ -130,29 +156,49 @@ let of_lines lines =
   | t, _ -> t
   | exception Invalid d -> failwith (Diag.to_string d)
 
+(* One buffer, written out whenever it passes [chunk] bytes. *)
 let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        (to_lines t))
-
-let read_file_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec read acc =
-        match input_line ic with
-        | line -> read (line :: acc)
-        | exception End_of_file -> List.rev acc
+  let chunk = 1 lsl 16 in
+  let b = Buffer.create (chunk + 1024) in
+  Out_channel.with_open_text path (fun oc ->
+      let line_done () =
+        Buffer.add_char b '\n';
+        if Buffer.length b >= chunk then begin
+          Buffer.output_buffer oc b;
+          Buffer.clear b
+        end
       in
-      read [])
+      List.iter
+        (fun l ->
+          Buffer.add_string b "T\t";
+          Buffer.add_string b (Layout.to_string l);
+          line_done ())
+        t.layouts;
+      Array.iter
+        (fun e ->
+          Event.add_line b e;
+          line_done ())
+        t.events;
+      Buffer.output_buffer oc b)
 
-let read ?(mode = Strict) path = read_lines ~mode ~file:path (read_file_lines path)
+(* The whole file in one string, its lines walked by index: a line is
+   the bytes up to the next '\n' (kept '\r' and all), and a final '\n'
+   does not start another line. *)
+let rec line_end s i n =
+  if i = n || String.unsafe_get s i = '\n' then i else line_end s (i + 1) n
+
+let read ?(mode = Strict) path =
+  let s = In_channel.with_open_text path In_channel.input_all in
+  let r = reader mode (Some path) in
+  let n = String.length s in
+  let rec lines i =
+    if i < n then begin
+      let j = line_end s i n in
+      step r s i j;
+      lines (j + 1)
+    end
+  in
+  lines 0;
+  finish_read r
 
 let count t pred = Array.fold_left (fun acc e -> if pred e then acc + 1 else acc) 0 t.events

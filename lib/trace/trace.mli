@@ -8,7 +8,7 @@
 type t = { layouts : Layout.t list; events : Event.t array }
 
 type sink
-(** An append-only event collector. *)
+(** An append-only event collector (a growable array). *)
 
 val sink : unit -> sink
 val emit : sink -> Event.t -> unit
@@ -18,7 +18,8 @@ val emitted : sink -> int
 val finish : layouts:Layout.t list -> sink -> t
 
 val save : string -> t -> unit
-(** Write to a file; one line per layout/event. *)
+(** Write to a file; one line per layout/event, streamed through one
+    buffer (no whole-trace line list). *)
 
 type mode =
   | Strict  (** raise {!Invalid} on the first anomalous line *)
@@ -32,12 +33,20 @@ val read_lines : ?mode:mode -> ?file:string -> string list -> t * Diag.t list
 (** Validating reader (default [Strict]). Per-line anomalies — unknown
     tags, truncated records, malformed fields, duplicate layouts — are
     classified recoverable vs fatal; in [Lenient] mode the offending line
-    is skipped and reading continues. [?file] is only used to locate
-    diagnostics. *)
+    is skipped and reading continues. Blank lines are skipped but
+    counted in line numbers. Each event line is first offered to
+    {!Event.scan}; a line it declines is split on tabs, checked against
+    {!Event.arity_of_tag} and parsed by {!Event.of_line}. [?file] is only
+    used to locate diagnostics. *)
 
 val read : ?mode:mode -> string -> t * Diag.t list
-(** [read path] is {!read_lines} over the lines of [path]. Raises
-    [Sys_error] if the file cannot be opened. *)
+(** [read path] is {!read_lines} over the lines of [path] (split on
+    ['\n'], a final newline not starting another line), without building
+    them: the file is read into one string and each line is scanned
+    where it sits ({!Event.scan}, with one intern table per read). Lines
+    the scanner declines, and layout rows, take the reference path that
+    {!read_lines} documents, the only producer of diagnostics. Raises
+    [Sys_error] if the file cannot be read. *)
 
 val of_lines : string list -> t
 (** Strict parse; raises [Failure] with the offending line number. *)

@@ -413,6 +413,381 @@ let prop_nasty_trace_roundtrip =
       && Array.length back.Trace.events = List.length events
       && List.for_all2 Event.equal events (Array.to_list back.Trace.events))
 
+(* {2 In-place scanner}
+
+   [Event.scan] must never disagree with [Event.of_line]: on every line
+   it either declines or returns the event the reference parser
+   returns. Lines are scanned as slices of a larger buffer, twice (the
+   second time every name and location is an intern hit). *)
+
+let scan_line sc line =
+  let pre = "F\t1\n" and post = "\nX\tz" in
+  let buf = pre ^ line ^ post in
+  let start = String.length pre in
+  let stop = start + String.length line in
+  let first = Event.scan sc buf start stop in
+  let again = Event.scan sc buf start stop in
+  if first <> again then Alcotest.fail ("second scan differs: " ^ line);
+  first
+
+(* The reference verdict on one line: what [of_line] makes of it. *)
+let agrees_with_reference line =
+  match scan_line (Event.scanner ()) line with
+  | None -> true
+  | Some ev -> (
+      match Event.of_line line with
+      | ref_ev -> ev = ref_ev
+      | exception Failure _ -> false)
+
+let scan_int_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      int_bound 5000;
+      map (fun n -> -n) (int_bound 5000);
+      int_range 100_000_000_000_000_000 999_999_999_999_999_999;
+      map (fun n -> -n) (int_range 100_000_000_000_000_000 999_999_999_999_999_999);
+      int_range 1_000_000_000_000_000_000 max_int;
+      map (fun n -> -n) (int_range 1_000_000_000_000_000_000 max_int);
+      oneofl [ 0; max_int; min_int; -1 ];
+    ]
+
+let scan_name_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        nasty_string;
+        oneofl [ "i_lock"; "ext4_iget"; "inode"; "fs/inode.c"; "a:b"; "x\\"; "-" ];
+        string_size ~gen:printable (int_range 0 6);
+      ])
+
+let scan_event_gen =
+  let open QCheck.Gen in
+  let i = scan_int_gen and name = scan_name_gen in
+  let loc = map2 Srcloc.make name i in
+  let sub = oneof [ return None; map Option.some name ] in
+  oneof
+    [
+      map
+        (fun (((p, sz), dt), sc) ->
+          Event.Alloc { ptr = p; size = sz; data_type = dt; subclass = sc })
+        (pair (pair (pair i i) name) sub);
+      map (fun p -> Event.Free { ptr = p }) i;
+      map
+        (fun ((((p, kind), side), n), l) ->
+          Event.Lock_acquire { lock_ptr = p; kind; side; name = n; loc = l })
+        (pair
+           (pair
+              (pair
+                 (pair i
+                    (oneofl
+                       [
+                         Event.Spinlock; Event.Rwlock; Event.Mutex; Event.Semaphore;
+                         Event.Rwsem; Event.Rcu; Event.Seqlock; Event.Pseudo;
+                       ]))
+                 (oneofl [ Event.Exclusive; Event.Shared ]))
+              name)
+           loc);
+      map2 (fun p l -> Event.Lock_release { lock_ptr = p; loc = l }) i loc;
+      map (fun (((p, sz), k), l) -> Event.Mem_access { ptr = p; size = sz; kind = k; loc = l })
+        (pair (pair (pair i i) (oneofl [ Event.Read; Event.Write ])) loc);
+      map2 (fun fn l -> Event.Fun_enter { fn; loc = l }) name loc;
+      map (fun fn -> Event.Fun_exit { fn }) name;
+      map2 (fun pid kind -> Event.Ctx_switch { pid; kind }) i
+        (oneofl [ Event.Task; Event.Softirq; Event.Hardirq ]);
+    ]
+
+let prop_scan_agrees =
+  QCheck.Test.make ~name:"scanner agrees with of_line on to_line" ~count:2000
+    (QCheck.make ~print:Event.to_line scan_event_gen)
+    (fun ev -> agrees_with_reference (Event.to_line ev))
+
+(* Mutations a damaged file or a hand edit produces. *)
+let mutate_gen line =
+  let open QCheck.Gen in
+  let n = String.length line in
+  let tabs = List.filter (fun k -> line.[k] = '\t') (List.init n Fun.id) in
+  let at_tab f = if tabs = [] then return line else map f (oneofl tabs) in
+  let splice k drop ins = String.sub line 0 k ^ ins ^ String.sub line (k + drop) (n - k - drop) in
+  oneof
+    [
+      map2
+        (fun k c -> if n = 0 then line else splice (k mod n) 1 (String.make 1 c))
+        (int_bound 200)
+        (oneof [ oneofl [ '\t'; '\\'; '\r'; '-'; '+'; 'x'; '0'; '9'; ':'; ' '; '_' ]; char ]);
+      at_tab (fun k -> splice k 1 "");
+      at_tab (fun k -> splice k 0 "\t");
+      return (line ^ "\r");
+      at_tab (fun k -> splice (k + 1) 0 "+");
+      at_tab (fun k -> splice (k + 1) 0 "0x");
+      at_tab (fun k -> splice (k + 1) 0 "1_");
+      at_tab (fun k -> splice (k + 1) 0 "-");
+      return (line ^ "\t");
+    ]
+
+let prop_scan_mutated =
+  QCheck.Test.make ~name:"scanner never accepts what of_line rejects" ~count:4000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(scan_event_gen >>= fun ev -> mutate_gen (Event.to_line ev)))
+    agrees_with_reference
+
+(* The one simulated trace of this suite. ksim numbers source lines by
+   first use within a process, so a second simulation here would change
+   this trace and the goldens pinned on it. *)
+let golden_lines =
+  lazy (Trace.to_lines (Lockdoc_ksim.Run.workload_trace ~seed:3 "fs_bench"))
+
+(* A real workload trace has no escapes and only short ints: the
+   scanner must take every event line, or the reader fell back to the
+   reference path without anyone noticing. *)
+let test_scan_accepts_workload () =
+  let sc = Event.scanner () in
+  let lines = Lazy.force golden_lines in
+  let declined =
+    List.filter
+      (fun l ->
+        (not (String.length l >= 2 && String.sub l 0 2 = "T\t"))
+        && Event.scan sc l 0 (String.length l) = None)
+      lines
+  in
+  check (Alcotest.list Alcotest.string) "declined lines" [] declined
+
+let test_scan_parse () =
+  let sc = Event.scanner () in
+  List.iter
+    (fun ev ->
+      let line = Event.to_line ev in
+      check Alcotest.bool line true (Event.parse sc line = Event.of_line line))
+    sample_events;
+  check Alcotest.bool "reference fallback" true
+    (Event.parse sc "F\t0x10" = Event.Free { ptr = 16 });
+  Alcotest.check_raises "reference failure"
+    (Failure "Event.of_line: malformed line: ???") (fun () ->
+      ignore (Event.parse sc "???"));
+  Alcotest.check_raises "slice outside the string" (Invalid_argument "Event.scan")
+    (fun () -> ignore (Event.scan sc "F\t1" 1 4))
+
+let test_add_line () =
+  let b = Buffer.create 16 in
+  List.iter
+    (fun ev ->
+      Buffer.add_string b (Event.to_line ev);
+      Buffer.add_char b '\n')
+    sample_events;
+  let b' = Buffer.create 16 in
+  List.iter
+    (fun ev ->
+      Event.add_line b' ev;
+      Buffer.add_char b' '\n')
+    sample_events;
+  check Alcotest.string "add_line appends to_line" (Buffer.contents b)
+    (Buffer.contents b');
+  check Alcotest.string "negative and min_int"
+    (Printf.sprintf "F\t%d" min_int)
+    (Event.to_line (Event.Free { ptr = min_int }))
+
+(* {2 Reader edge cases}
+
+   Each case is read from a file (the in-place scanner over one buffer)
+   and through [read_lines] over the same lines split the way the file
+   reader splits them; both must agree with each other and with the
+   pinned expectation. *)
+
+let write_raw content =
+  let path = Filename.temp_file "lockdoc_test" ".trace" in
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc;
+  path
+
+(* The lines a file reader sees: split on '\n', without the empty
+   remainder after a final newline. *)
+let file_lines content =
+  if content = "" then []
+  else
+    let parts = String.split_on_char '\n' content in
+    if content.[String.length content - 1] = '\n' then
+      List.filteri (fun i _ -> i < List.length parts - 1) parts
+    else parts
+
+let without_file d = { d with Diag.d_file = None }
+
+let read_both ?(mode = Trace.Lenient) content =
+  let path = write_raw content in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let t, diags = Trace.read ~mode path in
+      let t', diags' = Trace.read_lines ~mode (file_lines content) in
+      check
+        (Alcotest.list Alcotest.string)
+        "file and line readers agree"
+        (Trace.to_lines t') (Trace.to_lines t);
+      check
+        (Alcotest.list Alcotest.string)
+        "file and line diagnostics agree"
+        (List.map Diag.to_string diags')
+        (List.map (fun d -> Diag.to_string (without_file d)) diags);
+      (t, diags'))
+
+let diag_strings diags = List.map Diag.to_string diags
+
+let test_edge_no_trailing_newline () =
+  let t, diags = read_both "F\t7\nC\t3\ttask" in
+  check (Alcotest.list Alcotest.string) "events" [ "F\t7"; "C\t3\ttask" ]
+    (Trace.to_lines t);
+  check Alcotest.int "no diagnostics" 0 (List.length diags)
+
+let test_edge_blank_lines () =
+  let t, diags = read_both "F\t1\n\n\nZ\tbad\n\nF\t2\n" in
+  check (Alcotest.list Alcotest.string) "events" [ "F\t1"; "F\t2" ]
+    (Trace.to_lines t);
+  check (Alcotest.list Alcotest.string) "blank lines count"
+    [ "line 4: unknown-tag (fatal): unknown record tag \"Z\" in line \"Z\\tbad\"" ]
+    (diag_strings diags);
+  match read_both ~mode:Trace.Strict "F\t1\n\n\nZ\tbad\n" with
+  | _ -> Alcotest.fail "strict accepted an unknown tag"
+  | exception Trace.Invalid d ->
+      check (Alcotest.option Alcotest.int) "strict line" (Some 4) d.Diag.d_line
+
+let test_edge_crlf () =
+  let t, diags = read_both "F\t1\r\nX\tfoo\r\nF\t2\n" in
+  (* A CR stays in the last field: a number no longer parses, a name
+     keeps it. *)
+  check (Alcotest.list Alcotest.string) "events" [ "X\tfoo\\r"; "F\t2" ]
+    (Trace.to_lines t);
+  check (Alcotest.list Alcotest.string) "diagnostics"
+    [ "line 1: malformed-field (fatal): int_of_string" ]
+    (diag_strings diags)
+
+let test_edge_empty_and_layouts_only () =
+  let t, diags = read_both "" in
+  check Alcotest.int "empty: events" 0 (Array.length t.Trace.events);
+  check Alcotest.int "empty: layouts" 0 (List.length t.Trace.layouts);
+  check Alcotest.int "empty: diagnostics" 0 (List.length diags);
+  let layout = "T\t" ^ Layout.to_string example_layout in
+  let t, diags = read_both (layout ^ "\n") in
+  check Alcotest.int "layouts only: events" 0 (Array.length t.Trace.events);
+  check (Alcotest.list Alcotest.string) "layouts only: layouts" [ layout ]
+    (Trace.to_lines t);
+  check Alcotest.int "layouts only: diagnostics" 0 (List.length diags)
+
+let test_edge_reference_ints () =
+  let t, diags = read_both "M\t0x10\t4\tr\tf.c:1\nF\t+5\nF\t1_000\nF\t-3\n" in
+  check (Alcotest.list Alcotest.string) "prefixed ints parse as before"
+    [ "M\t16\t4\tr\tf.c:1"; "F\t5"; "F\t1000"; "F\t-3" ]
+    (Trace.to_lines t);
+  check Alcotest.int "no diagnostics" 0 (List.length diags);
+  let _, diags = read_both "F\t12345678901234567890\nF\t123456789012345678\n" in
+  check (Alcotest.list Alcotest.string) "out-of-range int"
+    [ "line 1: malformed-field (fatal): int_of_string" ]
+    (diag_strings diags)
+
+(* {2 Reader goldens}
+
+   A trace damaged by [Corrupt.corrupt] at several seeds is read in
+   Lenient mode (from lines and from a file) and in Strict mode; the
+   diagnostics, the surviving events and the [trace.*] counters are
+   pinned by digests taken from the line-list reader before the
+   in-place scanner existed. *)
+
+let golden_seeds = [ 1; 2; 3; 5; 8; 13; 21; 34 ]
+
+let reader_digest lines =
+  let path = write_temp lines in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let t, diags = Trace.read_lines ~mode:Trace.Lenient lines in
+      let tf, fdiags = Trace.read ~mode:Trace.Lenient path in
+      let strict =
+        match Trace.read_lines ~mode:Trace.Strict lines with
+        | _ -> "accepted"
+        | exception Trace.Invalid d -> Diag.to_string d
+      in
+      let parts =
+        diag_strings diags
+        @ Trace.to_lines t
+        @ List.map (fun d -> Diag.to_string (without_file d)) fdiags
+        @ Trace.to_lines tf @ [ strict ]
+      in
+      Digest.to_hex (Digest.string (String.concat "\n" parts)))
+
+let golden_reader_digests =
+  [
+    (1, "9ba765e13695954b7fa0e7df55ba09e7");
+    (2, "b659be7af4503640c6566dd5b43791f6");
+    (3, "deaae3c2619e5f3430852ef46215cb0f");
+    (5, "7cdcad06825ac690cc301e59b90cda5b");
+    (8, "e9ae4649be243e73e4c7c2c667f18a8f");
+    (13, "000f71fc0ede02f0085ab2675d1f8e01");
+    (21, "dab301d5566195cd461e319c01c32aa5");
+    (34, "e9e4fd1f8fe405c9c8c5db4d79fb581c");
+  ]
+
+let test_golden_reader () =
+  let lines = Lazy.force golden_lines in
+  let got =
+    List.map
+      (fun seed ->
+        let lines', _ = Corrupt.corrupt ~ops:4 ~seed lines in
+        (seed, reader_digest lines'))
+      golden_seeds
+  in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "reader digests" golden_reader_digests got
+
+(* [save] streams through one buffer flushed in 64 KiB chunks; the
+   file must hold exactly [to_lines], one per line. *)
+let test_save_streams_to_lines () =
+  let t = Trace.of_lines (Lazy.force golden_lines) in
+  let path = Filename.temp_file "lockdoc_test" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace.save path t;
+      let expected = String.concat "" (List.map (fun l -> l ^ "\n") (Trace.to_lines t)) in
+      check Alcotest.bool "file is larger than one chunk" true
+        (String.length expected > 1 lsl 17);
+      check Alcotest.string "saved bytes" (Digest.to_hex (Digest.string expected))
+        (Digest.to_hex (Digest.file path)))
+
+let trace_counters () =
+  List.filter
+    (fun (name, v) ->
+      v <> 0 && String.length name > 6 && String.sub name 0 6 = "trace.")
+    (Lockdoc_obs.Obs.snapshot ()).Lockdoc_obs.Obs.sn_counters
+
+let golden_counters =
+  [
+    ("trace.anomaly.malformed-field", 2);
+    ("trace.anomaly.truncated-record", 1);
+    ("trace.anomaly.unknown-tag", 2);
+    ("trace.events", 16601);
+    ("trace.layouts", 11);
+    ("trace.recovered", 5);
+    ("trace.rows", 16618);
+  ]
+
+let test_golden_counters () =
+  let lines, _ = Corrupt.corrupt ~ops:4 ~seed:5 (Lazy.force golden_lines) in
+  let lines = lines @ [ ""; "Z\tx"; "F\t1\t2"; "F\tnope"; "T\tbad" ] in
+  let path = write_temp lines in
+  let module Obs = Lockdoc_obs.Obs in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      Obs.set_enabled true;
+      Obs.reset ();
+      ignore (Trace.read ~mode:Trace.Lenient path);
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+        "trace counters" golden_counters (trace_counters ()))
+
 let () =
   Alcotest.run "trace"
     [
@@ -441,6 +816,8 @@ let () =
           Alcotest.test_case "sink order" `Quick test_sink_order;
           Alcotest.test_case "lines roundtrip" `Quick test_trace_lines_roundtrip;
           Alcotest.test_case "save/load" `Quick test_trace_save_load;
+          Alcotest.test_case "save streams to_lines" `Quick
+            test_save_streams_to_lines;
         ] );
       ( "reader",
         [
@@ -459,5 +836,29 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_corrupt_deterministic;
           Alcotest.test_case "op count" `Quick test_corrupt_ops_count;
+        ] );
+      ( "scanner",
+        [
+          qtest prop_scan_agrees;
+          qtest prop_scan_mutated;
+          Alcotest.test_case "accepts a workload trace" `Quick
+            test_scan_accepts_workload;
+          Alcotest.test_case "parse" `Quick test_scan_parse;
+          Alcotest.test_case "add_line" `Quick test_add_line;
+        ] );
+      ( "reader edges",
+        [
+          Alcotest.test_case "no trailing newline" `Quick
+            test_edge_no_trailing_newline;
+          Alcotest.test_case "blank lines" `Quick test_edge_blank_lines;
+          Alcotest.test_case "crlf" `Quick test_edge_crlf;
+          Alcotest.test_case "empty and layouts only" `Quick
+            test_edge_empty_and_layouts_only;
+          Alcotest.test_case "reference ints" `Quick test_edge_reference_ints;
+        ] );
+      ( "reader goldens",
+        [
+          Alcotest.test_case "damaged traces" `Quick test_golden_reader;
+          Alcotest.test_case "trace counters" `Quick test_golden_counters;
         ] );
     ]
