@@ -131,16 +131,6 @@ let run_config scale seed =
   { Run.kernel = { Kernel.default_config with Kernel.seed };
     Run.scale = scale; Run.faults = true }
 
-let reader_mode = function
-  | Import.Strict -> Trace.Strict
-  | Import.Lenient -> Trace.Lenient
-
-let read_file_bytes path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Reading a directory fails mid-read with an errno that does not name
    the path; fail up front instead, the way opening a missing file
    does (both end in the [Sys_error] report at the bottom). *)
@@ -148,17 +138,24 @@ let check_not_dir path =
   if Sys.file_exists path && Sys.is_directory path then
     raise (Sys_error (path ^ ": Is a directory"))
 
-(* Packed (LDOCBIN1) traces are auto-detected by magic; [--binary]
-   forces the binary decoder (a garbled magic then fails loudly instead
-   of silently misparsing the file as text rows). *)
-let load_trace ?(binary = false) mode path =
+(* Read a trace without printing anything: the trace, the reader's
+   diagnostics, and whether it was read as a packed trace. Packed
+   (LDOCBIN1) traces are auto-detected by magic; [--binary] forces the
+   binary decoder (a garbled magic then fails loudly instead of
+   silently misparsing the file as text rows). *)
+let read_trace ?(binary = false) mode path =
   check_not_dir path;
+  let binary = binary || Codec.file_is_binary path in
   let trace, diags =
-    if binary || Codec.file_is_binary path then
-      Codec.decode_string ~mode:(reader_mode mode) ~file:path
-        (read_file_bytes path)
-    else Trace.read ~mode:(reader_mode mode) path
+    if binary then
+      Codec.decode_string ~mode ~file:path
+        (In_channel.with_open_bin path In_channel.input_all)
+    else Trace.read ~mode path
   in
+  (trace, diags, binary)
+
+let load_trace ?binary mode path =
+  let trace, diags, _ = read_trace ?binary mode path in
   List.iter
     (fun d -> Printf.eprintf "lockdoc: %s\n" (Lockdoc_trace.Diag.to_string d))
     diags;
@@ -550,17 +547,8 @@ let fsck_cmd =
   in
   let run path limit json metrics =
     with_metrics metrics @@ fun () ->
-    (* Always lenient: the whole point is to survey the damage. Packed
-       traces are detected by magic and fed through the binary decoder
-       rather than misparsed as text rows. *)
-    check_not_dir path;
-    let binary = Codec.file_is_binary path in
-    let trace, reader_diags =
-      if binary then
-        Codec.decode_string ~mode:Trace.Lenient ~file:path
-          (read_file_bytes path)
-      else Trace.read ~mode:Trace.Lenient path
-    in
+    (* Always lenient: the whole point is to survey the damage. *)
+    let trace, reader_diags, binary = read_trace Trace.Lenient path in
     let format = if binary then "binary (LDOCBIN1)" else "text" in
     let stream_diags = Check.run trace in
     let _store, stats = Import.run ~mode:Import.Lenient trace in

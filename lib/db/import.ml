@@ -16,7 +16,7 @@ let c_runs = Obs.counter "import.runs"
 
 type irq_mode = Inherit | Separate
 
-type mode = Strict | Lenient
+type mode = Lockdoc_trace.Trace.mode = Strict | Lenient
 
 type anomalies = {
   an_unknown_data_type : int;

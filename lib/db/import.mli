@@ -16,13 +16,13 @@ type irq_mode =
   | Separate
       (** ablation: handlers start with a clean lock set *)
 
-type mode =
-  | Strict
-      (** raise {!Lockdoc_trace.Trace.Invalid} on the first fatal anomaly
-          (the historical behaviour) *)
-  | Lenient
-      (** recover from every anomaly, count it in {!anomalies}, and keep
-          importing *)
+(** The reader's strictness, one type for both layers. For the
+    importer:
+    - [Strict] raises {!Lockdoc_trace.Trace.Invalid} on the first
+      fatal anomaly (the historical behaviour);
+    - [Lenient] recovers from every anomaly, counts it in
+      {!anomalies}, and keeps importing. *)
+type mode = Lockdoc_trace.Trace.mode = Strict | Lenient
 
 type anomalies = {
   an_unknown_data_type : int;  (** alloc of a type with no layout; skipped *)

@@ -1,8 +1,9 @@
 (* Atomic snapshots of import state, plus the durable directory's
-   manifest. A snapshot file is [magic][payload-length][crc32][payload]
-   written to a temp name and renamed into place; the manifest — also
-   written atomically — is the commit point that ties a snapshot to a
-   WAL position and a source-trace offset. *)
+   manifest. A snapshot file is the magic followed by one {!Record}
+   holding the marshalled payload, written to a temp name and renamed
+   into place; the manifest — also written atomically — is the commit
+   point that ties a snapshot to a WAL position and a source-trace
+   offset. *)
 
 module Obs = Lockdoc_obs.Obs
 
@@ -58,10 +59,7 @@ let save ~dir p =
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc ->
       Out_channel.output_string oc magic;
-      let hdr = Bytes.create 8 in
-      Bytes.set_int32_le hdr 0 (Int32.of_int (String.length blob));
-      Bytes.set_int32_le hdr 4 (Int32.of_int (Wal.crc32 blob));
-      Out_channel.output_bytes oc hdr;
+      Out_channel.output_string oc (Record.header blob);
       Crashpoint.hit "snapshot.write";
       Out_channel.output_string oc blob;
       Out_channel.flush oc);
@@ -73,30 +71,22 @@ let save ~dir p =
 let load path =
   let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
   match
-    In_channel.with_open_bin path (fun ic ->
-        let m = really_input_string ic (String.length magic) in
-        if m <> magic then None
-        else
-          let hdr = really_input_string ic 8 in
-          let len = Int32.to_int (String.get_int32_le hdr 0) in
-          let crc =
-            Int32.to_int (String.get_int32_le hdr 4) land 0xFFFFFFFF
-          in
-          if len < 0 then None
-          else
-            let blob = really_input_string ic len in
-            if Wal.crc32 blob <> crc then None
-            else Some (Marshal.from_string blob 0 : payload))
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    if not (String.starts_with ~prefix:magic s) then None
+    else
+      (* No length ceiling: a large store marshals past {!Record.max_len},
+         and the bytes left in the file bound the length already. *)
+      let pos = String.length magic and lim = String.length s in
+      match Record.parse ~max_len:max_int s ~pos ~lim with
+      | Record.Record { off; _ } -> Some (Marshal.from_string s off : payload)
+      | _ -> None
   with
   | Some _ as p ->
       Obs.incr c_loads;
       if Obs.enabled () then
         Obs.observe h_load_ms ((Obs.Clock.wall () -. t0) *. 1000.);
       p
-  | None ->
-      Obs.incr c_load_failures;
-      None
-  | exception _ ->
+  | None | exception _ ->
       Obs.incr c_load_failures;
       None
 

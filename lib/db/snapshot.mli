@@ -2,8 +2,8 @@
     manifest.
 
     A snapshot serialises a full {!Store.t} (plus, for a mid-import
-    checkpoint, the {!Import.engine} that owns it) with a magic,
-    length and CRC header, written to a temp file and renamed into
+    checkpoint, the {!Import.engine} that owns it) as the magic
+    followed by one {!Record}, written to a temp file and renamed into
     place — so a snapshot file either parses completely or is
     discarded, never half-read. The manifest is a small text file,
     also written atomically, that names the current snapshot and ties

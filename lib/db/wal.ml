@@ -1,11 +1,7 @@
-(* Segmented, CRC-framed write-ahead log.
-
-   A record is [len:int32 LE][crc32:int32 LE][payload]; a segment file
+(* Segmented write-ahead log of {!Record}s. A segment file
    "wal-%010d.seg" holds consecutive records starting at the LSN in its
-   name. Readers treat any framing violation — short header, short
-   payload, checksum mismatch, absurd length — as a torn tail and stop
-   there rather than failing: everything before the first bad byte is
-   trusted, nothing after it is. *)
+   name. Readers treat any damage {!Record.parse} reports as a torn
+   tail and stop there rather than failing. *)
 
 module Obs = Lockdoc_obs.Obs
 
@@ -18,25 +14,6 @@ let c_flushes = Obs.counter "wal.flushes"
 let c_rotations = Obs.counter "wal.rotations"
 let c_torn = Obs.counter "wal.torn_tail"
 let c_replayed = Obs.counter "wal.records_read"
-
-(* ---- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) -------------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
 
 (* ---- Segment naming ----------------------------------------------- *)
 
@@ -123,15 +100,11 @@ let rotate w =
 let append w payload =
   Crashpoint.hit "wal.append";
   if w.w_seg_bytes >= w.w_segment_bytes then rotate w;
-  let len = String.length payload in
-  let hdr = Bytes.create 8 in
-  Bytes.set_int32_le hdr 0 (Int32.of_int len);
-  Bytes.set_int32_le hdr 4 (Int32.of_int (crc32 payload));
-  Buffer.add_bytes w.w_buf hdr;
-  Buffer.add_string w.w_buf payload;
+  Record.add w.w_buf payload;
+  let n = Record.header_bytes + String.length payload in
   Obs.incr c_appends;
-  Obs.add c_bytes (8 + len);
-  w.w_seg_bytes <- w.w_seg_bytes + 8 + len;
+  Obs.add c_bytes n;
+  w.w_seg_bytes <- w.w_seg_bytes + n;
   w.w_lsn <- w.w_lsn + 1;
   flush w
 
@@ -141,57 +114,31 @@ let close w =
 
 (* ---- Reader ------------------------------------------------------- *)
 
-(* Longest record we will believe a header about. Anything larger is a
-   corrupt length field, not a record. *)
-let max_record = 1 lsl 26
-
 type parsed = {
   ps_records : (int * string) list;  (* (lsn, payload), ascending *)
   ps_torn : string option;  (* why parsing stopped, if it did *)
 }
 
+(* Stop at the first damage: everything before it is trusted, nothing
+   after it is. *)
 let parse_segment ~start content =
   let n = String.length content in
-  let records = ref [] in
-  let lsn = ref start in
-  let pos = ref 0 in
-  let torn = ref None in
-  (try
-     while !pos < n do
-       if !pos + 8 > n then begin
-         torn := Some (Printf.sprintf "torn header at offset %d" !pos);
-         raise Exit
-       end;
-       let len = Int32.to_int (String.get_int32_le content !pos) in
-       let crc =
-         Int32.to_int (String.get_int32_le content (!pos + 4)) land 0xFFFFFFFF
-       in
-       if len < 0 || len > max_record then begin
-         torn :=
-           Some (Printf.sprintf "corrupt length %d at offset %d" len !pos);
-         raise Exit
-       end;
-       if !pos + 8 + len > n then begin
-         torn :=
-           Some
-             (Printf.sprintf "torn record at offset %d (%d of %d bytes)" !pos
-                (n - !pos - 8) len);
-         raise Exit
-       end;
-       let payload = String.sub content (!pos + 8) len in
-       if crc32 payload <> crc then begin
-         torn :=
-           Some
-             (Printf.sprintf "checksum mismatch at offset %d (lsn %d)" !pos
-                !lsn);
-         raise Exit
-       end;
-       records := (!lsn, payload) :: !records;
-       incr lsn;
-       pos := !pos + 8 + len
-     done
-   with Exit -> ());
-  { ps_records = List.rev !records; ps_torn = !torn }
+  let rec go lsn pos acc =
+    let stop reason = { ps_records = List.rev acc; ps_torn = reason } in
+    let torn fmt = Printf.ksprintf (fun r -> stop (Some r)) fmt in
+    if pos >= n then stop None
+    else
+      match Record.parse content ~pos ~lim:n with
+      | Record.Record { off; len } ->
+          go (lsn + 1) (off + len) ((lsn, String.sub content off len) :: acc)
+      | Record.Short_header -> torn "torn header at offset %d" pos
+      | Record.Bad_length len -> torn "corrupt length %d at offset %d" len pos
+      | Record.Short_payload { have; want } ->
+          torn "torn record at offset %d (%d of %d bytes)" pos have want
+      | Record.Bad_crc _ ->
+          torn "checksum mismatch at offset %d (lsn %d)" pos lsn
+  in
+  go start 0 []
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -272,16 +219,9 @@ let truncate_after ~dir ~lsn =
           if keep = [] then Sys.remove path
           else begin
             let tmp = path ^ ".tmp" in
-            Out_channel.with_open_bin tmp (fun oc ->
-                List.iter
-                  (fun (_, payload) ->
-                    let hdr = Bytes.create 8 in
-                    Bytes.set_int32_le hdr 0
-                      (Int32.of_int (String.length payload));
-                    Bytes.set_int32_le hdr 4 (Int32.of_int (crc32 payload));
-                    Out_channel.output_bytes oc hdr;
-                    Out_channel.output_string oc payload)
-                  keep);
+            let b = Buffer.create 4096 in
+            List.iter (fun (_, payload) -> Record.add b payload) keep;
+            Out_channel.with_open_bin tmp (fun oc -> Buffer.output_buffer oc b);
             Sys.rename tmp path
           end)
     (segment_files ~dir)

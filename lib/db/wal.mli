@@ -1,18 +1,14 @@
-(** Segmented, CRC-framed write-ahead log.
+(** Segmented write-ahead log.
 
-    Records are opaque byte strings framed as
-    [len:int32 LE][crc32:int32 LE][payload] and appended to segment
-    files named [wal-<start-lsn>.seg]. LSNs are dense: record [n] of
-    the log has LSN [n], and a segment's name carries the LSN of its
-    first record.
+    Records are opaque byte strings in the {!Record} format, appended
+    to segment files named [wal-<start-lsn>.seg]. LSNs are dense:
+    record [n] of the log has LSN [n], and a segment's name carries
+    the LSN of its first record.
 
-    The reader never raises on damaged logs. Torn headers, short
-    payloads, checksum mismatches and absurd length fields all mean the
-    same thing — the process died mid-write — and everything before the
-    first bad byte is trusted while nothing after it is. *)
-
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3). [crc32 "123456789" = 0xCBF43926]. *)
+    The reader never raises on damaged logs. Every kind of damage
+    {!Record.parse} reports means the same thing — the process died
+    mid-write — and everything before the first bad record is trusted
+    while nothing after it is. *)
 
 (** {2 Writing} *)
 

@@ -1,10 +1,8 @@
-(* Incremental CRC-framed stream codec.
-
-   The wire format is the WAL record format ({!Lockdoc_db.Wal}):
-   [len:int32 LE][crc32:int32 LE][payload]. A WAL segment and a serve
-   byte stream are therefore interchangeable: the byte-dribbling
-   differential test feeds WAL segment bytes through this decoder one
-   byte at a time and compares against [Wal.parse_segment].
+(* Serve wire frames: one {!Lockdoc_db.Record} per message. A WAL
+   segment and a serve byte stream are therefore interchangeable, and
+   the byte-dribbling differential test feeds WAL segment bytes through
+   this decoder one byte at a time and compares against
+   [Wal.parse_segment].
 
    Unlike the WAL reader — which treats damage as a torn tail and
    trusts the prefix — a live connection cannot seek past damage: a
@@ -14,76 +12,27 @@
    and a connection close; the client reconnects and resumes from its
    durable checkpoint. *)
 
-module Wal = Lockdoc_db.Wal
-
-let header_bytes = 8
-
-(* Same ceiling as [Wal.max_record]: anything larger is a corrupt
-   length field, not a frame. Server configs use a lower per-frame cap
-   on top of this (an oversized frame is a protocol error even when its
-   length field is plausible). *)
-let max_frame = 1 lsl 26
+module Record = Lockdoc_db.Record
 
 let encode payload =
-  let len = String.length payload in
-  if len > max_frame then invalid_arg "Frame.encode: payload too large";
-  let b = Bytes.create (header_bytes + len) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.set_int32_le b 4 (Int32.of_int (Wal.crc32 payload));
-  Bytes.blit_string payload 0 b header_bytes len;
-  Bytes.unsafe_to_string b
+  if String.length payload > Record.max_len then
+    invalid_arg "Frame.encode: payload too large";
+  Record.header payload ^ payload
 
 type decoder = {
-  mutable buf : Bytes.t;
-  mutable off : int;  (* consumed prefix of [buf] *)
-  mutable len : int;  (* valid bytes in [buf] (including consumed) *)
-  mutable consumed : int;  (* stream offset of [buf.(off)], for messages *)
+  mutable r : Record.Reader.t;
+  mutable consumed : int;  (* stream offset of the head, for messages *)
   mutable corrupt : string option;
-  d_max_frame : int;
 }
 
-let decoder ?(max_frame = max_frame) () =
-  {
-    buf = Bytes.create 4096;
-    off = 0;
-    len = 0;
-    consumed = 0;
-    corrupt = None;
-    d_max_frame = max_frame;
-  }
+let decoder ?max_frame () =
+  let r = Record.Reader.create ?max_len:max_frame () in
+  { r; consumed = 0; corrupt = None }
 
-let buffered d = d.len - d.off
+let buffered d = Record.Reader.buffered d.r
 
-let compact d =
-  (* Slide the unconsumed suffix to the front; grow only when the
-     pending frame genuinely needs more room. *)
-  if d.off > 0 then begin
-    let live = d.len - d.off in
-    Bytes.blit d.buf d.off d.buf 0 live;
-    d.off <- 0;
-    d.len <- live
-  end
-
-let feed d ?(off = 0) ?len s =
-  let len = match len with Some l -> l | None -> String.length s - off in
-  if len < 0 || off < 0 || off + len > String.length s then
-    invalid_arg "Frame.feed";
-  if d.corrupt = None && len > 0 then begin
-    if d.len + len > Bytes.length d.buf then begin
-      compact d;
-      if d.len + len > Bytes.length d.buf then begin
-        let cap = ref (Bytes.length d.buf) in
-        while d.len + len > !cap do
-          cap := !cap * 2
-        done;
-        let bigger = Bytes.create !cap in
-        Bytes.blit d.buf 0 bigger 0 d.len;
-        d.buf <- bigger
-      end
-    end;
-    Bytes.blit_string s off d.buf d.len len;
-    d.len <- d.len + len
-  end
+let feed d ?off ?len s =
+  if d.corrupt = None then Record.Reader.feed d.r ?off ?len s
 
 type next = Frame of string | Awaiting | Corrupt of string
 
@@ -91,40 +40,22 @@ let fail d reason =
   d.corrupt <- Some reason;
   (* Drop the buffer: nothing past the damage can be trusted, and a
      latched decoder must not hold client bytes alive. *)
-  d.off <- 0;
-  d.len <- 0;
+  d.r <- Record.Reader.create ();
   Corrupt reason
 
 let next d =
   match d.corrupt with
   | Some reason -> Corrupt reason
-  | None ->
-      let avail = d.len - d.off in
-      if avail < header_bytes then Awaiting
-      else begin
-        let len = Int32.to_int (Bytes.get_int32_le d.buf d.off) in
-        let crc =
-          Int32.to_int (Bytes.get_int32_le d.buf (d.off + 4)) land 0xFFFFFFFF
-        in
-        if len < 0 || len > d.d_max_frame then
+  | None -> (
+      match Record.Reader.next d.r with
+      | s, Record.Record { off; len } ->
+          d.consumed <- d.consumed + Record.header_bytes + len;
+          Frame (String.sub s off len)
+      | _, (Record.Short_header | Record.Short_payload _) -> Awaiting
+      | _, Record.Bad_length len ->
           fail d
             (Printf.sprintf "corrupt length %d at offset %d" len d.consumed)
-        else if avail < header_bytes + len then Awaiting
-        else begin
-          let payload = Bytes.sub_string d.buf (d.off + header_bytes) len in
-          if Wal.crc32 payload <> crc then
-            fail d
-              (Printf.sprintf "checksum mismatch at offset %d" d.consumed)
-          else begin
-            d.off <- d.off + header_bytes + len;
-            d.consumed <- d.consumed + header_bytes + len;
-            if d.off = d.len then begin
-              d.off <- 0;
-              d.len <- 0
-            end;
-            Frame payload
-          end
-        end
-      end
+      | _, Record.Bad_crc _ ->
+          fail d (Printf.sprintf "checksum mismatch at offset %d" d.consumed))
 
 let is_corrupt d = d.corrupt <> None

@@ -1,31 +1,25 @@
 (** Incremental codec for the serve wire protocol.
 
-    Frames reuse the WAL record discipline ({!Lockdoc_db.Wal}):
-    [len:int32 LE][crc32:int32 LE][payload]. The decoder accepts bytes
-    in arbitrary chunks — including one byte at a time across the
-    length/CRC boundary — and yields complete verified payloads.
+    A frame is one {!Lockdoc_db.Record}. The decoder accepts bytes in
+    arbitrary chunks — including one byte at a time across the
+    header — and yields complete verified payloads.
 
-    Framing violations (absurd length, checksum mismatch) latch the
-    decoder into a permanent [Corrupt] state: a live byte stream,
-    unlike a WAL file, cannot be re-synchronised past damage. The
-    session layer closes the connection with a structured reason and
-    lets the client resume from its durable checkpoint. *)
-
-val header_bytes : int
-(** 8: the [len]+[crc] prefix. *)
-
-val max_frame : int
-(** Hard length-field ceiling, equal to the WAL reader's
-    [max_record] (64 MiB). *)
+    Damage (an absurd length, a checksum mismatch) latches the decoder
+    into a permanent [Corrupt] state: a live byte stream, unlike a WAL
+    file, cannot be re-synchronised past damage. The session layer
+    closes the connection with a structured reason and lets the client
+    resume from its durable checkpoint. *)
 
 val encode : string -> string
-(** Frame one payload. Raises [Invalid_argument] above {!max_frame}. *)
+(** Frame one payload. Raises [Invalid_argument] above
+    {!Lockdoc_db.Record.max_len}. *)
 
 type decoder
 
 val decoder : ?max_frame:int -> unit -> decoder
-(** Fresh decoder; [max_frame] lowers the length ceiling (a server
-    rejects frames its config does not allow before buffering them). *)
+(** Fresh decoder; [max_frame] lowers the length ceiling from
+    {!Lockdoc_db.Record.max_len} (a server rejects frames its config
+    does not allow before buffering them). *)
 
 val feed : decoder -> ?off:int -> ?len:int -> string -> unit
 (** Append received bytes. No-op once corrupt. *)

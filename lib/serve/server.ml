@@ -578,17 +578,14 @@ let handle_rows t c s ~now start lines =
         in
         if fresh = [] then []  (* pure retransmission; nothing new *)
         else
-          (* Validate the whole frame before accepting any of it: a row
+          (* Validate the fresh rows before accepting any of them: a row
              that does not parse rejects the frame atomically, so the
-             journal only ever holds well-formed rows. *)
-          match List.map (parse_row s) lines with
+             journal only ever holds well-formed rows. Rows the session
+             already accepted are neither parsed again nor judged. *)
+          match List.map (parse_row s) fresh with
           | exception Failure reason ->
               proto_error t c ("unparseable row: " ^ reason)
-          | parsed -> (
-              let parsed_fresh =
-                if skip = 0 then parsed
-                else List.filteri (fun i _ -> i >= skip) parsed
-              in
+          | parsed_fresh -> (
               let layout_after_event = ref s.s_seen_event in
               let misordered =
                 List.exists

@@ -3,14 +3,10 @@ module Layout = Lockdoc_trace.Layout
 module Srcloc = Lockdoc_trace.Srcloc
 module Diag = Lockdoc_trace.Diag
 module Trace = Lockdoc_trace.Trace
-module Wal = Lockdoc_db.Wal
+module Record = Lockdoc_db.Record
 module Obs = Lockdoc_obs.Obs
 
 let magic = "LDOCBIN1"
-
-(* Same sanity bound as the WAL reader: a length field beyond this is
-   framing damage, not a real segment. *)
-let max_segment = 1 lsl 26
 
 let default_segment_bytes = 64 * 1024
 
@@ -76,13 +72,6 @@ let ctx_of_code = function
   | 2 -> Event.Hardirq
   | c -> failwith (Printf.sprintf "bad context code %d" c)
 
-let frame payload =
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (Wal.crc32 payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
-
 (* ---- Encoder ------------------------------------------------------ *)
 
 type encoder = {
@@ -123,7 +112,8 @@ let reset_registers e =
 
 let rotate e =
   if Buffer.length e.buf > 0 then begin
-    e.emit (frame (Buffer.contents e.buf));
+    let payload = Buffer.contents e.buf in
+    e.emit (Record.header payload ^ payload);
     Buffer.clear e.buf;
     reset_registers e
   end
@@ -246,9 +236,9 @@ end)
 type decoder = {
   mode : Trace.mode;
   file : string option;
-  mutable pending : string;  (* unconsumed input; valid from [off] *)
-  mutable off : int;
+  mutable head : string;  (* input before the magic is complete *)
   mutable seen_magic : bool;
+  segments : Record.Reader.t;
   mutable dead : bool;  (* framing lost for good (bad magic / absurd length) *)
   table : string IntTbl.t;
   locs : Srcloc.t IntTbl.t IntTbl.t;
@@ -265,9 +255,9 @@ let decoder ?(mode = Trace.Strict) ?file () =
   {
     mode;
     file;
-    pending = "";
-    off = 0;
+    head = "";
     seen_magic = false;
+    segments = Record.Reader.create ();
     dead = false;
     table = IntTbl.create 256;
     locs = IntTbl.create 64;
@@ -323,19 +313,20 @@ exception Unknown_opcode
    [Torn] operand abandons the rest of the payload; a resolution
    [Failure] (say, an id whose intern record lived in a corrupt,
    skipped segment) loses only its own record, and later deltas stay
-   meaningful. *)
-let decode_payload d payload =
-  let len = String.length payload in
-  let pos = ref 0 in
+   meaningful. The payload is the [len] bytes of [s] at [off], decoded
+   where they sit. *)
+let decode_payload d s off len =
+  let lim = off + len in
+  let pos = ref off in
   (* Per-segment delta registers, mirroring the encoder's reset. *)
   let r_ptr = ref 0 and r_lock = ref 0 and r_line = ref 0 and r_pid = ref 0 in
   let uint () =
-    match Varint.read_uint_at payload pos with
+    match Varint.read_uint_at s ~lim pos with
     | v -> v
     | exception Failure msg -> raise (Torn msg)
   in
   let delta reg =
-    match Varint.read_int_at payload pos with
+    match Varint.read_int_at s ~lim pos with
     | v ->
         let v = !reg + v in
         reg := v;
@@ -351,10 +342,10 @@ let decode_payload d payload =
     if op = op_intern then begin
       let id = uint () in
       let n = uint () in
-      if n < 0 || n > len - !pos then raise (Torn "string length overruns segment");
-      let s = String.sub payload !pos n in
+      if n < 0 || n > lim - !pos then raise (Torn "string length overruns segment");
+      let str = String.sub s !pos n in
       pos := !pos + n;
-      intern d id s
+      intern d id str
     end
     else if op = op_layout then
       let id = uint () in
@@ -426,7 +417,7 @@ let decode_payload d payload =
     else raise Unknown_opcode
   in
   let stop = ref false in
-  while (not !stop) && !pos < len do
+  while (not !stop) && !pos < lim do
     match uint () with
     | exception Torn msg ->
         report d Diag.Truncated_record ("segment record: " ^ msg);
@@ -445,55 +436,41 @@ let decode_payload d payload =
             stop := true)
   done
 
-let get_u32 s pos =
-  Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
+(* A bad checksum loses one segment; a bad length loses the framing
+   for good. *)
+let rec decode_segments d =
+  match Record.Reader.next d.segments with
+  | s, Record.Record { off; len } ->
+      Obs.incr c_segments;
+      decode_payload d s off len;
+      decode_segments d
+  | _, Record.Bad_crc { len } ->
+      report d Diag.Malformed_field
+        (Printf.sprintf "segment CRC mismatch (%d bytes skipped)" len);
+      decode_segments d
+  | _, Record.Bad_length len ->
+      d.dead <- true;
+      report d Diag.Truncated_record
+        (Printf.sprintf "absurd segment length %d: torn or garbled frame" len)
+  | _, (Record.Short_header | Record.Short_payload _) -> ()
 
 let feed d chunk =
   if d.finished then invalid_arg "Codec: decoder is finished";
+  (* Bytes of the magic still to come at the front of [chunk]. *)
+  let need =
+    if d.seen_magic then 0 else String.length magic - String.length d.head
+  in
   if d.dead then ()  (* framing is lost; drop everything after the diag *)
+  else if String.length chunk < need then d.head <- d.head ^ chunk
+  else if need > 0 && d.head ^ String.sub chunk 0 need <> magic then begin
+    d.dead <- true;
+    report d Diag.Malformed_field "not a LDOCBIN1 binary trace (bad magic)"
+  end
   else begin
-    d.pending <-
-      (if d.off = 0 then d.pending ^ chunk
-       else String.sub d.pending d.off (String.length d.pending - d.off) ^ chunk);
-    d.off <- 0;
-    let total = String.length d.pending in
-    let continue = ref true in
-    if not d.seen_magic then begin
-      if total - d.off >= String.length magic then
-        if String.sub d.pending d.off (String.length magic) = magic then begin
-          d.seen_magic <- true;
-          d.off <- d.off + String.length magic
-        end
-        else begin
-          d.dead <- true;
-          continue := false;
-          report d Diag.Malformed_field
-            "not a LDOCBIN1 binary trace (bad magic)"
-        end
-      else continue := false
-    end;
-    while !continue && (not d.dead) && total - d.off >= 8 do
-      let seg_len = Int32.to_int (String.get_int32_le d.pending d.off) in
-      let crc = get_u32 d.pending (d.off + 4) in
-      if seg_len < 0 || seg_len > max_segment then begin
-        d.dead <- true;
-        report d Diag.Truncated_record
-          (Printf.sprintf "absurd segment length %d: torn or garbled frame"
-             seg_len)
-      end
-      else if total - d.off - 8 < seg_len then continue := false
-      else begin
-        let payload = String.sub d.pending (d.off + 8) seg_len in
-        d.off <- d.off + 8 + seg_len;
-        if Wal.crc32 payload <> crc then
-          report d Diag.Malformed_field
-            (Printf.sprintf "segment CRC mismatch (%d bytes skipped)" seg_len)
-        else begin
-          Obs.incr c_segments;
-          decode_payload d payload
-        end
-      end
-    done
+    d.head <- "";
+    d.seen_magic <- true;
+    Record.Reader.feed d.segments ~off:need chunk;
+    decode_segments d
   end
 
 let events d =
@@ -506,7 +483,7 @@ let layouts d = List.rev d.rev_layouts
 let finish d =
   if not d.finished then begin
     d.finished <- true;
-    let remaining = String.length d.pending - d.off in
+    let remaining = String.length d.head + Record.Reader.buffered d.segments in
     if (not d.dead) && not d.seen_magic then
       report d Diag.Truncated_record
         (Printf.sprintf "binary trace ends before the magic (%d bytes)"

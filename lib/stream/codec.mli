@@ -1,11 +1,9 @@
 (** The compact binary trace format ("LDOCBIN1").
 
-    A packed trace is the 8-byte magic followed by CRC-protected
-    segments in the WAL record framing
-    ([len:int32 LE][crc32:int32 LE][payload], {!Lockdoc_db.Wal.crc32}).
-    A segment payload is a run of varint records: string-table entries
-    (explicit ids, so a lost segment cannot shift later ids), layout
-    rows, and events with delta-compressed pointers/lines and interned
+    A packed trace is the 8-byte magic followed by segments, each one
+    {!Lockdoc_db.Record}. A segment payload is a run of varint records:
+    string-table entries (explicit ids, so a lost segment cannot shift
+    later ids), layout rows, and events with delta-compressed pointers/lines and interned
     names. Delta registers reset at each segment boundary, so every
     segment decodes independently given the string table.
 

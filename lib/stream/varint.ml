@@ -26,8 +26,8 @@ let write_int buf n = write_uint buf (zigzag n)
 
 (* A top-level loop with explicit arguments: a local closure would be
    allocated on every call. *)
-let rec read_from s pos acc shift p =
-  if p >= String.length s then failwith "varint: truncated"
+let rec read_from s lim pos acc shift p =
+  if p >= lim then failwith "varint: truncated"
   else if shift > 56 then failwith "varint: overlong encoding"
   else
     let b = Char.code (String.unsafe_get s p) in
@@ -36,15 +36,15 @@ let rec read_from s pos acc shift p =
       pos := p + 1;
       acc
     end
-    else read_from s pos acc (shift + 7) (p + 1)
+    else read_from s lim pos acc (shift + 7) (p + 1)
 
-let read_uint_at s pos = read_from s pos 0 0 !pos
+let read_uint_at s ~lim pos = read_from s lim pos 0 0 !pos
 
-let read_int_at s pos = unzigzag (read_uint_at s pos)
+let read_int_at s ~lim pos = unzigzag (read_uint_at s ~lim pos)
 
 let read_uint s pos =
   let next = ref pos in
-  let v = read_uint_at s next in
+  let v = read_uint_at s ~lim:(String.length s) next in
   (v, !next)
 
 let read_int s pos =

@@ -29,10 +29,11 @@ val read_uint : string -> int -> int * int
 val read_int : string -> int -> int * int
 (** Signed counterpart of {!read_uint} (zigzag-decoded). *)
 
-val read_uint_at : string -> int ref -> int
-(** [read_uint_at s pos] decodes one unsigned varint at [!pos] and
-    advances [pos] past it, without allocating. Raises [Failure] like
-    {!read_uint}, leaving [pos] unchanged. *)
+val read_uint_at : string -> lim:int -> int ref -> int
+(** [read_uint_at s ~lim pos] decodes one unsigned varint at [!pos],
+    reading no byte at or past [lim], and advances [pos] past it,
+    without allocating. Raises [Failure] like {!read_uint} (truncation
+    meaning the varint runs into [lim]), leaving [pos] unchanged. *)
 
-val read_int_at : string -> int ref -> int
+val read_int_at : string -> lim:int -> int ref -> int
 (** Signed counterpart of {!read_uint_at}. *)

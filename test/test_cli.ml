@@ -16,6 +16,7 @@ module Run = Lockdoc_ksim.Run
 module Durable = Lockdoc_db.Durable
 module Store = Lockdoc_db.Store
 module Wal = Lockdoc_db.Wal
+module Record = Lockdoc_db.Record
 
 let check = Alcotest.check
 let exe = Filename.concat Filename.parent_dir_name "bin/lockdoc.exe"
@@ -472,7 +473,7 @@ let test_recover_old_format () =
                version clean n);
           let hdr = Bytes.create 8 in
           Bytes.set_int32_le hdr 0 (Int32.of_int (String.length blob));
-          Bytes.set_int32_le hdr 4 (Int32.of_int (Wal.crc32 blob));
+          Bytes.set_int32_le hdr 4 (Int32.of_int (Record.crc32 blob));
           write "snap-000000.snap" (snap_magic ^ Bytes.to_string hdr ^ blob);
           let w = Wal.create ~dir:state () in
           Wal.append w (wal_line clean);

@@ -10,6 +10,7 @@ module Srcloc = Lockdoc_trace.Srcloc
 module Schema = Lockdoc_db.Schema
 module Store = Lockdoc_db.Store
 module Wal = Lockdoc_db.Wal
+module Record = Lockdoc_db.Record
 module Snapshot = Lockdoc_db.Snapshot
 module Durable = Lockdoc_db.Durable
 module Crashpoint = Lockdoc_db.Crashpoint
@@ -65,14 +66,14 @@ let prefix_store trace k =
 (* {2 WAL} *)
 
 let test_crc32 () =
-  check Alcotest.int "IEEE check vector" 0xCBF43926 (Wal.crc32 "123456789");
-  check Alcotest.int "empty" 0 (Wal.crc32 "");
+  check Alcotest.int "IEEE check vector" 0xCBF43926 (Record.crc32 "123456789");
+  check Alcotest.int "empty" 0 (Record.crc32 "");
   (* crc32 "a" has bit 31 set: on 64-bit OCaml it exceeds Int32.max_int,
      so the [Int32.of_int] in the frame header truncates it to a
      negative int32. The reader must mask it back ([land 0xFFFFFFFF]);
      these vectors pin both halves of that contract. *)
-  check Alcotest.int "top-bit vector" 0xE8B7BE43 (Wal.crc32 "a");
-  check Alcotest.int "top-bit clear vector" 0x352441C2 (Wal.crc32 "abc")
+  check Alcotest.int "top-bit vector" 0xE8B7BE43 (Record.crc32 "a");
+  check Alcotest.int "top-bit clear vector" 0x352441C2 (Record.crc32 "abc")
 
 let test_wal_crc32_edge_payloads () =
   with_dir "lockdoc_wal" @@ fun dir ->
@@ -282,7 +283,21 @@ let test_snapshot_corruption () =
     (Snapshot.load path = None);
   (* Wrong magic. *)
   write_file path ("NOTASNAPSHOT\n" ^ good);
-  check Alcotest.bool "bad magic rejected" true (Snapshot.load path = None)
+  check Alcotest.bool "bad magic rejected" true (Snapshot.load path = None);
+  (* A garbled length field promising ~2 GiB: checked against the bytes
+     left in the file before anything that size is allocated. *)
+  let huge = Bytes.of_string good in
+  Bytes.set_int32_le huge (String.index good '\n' + 1) 0x7FFFFFF0l;
+  write_file path (Bytes.to_string huge);
+  let before = Gc.allocated_bytes () in
+  let loaded = Snapshot.load path in
+  let grew = Gc.allocated_bytes () -. before in
+  check Alcotest.bool "absurd length rejected" true (loaded = None);
+  check Alcotest.bool
+    (Printf.sprintf "allocated %.0f bytes for a %d-byte file" grew
+       (String.length good))
+    true
+    (grew < 4. *. float (String.length good))
 
 let test_manifest_roundtrip () =
   with_dir "lockdoc_manifest" @@ fun dir ->

@@ -15,7 +15,7 @@ module Check = Lockdoc_trace.Check
 module Diag = Lockdoc_trace.Diag
 module Corrupt = Lockdoc_trace.Corrupt
 module Import = Lockdoc_db.Import
-module Wal = Lockdoc_db.Wal
+module Record = Lockdoc_db.Record
 module Codec = Lockdoc_stream.Codec
 module Run = Lockdoc_ksim.Run
 module Dataset = Lockdoc_core.Dataset
@@ -139,7 +139,7 @@ let op_garble_crc_fixed packed ~seed =
   let pos = start + 8 + ((seed * 13) mod len) in
   Bytes.set b pos (Char.chr (Char.code packed.[pos] lxor (1 lsl (seed mod 8))));
   let payload = Bytes.sub_string b (start + 8) len in
-  set_le32 b (start + 4) (Wal.crc32 payload);
+  set_le32 b (start + 4) (Record.crc32 payload);
   (Bytes.to_string b, "garbled payload, CRC fixed up")
 
 let test_binary_corruption () =

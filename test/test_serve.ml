@@ -32,6 +32,7 @@ module Server = Lockdoc_serve.Server
 module Chaos = Lockdoc_serve.Chaos
 module Sockserv = Lockdoc_serve.Sockserv
 module Wal = Lockdoc_db.Wal
+module Record = Lockdoc_db.Record
 module Import = Lockdoc_db.Import
 module Crashpoint = Lockdoc_db.Crashpoint
 module Trace = Lockdoc_trace.Trace
@@ -130,8 +131,8 @@ let test_frame_corrupt_latches () =
   let f = Frame.encode "some payload" in
   let bad = Bytes.of_string f in
   (* Flip a payload bit: the CRC check must catch it. *)
-  Bytes.set bad (Frame.header_bytes + 3)
-    (Char.chr (Char.code (Bytes.get bad (Frame.header_bytes + 3)) lxor 0x40));
+  Bytes.set bad (Record.header_bytes + 3)
+    (Char.chr (Char.code (Bytes.get bad (Record.header_bytes + 3)) lxor 0x40));
   let d = Frame.decoder () in
   Frame.feed d (Bytes.to_string bad);
   (match Frame.next d with
@@ -213,7 +214,7 @@ let test_frame_wal_bitflip () =
     String.length (Frame.encode (List.nth sample_payloads 0))
     + String.length (Frame.encode (List.nth sample_payloads 1))
   in
-  let flip_at = first_two + Frame.header_bytes + 2 in
+  let flip_at = first_two + Record.header_bytes + 2 in
   let bad = Bytes.of_string stream in
   Bytes.set bad flip_at (Char.chr (Char.code (Bytes.get bad flip_at) lxor 1));
   let bad = Bytes.to_string bad in
@@ -424,6 +425,20 @@ let test_server_nack_and_idempotency () =
   expect_silent "overlap" (send srv ~now cid (Proto.Rows { start = 40; lines = overlap }));
   check Alcotest.int "accepted after overlap" 100
     (session_view srv "s").Server.v_accepted
+
+(* A retransmitted frame is judged on its fresh suffix only: rows the
+   session already accepted are not parsed again, so garbage in that
+   prefix neither costs a parse nor rejects the rows after it. *)
+let test_server_retransmit_parses_fresh_only () =
+  let lines = Trace.to_lines (Lazy.force pipe_trace) in
+  let row0 = List.nth lines 0 and row1 = List.nth lines 1 in
+  let srv = Server.create () in
+  let now = 0.0 in
+  let cid, _ = connect srv ~now "s" in
+  expect_silent "row 0" (send srv ~now cid (Proto.Rows { start = 0; lines = [ row0 ] }));
+  expect_silent "garbage in the accepted prefix"
+    (send srv ~now cid (Proto.Rows { start = 0; lines = [ "garbage"; row1 ] }));
+  check Alcotest.int "row 1 applied" 2 (session_view srv "s").Server.v_accepted
 
 let test_server_seal_count_guard () =
   let lines = Trace.to_lines (Lazy.force pipe_trace) in
@@ -1100,6 +1115,8 @@ let () =
           Alcotest.test_case "seal matches batch" `Quick test_server_seal_oracle;
           Alcotest.test_case "nack and idempotency" `Quick
             test_server_nack_and_idempotency;
+          Alcotest.test_case "retransmit parses fresh rows only" `Quick
+            test_server_retransmit_parses_fresh_only;
           Alcotest.test_case "seal count guard" `Quick
             test_server_seal_count_guard;
           Alcotest.test_case "rows apply inside on_bytes" `Quick
