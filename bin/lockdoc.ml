@@ -33,7 +33,8 @@ let exits =
     ~doc:
       "on an unknown workload or experiment, a fatal trace anomaly, or \
        input the command cannot take (a text trace for $(b,unpack), no \
-       TRACE for $(b,feed))."
+       TRACE for $(b,feed), a directory without durable state for \
+       $(b,recover))."
   :: Cmd.Exit.info sim_fault_exit
        ~doc:"on a simulator fault (the simulated kernel accessed freed memory)."
   :: Cmd.Exit.defaults
@@ -350,6 +351,15 @@ let recover_cmd =
       raise (Sys_error (dir ^ ": No such file or directory"));
     if not (Sys.is_directory dir) then
       raise (Sys_error (dir ^ ": Not a directory"));
+    (* Recovering nothing would print an empty store, which reads like
+       a successful recovery of a mistyped path. *)
+    if not (Durable.is_durable ~dir) then begin
+      Printf.eprintf
+        "lockdoc: recover: %s holds no durable state (no MANIFEST, snapshot \
+         or WAL segment)\n"
+        dir;
+      exit 1
+    end;
     let r = Durable.recover ~dir in
     (match r.Durable.r_snapshot with
     | None ->
@@ -397,7 +407,8 @@ let recover_cmd =
           after it. Tolerates torn and corrupt journal tails: replay stops \
           at the first bad record instead of failing. A directory without \
           a loadable snapshot (or in an older format) yields an empty \
-          store and the reason.")
+          store and the reason; one with no MANIFEST, snapshot or WAL \
+          segment at all is not durable state, and exits 1.")
     Term.(const run $ dir_arg $ derive_arg $ tac_arg $ metrics_arg)
 
 (* {2 derive} *)

@@ -3,16 +3,6 @@ module Store = Lockdoc_db.Store
 module Event = Lockdoc_trace.Event
 module Vec = Lockdoc_util.Vec
 
-type obs = {
-  o_type : string;
-  o_alloc : int;
-  o_member : string;
-  mutable o_kind : Rule.access;
-  o_locks : Lockdesc.t list;
-  o_first : int;
-  mutable o_events : int;
-}
-
 type key = string * string * Rule.access
 
 type combo = { locks : Lockdesc.t list; mutable count : int }
@@ -20,7 +10,24 @@ type combo = { locks : Lockdesc.t list; mutable count : int }
 (* Groups hold few distinct combinations (1.6 on average, 14 at most, on
    the seed-7 benchmark mix at scale 4), so a list beats a hash table
    in time and space. *)
-type group = { mutable g_combos : combo list; mutable g_stamp : int }
+type group = {
+  g_id : int;  (* creation order: dense, for per-group side tables *)
+  g_key : key;
+  mutable g_combos : combo list;
+  mutable g_stamp : int;  (* moves with the multiset *)
+  mutable g_touched : int;  (* moves with any of the group's cells *)
+  mutable g_dirty : bool;  (* on [t.dirty] *)
+}
+
+type obs = {
+  mutable o_group : group;
+  o_alloc : int;
+  o_member : string;
+  mutable o_kind : Rule.access;
+  o_locks : Lockdesc.t list;
+  o_first : int;
+  mutable o_events : int;
+}
 
 type t = {
   store : Store.t;
@@ -33,6 +40,9 @@ type t = {
       (* type key -> (the key, shared by its cells; the cells, newest
          first = reversed first-access order) *)
   groups : (key, group) Hashtbl.t;
+  mutable dirty : group list;  (* touched since the last [take_dirty] *)
+  mutable order : (key * group) list;  (* the non-empty groups, sorted *)
+  mutable order_stale : bool;  (* a group appeared or emptied since *)
   mutable flips : int;
 }
 
@@ -71,6 +81,9 @@ let create ?(wor = true) ?(side_sensitive = false) store =
     by_txn = Vec.create ();
     types = Hashtbl.create 32;
     groups = Hashtbl.create 64;
+    dirty = [];
+    order = [];
+    order_stale = false;
     flips = 0;
   }
 
@@ -78,29 +91,45 @@ let group_of t key =
   match Hashtbl.find_opt t.groups key with
   | Some g -> g
   | None ->
-      let g = { g_combos = []; g_stamp = 0 } in
+      let g =
+        { g_id = Hashtbl.length t.groups; g_key = key; g_combos = [];
+          g_stamp = 0; g_touched = 0; g_dirty = false }
+      in
       Hashtbl.replace t.groups key g;
       g
 
-(* The only two mutators of a group. A combination whose count drops to
-   0 leaves the list: its subsequences must stop being candidates.
+let touch t g =
+  g.g_touched <- g.g_touched + 1;
+  if not g.g_dirty then begin
+    g.g_dirty <- true;
+    t.dirty <- g :: t.dirty
+  end
+
+(* The only two mutators of a multiset. A combination whose count drops
+   to 0 leaves the list: its subsequences must stop being candidates.
    [group_add] returns the group's copy of the lock list, so the cells
-   of one combination share a single list. *)
-let group_add g locks =
+   of one combination share a single list. A group that gains its first
+   combination or loses its last one changes the canonical order. *)
+let group_add t g locks =
+  touch t g;
   g.g_stamp <- g.g_stamp + 1;
   match List.find_opt (fun c -> c.locks = locks) g.g_combos with
   | Some c ->
       c.count <- c.count + 1;
       c.locks
   | None ->
+      if g.g_combos = [] then t.order_stale <- true;
       g.g_combos <- { locks; count = 1 } :: g.g_combos;
       locks
 
-let group_remove g locks =
+let group_remove t g locks =
   (match List.find_opt (fun c -> c.locks = locks) g.g_combos with
-  | Some c when c.count = 1 -> g.g_combos <- List.filter (( != ) c) g.g_combos
+  | Some c when c.count = 1 ->
+      g.g_combos <- List.filter (( != ) c) g.g_combos;
+      if g.g_combos = [] then t.order_stale <- true
   | Some c -> c.count <- c.count - 1
   | None -> invalid_arg "Dataset.group_remove: combination not in group");
+  touch t g;
   g.g_stamp <- g.g_stamp + 1
 
 let absorb t (a : Schema.access) =
@@ -125,10 +154,14 @@ let absorb t (a : Schema.access) =
          access kind sticks. *)
       if t.wor && o.o_kind = Rule.R && kind = Rule.W then begin
         t.flips <- t.flips + 1;
-        group_remove (group_of t (o.o_type, member, Rule.R)) o.o_locks;
+        let ty, _, _ = o.o_group.g_key in
+        group_remove t o.o_group o.o_locks;
+        let w = group_of t (ty, member, Rule.W) in
+        ignore (group_add t w o.o_locks);
         o.o_kind <- Rule.W;
-        ignore (group_add (group_of t (o.o_type, member, Rule.W)) o.o_locks)
+        o.o_group <- w
       end
+      else touch t o.o_group
   | None ->
       let al = Store.allocation t.store alloc in
       let ty, cells =
@@ -147,10 +180,11 @@ let absorb t (a : Schema.access) =
               ~accessed_alloc:alloc txn
         | None -> []
       in
-      let locks = group_add (group_of t (ty, member, kind)) locks in
+      let g = group_of t (ty, member, kind) in
+      let locks = group_add t g locks in
       let o =
         {
-          o_type = ty;
+          o_group = g;
           o_alloc = alloc;
           o_member = member;
           o_kind = kind;
@@ -182,6 +216,7 @@ let cells t key =
   match Hashtbl.find_opt t.types key with Some (_, l) -> !l | None -> []
 
 let observations t key = List.rev (cells t key)
+let observations_rev = cells
 
 let by_member t key ~member ~kind =
   List.fold_left
@@ -190,12 +225,39 @@ let by_member t key ~member ~kind =
 
 let combos g = List.map (fun c -> (c.locks, c.count)) g.g_combos
 let stamp g = g.g_stamp
+let touched g = g.g_touched
+let key g = g.g_key
+let id g = g.g_id
+
+let take_dirty t =
+  let dirty = t.dirty in
+  t.dirty <- [];
+  List.filter
+    (fun g ->
+      g.g_dirty <- false;
+      g.g_combos <> [])
+    dirty
+
+(* Keys ascending: type key, member, then R before W — what polymorphic
+   compare gives on [key], without its generic traversal. *)
+let compare_key (t1, m1, k1) (t2, m2, k2) =
+  match String.compare t1 t2 with
+  | 0 -> (
+      match String.compare m1 m2 with
+      | 0 -> compare (k1 : Rule.access) k2
+      | c -> c)
+  | c -> c
 
 let groups t =
-  Hashtbl.fold
-    (fun key g acc -> if g.g_combos <> [] then (key, g) :: acc else acc)
-    t.groups []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  if t.order_stale then begin
+    t.order <-
+      Hashtbl.fold
+        (fun key g acc -> if g.g_combos <> [] then (key, g) :: acc else acc)
+        t.groups []
+      |> List.sort (fun (a, _) (b, _) -> compare_key a b);
+    t.order_stale <- false
+  end;
+  t.order
 
 let combos_of t key =
   match Hashtbl.find_opt t.groups key with Some g -> combos g | None -> []

@@ -20,8 +20,12 @@
     {lock list → number of observations}; {!Hypothesis.score} scores
     it. *)
 
+type group
+(** One (type key, member, access kind) group: its lock-combination
+    multiset and its change counters. *)
+
 type obs = private {
-  o_type : string;  (** type key *)
+  mutable o_group : group;  (** the group the observation counts in *)
   o_alloc : int;  (** allocation id *)
   o_member : string;
   mutable o_kind : Rule.access;
@@ -73,6 +77,11 @@ val type_keys : t -> string list
 val observations : t -> string -> obs list
 (** All observations for a type key, in first-access order. *)
 
+val observations_rev : t -> string -> obs list
+(** {!observations} newest first, without a copy: one pass over it
+    visits every group of the type key, each in reverse first-access
+    order. *)
+
 val by_member : t -> string -> member:string -> kind:Rule.access -> obs list
 (** The observations of one group, in first-access order. *)
 
@@ -81,12 +90,22 @@ val by_member : t -> string -> member:string -> kind:Rule.access -> obs list
 type key = string * string * Rule.access
 (** (type key, member, access kind). *)
 
-type group
-(** One group's lock-combination multiset and change stamp. *)
+val key : group -> key
+val id : group -> int
+(** Dense, in order of creation: [0] to the number of groups the
+    dataset has ever had, minus one — an index for per-group side
+    tables. A group keeps its id when it empties. *)
 
 val groups : t -> (key * group) list
 (** The non-empty groups, in canonical order: type keys ascending, then
-    (member, kind) ascending within each key. *)
+    (member, kind) ascending within each key. The list is kept between
+    calls and sorted again only after a group gained its first
+    combination or lost its last one. *)
+
+val take_dirty : t -> group list
+(** The non-empty groups whose {!touched} counter moved since the last
+    call (or since {!create}), each once, in no particular order; empties
+    the set. A flag per group bounds the set by the number of groups. *)
 
 val combos : group -> Hypothesis.combos
 (** The group's multiset: each distinct held-lock list once, with its
@@ -100,6 +119,12 @@ val stamp : group -> int
 (** Bumped by every change to the group's multiset: equal stamps mean
     an unchanged group, hence an unchanged rule (a rule depends on its
     own group alone, paper Sec. 5.4). *)
+
+val touched : group -> int
+(** Bumped by every {!absorb} that touches one of the group's cells: a
+    new cell, a cell flipping in or out, and a repeat access that only
+    raises [o_events]. Equal counters mean the same cells with the same
+    counts, hence, for one rule, the same violations. *)
 
 val merged : t -> string -> ((string * Rule.access) * Hypothesis.combos) list
 (** Per (member, kind), ascending: the multisets of a base type's

@@ -1,18 +1,43 @@
-let buf_add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Json = Lockdoc_obs.Json
+
+let add_string = Json.add_string
+
+(* [string_of_int] goes through the C format interpreter; the reports
+   print counts, so the non-negative case is the one worth writing. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
+
+(* [Printf.sprintf "%.6f"] without the format interpreter, for the
+   values the reports print (supports in [0, 1], mean hold times). Below
+   1e6, [x = f *. 1e6] is below 2^40, so it is within 2^-14 of the
+   exact decimal value f·10^6 and its fraction is exact; unless that
+   fraction is within 1e-3 of one half, rounding [x] to the nearest
+   integer rounds f·10^6 the way [Printf] does. Everything else — ties
+   and near-ties, negatives and -0, NaN, infinities, large values —
+   goes to [Printf]. *)
+let add_fixed6 buf f =
+  if f < 1e6 && not (Float.sign_bit f) then begin
+    let x = f *. 1e6 in
+    let whole = Float.of_int (Float.to_int x) in
+    let frac = x -. whole in
+    if Float.abs (frac -. 0.5) < 1e-3 then
+      Buffer.add_string buf (Printf.sprintf "%.6f" f)
+    else begin
+      let n = Float.to_int whole + if frac > 0.5 then 1 else 0 in
+      add_digits buf (n / 1_000_000);
+      Buffer.add_char buf '.';
+      let d = ref 100_000 and r = n mod 1_000_000 in
+      while !d > 0 do
+        Buffer.add_char buf (Char.unsafe_chr (48 + (r / !d mod 10)));
+        d := !d / 10
+      done
+    end
+  end
+  else Buffer.add_string buf (Printf.sprintf "%.6f" f)
 
 type json =
   | S of string
@@ -22,9 +47,9 @@ type json =
   | O of (string * json) list
 
 let rec encode buf = function
-  | S s -> buf_add_json_string buf s
-  | I i -> Buffer.add_string buf (string_of_int i)
-  | F f -> Buffer.add_string buf (Printf.sprintf "%.6f" f)
+  | S s -> add_string buf s
+  | I i -> add_int buf i
+  | F f -> add_fixed6 buf f
   | L items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -38,7 +63,7 @@ let rec encode buf = function
       List.iteri
         (fun i (key, value) ->
           if i > 0 then Buffer.add_char buf ',';
-          buf_add_json_string buf key;
+          add_string buf key;
           Buffer.add_char buf ':';
           encode buf value)
         fields;
@@ -54,49 +79,126 @@ let rule_json rule = S (Rule.to_string rule)
 let support_json (s : Hypothesis.support) =
   O [ ("sa", I s.Hypothesis.sa); ("sr", F s.Hypothesis.sr) ]
 
-let mined_json (m : Derivator.mined) =
-  O
-    [
-      ("type", S m.Derivator.m_type);
-      ("member", S m.Derivator.m_member);
-      ("access", S (Rule.access_to_string m.Derivator.m_kind));
-      ("observations", I m.Derivator.m_total);
-      ("rule", rule_json m.Derivator.m_winner);
-      ("support", support_json m.Derivator.m_support);
-      ( "hypotheses",
-        L
-          (List.map
-             (fun (h : Hypothesis.scored) ->
-               O
-                 [
-                   ("rule", rule_json h.Hypothesis.rule);
-                   ("support", support_json h.Hypothesis.support);
-                 ])
-             m.Derivator.m_hypotheses) );
-    ]
+(* ---- Direct writers ------------------------------------------------ *)
 
-let mined_rule_to_json m = to_string (mined_json m)
-let mined_to_json mined = to_string (L (List.map mined_json mined))
+(* The rule and violation objects are written straight into a buffer,
+   in the field order of the tree encoder above. Rendering a rule
+   (descriptor names through [Printf]) costs more than the rest of its
+   hypothesis object, and the same few rules recur in every group of a
+   type, so each distinct lock list is rendered once per table: as a
+   rule string literal, and as a held-lock array. *)
+type strings = {
+  rules : (Rule.t, string) Hashtbl.t;
+  held : (Lockdesc.t list, string) Hashtbl.t;
+}
 
-let violations_to_json violations =
-  to_string
-    (L
-       (List.map
-          (fun (v : Violation.violation) ->
-            O
-              [
-                ("type", S v.Violation.v_type);
-                ("member", S v.Violation.v_member);
-                ("access", S (Rule.access_to_string v.Violation.v_kind));
-                ("rule", rule_json v.Violation.v_rule);
-                ( "held",
-                  L (List.map (fun d -> S (Lockdesc.to_string d)) v.Violation.v_held)
-                );
-                ("events", I v.Violation.v_events);
-                ("location", S (Lockdoc_trace.Srcloc.to_string v.Violation.v_loc));
-                ("stack", L (List.map (fun f -> S f) v.Violation.v_stack));
-              ])
-          violations))
+let strings () = { rules = Hashtbl.create 64; held = Hashtbl.create 64 }
+
+let interned tbl render buf key =
+  match Hashtbl.find_opt tbl key with
+  | Some s -> Buffer.add_string buf s
+  | None ->
+      let b = Buffer.create 64 in
+      render b key;
+      let s = Buffer.contents b in
+      Hashtbl.add tbl key s;
+      Buffer.add_string buf s
+
+let add_rule st = interned st.rules (fun b r -> add_string b (Rule.to_string r))
+
+let add_held st =
+  interned st.held (fun b held ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i d ->
+          if i > 0 then Buffer.add_char b ',';
+          add_string b (Lockdesc.to_string d))
+        held;
+      Buffer.add_char b ']')
+
+let add_support buf (s : Hypothesis.support) =
+  Buffer.add_string buf {|{"sa":|};
+  add_int buf s.Hypothesis.sa;
+  Buffer.add_string buf {|,"sr":|};
+  add_fixed6 buf s.Hypothesis.sr;
+  Buffer.add_char buf '}'
+
+let add_head buf ty member kind =
+  Buffer.add_string buf {|{"type":|};
+  add_string buf ty;
+  Buffer.add_string buf {|,"member":|};
+  add_string buf member;
+  Buffer.add_string buf
+    (match kind with Rule.R -> {|,"access":"r"|} | Rule.W -> {|,"access":"w"|})
+
+let add_mined_rule st buf (m : Derivator.mined) =
+  add_head buf m.Derivator.m_type m.Derivator.m_member m.Derivator.m_kind;
+  Buffer.add_string buf {|,"observations":|};
+  add_int buf m.Derivator.m_total;
+  Buffer.add_string buf {|,"rule":|};
+  add_rule st buf m.Derivator.m_winner;
+  Buffer.add_string buf {|,"support":|};
+  add_support buf m.Derivator.m_support;
+  Buffer.add_string buf {|,"hypotheses":[|};
+  List.iteri
+    (fun i (h : Hypothesis.scored) ->
+      Buffer.add_string buf (if i > 0 then {|,{"rule":|} else {|{"rule":|});
+      add_rule st buf h.Hypothesis.rule;
+      Buffer.add_string buf {|,"support":|};
+      add_support buf h.Hypothesis.support;
+      Buffer.add_char buf '}')
+    m.Derivator.m_hypotheses;
+  Buffer.add_string buf "]}"
+
+let add_violation st buf (v : Violation.violation) =
+  add_head buf v.Violation.v_type v.Violation.v_member v.Violation.v_kind;
+  Buffer.add_string buf {|,"rule":|};
+  add_rule st buf v.Violation.v_rule;
+  Buffer.add_string buf {|,"held":|};
+  add_held st buf v.Violation.v_held;
+  Buffer.add_string buf {|,"events":|};
+  add_int buf v.Violation.v_events;
+  (* [Srcloc.to_string] is "file:line", and only the file can need
+     escaping: write the file's literal, then reopen it for the line. *)
+  let loc = v.Violation.v_loc in
+  Buffer.add_string buf {|,"location":|};
+  add_string buf loc.Lockdoc_trace.Srcloc.file;
+  Buffer.truncate buf (Buffer.length buf - 1);
+  Buffer.add_char buf ':';
+  add_int buf loc.Lockdoc_trace.Srcloc.line;
+  Buffer.add_string buf {|","stack":[|};
+  List.iteri
+    (fun i f ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_string buf f)
+    v.Violation.v_stack;
+  Buffer.add_string buf "]}"
+
+let add_array add buf items =
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i item ->
+      if i > 0 then Buffer.add_char buf ',';
+      add buf item)
+    items;
+  Buffer.add_char buf ']'
+
+(* Sized for a few hundred bytes per object (rules average about 390 on
+   the benchmark mix, violations about 230), so a report is written
+   without regrowing the buffer. *)
+let array_to_string add items =
+  let st = strings () in
+  let buf = Buffer.create (512 * (List.length items + 1)) in
+  add_array (add st) buf items;
+  Buffer.contents buf
+
+let mined_rule_to_json m =
+  let buf = Buffer.create 1024 in
+  add_mined_rule (strings ()) buf m;
+  Buffer.contents buf
+
+let mined_to_json = array_to_string add_mined_rule
+let violations_to_json = array_to_string add_violation
 
 let checked_to_json checked =
   to_string

@@ -16,35 +16,38 @@ type violation = {
   v_stack : string list;
 }
 
+let applies (m : Derivator.mined) =
+  not
+    (Rule.equal m.Derivator.m_winner Rule.no_lock
+    || m.Derivator.m_support.Hypothesis.sr >= 1.)
+
+let check store (m : Derivator.mined) (o : Dataset.obs) =
+  if Rule.complies ~rule:m.Derivator.m_winner ~held:o.Dataset.o_locks then None
+  else
+    let first_access = Store.access store o.Dataset.o_first in
+    Some
+      {
+        v_type = m.Derivator.m_type;
+        v_member = m.Derivator.m_member;
+        v_kind = m.Derivator.m_kind;
+        v_rule = m.Derivator.m_winner;
+        v_held = o.Dataset.o_locks;
+        v_events = o.Dataset.o_events;
+        v_loc = first_access.Schema.ac_loc;
+        v_stack = Store.stack store first_access.Schema.ac_stack;
+      }
+
 let find ?jobs:_ dataset mined =
   let store = Dataset.store dataset in
   Obs.add c_groups (List.length mined);
   let out =
     List.concat_map
-    (fun (m : Derivator.mined) ->
-      if
-        Rule.equal m.Derivator.m_winner Rule.no_lock
-        || m.Derivator.m_support.Hypothesis.sr >= 1.
-      then []
-      else
-        Dataset.by_member dataset m.Derivator.m_type
-          ~member:m.Derivator.m_member ~kind:m.Derivator.m_kind
-        |> List.filter_map (fun (o : Dataset.obs) ->
-               if Rule.complies ~rule:m.Derivator.m_winner ~held:o.Dataset.o_locks
-               then None
-               else
-                 let first_access = Store.access store o.Dataset.o_first in
-                 Some
-                   {
-                     v_type = m.Derivator.m_type;
-                     v_member = m.Derivator.m_member;
-                     v_kind = m.Derivator.m_kind;
-                     v_rule = m.Derivator.m_winner;
-                     v_held = o.Dataset.o_locks;
-                     v_events = o.Dataset.o_events;
-                     v_loc = first_access.Schema.ac_loc;
-                     v_stack = Store.stack store first_access.Schema.ac_stack;
-                   }))
+      (fun (m : Derivator.mined) ->
+        if not (applies m) then []
+        else
+          Dataset.by_member dataset m.Derivator.m_type
+            ~member:m.Derivator.m_member ~kind:m.Derivator.m_kind
+          |> List.filter_map (check store m))
       mined
   in
   Obs.add c_found (List.length out);

@@ -23,6 +23,16 @@ val find : ?jobs:int -> Dataset.t -> Derivator.mined list -> violation list
     pass it compile, and goes once the benchmark harness stops passing
     it. *)
 
+val applies : Derivator.mined -> bool
+(** Whether a rule can be violated: its winner is not "no lock" and
+    has sr < 1. {!find} scans the groups of these rules only. *)
+
+val check :
+  Lockdoc_db.Store.t -> Derivator.mined -> Dataset.obs -> violation option
+(** The violation one observation of the rule's group makes, if it
+    does not comply with the winner — exactly the element {!find}
+    lists for it. *)
+
 type summary = {
   vs_type : string;
   vs_events : int;  (** rule-violating memory-access events *)

@@ -8,10 +8,8 @@
     callback that simulates a torn write (some bytes reached the disk,
     the rest didn't).
 
-    The seeded corruption helpers damage the tail of the last WAL
-    segment the way real crashes do: truncation, a flipped bit, or a
-    torn final record. They operate on raw [wal-*.seg] files so this
-    module stays below {!Wal} in the dependency order. *)
+    The seeded damage that follows a crash, to the tail of the journal,
+    is {!Wal.corrupt_tail}. *)
 
 exception Crash of string
 (** Raised by an armed {!hit}; the payload names the crash site. *)
@@ -31,11 +29,3 @@ val hits : unit -> int
 val hit : ?partial:(unit -> unit) -> string -> unit
 (** Mark a crash site. When the armed countdown expires: run [partial]
     (the torn-write simulation) if given, then raise [Crash site]. *)
-
-(** {2 Seeded WAL-tail corruption} *)
-
-val corrupt_tail : dir:string -> seed:int -> string option
-(** Damage the tail of the last non-empty WAL segment in [dir]:
-    truncation, bit flip, or torn final record, chosen and parameterised
-    by [seed]. Returns a description of the damage, or [None] when
-    there is no WAL data to corrupt. *)

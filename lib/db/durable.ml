@@ -53,18 +53,23 @@ let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
 let remove_if p = if Sys.file_exists p then Sys.remove p
 
+(* The files that make a directory durable state. *)
+let state_file f =
+  Option.is_some (Wal.segment_start f)
+  || Option.is_some (Snapshot.snapshot_seq f)
+  || f = "MANIFEST"
+
+let is_durable ~dir =
+  Sys.file_exists dir && Sys.is_directory dir
+  && Array.exists state_file (Sys.readdir dir)
+
 let reset_dir dir =
   (* Fresh import: stale segments, snapshots, temps and manifest from a
      previous (possibly crashed) run must not shadow the new one. *)
   Array.iter
     (fun f ->
-      let stale =
-        Option.is_some (Wal.segment_start f)
-        || Option.is_some (Snapshot.snapshot_seq f)
-        || Filename.check_suffix f ".tmp"
-        || f = "MANIFEST"
-      in
-      if stale then remove_if (Filename.concat dir f))
+      if state_file f || Filename.check_suffix f ".tmp" then
+        remove_if (Filename.concat dir f))
     (Sys.readdir dir)
 
 let gc_snapshots ~dir ~keep =

@@ -65,6 +65,11 @@ val import :
     @raise Foreign_dir if [dir] belongs to a different trace.
     @raise Invalid_argument if [checkpoint_every <= 0]. *)
 
+val is_durable : dir:string -> bool
+(** Whether [dir] is a directory holding any durable state: a
+    [MANIFEST], a snapshot or a WAL segment. A crash before the first
+    checkpoint leaves a WAL segment, so it counts. *)
+
 val recover : dir:string -> recovery
 (** Rebuild the freshest consistent store from [dir] without the
     source trace: load the manifest's snapshot (falling back to the

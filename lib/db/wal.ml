@@ -4,6 +4,7 @@
    tail and stop there rather than failing. *)
 
 module Obs = Lockdoc_obs.Obs
+module Prng = Lockdoc_util.Prng
 
 (* Durability metrics. [wal.flushes] counts channel flushes — the
    simulated-persistence equivalent of fsync; [wal.torn_tail] counts
@@ -237,3 +238,75 @@ let drop_below ~dir ~lsn =
     | _ -> ()
   in
   go segments
+
+(* ---- Seeded post-crash corruption of the tail --------------------- *)
+
+let file_size path =
+  match In_channel.with_open_bin path In_channel.length with
+  | n -> Int64.to_int n
+  | exception Sys_error _ -> 0
+
+let last_nonempty_segment dir =
+  List.fold_left
+    (fun acc path ->
+      match file_size path with 0 -> acc | n -> Some (path, n))
+    None
+    (List.map snd (segment_files ~dir))
+
+let write_file path content =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
+
+let truncate_tail ~dir prng =
+  match last_nonempty_segment dir with
+  | None -> None
+  | Some (path, size) ->
+      let cut = 1 + Prng.int prng (min size 64) in
+      let keep = size - cut in
+      let content = read_file path in
+      write_file path (String.sub content 0 keep);
+      Some (Printf.sprintf "truncated %d bytes off %s" cut (Filename.basename path))
+
+let flip_bit ~dir prng =
+  match last_nonempty_segment dir with
+  | None -> None
+  | Some (path, size) ->
+      (* Flip in the last half so the damage lands near the tail. *)
+      let lo = size / 2 in
+      let pos = lo + Prng.int prng (size - lo) in
+      let bit = Prng.int prng 8 in
+      let content = Bytes.of_string (read_file path) in
+      Bytes.set content pos
+        (Char.chr (Char.code (Bytes.get content pos) lxor (1 lsl bit)));
+      write_file path (Bytes.to_string content);
+      Some
+        (Printf.sprintf "flipped bit %d at offset %d of %s" bit pos
+           (Filename.basename path))
+
+let torn_append ~dir prng =
+  match last_nonempty_segment dir with
+  | None -> None
+  | Some (path, _) ->
+      (* A record header promising more payload than follows: a torn
+         final append. *)
+      let promised = 32 + Prng.int prng 200 in
+      let got = Prng.int prng 8 in
+      let b = Buffer.create 16 in
+      let hdr = Bytes.create 8 in
+      Bytes.set_int32_le hdr 0 (Int32.of_int promised);
+      Bytes.set_int32_le hdr 4 (Int32.of_int (Prng.int prng 0x3fffffff));
+      Buffer.add_bytes b hdr;
+      for _ = 1 to got do
+        Buffer.add_char b (Char.chr (Prng.int prng 256))
+      done;
+      let content = read_file path in
+      write_file path (content ^ Buffer.contents b);
+      Some
+        (Printf.sprintf "torn append (%d of %d payload bytes) to %s" got
+           promised (Filename.basename path))
+
+let corrupt_tail ~dir ~seed =
+  let prng = Prng.of_int seed in
+  match Prng.int prng 3 with
+  | 0 -> truncate_tail ~dir prng
+  | 1 -> flip_bit ~dir prng
+  | _ -> torn_append ~dir prng

@@ -72,3 +72,15 @@ type parsed = { ps_records : (int * string) list; ps_torn : string option }
 
 val parse_segment : start:int -> string -> parsed
 (** Parse raw segment bytes. Exposed for tests. *)
+
+(** {2 Seeded tail corruption}
+
+    For crash tests: damage the journal the way real crashes do, after
+    a {!Crashpoint} kill. *)
+
+val corrupt_tail : dir:string -> seed:int -> string option
+(** Damage the tail of the last non-empty segment in [dir]
+    ({!segment_files} order): truncation, bit flip, or torn final
+    record, chosen and parameterised by [seed]. Returns a description
+    of the damage, or [None] when there is no journal data to
+    corrupt. *)

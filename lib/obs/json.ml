@@ -9,20 +9,33 @@ type t =
 
 (* ---- Encoding ----------------------------------------------------- *)
 
-let add_escaped buf s =
+(* Bytes passed through whole: everything but the quote, the backslash
+   and the control characters. A string with none of those is added in
+   one piece; otherwise the runs between escapes are. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_escape buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !start (i - !start);
+      add_escape buf c;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
   Buffer.add_char buf '"'
 
 (* %.17g is the shortest format guaranteed to round-trip every finite
@@ -42,7 +55,7 @@ let rec encode buf = function
   | B b -> Buffer.add_string buf (if b then "true" else "false")
   | I i -> Buffer.add_string buf (string_of_int i)
   | F f -> add_float buf f
-  | S s -> add_escaped buf s
+  | S s -> add_string buf s
   | L items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -56,7 +69,7 @@ let rec encode buf = function
       List.iteri
         (fun i (key, value) ->
           if i > 0 then Buffer.add_char buf ',';
-          add_escaped buf key;
+          add_string buf key;
           Buffer.add_char buf ':';
           encode buf value)
         fields;

@@ -20,6 +20,12 @@ val to_string : t -> string
 (** Compact (no whitespace) encoding. Object field order is preserved;
     floats print with enough digits to round-trip bit-exactly. *)
 
+val add_string : Buffer.t -> string -> unit
+(** Append one JSON string literal (RFC 8259 escaping: the quote, the
+    backslash and every control character; other bytes pass through
+    unchanged). The one string escaper of the repository: {!to_string}
+    and [Lockdoc_core.Report] both write strings through it. *)
+
 val of_string : string -> (t, string) result
 (** Parse one JSON value; [Error msg] carries a byte offset. Numbers
     without [.], [e] or [E] parse as [I], all others as [F]. *)

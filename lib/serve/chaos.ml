@@ -16,6 +16,7 @@ module Prng = Lockdoc_util.Prng
 module Trace = Lockdoc_trace.Trace
 module Import = Lockdoc_db.Import
 module Crashpoint = Lockdoc_db.Crashpoint
+module Wal = Lockdoc_db.Wal
 module Dataset = Lockdoc_core.Dataset
 module Derivator = Lockdoc_core.Derivator
 module Violation = Lockdoc_core.Violation
@@ -312,7 +313,7 @@ let connect st cl =
       cl.corrupt_next <- false;
       let dir = Filename.concat root ("session-" ^ cl.session) in
       if Sys.file_exists dir then (
-        match Crashpoint.corrupt_tail ~dir ~seed:(Prng.int st.rng 1000000) with
+        match Wal.corrupt_tail ~dir ~seed:(Prng.int st.rng 1000000) with
         | Some _ -> st.k.corrupted <- st.k.corrupted + 1
         | None -> ())
   | _ -> ());

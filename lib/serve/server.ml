@@ -30,10 +30,10 @@ module Wal = Lockdoc_db.Wal
 module Crashpoint = Lockdoc_db.Crashpoint
 module Derivator = Lockdoc_core.Derivator
 module Rule = Lockdoc_core.Rule
-module Violation = Lockdoc_core.Violation
-module Report = Lockdoc_core.Report
 module Online = Lockdoc_stream.Online
 module Obs = Lockdoc_obs.Obs
+module Json = Lockdoc_obs.Json
+module Report = Lockdoc_core.Report
 
 let c_accepts = Obs.counter "serve.accepts"
 let c_conn_rejects = Obs.counter "serve.conn_rejects"
@@ -119,6 +119,7 @@ type session = {
   mutable s_seen_event : bool;  (* an event row was accepted *)
   mutable s_accepted : int;  (* rows applied and journaled (layouts incl.) *)
   s_scanner : Event.scanner;  (* interns this session's names and locations *)
+  s_buf : Buffer.t;  (* where the session's JSON replies are written *)
   mutable s_wal : Wal.writer option;
   mutable s_restarts : int;
   mutable s_not_before : float;
@@ -249,6 +250,7 @@ let fresh_session _t id ~now =
     s_seen_event = false;
     s_accepted = 0;
     s_scanner = Event.scanner ();
+    s_buf = Buffer.create 4096;
     s_wal = None;
     s_restarts = 0;
     s_not_before = now;
@@ -617,22 +619,47 @@ let mined_key (m : Derivator.mined) =
   m.Derivator.m_type ^ "/" ^ m.Derivator.m_member ^ "/"
   ^ Rule.access_to_string m.Derivator.m_kind
 
-(* The encoder joins array elements with bare commas, so this is
-   [Report.mined_to_json] of the same list, byte for byte — checked by
-   the byte-identity oracle on the stream, push and sealed paths. *)
-let objs_array objs = "[" ^ String.concat "," (List.map snd objs) ^ "]"
+(* Freezes go through [Online.freeze_report]: every rule with its
+   memoized object, and the violation objects of each rule that has
+   any, both from the derivator's per-group memos, so a freeze costs in
+   proportion to the groups that changed since the last one. *)
+let keyed rules = List.map (fun (m, obj) -> (mined_key m, obj)) rules
 
-(* Freeze a session's online derivator: the (rule key, rule object)
-   list, built from the per-group memoized JSON, and the violations
-   JSON, computed on demand. Violations are never memoized: a repeat
-   access to an existing cell raises its [events] count without
-   touching the cell's group. *)
-let freeze_rules ~tac onl =
-  let dataset, rules = Online.freeze_json ~tac onl in
-  ( List.map (fun (m, json) -> (mined_key m, json)) rules,
-    lazy
-      (Report.violations_to_json (Violation.find dataset (List.map fst rules)))
-  )
+(* Replies are written into the session's buffer and copied out once.
+   Arrays join their elements with bare commas, so [add_array] over the
+   memoized objects is [Report.mined_to_json] (or
+   [Report.violations_to_json]) of the same list, byte for byte —
+   checked by the byte-identity oracle on the stream, push and sealed
+   paths. *)
+let reply s write =
+  let b = s.s_buf in
+  Buffer.clear b;
+  write b;
+  Buffer.contents b
+
+let add_array b add items =
+  Buffer.add_char b '[';
+  List.iteri
+    (fun i item ->
+      if i > 0 then Buffer.add_char b ',';
+      add b item)
+    items;
+  Buffer.add_char b ']'
+
+let add_rules b rules = add_array b (fun b (_, obj) -> Buffer.add_string b obj) rules
+let add_violations b vs = add_array b (fun b (_, objs) -> Buffer.add_string b objs) vs
+
+(* The fields every rules reply starts with. *)
+let add_head b s ~push ~state ~events =
+  Buffer.add_string b {|{"session":|};
+  Json.add_string b s.s_id;
+  if push then Buffer.add_string b {|,"push":"rules"|};
+  Buffer.add_string b {|,"state":"|};
+  Buffer.add_string b state;
+  Buffer.add_string b {|","events":|};
+  Buffer.add_string b (string_of_int events);
+  Buffer.add_string b {|,"accepted_rows":|};
+  Buffer.add_string b (string_of_int s.s_accepted)
 
 (* Which rules changed since the subscriber's last push: [added] is
    every (key, obj) that is new or whose object differs, [removed] the
@@ -656,15 +683,22 @@ let rules_delta ~prev ~next =
   in
   (added, removed)
 
+(* [objs] are the keyed rule objects; [violations] writes the
+   violations array. *)
 let push_msg s ~state ~events ~objs ~violations ~added ~removed =
   Obs.incr c_pushes;
   let json =
-    Printf.sprintf
-      {|{"session":%s,"push":"rules","state":"%s","events":%d,"accepted_rows":%d,"added":%s,"removed":%s,"rules":%s,"violations":%s}|}
-      (Report.to_string (Report.S s.s_id))
-      state events s.s_accepted (objs_array added)
-      (Report.to_string (Report.L (List.map (fun k -> Report.S k) removed)))
-      (objs_array objs) violations
+    reply s (fun b ->
+        add_head b s ~push:true ~state ~events;
+        Buffer.add_string b {|,"added":|};
+        add_rules b added;
+        Buffer.add_string b {|,"removed":|};
+        add_array b Json.add_string removed;
+        Buffer.add_string b {|,"rules":|};
+        add_rules b objs;
+        Buffer.add_string b {|,"violations":|};
+        violations b;
+        Buffer.add_char b '}')
   in
   Proto.Info { json }
 
@@ -677,12 +711,13 @@ let seal t s ~now =
   close_wal s;
   let onl = online_of s in
   let _stats = Online.finalize onl in
-  let objs, violations = freeze_rules ~tac:t.cfg.tac onl in
+  let rules, violations = Online.freeze_report ~tac:t.cfg.tac onl in
+  let objs = keyed rules in
   let sd =
     {
       sd_events = Online.position onl;
-      sd_rules = objs_array objs;
-      sd_violations = Lazy.force violations;
+      sd_rules = reply s (fun b -> add_rules b objs);
+      sd_violations = reply s (fun b -> add_violations b violations);
       sd_rule_objs = objs;
     }
   in
@@ -703,7 +738,8 @@ let seal t s ~now =
             Send
               ( cid,
                 push_msg s ~state:"sealed" ~events:sd.sd_events ~objs
-                  ~violations:sd.sd_violations ~added ~removed );
+                  ~violations:(fun b -> Buffer.add_string b sd.sd_violations)
+                  ~added ~removed );
           ]
         end
         else []
@@ -766,21 +802,25 @@ let handle_query t c q =
 let handle_stream t c s ~now =
   Obs.incr c_queries;
   Obs.incr c_stream_queries;
-  let reply ~state ~events ~rules ~violations =
+  let answer ~state ~events ~rules ~violations =
     let json =
-      Printf.sprintf
-        {|{"session":%s,"state":"%s","events":%d,"accepted_rows":%d,"rules":%s,"violations":%s}|}
-        (Report.to_string (Report.S s.s_id))
-        state events s.s_accepted rules violations
+      reply s (fun b ->
+          add_head b s ~push:false ~state ~events;
+          Buffer.add_string b {|,"rules":|};
+          rules b;
+          Buffer.add_string b {|,"violations":|};
+          violations b;
+          Buffer.add_char b '}')
     in
     [ Send (c.c_id, Proto.Info { json }) ]
   in
+  let literal str b = Buffer.add_string b str in
   match s.s_state with
   | Failed reason -> proto_error t c ("session failed: " ^ reason)
   | Sealed_s sd ->
       (* Sealed sessions answer their cached (final) result. *)
-      reply ~state:"sealed" ~events:sd.sd_events ~rules:sd.sd_rules
-        ~violations:sd.sd_violations
+      answer ~state:"sealed" ~events:sd.sd_events ~rules:(literal sd.sd_rules)
+        ~violations:(literal sd.sd_violations)
   | Stream -> (
       try
         Crashpoint.hit "serve.stream";
@@ -790,11 +830,13 @@ let handle_stream t c s ~now =
             (* No event fed yet. Do NOT force the engine into existence
                here: it must only be built once every layout row is in,
                which [apply_row] guarantees (layouts precede events). *)
-            reply ~state:"streaming" ~events:0 ~rules:"[]" ~violations:"[]"
+            answer ~state:"streaming" ~events:0 ~rules:(literal "[]")
+              ~violations:(literal "[]")
         | Some onl ->
-            let objs, violations = freeze_rules ~tac:t.cfg.tac onl in
-            reply ~state:"streaming" ~events:(Online.position onl)
-              ~rules:(objs_array objs) ~violations:(Lazy.force violations)
+            let rules, violations = Online.freeze_report ~tac:t.cfg.tac onl in
+            answer ~state:"streaming" ~events:(Online.position onl)
+              ~rules:(fun b -> add_rules b rules)
+              ~violations:(fun b -> add_violations b violations)
       with exn ->
         let outs = session_fail t s ~now exn in
         detach t c.c_id;
@@ -818,7 +860,8 @@ let handle_subscribe t c s ~now =
         Send
           ( c.c_id,
             push_msg s ~state:"sealed" ~events:sd.sd_events
-              ~objs:sd.sd_rule_objs ~violations:sd.sd_violations
+              ~objs:sd.sd_rule_objs
+              ~violations:(fun b -> Buffer.add_string b sd.sd_violations)
               ~added:sd.sd_rule_objs ~removed:[] );
       ]
   | Stream -> (
@@ -837,11 +880,12 @@ let handle_subscribe t c s ~now =
               Send
                 ( c.c_id,
                   push_msg s ~state:"streaming" ~events:0 ~objs:[]
-                    ~violations:"[]" ~added:[] ~removed:[] );
+                    ~violations:(fun b -> Buffer.add_string b "[]")
+                    ~added:[] ~removed:[] );
             ]
         | Some onl ->
-            let objs, violations = freeze_rules ~tac:t.cfg.tac onl in
-            let violations = Lazy.force violations in
+            let rules, violations = Online.freeze_report ~tac:t.cfg.tac onl in
+            let objs = keyed rules in
             s.s_pub <- objs;
             s.s_pub_pos <- Online.position onl;
             s.s_pub_t <- now;
@@ -849,7 +893,8 @@ let handle_subscribe t c s ~now =
               Send
                 ( c.c_id,
                   push_msg s ~state:"streaming" ~events:(Online.position onl)
-                    ~objs ~violations ~added:objs ~removed:[] );
+                    ~objs ~violations:(fun b -> add_violations b violations)
+                    ~added:objs ~removed:[] );
             ]
       with exn ->
         let outs = session_fail t s ~now exn in
@@ -868,19 +913,20 @@ let session_push t s ~now =
          && Online.position onl - s.s_pub_pos >= t.cfg.sub_debounce_events
          && now -. s.s_pub_t >= t.cfg.sub_min_interval -> (
       try
-        let objs, violations = freeze_rules ~tac:t.cfg.tac onl in
+        let rules, violations = Online.freeze_report ~tac:t.cfg.tac onl in
+        let objs = keyed rules in
         let added, removed = rules_delta ~prev:s.s_pub ~next:objs in
         s.s_pub_pos <- Online.position onl;
         s.s_pub_t <- now;
         if added = [] && removed = [] then []
         else begin
           s.s_pub <- objs;
-          let violations = Lazy.force violations in
           [
             Send
               ( cid,
                 push_msg s ~state:"streaming" ~events:(Online.position onl)
-                  ~objs ~violations ~added ~removed );
+                  ~objs ~violations:(fun b -> add_violations b violations)
+                  ~added ~removed );
           ]
         end
       with exn -> session_fail t s ~now exn)

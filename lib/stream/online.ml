@@ -4,6 +4,9 @@ module Dataset = Lockdoc_core.Dataset
 module Selection = Lockdoc_core.Selection
 module Derivator = Lockdoc_core.Derivator
 module Report = Lockdoc_core.Report
+module Rule = Lockdoc_core.Rule
+module Violation = Lockdoc_core.Violation
+module Vec = Lockdoc_util.Vec
 module Obs = Lockdoc_obs.Obs
 
 let c_absorbed = Obs.counter "stream.online.accesses"
@@ -11,9 +14,9 @@ let c_flips = Obs.counter "stream.online.flips"
 let c_freezes = Obs.counter "stream.online.freezes"
 let c_rescored = Obs.counter "stream.online.rescored"
 
-(* A group's last freeze result, valid while the group keeps the stamp
-   it had then and for one (strategy, tac) pair: the mined rule and its
-   [Report.mined_rule_to_json] object. *)
+(* A group's last scored rule and its [Report.add_mined_rule] object,
+   valid while the group keeps the stamp it had then and for one
+   (strategy, tac) pair. *)
 type memo = {
   mm_stamp : int;
   mm_strategy : Selection.strategy option;
@@ -21,11 +24,27 @@ type memo = {
   mm_rule : Derivator.mined * string;
 }
 
+(* A group's violations of one rule and their objects joined by commas
+   ("" for none), valid while the group keeps its touched counter. *)
+type vmemo = {
+  vm_touched : int;
+  vm_rule : Rule.t;
+  vm_list : Violation.violation list;
+  vm_json : string;
+}
+
 type t = {
   eng : Import.engine;
   st : Store.t;
   ds : Dataset.t;
-  memos : (Dataset.key, memo) Hashtbl.t;
+  strings : Report.strings;  (* rendered rules, shared by every freeze *)
+  buf : Buffer.t;  (* scratch for one group's objects *)
+  (* Per-group tables, by [Dataset.id]: *)
+  memos : memo option Vec.t;
+  vmemos : vmemo option Vec.t;
+  mutable params : (Selection.strategy option * float) option;
+      (* of the last freeze: with the same, only dirty groups can have
+         a stale memo *)
   mutable seen : int;  (* access rows absorbed so far *)
 }
 
@@ -36,7 +55,11 @@ let create layouts =
     eng;
     st;
     ds = Dataset.create st;
-    memos = Hashtbl.create 64;
+    strings = Report.strings ();
+    buf = Buffer.create 4096;
+    memos = Vec.create ();
+    vmemos = Vec.create ();
+    params = None;
     seen = Store.n_accesses st;
   }
 
@@ -67,27 +90,138 @@ let finalize t =
   drain t;
   stats
 
-let freeze_json ?strategy ?(tac = Derivator.default_tac) t =
+let slot v g =
+  let id = Dataset.id g in
+  while Vec.length v <= id do
+    ignore (Vec.push v None)
+  done;
+  id
+
+let contents t f =
+  Buffer.clear t.buf;
+  f t.buf;
+  Buffer.contents t.buf
+
+(* Bring every live group's rule memo up to date and return the live
+   groups with their memos, in canonical order. With the parameters of
+   the last freeze, a group that is not dirty kept its stamp, hence its
+   memo; otherwise every live group is checked. *)
+let freeze_groups ?strategy ~tac t =
   Obs.incr c_freezes;
-  let live = Dataset.groups t.ds in
-  let rule (key, g) =
-    match Hashtbl.find_opt t.memos key with
-    | Some mm
-      when mm.mm_stamp = Dataset.stamp g
-           && mm.mm_strategy = strategy
-           && Float.equal mm.mm_tac tac ->
-        mm.mm_rule
-    | _ ->
-        Obs.incr c_rescored;
-        let m = Derivator.derive_group ?strategy ~tac key g in
-        let rule = (m, Report.mined_rule_to_json m) in
-        Hashtbl.replace t.memos key
-          { mm_stamp = Dataset.stamp g; mm_strategy = strategy; mm_tac = tac;
-            mm_rule = rule };
-        rule
+  let fresh g id =
+    match Vec.get t.memos id with
+    | Some mm ->
+        mm.mm_stamp = Dataset.stamp g
+        && mm.mm_strategy = strategy
+        && Float.equal mm.mm_tac tac
+    | None -> false
   in
-  (t.ds, List.map rule live)
+  let refresh g =
+    let id = slot t.memos g in
+    if not (fresh g id) then begin
+      Obs.incr c_rescored;
+      let m = Derivator.derive_group ?strategy ~tac (Dataset.key g) g in
+      let json = contents t (fun b -> Report.add_mined_rule t.strings b m) in
+      Vec.set t.memos id
+        (Some
+           { mm_stamp = Dataset.stamp g; mm_strategy = strategy; mm_tac = tac;
+             mm_rule = (m, json) })
+    end
+  in
+  let dirty = Dataset.take_dirty t.ds in
+  let live = Dataset.groups t.ds in
+  if t.params = Some (strategy, tac) then List.iter refresh dirty
+  else List.iter (fun (_, g) -> refresh g) live;
+  t.params <- Some (strategy, tac);
+  List.map
+    (fun (_, g) ->
+      match Vec.get t.memos (Dataset.id g) with
+      | Some mm -> (g, mm.mm_rule)
+      | None -> assert false)
+    live
+
+let freeze_json ?strategy ?(tac = Derivator.default_tac) t =
+  (t.ds, List.map snd (freeze_groups ?strategy ~tac t))
 
 let freeze ?strategy ?tac t =
   let dataset, rules = freeze_json ?strategy ?tac t in
   (dataset, List.map fst rules)
+
+(* The violations of every live group whose rule can be violated, from
+   its memo while the group's touched counter and rule are unchanged.
+   The stale groups' cells are collected in one pass over each of their
+   type keys' cells, newest first, so each group's list comes out in
+   first-access order — [Dataset.by_member]'s order, which
+   [Violation.find] uses. *)
+let violations t rules =
+  let fresh g (m : Derivator.mined) id =
+    match Vec.get t.vmemos id with
+    | Some vm ->
+        vm.vm_touched = Dataset.touched g
+        && (vm.vm_rule == m.Derivator.m_winner
+           || Rule.equal vm.vm_rule m.Derivator.m_winner)
+    | None -> false
+  in
+  let stale =
+    List.filter
+      (fun (g, (m, _)) ->
+        let id = slot t.vmemos g in
+        Violation.applies m && not (fresh g m id))
+      rules
+  in
+  (* By group id: the rule of a stale group, and its non-complying
+     cells. Rules come in canonical order, so a type key's stale groups
+     are adjacent. *)
+  let want = Array.make (Vec.length t.vmemos) None in
+  let found = Array.make (Vec.length t.vmemos) [] in
+  let types =
+    List.fold_left
+      (fun types (g, ((m : Derivator.mined), _)) ->
+        want.(Dataset.id g) <- Some m;
+        match types with
+        | ty :: _ when String.equal ty m.Derivator.m_type -> types
+        | _ -> m.Derivator.m_type :: types)
+      [] stale
+  in
+  List.iter
+    (fun ty ->
+      List.iter
+        (fun (o : Dataset.obs) ->
+          let id = Dataset.id o.Dataset.o_group in
+          match want.(id) with
+          | Some m
+            when not
+                   (Rule.complies ~rule:m.Derivator.m_winner
+                      ~held:o.Dataset.o_locks) ->
+              found.(id) <- o :: found.(id)
+          | _ -> ())
+        (Dataset.observations_rev t.ds ty))
+    types;
+  List.iter
+    (fun (g, (m, _)) ->
+      let list = List.filter_map (Violation.check t.st m) found.(Dataset.id g) in
+      let json =
+        contents t (fun b ->
+            List.iteri
+              (fun i v ->
+                if i > 0 then Buffer.add_char b ',';
+                Report.add_violation t.strings b v)
+              list)
+      in
+      Vec.set t.vmemos (Dataset.id g)
+        (Some
+           { vm_touched = Dataset.touched g; vm_rule = m.Derivator.m_winner;
+             vm_list = list; vm_json = json }))
+    stale;
+  List.filter_map
+    (fun (g, (m, _)) ->
+      if not (Violation.applies m) then None
+      else
+        match Vec.get t.vmemos (Dataset.id g) with
+        | Some { vm_list = []; _ } | None -> None
+        | Some vm -> Some (vm.vm_list, vm.vm_json))
+    rules
+
+let freeze_report ?strategy ?(tac = Derivator.default_tac) t =
+  let rules = freeze_groups ?strategy ~tac t in
+  (List.map snd rules, violations t rules)

@@ -57,9 +57,11 @@ val freeze :
 
     Freezing is incremental: each group memoizes its last rule for the
     [(strategy, tac)] it was scored with and the group's
-    {!Lockdoc_core.Dataset.stamp} at the time; only groups whose stamp
-    moved since then are re-scored (counted by the
-    [stream.online.rescored] metric). *)
+    {!Lockdoc_core.Dataset.stamp} at the time. With the parameters of
+    the previous freeze, only the groups {!Lockdoc_core.Dataset.take_dirty}
+    names are visited, and of those only the ones whose stamp moved are
+    re-scored (counted by the [stream.online.rescored] metric); other
+    parameters check every group's memo. *)
 
 val freeze_json :
   ?strategy:Lockdoc_core.Selection.strategy ->
@@ -70,3 +72,21 @@ val freeze_json :
     {!Lockdoc_core.Report.mined_rule_to_json} object: joining the
     objects with commas inside brackets gives
     [Report.mined_to_json] of the rule list, byte for byte. *)
+
+val freeze_report :
+  ?strategy:Lockdoc_core.Selection.strategy ->
+  ?tac:float ->
+  t ->
+  (Lockdoc_core.Derivator.mined * string) list
+  * (Lockdoc_core.Violation.violation list * string) list
+(** {!freeze_json}'s rules, and their violations: one entry per rule
+    with at least one violation, in rule order, holding that group's
+    violations and their {!Lockdoc_core.Report.add_violation} objects
+    joined by commas. Concatenated, the lists are
+    [Violation.find dataset rules]; joined with commas inside brackets,
+    the strings are [Report.violations_to_json] of it, byte for byte.
+
+    Each group memoizes its list and string for its
+    {!Lockdoc_core.Dataset.touched} counter and the winning rule; the
+    groups that miss are recomputed in one pass over the cells of each
+    of their type keys. *)

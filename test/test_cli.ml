@@ -531,6 +531,43 @@ let test_recover_old_format () =
           Lockdoc_trace.Event.to_line (fst (Trace.read clean)).Trace.events.(0) );
     ]
 
+(* A directory with no MANIFEST, snapshot or WAL segment is not
+   durable state: recovering it is one line on stderr and exit 1, not
+   an empty store that reads like a successful recovery. A crash before
+   the first checkpoint leaves only a WAL segment, and that still
+   recovers, to an empty store. *)
+let test_recover_non_durable_dir () =
+  with_fixtures (fun ~dir ~clean ~bad:_ ->
+      let empty = Filename.concat dir "empty" in
+      Sys.mkdir empty 0o755;
+      Out_channel.with_open_bin (Filename.concat empty "notes.txt") (fun oc ->
+          output_string oc "not durable state\n");
+      let code, out, err = run [ "recover"; empty ] in
+      check Alcotest.int "no durable state: exit 1" 1 code;
+      check Alcotest.string "no durable state: nothing on stdout" "" out;
+      check Alcotest.string "no durable state: one-line diagnostic"
+        (Printf.sprintf
+           "lockdoc: recover: %s holds no durable state (no MANIFEST, \
+            snapshot or WAL segment)\n"
+           empty)
+        err;
+      let _, man, _ = run [ "recover"; "--help=plain" ] in
+      check Alcotest.bool "EXIT STATUS documents it" true
+        (contains man "a directory without durable state for recover");
+      let crashed = Filename.concat dir "crashed" in
+      Sys.mkdir crashed 0o755;
+      let w = Wal.create ~dir:crashed () in
+      Wal.append w
+        (Lockdoc_trace.Event.to_line (fst (Trace.read clean)).Trace.events.(0));
+      Wal.close w;
+      let code, out, err = run [ "recover"; crashed ] in
+      check Alcotest.int "WAL segment only: exit 0" 0 code;
+      check Alcotest.string "WAL segment only: nothing on stderr" "" err;
+      check Alcotest.bool "WAL segment only: empty store" true
+        (contains out
+           "store: 0 access(es), 0 txn(s), 0 lock(s), 0 allocation(s), 0 \
+            type(s)\n"))
+
 (* ---- pack / unpack / binary fsck ---------------------------------- *)
 
 let test_pack_unpack_roundtrip () =
@@ -699,6 +736,8 @@ let () =
             test_durable_foreign_dir;
           Alcotest.test_case "recover old-format dir" `Quick
             test_recover_old_format;
+          Alcotest.test_case "recover non-durable dir" `Quick
+            test_recover_non_durable_dir;
         ] );
       ( "binary",
         [

@@ -19,6 +19,9 @@ module Derivator = Lockdoc_core.Derivator
 module Checker = Lockdoc_core.Checker
 module Docgen = Lockdoc_core.Docgen
 module Violation = Lockdoc_core.Violation
+module Report = Lockdoc_core.Report
+module Run = Lockdoc_ksim.Run
+module Kernel = Lockdoc_ksim.Kernel
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -430,6 +433,209 @@ let test_violation_none_when_perfect () =
   check Alcotest.int "no violations" 0
     (List.length (Violation.find dataset mined))
 
+(* {2 Report writers} *)
+
+let fixed6 f =
+  let b = Buffer.create 16 in
+  Report.add_fixed6 b f;
+  Buffer.contents b
+
+let check_fixed6 label f =
+  check Alcotest.string label (Printf.sprintf "%.6f" f) (fixed6 f)
+
+(* The fixed-point writer against [Printf] on the values it must not
+   get wrong: every support ratio sa/total with total <= 4096, exact
+   ties and their neighbours, and the values it hands to [Printf]. *)
+let test_fixed6_cases () =
+  let b = Buffer.create 16 in
+  let bad = ref 0 in
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  for total = 1 to 4096 do
+    for sa = 0 to total do
+      (* A fraction not in lowest terms is the same float as one that
+         is. *)
+      if gcd sa total = 1 then begin
+        let f = float_of_int sa /. float_of_int total in
+        Buffer.clear b;
+        Report.add_fixed6 b f;
+        if Buffer.contents b <> Printf.sprintf "%.6f" f then incr bad
+      end
+    done
+  done;
+  check Alcotest.int "every sa/total, total <= 4096" 0 !bad;
+  let ties =
+    (* k/2^7 .. k/2^20 end in a 5 at the 7th decimal or later: exact
+       ties at 1/128 and beyond, near-ties below. *)
+    List.concat_map
+      (fun e ->
+        let d = Float.ldexp 1. e in
+        List.concat_map
+          (fun k ->
+            let f = float_of_int k /. d in
+            [ f; Float.pred f; Float.succ f ])
+          [ 1; 3; 5; 7; 127; 1023 ])
+      [ 7; 8; 9; 10; 12; 16; 20 ]
+  in
+  List.iter (fun f -> check_fixed6 (Printf.sprintf "%h" f) f) ties;
+  List.iter
+    (fun f -> check_fixed6 (Printf.sprintf "%h" f) f)
+    [
+      0.; -0.; 1.; -1.; 0.5; 0.0000005; 0.0000015; 0.0000025; 0.9999995;
+      0.99999949999; 999999.9999995; 999999.5; 1e6; 1e6 +. 0.5; 1e15; 1e300;
+      -0.0078125; -1e-7; Float.min_float; Float.epsilon; Float.max_float;
+      Float.nan; Float.infinity; Float.neg_infinity; 0.1; 0.2; 0.3; 2. /. 3.;
+    ]
+
+let prop_fixed6 =
+  QCheck.Test.make ~name:"fixed-point writer = Printf %.6f" ~count:2000
+    QCheck.(
+      oneof
+        [
+          float;
+          float_bound_inclusive 1.;
+          float_bound_inclusive 1e6;
+          map (fun (n, d) -> float_of_int n /. float_of_int (d + 1))
+            (pair small_nat small_nat);
+          map (fun n -> float_of_int n /. 1e7) (int_bound 100_000_000);
+        ])
+    (fun f -> fixed6 f = Printf.sprintf "%.6f" f)
+
+(* The tree the direct writers replaced, field for field: the oracle
+   for their bytes. *)
+let tree_support (s : Hypothesis.support) =
+  Report.O [ ("sa", Report.I s.Hypothesis.sa); ("sr", Report.F s.Hypothesis.sr) ]
+
+let tree_rule r = Report.S (Rule.to_string r)
+
+let tree_mined (m : Derivator.mined) =
+  Report.O
+    [
+      ("type", Report.S m.Derivator.m_type);
+      ("member", Report.S m.Derivator.m_member);
+      ("access", Report.S (Rule.access_to_string m.Derivator.m_kind));
+      ("observations", Report.I m.Derivator.m_total);
+      ("rule", tree_rule m.Derivator.m_winner);
+      ("support", tree_support m.Derivator.m_support);
+      ( "hypotheses",
+        Report.L
+          (List.map
+             (fun (h : Hypothesis.scored) ->
+               Report.O
+                 [
+                   ("rule", tree_rule h.Hypothesis.rule);
+                   ("support", tree_support h.Hypothesis.support);
+                 ])
+             m.Derivator.m_hypotheses) );
+    ]
+
+let tree_violation (v : Violation.violation) =
+  Report.O
+    [
+      ("type", Report.S v.Violation.v_type);
+      ("member", Report.S v.Violation.v_member);
+      ("access", Report.S (Rule.access_to_string v.Violation.v_kind));
+      ("rule", tree_rule v.Violation.v_rule);
+      ( "held",
+        Report.L
+          (List.map (fun d -> Report.S (Lockdesc.to_string d)) v.Violation.v_held) );
+      ("events", Report.I v.Violation.v_events);
+      ("location", Report.S (Srcloc.to_string v.Violation.v_loc));
+      ("stack", Report.L (List.map (fun f -> Report.S f) v.Violation.v_stack));
+    ]
+
+let check_writers label trace =
+  let store, _ = Import.run trace in
+  let dataset = Dataset.of_store store in
+  let mined = Derivator.derive_all dataset in
+  let violations = Violation.find dataset mined in
+  check Alcotest.string (label ^ ": mined_to_json")
+    (Report.to_string (Report.L (List.map tree_mined mined)))
+    (Report.mined_to_json mined);
+  check Alcotest.string (label ^ ": violations_to_json")
+    (Report.to_string (Report.L (List.map tree_violation violations)))
+    (Report.violations_to_json violations);
+  List.iter
+    (fun m ->
+      check Alcotest.string (label ^ ": mined_rule_to_json")
+        (Report.to_string (tree_mined m))
+        (Report.mined_rule_to_json m))
+    mined
+
+let test_writers_families () =
+  List.iter
+    (fun family ->
+      for seed = 0 to 9 do
+        check_writers
+          (Printf.sprintf "%s seed %d" family seed)
+          (Run.workload_trace ~seed family)
+      done)
+    Run.workload_names
+
+let mix ~seed ~scale =
+  let config =
+    { Run.kernel = { Kernel.default_config with Kernel.seed }; Run.scale;
+      Run.faults = true }
+  in
+  fst (Run.benchmark_mix ~config ())
+
+let test_writers_mix () =
+  List.iter
+    (fun (seed, scale) ->
+      check_writers
+        (Printf.sprintf "mix seed %d scale %d" seed scale)
+        (mix ~seed ~scale))
+    [ (7, 1); (11, 1); (7, 4); (11, 4) ]
+
+(* Hand-made rules and violations with every byte class: quotes,
+   backslashes, control characters, non-ASCII, and lock descriptors
+   whose renderings collide. *)
+let test_writers_escapes () =
+  let names = [ "plain"; "q\"uote"; "back\\slash"; "tab\tnl\ncr\r"; "\001\031"; "caf\xc3\xa9"; "" ] in
+  let descs =
+    List.concat_map
+      (fun n -> [ Lockdesc.Global n; Lockdesc.Es n; Lockdesc.Eo (n, n ^ "_t") ])
+      names
+    @ [ Lockdesc.Global "ES(x)"; Lockdesc.Es "x" ]
+  in
+  let rules = [] :: List.map (fun d -> [ d ]) descs @ [ descs ] in
+  let support sa sr = { Hypothesis.sa; sr } in
+  let mined =
+    List.mapi
+      (fun i n ->
+        {
+          Derivator.m_type = n;
+          m_member = n ^ "m";
+          m_kind = (if i mod 2 = 0 then Rule.R else Rule.W);
+          m_total = i;
+          m_winner = List.nth rules (i mod List.length rules);
+          m_support = support i (float_of_int i /. 7.);
+          m_hypotheses =
+            List.mapi (fun j r -> { Hypothesis.rule = r; support = support j (1. /. float_of_int (j + 1)) }) rules;
+        })
+      names
+  in
+  let violations =
+    List.mapi
+      (fun i n ->
+        {
+          Violation.v_type = n;
+          v_member = n;
+          v_kind = Rule.W;
+          v_rule = List.nth rules i;
+          v_held = descs;
+          v_events = i;
+          v_loc = Srcloc.make n i;
+          v_stack = names;
+        })
+      names
+  in
+  check Alcotest.string "mined"
+    (Report.to_string (Report.L (List.map tree_mined mined)))
+    (Report.mined_to_json mined);
+  check Alcotest.string "violations"
+    (Report.to_string (Report.L (List.map tree_violation violations)))
+    (Report.violations_to_json violations)
+
 let () =
   Alcotest.run "core"
     [
@@ -480,5 +686,15 @@ let () =
           Alcotest.test_case "finder" `Quick test_violation_finder;
           Alcotest.test_case "perfect code is clean" `Quick
             test_violation_none_when_perfect;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "fixed-point writer cases" `Quick test_fixed6_cases;
+          qtest prop_fixed6;
+          Alcotest.test_case "writers escape like the tree" `Quick
+            test_writers_escapes;
+          Alcotest.test_case "writers vs tree: families" `Slow
+            test_writers_families;
+          Alcotest.test_case "writers vs tree: mix" `Slow test_writers_mix;
         ] );
     ]

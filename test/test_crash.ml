@@ -26,6 +26,7 @@ module Store = Lockdoc_db.Store
 module Import = Lockdoc_db.Import
 module Durable = Lockdoc_db.Durable
 module Crashpoint = Lockdoc_db.Crashpoint
+module Wal = Lockdoc_db.Wal
 module Run = Lockdoc_ksim.Run
 module Prng = Lockdoc_util.Prng
 module Dataset = Lockdoc_core.Dataset
@@ -132,7 +133,7 @@ let test_crash_recover_resume () =
             Crashpoint.reset ();
             (* 2: for 3 of 4 seeds, additionally corrupt the WAL tail. *)
             if seed mod 4 <> 0 then
-              ignore (Crashpoint.corrupt_tail ~dir ~seed:(seed * 7919 + 13));
+              ignore (Wal.corrupt_tail ~dir ~seed:(seed * 7919 + 13));
             (* 3: recovery must never raise, and must be exactly a
                plain import of the first [r_trace_offset] events. *)
             (match Durable.recover ~dir with

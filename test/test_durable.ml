@@ -525,7 +525,7 @@ let test_journal_replay_prefix () =
   let r = check_prefix "crashed" in
   check Alcotest.bool "journal records were replayed" true
     (r.Durable.r_replayed > 0);
-  ignore (Crashpoint.corrupt_tail ~dir ~seed:5);
+  ignore (Wal.corrupt_tail ~dir ~seed:5);
   let r' = check_prefix "corrupted" in
   check Alcotest.bool "damage only shortens the prefix" true
     (r'.Durable.r_trace_offset <= r.Durable.r_trace_offset)

@@ -797,6 +797,46 @@ let test_server_stream_query () =
        ~accepted:total (rules, violations))
     (stream_json "sealed")
 
+(* The stream reply after every frame — after every row, on the first
+   trace — on traces full of R->W flips and of repeat accesses to
+   violating cells (the two changes a group's violation memo must see),
+   against batch mining of the same prefix: derive_all and
+   Violation.find. *)
+let test_server_stream_every_frame () =
+  List.iter
+    (fun (label, trace, frame) ->
+      let lines = Trace.to_lines trace in
+      let n_layouts = List.length trace.Trace.layouts in
+      let srv = Server.create () in
+      let now = 0.0 in
+      let cid, _ = connect srv ~now "s" in
+      List.iteri
+        (fun k rows ->
+          let start = k * frame in
+          send_rows srv ~now cid ~start rows;
+          let accepted = start + List.length rows in
+          let events = max 0 (accepted - n_layouts) in
+          let json =
+            match
+              only_send label (send srv ~now cid (Proto.Query Proto.Stream_rules))
+            with
+            | _, Proto.Info { json } -> json
+            | _ -> Alcotest.failf "%s: expected Info" label
+          in
+          let rules, violations = prefix_ref trace events in
+          check Alcotest.string
+            (Printf.sprintf "%s, %d rows" label accepted)
+            (Printf.sprintf
+               {|{"session":"s","state":"streaming","events":%d,"accepted_rows":%d,"rules":%s,"violations":%s}|}
+               events accepted rules violations)
+            json)
+        (batches frame lines))
+    [
+      ("widgets seed 1", Widgets.trace ~steps:250 1, 1);
+      ("widgets seed 2", Widgets.trace 2, 40);
+      ("fs_bench seed 201", Run.workload_trace ~seed:201 "fs_bench", 600);
+    ]
+
 (* ---- Rule subscriptions ------------------------------------------- *)
 
 let find_sub hay needle =
@@ -1135,6 +1175,8 @@ let () =
             test_server_ping_query_bye_shutdown;
           Alcotest.test_case "stream query answers the live prefix" `Quick
             test_server_stream_query;
+          Alcotest.test_case "stream reply after every frame" `Quick
+            test_server_stream_every_frame;
           Alcotest.test_case "subscription pushes match the watermark" `Quick
             test_server_subscription_push;
         ] );

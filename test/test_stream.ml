@@ -35,6 +35,9 @@ module Varint = Lockdoc_stream.Varint
 module Codec = Lockdoc_stream.Codec
 module Online = Lockdoc_stream.Online
 module Obs = Lockdoc_obs.Obs
+module Store = Lockdoc_db.Store
+module Schema = Lockdoc_db.Schema
+module Kernel = Lockdoc_ksim.Kernel
 
 let check = Alcotest.check
 
@@ -519,6 +522,118 @@ let test_flips_match_batch () =
   done;
   check Alcotest.int "flips that left their read group non-empty" 3 !shrunk
 
+(* ---- Violation memo ----------------------------------------------- *)
+
+(* [Online.freeze_report] memoizes each group's violations by its
+   touched counter and winning rule. A flip moves a cell between two
+   groups; a repeat access only raises a cell's [o_events], which the
+   violation's "events" field prints. Freeze after every event, so
+   every memo is warm when such an event lands, and compare: right
+   after every flip and repeat access, with [Violation.find] on the
+   same live dataset; at evenly spaced points, with batch mining of the
+   same prefix. *)
+
+let join objs = "[" ^ String.concat "," objs ^ "]"
+
+let check_against_find label online (rules, violations) =
+  let expected = Violation.find (Online.dataset online) (List.map fst rules) in
+  check Alcotest.bool (label ^ ": lists equal Violation.find") true
+    (List.concat_map fst violations = expected);
+  check Alcotest.string (label ^ ": violations json")
+    (Report.violations_to_json expected)
+    (join (List.map snd violations))
+
+let check_against_batch label trace prefix (rules, violations) =
+  let batch_rules, batch_viol = batch_outputs trace prefix in
+  check Alcotest.string (label ^ ": rules match batch") batch_rules
+    (join (List.map snd rules));
+  check Alcotest.string (label ^ ": violations match batch") batch_viol
+    (join (List.map snd violations))
+
+(* Returns the number of flips and of repeat accesses checked, and of
+   repeat accesses that changed the violations. [max_checks] bounds the
+   [Violation.find] comparisons of each kind. *)
+let memo_run ~max_checks trace =
+  with_metrics @@ fun () ->
+  let n = Array.length trace.Trace.events in
+  let online = Online.create trace.Trace.layouts in
+  let st = Online.store online in
+  let cells = Hashtbl.create 4096 in
+  let grid = max 1 (n / 16) in
+  let flips_checked = ref 0 and repeats_checked = ref 0 in
+  let repeats_moved = ref 0 and prev = ref "" in
+  for i = 0 to n - 1 do
+    let rows = Store.n_accesses st and before = Obs.counter_value flips in
+    Online.feed online trace.Trace.events.(i);
+    let flipped = Obs.counter_value flips > before in
+    let repeated = ref false in
+    for id = rows to Store.n_accesses st - 1 do
+      let a = Store.access st id in
+      Option.iter
+        (fun txn ->
+          let cell = (a.Schema.ac_alloc, a.Schema.ac_member, txn) in
+          if Hashtbl.mem cells cell then repeated := true
+          else Hashtbl.replace cells cell ())
+        a.Schema.ac_txn
+    done;
+    let report = Online.freeze_report online in
+    let viol = join (List.map snd (snd report)) in
+    let label = Printf.sprintf "@%d" (i + 1) in
+    if flipped && !flips_checked < max_checks then begin
+      incr flips_checked;
+      check_against_find ("flip " ^ label) online report
+    end
+    else if !repeated && (not flipped) && !repeats_checked < max_checks then begin
+      incr repeats_checked;
+      if viol <> !prev then incr repeats_moved;
+      check_against_find ("repeat " ^ label) online report
+    end;
+    if (i + 1) mod grid = 0 || i + 1 = n then
+      check_against_batch label trace (i + 1) report;
+    prev := viol
+  done;
+  (!flips_checked, !repeats_checked, !repeats_moved)
+
+let test_violation_memo () =
+  let flips, repeats, _ = memo_run ~max_checks:100 (Lazy.force memo_trace) in
+  check Alcotest.int "fs_bench: flips checked" 100 flips;
+  check Alcotest.int "fs_bench: repeat accesses checked" 100 repeats;
+  List.iter
+    (fun seed ->
+      let flips, repeats, moved = memo_run ~max_checks:max_int (Widgets.trace seed) in
+      let label = Printf.sprintf "widgets seed %d" seed in
+      check Alcotest.bool (label ^ ": flips checked") true (flips >= 20);
+      check Alcotest.bool (label ^ ": repeat accesses checked") true (repeats >= 100);
+      check Alcotest.bool (label ^ ": repeat accesses changed the violations")
+        true (moved >= 20))
+    [ 1; 2; 3 ]
+
+(* The benchmark's largest input shape — the mix at scale 4, with the
+   most write-over-read flips — streamed through the online derivator
+   at a seed other than the benchmark's, its reports checked against
+   batch mining at eight points. *)
+let test_scale4_mix () =
+  let trace =
+    let config =
+      { Run.kernel = { Kernel.default_config with Kernel.seed = 11 };
+        Run.scale = 4; Run.faults = true }
+    in
+    fst (Run.benchmark_mix ~config ())
+  in
+  let n = Array.length trace.Trace.events in
+  let online = Online.create trace.Trace.layouts in
+  let fed = ref 0 in
+  List.iter
+    (fun prefix ->
+      for i = !fed to prefix - 1 do
+        Online.feed online trace.Trace.events.(i)
+      done;
+      fed := prefix;
+      check_against_batch
+        (Printf.sprintf "mix seed 11 scale 4 @%d" prefix)
+        trace prefix (Online.freeze_report online))
+    (List.init 8 (fun k -> (k + 1) * n / 8))
+
 (* Feeding from the packed binary through the incremental decoder into
    the online derivator — the whole streaming path end to end. *)
 let test_streamed_binary_pipeline () =
@@ -605,5 +720,8 @@ let () =
           Alcotest.test_case "memoized rule json" `Quick test_memoized_json;
           Alcotest.test_case "R->W flips match batch" `Quick
             test_flips_match_batch;
+          Alcotest.test_case "violation memo over flips and repeats" `Quick
+            test_violation_memo;
+          Alcotest.test_case "scale-4 mix, seed 11" `Slow test_scale4_mix;
         ] );
     ]

@@ -390,6 +390,85 @@ let nasty_event_gen =
       map (fun fn -> Event.Fun_exit { fn }) s;
     ]
 
+(* The per-byte escaper that [Fieldenc] replaced with run copies, kept
+   as the oracle: same bytes out, same failures. *)
+module Fieldenc_oracle = struct
+  let must_escape c =
+    c = '\\' || c = '\t' || c = '\n' || c = '\r' || c = ';' || c = ','
+
+  let encode s =
+    if not (String.exists must_escape s) then s
+    else begin
+      let b = Buffer.create (String.length s + 4) in
+      String.iter
+        (fun c ->
+          match c with
+          | '\\' -> Buffer.add_string b "\\\\"
+          | '\t' -> Buffer.add_string b "\\t"
+          | '\n' -> Buffer.add_string b "\\n"
+          | '\r' -> Buffer.add_string b "\\r"
+          | ';' -> Buffer.add_string b "\\;"
+          | ',' -> Buffer.add_string b "\\,"
+          | c -> Buffer.add_char b c)
+        s;
+      Buffer.contents b
+    end
+
+  let decode s =
+    if not (String.contains s '\\') then s
+    else begin
+      let b = Buffer.create (String.length s) in
+      let n = String.length s in
+      let rec go i =
+        if i < n then
+          if s.[i] = '\\' then begin
+            if i + 1 >= n then
+              failwith ("Fieldenc.decode: trailing backslash in " ^ s);
+            (match s.[i + 1] with
+            | '\\' -> Buffer.add_char b '\\'
+            | 't' -> Buffer.add_char b '\t'
+            | 'n' -> Buffer.add_char b '\n'
+            | 'r' -> Buffer.add_char b '\r'
+            | ';' -> Buffer.add_char b ';'
+            | ',' -> Buffer.add_char b ','
+            | '-' -> Buffer.add_char b '-'
+            | c ->
+                failwith
+                  (Printf.sprintf "Fieldenc.decode: bad escape \\%c in %s" c s));
+            go (i + 2)
+          end
+          else begin
+            Buffer.add_char b s.[i];
+            go (i + 1)
+          end
+      in
+      go 0;
+      Buffer.contents b
+    end
+end
+
+(* Strings dense with the bytes either direction treats specially. *)
+let fieldenc_gen =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'z'; '\\'; '\t'; '\n'; '\r'; ';'; ','; '-'; 't'; 'n'; 'r'; 'x'; '"' ])
+      (int_range 0 40))
+
+let outcome f s = match f s with v -> Ok v | exception Failure m -> Error m
+
+let prop_fieldenc_oracle =
+  QCheck.Test.make ~name:"fieldenc matches the per-byte oracle" ~count:3000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(oneof [ fieldenc_gen; string_printable; string ]))
+    (fun s ->
+      Lockdoc_trace.Fieldenc.encode s = Fieldenc_oracle.encode s
+      && outcome Lockdoc_trace.Fieldenc.decode s = outcome Fieldenc_oracle.decode s)
+
+let prop_fieldenc_roundtrip =
+  QCheck.Test.make ~name:"fieldenc round trip" ~count:3000
+    (QCheck.make ~print:String.escaped QCheck.Gen.(oneof [ fieldenc_gen; string ]))
+    (fun s ->
+      Lockdoc_trace.Fieldenc.decode (Lockdoc_trace.Fieldenc.encode s) = s)
+
 let prop_nasty_trace_roundtrip =
   QCheck.Test.make ~name:"escaped identifier trace roundtrip" ~count:500
     (QCheck.make
@@ -826,6 +905,8 @@ let () =
           Alcotest.test_case "lenient classification" `Quick
             test_lenient_reader_classifies;
           qtest prop_nasty_trace_roundtrip;
+          qtest prop_fieldenc_oracle;
+          qtest prop_fieldenc_roundtrip;
         ] );
       ( "check",
         [
