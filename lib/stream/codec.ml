@@ -233,6 +233,11 @@ let encode_trace ?segment_bytes trace =
 let dense = 1 lsl 16
 let is_dense i = 0 <= i && i < dense
 
+(* Line-array slots the decoder holds in all; past this, locations go
+   to the hash table too. It bounds what a crafted trace (many interned
+   file ids, each with one large line) can make the arrays take: 8 MB. *)
+let max_loc_slots = 1 lsl 20
+
 module IntTbl = Hashtbl.Make (struct
   type t = int
 
@@ -256,6 +261,7 @@ type decoder = {
       (* file id -> line -> the one shared location, both dense;
          emptied when the id is interned again, like [sparse_locs] *)
   sparse_locs : Srcloc.t IntTbl.t IntTbl.t;  (* the other (file id, line) *)
+  mutable loc_slots : int;  (* slots in [locs]' line arrays *)
   mutable rev_events : Event.t list;  (* drained by [events] *)
   mutable rev_layouts : Layout.t list;
   mutable rev_diags : Diag.t list;
@@ -275,6 +281,7 @@ let decoder ?(mode = Trace.Strict) ?file () =
     sparse_strings = IntTbl.create 16;
     locs = Array.make 64 [||];
     sparse_locs = IntTbl.create 16;
+    loc_slots = 0;
     rev_events = [];
     rev_layouts = [];
     rev_diags = [];
@@ -300,11 +307,15 @@ let resolve d id =
   | Some s -> s
   | None -> failwith (Printf.sprintf "unknown string id %d" id)
 
-(* [a] grown to hold index [i] ([is_dense i]), new slots [empty]. *)
+(* The length an array of length [len] grows to so that it holds index
+   [i] ([is_dense i]). *)
+let grown_length len i = if i < len then len else min dense (max (i + 1) (2 * len))
+
+(* [a] grown to hold index [i], new slots [empty]. *)
 let grown a i empty =
   if i < Array.length a then a
   else begin
-    let b = Array.make (min dense (max (i + 1) (2 * Array.length a))) empty in
+    let b = Array.make (grown_length (Array.length a) i) empty in
     Array.blit a 0 b 0 (Array.length a);
     b
   end
@@ -313,7 +324,10 @@ let intern d id s =
   if is_dense id then begin
     d.strings <- grown d.strings id None;
     d.strings.(id) <- Some s;
-    if id < Array.length d.locs then d.locs.(id) <- [||]
+    if id < Array.length d.locs then begin
+      d.loc_slots <- d.loc_slots - Array.length d.locs.(id);
+      d.locs.(id) <- [||]
+    end
   end
   else IntTbl.replace d.sparse_strings id s;
   IntTbl.remove d.sparse_locs id
@@ -337,12 +351,18 @@ let loc_of d file_id line =
     let by_line = if file_id < Array.length d.locs then d.locs.(file_id) else [||] in
     if line < Array.length by_line && by_line.(line) != no_loc then by_line.(line)
     else begin
-      let loc = Srcloc.make (resolve d file_id) line in
-      d.locs <- grown d.locs file_id [||];
-      let by_line = grown d.locs.(file_id) line no_loc in
-      by_line.(line) <- loc;
-      d.locs.(file_id) <- by_line;
-      loc
+      let len = Array.length by_line in
+      let added = grown_length len line - len in
+      if d.loc_slots + added > max_loc_slots then sparse_loc d file_id line
+      else begin
+        let loc = Srcloc.make (resolve d file_id) line in
+        let by_line = grown by_line line no_loc in
+        by_line.(line) <- loc;
+        d.locs <- grown d.locs file_id [||];
+        d.locs.(file_id) <- by_line;
+        d.loc_slots <- d.loc_slots + added;
+        loc
+      end
     end
   end
 

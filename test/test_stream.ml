@@ -170,6 +170,40 @@ let test_reinterned_file_id () =
     (List.map Event.to_line [ mem "fs/a.c"; mem "fs/a.c"; mem "fs/b.c"; mem "fs/b.c" ])
     (List.map Event.to_line (Array.to_list trace.Trace.events))
 
+(* The decoder keeps locations in arrays indexed by line. A crafted
+   trace — many file names, each used once at a large line, and a line
+   outside the arrays' range — must decode to the same events without
+   the arrays growing with the line numbers (decoding this input
+   allocates about 20 MB without the decoder's bound, 9 MB with it). *)
+let test_crafted_lines () =
+  let events =
+    List.concat_map
+      (fun k ->
+        let file = Printf.sprintf "fs/f%d.c" k in
+        List.map
+          (fun line ->
+            Event.Mem_access
+              { ptr = 0x1000; size = 8; kind = Event.Read;
+                loc = Lockdoc_trace.Srcloc.make file line })
+          [ 60_000 + k; 3; 1 lsl 20; -5 ])
+      (List.init 40 Fun.id)
+  in
+  let packed =
+    Codec.encode_trace { Trace.layouts = []; events = Array.of_list events }
+  in
+  let before = Gc.allocated_bytes () in
+  let trace, diags = Codec.decode_string ~mode:Trace.Strict packed in
+  let allocated = Gc.allocated_bytes () -. before in
+  check Alcotest.int "no diags" 0 (List.length diags);
+  check
+    (Alcotest.list Alcotest.string)
+    "events decode as encoded"
+    (List.map Event.to_line events)
+    (List.map Event.to_line (Array.to_list trace.Trace.events));
+  check Alcotest.bool
+    (Printf.sprintf "decoding allocated %.1f MB, under 12 MB" (allocated /. 1e6))
+    true (allocated < 12e6)
+
 let test_chunked_feed () =
   let trace = Run.workload_trace ~seed:11 "pipe" in
   let packed = Codec.encode_trace trace in
@@ -688,6 +722,7 @@ let () =
             (Printf.sprintf "families (%d seeds)" n_seeds)
             `Slow test_roundtrip_families;
           Alcotest.test_case "re-interned file id" `Quick test_reinterned_file_id;
+          Alcotest.test_case "crafted line numbers" `Quick test_crafted_lines;
           Alcotest.test_case "chunked feeding" `Quick test_chunked_feed;
           Alcotest.test_case "empty trace" `Quick test_empty_trace;
         ] );
