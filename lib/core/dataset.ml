@@ -259,8 +259,10 @@ let groups t =
   end;
   t.order
 
+let find_group t key = Hashtbl.find_opt t.groups key
+
 let combos_of t key =
-  match Hashtbl.find_opt t.groups key with Some g -> combos g | None -> []
+  match find_group t key with Some g -> combos g | None -> []
 
 let merged t base =
   let prefix = base ^ ":" in

@@ -107,6 +107,10 @@ val take_dirty : t -> group list
     call (or since {!create}), each once, in no particular order; empties
     the set. A flag per group bounds the set by the number of groups. *)
 
+val find_group : t -> key -> group option
+(** The group under a key, if an observation ever joined it (it may
+    have emptied since). *)
+
 val combos : group -> Hypothesis.combos
 (** The group's multiset: each distinct held-lock list once, with its
     number of observations (always ≥ 1), in no particular order. *)

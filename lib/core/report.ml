@@ -2,14 +2,26 @@ module Json = Lockdoc_obs.Json
 
 let add_string = Json.add_string
 
-(* [string_of_int] goes through the C format interpreter; the reports
-   print counts, so the non-negative case is the one worth writing. *)
-let rec add_digits buf n =
-  if n >= 10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+let add_int buf n = Buffer.add_string buf (Int.to_string n)
 
-let add_int buf n =
-  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
+(* Elements joined by bare commas, and the same inside brackets: a JSON
+   array. *)
+let add_joined add buf items =
+  List.iteri
+    (fun i item ->
+      if i > 0 then Buffer.add_char buf ',';
+      add buf item)
+    items
+
+let add_array add buf items =
+  Buffer.add_char buf '[';
+  add_joined add buf items;
+  Buffer.add_char buf ']'
+
+let fill buf write =
+  Buffer.clear buf;
+  write buf;
+  Buffer.contents buf
 
 (* [Printf.sprintf "%.6f"] without the format interpreter, for the
    values the reports print (supports in [0, 1], mean hold times). Below
@@ -28,7 +40,7 @@ let add_fixed6 buf f =
       Buffer.add_string buf (Printf.sprintf "%.6f" f)
     else begin
       let n = Float.to_int whole + if frac > 0.5 then 1 else 0 in
-      add_digits buf (n / 1_000_000);
+      add_int buf (n / 1_000_000);
       Buffer.add_char buf '.';
       let d = ref 100_000 and r = n mod 1_000_000 in
       while !d > 0 do
@@ -50,23 +62,15 @@ let rec encode buf = function
   | S s -> add_string buf s
   | I i -> add_int buf i
   | F f -> add_fixed6 buf f
-  | L items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          encode buf item)
-        items;
-      Buffer.add_char buf ']'
+  | L items -> add_array encode buf items
   | O fields ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (key, value) ->
-          if i > 0 then Buffer.add_char buf ',';
+      add_joined
+        (fun buf (key, value) ->
           add_string buf key;
           Buffer.add_char buf ':';
           encode buf value)
-        fields;
+        buf fields;
       Buffer.add_char buf '}'
 
 let to_string json =
@@ -107,14 +111,8 @@ let interned tbl render buf key =
 let add_rule st = interned st.rules (fun b r -> add_string b (Rule.to_string r))
 
 let add_held st =
-  interned st.held (fun b held ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i d ->
-          if i > 0 then Buffer.add_char b ',';
-          add_string b (Lockdesc.to_string d))
-        held;
-      Buffer.add_char b ']')
+  interned st.held
+    (add_array (fun b d -> add_string b (Lockdesc.to_string d)))
 
 let add_support buf (s : Hypothesis.support) =
   Buffer.add_string buf {|{"sa":|};
@@ -139,16 +137,16 @@ let add_mined_rule st buf (m : Derivator.mined) =
   add_rule st buf m.Derivator.m_winner;
   Buffer.add_string buf {|,"support":|};
   add_support buf m.Derivator.m_support;
-  Buffer.add_string buf {|,"hypotheses":[|};
-  List.iteri
-    (fun i (h : Hypothesis.scored) ->
-      Buffer.add_string buf (if i > 0 then {|,{"rule":|} else {|{"rule":|});
+  Buffer.add_string buf {|,"hypotheses":|};
+  add_array
+    (fun buf (h : Hypothesis.scored) ->
+      Buffer.add_string buf {|{"rule":|};
       add_rule st buf h.Hypothesis.rule;
       Buffer.add_string buf {|,"support":|};
       add_support buf h.Hypothesis.support;
       Buffer.add_char buf '}')
-    m.Derivator.m_hypotheses;
-  Buffer.add_string buf "]}"
+    buf m.Derivator.m_hypotheses;
+  Buffer.add_char buf '}'
 
 let add_violation st buf (v : Violation.violation) =
   add_head buf v.Violation.v_type v.Violation.v_member v.Violation.v_kind;
@@ -166,22 +164,9 @@ let add_violation st buf (v : Violation.violation) =
   Buffer.truncate buf (Buffer.length buf - 1);
   Buffer.add_char buf ':';
   add_int buf loc.Lockdoc_trace.Srcloc.line;
-  Buffer.add_string buf {|","stack":[|};
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_string buf f)
-    v.Violation.v_stack;
-  Buffer.add_string buf "]}"
-
-let add_array add buf items =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i item ->
-      if i > 0 then Buffer.add_char buf ',';
-      add buf item)
-    items;
-  Buffer.add_char buf ']'
+  Buffer.add_string buf {|","stack":|};
+  add_array add_string buf v.Violation.v_stack;
+  Buffer.add_char buf '}'
 
 (* Sized from the object count, a little above the average object (on
    the benchmark mix, rules average about 390 bytes and violations about

@@ -33,6 +33,18 @@ val add_fixed6 : Buffer.t -> float -> unit
     near-ties), and for NaN, the infinities, -0, negatives and values
     of 1e6 and above. *)
 
+val add_joined : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
+(** [add_joined add buf items] appends each item with [add], joined by
+    bare commas: the inside of a JSON array. *)
+
+val add_array : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
+(** {!add_joined} inside brackets: a JSON array, as the tree encoder
+    writes [L]. *)
+
+val fill : Buffer.t -> (Buffer.t -> unit) -> string
+(** [fill buf write] clears [buf], runs [write] on it and returns what
+    it wrote: one copy out of a buffer its owner reuses. *)
+
 (** {2 Rules and violations} *)
 
 type strings

@@ -37,20 +37,43 @@ let check store (m : Derivator.mined) (o : Dataset.obs) =
         v_stack = Store.stack store first_access.Schema.ac_stack;
       }
 
-let find ?jobs:_ dataset mined =
+let note ~rules ~found =
+  Obs.add c_groups rules;
+  Obs.add c_found found
+
+(* One pass over the cells of each type key the wanted groups belong
+   to, newest first, collects each wanted group's cells in first-access
+   order — [Dataset.by_member]'s order — without a scan per group. *)
+let scan dataset wanted =
   let store = Dataset.store dataset in
-  Obs.add c_groups (List.length mined);
-  let out =
-    List.concat_map
+  let n = List.fold_left (fun n (g, _) -> max n (Dataset.id g + 1)) 0 wanted in
+  let want = Array.make n false and cells = Array.make n [] in
+  List.iter (fun (g, _) -> want.(Dataset.id g) <- true) wanted;
+  List.map (fun (g, _) -> let ty, _, _ = Dataset.key g in ty) wanted
+  |> List.sort_uniq String.compare
+  |> List.iter (fun ty ->
+         List.iter
+           (fun (o : Dataset.obs) ->
+             let id = Dataset.id o.Dataset.o_group in
+             if id < n && want.(id) then cells.(id) <- o :: cells.(id))
+           (Dataset.observations_rev dataset ty));
+  List.map
+    (fun (g, m) -> List.filter_map (check store m) cells.(Dataset.id g))
+    wanted
+
+let find ?jobs:_ dataset mined =
+  let wanted =
+    List.filter_map
       (fun (m : Derivator.mined) ->
-        if not (applies m) then []
+        if not (applies m) then None
         else
-          Dataset.by_member dataset m.Derivator.m_type
-            ~member:m.Derivator.m_member ~kind:m.Derivator.m_kind
-          |> List.filter_map (check store m))
+          Dataset.find_group dataset
+            (m.Derivator.m_type, m.Derivator.m_member, m.Derivator.m_kind)
+          |> Option.map (fun g -> (g, m)))
       mined
   in
-  Obs.add c_found (List.length out);
+  let out = List.concat (scan dataset wanted) in
+  note ~rules:(List.length mined) ~found:(List.length out);
   out
 
 type summary = {

@@ -33,6 +33,21 @@ val check :
     does not comply with the winner — exactly the element {!find}
     lists for it. *)
 
+val scan :
+  Dataset.t ->
+  (Dataset.group * Derivator.mined) list ->
+  violation list list
+(** For each (group, rule) pair, in order, the group's observations
+    that do not comply with the rule's winner, as {!check} builds them,
+    in first-access order. The cells are collected in one pass over
+    each type key the groups belong to. {!find} is [scan] over the
+    groups of the rules that {!applies} accepts, concatenated. *)
+
+val note : rules:int -> found:int -> unit
+(** Add to the [violations.groups] and [violations.found] metrics what
+    {!find} adds when given [rules] rules and returning [found]
+    violations — for callers that assemble the same list another way. *)
+
 type summary = {
   vs_type : string;
   vs_events : int;  (** rule-violating memory-access events *)

@@ -626,28 +626,18 @@ let mined_key (m : Derivator.mined) =
 let keyed rules = List.map (fun (m, obj) -> (mined_key m, obj)) rules
 
 (* Replies are written into the session's buffer and copied out once.
-   Arrays join their elements with bare commas, so [add_array] over the
-   memoized objects is [Report.mined_to_json] (or
+   Arrays join their elements with bare commas, so [Report.add_array]
+   over the memoized objects is [Report.mined_to_json] (or
    [Report.violations_to_json]) of the same list, byte for byte —
    checked by the byte-identity oracle on the stream, push and sealed
    paths. *)
-let reply s write =
-  let b = s.s_buf in
-  Buffer.clear b;
-  write b;
-  Buffer.contents b
+let reply s write = Report.fill s.s_buf write
 
-let add_array b add items =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i item ->
-      if i > 0 then Buffer.add_char b ',';
-      add b item)
-    items;
-  Buffer.add_char b ']'
+let add_rules b rules =
+  Report.add_array (fun b (_, obj) -> Buffer.add_string b obj) b rules
 
-let add_rules b rules = add_array b (fun b (_, obj) -> Buffer.add_string b obj) rules
-let add_violations b vs = add_array b (fun b (_, objs) -> Buffer.add_string b objs) vs
+let add_violations b vs =
+  Report.add_array (fun b (_, objs) -> Buffer.add_string b objs) b vs
 
 (* The fields every rules reply starts with. *)
 let add_head b s ~push ~state ~events =
@@ -693,7 +683,7 @@ let push_msg s ~state ~events ~objs ~violations ~added ~removed =
         Buffer.add_string b {|,"added":|};
         add_rules b added;
         Buffer.add_string b {|,"removed":|};
-        add_array b Json.add_string removed;
+        Report.add_array Json.add_string b removed;
         Buffer.add_string b {|,"rules":|};
         add_rules b objs;
         Buffer.add_string b {|,"violations":|};

@@ -224,29 +224,14 @@ let encode_trace ?segment_bytes trace =
 
 (* ---- Decoder ------------------------------------------------------ *)
 
-(* String ids and line numbers are small dense ints, so the decoder
-   keeps them in arrays indexed by the int itself. An id or a line
-   outside [0, dense) — a garbled operand, or a negative line (lines are
-   delta-coded) — goes to a hash table instead, so it costs one table
-   entry, not a huge array, and decodes exactly as through the table
-   alone. *)
-let dense = 1 lsl 16
-let is_dense i = 0 <= i && i < dense
-
-(* Line-array slots the decoder holds in all; past this, locations go
-   to the hash table too. It bounds what a crafted trace (many interned
-   file ids, each with one large line) can make the arrays take: 8 MB. *)
-let max_loc_slots = 1 lsl 20
-
+(* String ids and line numbers are small ints: hash them as themselves
+   instead of through the polymorphic hash and compare. *)
 module IntTbl = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
   let hash n = n land max_int
 end)
-
-(* The empty slot of a line array; compared physically. *)
-let no_loc = Srcloc.make "" (-1)
 
 type decoder = {
   mode : Trace.mode;
@@ -255,13 +240,10 @@ type decoder = {
   mutable seen_magic : bool;
   segments : Record.Reader.t;
   mutable dead : bool;  (* framing lost for good (bad magic / absurd length) *)
-  mutable strings : string option array;  (* dense id -> string *)
-  sparse_strings : string IntTbl.t;  (* other id -> string *)
-  mutable locs : Srcloc.t array array;
-      (* file id -> line -> the one shared location, both dense;
-         emptied when the id is interned again, like [sparse_locs] *)
-  sparse_locs : Srcloc.t IntTbl.t IntTbl.t;  (* the other (file id, line) *)
-  mutable loc_slots : int;  (* slots in [locs]' line arrays *)
+  table : string IntTbl.t;
+  locs : Srcloc.t IntTbl.t IntTbl.t;
+      (* file id -> line -> the one shared location; dropped when the
+         id is interned again *)
   mutable rev_events : Event.t list;  (* drained by [events] *)
   mutable rev_layouts : Layout.t list;
   mutable rev_diags : Diag.t list;
@@ -277,11 +259,8 @@ let decoder ?(mode = Trace.Strict) ?file () =
     seen_magic = false;
     segments = Record.Reader.create ();
     dead = false;
-    strings = Array.make 256 None;
-    sparse_strings = IntTbl.create 16;
-    locs = Array.make 64 [||];
-    sparse_locs = IntTbl.create 16;
-    loc_slots = 0;
+    table = IntTbl.create 256;
+    locs = IntTbl.create 64;
     rev_events = [];
     rev_layouts = [];
     rev_diags = [];
@@ -298,73 +277,26 @@ let report d kind msg =
       d.rev_diags <- diag :: d.rev_diags
 
 let resolve d id =
-  let found =
-    if not (is_dense id) then IntTbl.find_opt d.sparse_strings id
-    else if id < Array.length d.strings then d.strings.(id)
-    else None
-  in
-  match found with
-  | Some s -> s
-  | None -> failwith (Printf.sprintf "unknown string id %d" id)
-
-(* The length an array of length [len] grows to so that it holds index
-   [i] ([is_dense i]). *)
-let grown_length len i = if i < len then len else min dense (max (i + 1) (2 * len))
-
-(* [a] grown to hold index [i], new slots [empty]. *)
-let grown a i empty =
-  if i < Array.length a then a
-  else begin
-    let b = Array.make (grown_length (Array.length a) i) empty in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
+  match IntTbl.find d.table id with
+  | s -> s
+  | exception Not_found -> failwith (Printf.sprintf "unknown string id %d" id)
 
 let intern d id s =
-  if is_dense id then begin
-    d.strings <- grown d.strings id None;
-    d.strings.(id) <- Some s;
-    if id < Array.length d.locs then begin
-      d.loc_slots <- d.loc_slots - Array.length d.locs.(id);
-      d.locs.(id) <- [||]
-    end
-  end
-  else IntTbl.replace d.sparse_strings id s;
-  IntTbl.remove d.sparse_locs id
+  IntTbl.replace d.table id s;
+  IntTbl.remove d.locs id
 
-let sparse_loc d file_id line =
-  match IntTbl.find (IntTbl.find d.sparse_locs file_id) line with
+let loc_of d file_id line =
+  match IntTbl.find (IntTbl.find d.locs file_id) line with
   | loc -> loc
   | exception Not_found ->
       let loc = Srcloc.make (resolve d file_id) line in
-      (match IntTbl.find d.sparse_locs file_id with
+      (match IntTbl.find d.locs file_id with
       | by_line -> IntTbl.replace by_line line loc
       | exception Not_found ->
           let by_line = IntTbl.create 64 in
           IntTbl.replace by_line line loc;
-          IntTbl.replace d.sparse_locs file_id by_line);
+          IntTbl.replace d.locs file_id by_line);
       loc
-
-let loc_of d file_id line =
-  if not (is_dense file_id && is_dense line) then sparse_loc d file_id line
-  else begin
-    let by_line = if file_id < Array.length d.locs then d.locs.(file_id) else [||] in
-    if line < Array.length by_line && by_line.(line) != no_loc then by_line.(line)
-    else begin
-      let len = Array.length by_line in
-      let added = grown_length len line - len in
-      if d.loc_slots + added > max_loc_slots then sparse_loc d file_id line
-      else begin
-        let loc = Srcloc.make (resolve d file_id) line in
-        let by_line = grown by_line line no_loc in
-        by_line.(line) <- loc;
-        d.locs <- grown d.locs file_id [||];
-        d.locs.(file_id) <- by_line;
-        d.loc_slots <- d.loc_slots + added;
-        loc
-      end
-    end
-  end
 
 (* An operand that does not parse: without a valid varint there is no
    way to find the next record boundary. *)

@@ -97,11 +97,6 @@ let slot v g =
   done;
   id
 
-let contents t f =
-  Buffer.clear t.buf;
-  f t.buf;
-  Buffer.contents t.buf
-
 (* Bring every live group's rule memo up to date and return the live
    groups with their memos, in canonical order. With the parameters of
    the last freeze, a group that is not dirty kept its stamp, hence its
@@ -121,7 +116,7 @@ let freeze_groups ?strategy ~tac t =
     if not (fresh g id) then begin
       Obs.incr c_rescored;
       let m = Derivator.derive_group ?strategy ~tac (Dataset.key g) g in
-      let json = contents t (fun b -> Report.add_mined_rule t.strings b m) in
+      let json = Report.fill t.buf (fun b -> Report.add_mined_rule t.strings b m) in
       Vec.set t.memos id
         (Some
            { mm_stamp = Dataset.stamp g; mm_strategy = strategy; mm_tac = tac;
@@ -148,11 +143,8 @@ let freeze ?strategy ?tac t =
   (dataset, List.map fst rules)
 
 (* The violations of every live group whose rule can be violated, from
-   its memo while the group's touched counter and rule are unchanged.
-   The stale groups' cells are collected in one pass over each of their
-   type keys' cells, newest first, so each group's list comes out in
-   first-access order — [Dataset.by_member]'s order, which
-   [Violation.find] uses. *)
+   its memo while the group's touched counter and rule are unchanged;
+   the stale groups go through one [Violation.scan]. *)
 let violations t rules =
   let fresh g (m : Derivator.mined) id =
     match Vec.get t.vmemos id with
@@ -163,64 +155,37 @@ let violations t rules =
     | None -> false
   in
   let stale =
-    List.filter
+    List.filter_map
       (fun (g, (m, _)) ->
         let id = slot t.vmemos g in
-        Violation.applies m && not (fresh g m id))
+        if Violation.applies m && not (fresh g m id) then Some (g, m) else None)
       rules
   in
-  (* By group id: the rule of a stale group, and its non-complying
-     cells. Rules come in canonical order, so a type key's stale groups
-     are adjacent. *)
-  let want = Array.make (Vec.length t.vmemos) None in
-  let found = Array.make (Vec.length t.vmemos) [] in
-  let types =
-    List.fold_left
-      (fun types (g, ((m : Derivator.mined), _)) ->
-        want.(Dataset.id g) <- Some m;
-        match types with
-        | ty :: _ when String.equal ty m.Derivator.m_type -> types
-        | _ -> m.Derivator.m_type :: types)
-      [] stale
-  in
-  List.iter
-    (fun ty ->
-      List.iter
-        (fun (o : Dataset.obs) ->
-          let id = Dataset.id o.Dataset.o_group in
-          match want.(id) with
-          | Some m
-            when not
-                   (Rule.complies ~rule:m.Derivator.m_winner
-                      ~held:o.Dataset.o_locks) ->
-              found.(id) <- o :: found.(id)
-          | _ -> ())
-        (Dataset.observations_rev t.ds ty))
-    types;
-  List.iter
-    (fun (g, (m, _)) ->
-      let list = List.filter_map (Violation.check t.st m) found.(Dataset.id g) in
+  List.iter2
+    (fun (g, (m : Derivator.mined)) list ->
       let json =
-        contents t (fun b ->
-            List.iteri
-              (fun i v ->
-                if i > 0 then Buffer.add_char b ',';
-                Report.add_violation t.strings b v)
-              list)
+        Report.fill t.buf (fun b ->
+            Report.add_joined (Report.add_violation t.strings) b list)
       in
       Vec.set t.vmemos (Dataset.id g)
         (Some
            { vm_touched = Dataset.touched g; vm_rule = m.Derivator.m_winner;
              vm_list = list; vm_json = json }))
-    stale;
-  List.filter_map
-    (fun (g, (m, _)) ->
-      if not (Violation.applies m) then None
-      else
-        match Vec.get t.vmemos (Dataset.id g) with
-        | Some { vm_list = []; _ } | None -> None
-        | Some vm -> Some (vm.vm_list, vm.vm_json))
-    rules
+    stale
+    (Violation.scan t.ds stale);
+  let out =
+    List.filter_map
+      (fun (g, (m, _)) ->
+        if not (Violation.applies m) then None
+        else
+          match Vec.get t.vmemos (Dataset.id g) with
+          | Some { vm_list = []; _ } | None -> None
+          | Some vm -> Some (vm.vm_list, vm.vm_json))
+      rules
+  in
+  Violation.note ~rules:(List.length rules)
+    ~found:(List.fold_left (fun n (list, _) -> n + List.length list) 0 out);
+  out
 
 let freeze_report ?strategy ?(tac = Derivator.default_tac) t =
   let rules = freeze_groups ?strategy ~tac t in

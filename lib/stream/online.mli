@@ -88,5 +88,6 @@ val freeze_report :
 
     Each group memoizes its list and string for its
     {!Lockdoc_core.Dataset.touched} counter and the winning rule; the
-    groups that miss are recomputed in one pass over the cells of each
-    of their type keys. *)
+    groups that miss are recomputed by one
+    {!Lockdoc_core.Violation.scan}. Adds to the violation metrics what
+    [Violation.find] would ({!Lockdoc_core.Violation.note}). *)

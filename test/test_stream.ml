@@ -642,6 +642,47 @@ let test_violation_memo () =
         true (moved >= 20))
     [ 1; 2; 3 ]
 
+(* [Online.freeze_report] assembles its violations from memos, not
+   through [Violation.find], but moves the same metrics: the rules it
+   was given and the violations it returned. Checked at eight points,
+   on a fresh freeze and on a repeat that hits every memo. *)
+let v_groups = Obs.counter "violations.groups"
+let v_found = Obs.counter "violations.found"
+
+let counted f =
+  let groups = Obs.counter_value v_groups and found = Obs.counter_value v_found in
+  let r = f () in
+  (r, Obs.counter_value v_groups - groups, Obs.counter_value v_found - found)
+
+let test_violation_metrics () =
+  with_metrics @@ fun () ->
+  let trace = Widgets.trace 1 in
+  let n = Array.length trace.Trace.events in
+  let online = Online.create trace.Trace.layouts in
+  let fed = ref 0 and total = ref 0 in
+  List.iter
+    (fun prefix ->
+      for i = !fed to prefix - 1 do
+        Online.feed online trace.Trace.events.(i)
+      done;
+      fed := prefix;
+      List.iter
+        (fun pass ->
+          let label = Printf.sprintf "@%d %s" prefix pass in
+          let (rules, _), groups, found =
+            counted (fun () -> Online.freeze_report online)
+          in
+          let _, groups', found' =
+            counted (fun () ->
+                Violation.find (Online.dataset online) (List.map fst rules))
+          in
+          check Alcotest.int (label ^ ": violations.groups") groups' groups;
+          check Alcotest.int (label ^ ": violations.found") found' found;
+          total := !total + found)
+        [ "fresh"; "repeat" ])
+    (List.init 8 (fun k -> (k + 1) * n / 8));
+  check Alcotest.bool "violations were counted" true (!total > 0)
+
 (* The benchmark's largest input shape — the mix at scale 4, with the
    most write-over-read flips — streamed through the online derivator
    at a seed other than the benchmark's, its reports checked against
@@ -757,6 +798,8 @@ let () =
             test_flips_match_batch;
           Alcotest.test_case "violation memo over flips and repeats" `Quick
             test_violation_memo;
+          Alcotest.test_case "violation metrics match find" `Quick
+            test_violation_metrics;
           Alcotest.test_case "scale-4 mix, seed 11" `Slow test_scale4_mix;
         ] );
     ]
