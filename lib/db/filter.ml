@@ -101,5 +101,10 @@ let default =
 let fn_blacklisted t frames =
   List.exists (fun frame -> List.mem frame t.fn_blacklist) frames
 
+let blacklisted_members t ~ty =
+  List.filter_map
+    (fun (t, m) -> if String.equal t ty then Some m else None)
+    t.member_blacklist
+
 let member_blacklisted t ~ty ~member =
-  List.mem (ty, member) t.member_blacklist
+  List.exists (String.equal member) (blacklisted_members t ~ty)

@@ -28,3 +28,6 @@ val fn_blacklisted : t -> string list -> bool
 (** [fn_blacklisted t stack] — does any frame hit the blacklist? *)
 
 val member_blacklisted : t -> ty:string -> member:string -> bool
+
+val blacklisted_members : t -> ty:string -> string list
+(** The members of [ty] on the member blacklist, in blacklist order. *)

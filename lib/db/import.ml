@@ -154,15 +154,13 @@ let max_table = 1 lsl 16
 
 let dt_table filter layout =
   let members = Array.of_list layout.Layout.members in
+  let blacklisted = Filter.blacklisted_members filter ~ty:layout.Layout.ty_name in
   let verdict m =
     if
       (filter.Filter.drop_lock_members && m.Layout.m_kind = Layout.Lock)
       || (filter.Filter.drop_atomic_members && m.Layout.m_kind = Layout.Atomic)
     then Drop_kind
-    else if
-      Filter.member_blacklisted filter ~ty:layout.Layout.ty_name
-        ~member:m.Layout.m_name
-    then Drop_member
+    else if List.exists (String.equal m.Layout.m_name) blacklisted then Drop_member
     else Keep
   in
   let extent =

@@ -64,6 +64,8 @@ let register_wild ?(root = false) ?(irq = false) ~subsystem name =
 
 let find name = Hashtbl.find_opt registry name
 
+let count () = Hashtbl.length registry
+
 let all () =
   Hashtbl.fold (fun _ fn acc -> fn :: acc) registry []
   |> List.sort (fun a b -> compare a.sk_name b.sk_name)

@@ -77,6 +77,11 @@ val register :
 val register_wild : ?root:bool -> ?irq:bool -> subsystem:string -> string -> unit
 
 val find : string -> fn option
+
+val count : unit -> int
+(** Number of registered skeletons. Registration only ever adds, so an
+    unchanged count means an unchanged registry. *)
+
 val all : unit -> fn list  (** sorted by name; deterministic *)
 
 val subsystems : unit -> string list  (** sorted, distinct *)

@@ -1,8 +1,17 @@
-type fn = { fn_name : string; fn_file : string; fn_start : int; fn_span : int }
+type fn = {
+  fn_id : int;
+  fn_name : string;
+  fn_file : string;
+  fn_start : int;
+  fn_span : int;
+}
 
 (* Global registry: the simulated kernel's "source tree" is the same for
-   every run, only coverage is per-run. *)
+   every run, only coverage is per-run. Ids are dense, in declaration
+   order, and index each run's coverage maps. *)
 let registry : (string, fn) Hashtbl.t = Hashtbl.create 256
+
+let declared = ref 0
 
 let file_cursor : (string, int) Hashtbl.t = Hashtbl.create 32
 
@@ -18,33 +27,57 @@ let declare ~file ~span name =
   | None ->
       let start = Option.value ~default:1 (Hashtbl.find_opt file_cursor file) in
       Hashtbl.replace file_cursor file (start + span + 2 (* blank + brace *));
-      let fn = { fn_name = name; fn_file = file; fn_start = start; fn_span = span } in
+      let fn =
+        { fn_id = !declared; fn_name = name; fn_file = file; fn_start = start; fn_span = span }
+      in
+      incr declared;
       Hashtbl.replace registry name fn;
       fn
 
 let find name = Hashtbl.find registry name
 
-type coverage = {
-  entered : (string, unit) Hashtbl.t;
-  lines : (string * int, unit) Hashtbl.t;
-}
+(* One byte map per function, indexed by [fn_id]: byte 0 is the
+   "entered" flag, byte [1 + k] line [fn_start + k]. A map is allocated
+   on the function's first mark in the run ([Bytes.empty] until then);
+   functions declared after the run started grow the array. *)
+type coverage = { mutable maps : Bytes.t array }
 
-let coverage () = { entered = Hashtbl.create 256; lines = Hashtbl.create 1024 }
+let coverage () = { maps = Array.make !declared Bytes.empty }
+
+let map cov fn =
+  let id = fn.fn_id in
+  if id >= Array.length cov.maps then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length cov.maps)) Bytes.empty in
+    Array.blit cov.maps 0 grown 0 (Array.length cov.maps);
+    cov.maps <- grown
+  end;
+  let m = cov.maps.(id) in
+  if Bytes.length m > 0 then m
+  else begin
+    let m = Bytes.make (fn.fn_span + 1) '\000' in
+    cov.maps.(id) <- m;
+    m
+  end
 
 (* Entering a function executes its straight-line prologue; GCOV would see
-   most of the body run on the common path, so mark the leading 3/4 of the
-   span. Branchy tails are only marked when an instrumented operation's
-   line cursor lands on them. *)
+   most of the body run on the common path, so the first entry in a run
+   marks the leading 3/4 of the span. Branchy tails are only marked when
+   an instrumented operation's line cursor lands on them. *)
 let mark_enter cov fn =
-  Hashtbl.replace cov.entered fn.fn_name ();
-  let prefix = max 1 (fn.fn_span * 3 / 4) in
-  for line = fn.fn_start to fn.fn_start + prefix - 1 do
-    Hashtbl.replace cov.lines (fn.fn_file, line) ()
-  done
+  let m = map cov fn in
+  if Bytes.get m 0 = '\000' then begin
+    Bytes.set m 0 '\001';
+    Bytes.fill m 1 (min fn.fn_span (max 1 (fn.fn_span * 3 / 4))) '\001'
+  end
 
+(* Lines outside the span wrap into it. [mod] is negative for a line
+   below [fn_start], hence the correction. *)
 let mark_line cov fn line =
-  let line = fn.fn_start + ((line - fn.fn_start) mod fn.fn_span) in
-  Hashtbl.replace cov.lines (fn.fn_file, line) ()
+  if fn.fn_span > 0 then begin
+    let off = (line - fn.fn_start) mod fn.fn_span in
+    let off = if off < 0 then off + fn.fn_span else off in
+    Bytes.set (map cov fn) (1 + off) '\001'
+  end
 
 type dir_report = {
   dir : string;
@@ -71,10 +104,15 @@ let report cov ~dirs =
       | Some (lt, lc, ft, fc) ->
           lt := !lt + fn.fn_span;
           incr ft;
-          if Hashtbl.mem cov.entered fn.fn_name then incr fc;
-          for line = fn.fn_start to fn.fn_start + fn.fn_span - 1 do
-            if Hashtbl.mem cov.lines (fn.fn_file, line) then incr lc
-          done)
+          if fn.fn_id < Array.length cov.maps then begin
+            let m = cov.maps.(fn.fn_id) in
+            if Bytes.length m > 0 then begin
+              if Bytes.get m 0 <> '\000' then incr fc;
+              for k = 1 to fn.fn_span do
+                if Bytes.get m k <> '\000' then incr lc
+              done
+            end
+          end)
     registry;
   List.map
     (fun dir ->

@@ -8,7 +8,8 @@
     but never executed count against coverage, so subsystems declare
     their whole surface up front. *)
 
-type fn = {
+type fn = private {
+  fn_id : int;  (** dense, in declaration order *)
   fn_name : string;
   fn_file : string;
   fn_start : int;  (** first line of the function *)
@@ -26,13 +27,21 @@ val find : string -> fn
 (** Raises [Not_found] for undeclared functions. *)
 
 type coverage
-(** Per-run execution record. *)
+(** Per-run execution record: one byte map per function, an "entered"
+    flag plus one byte per line of its span, the way GCOV keeps a
+    counter array per object file. *)
 
 val coverage : unit -> coverage
+
 val mark_enter : coverage -> fn -> unit
+(** Marks [fn] entered. Its first entry in a run also marks the leading
+    3/4 of its span (at least one line) as executed; later entries
+    change nothing. *)
+
 val mark_line : coverage -> fn -> int -> unit
 (** [mark_line cov fn line] records execution of an absolute line inside
-    [fn]'s range. *)
+    [fn]'s range; a line outside the range wraps into it (modulo the
+    span, also below [fn_start]). A no-op for a zero-span function. *)
 
 type dir_report = {
   dir : string;

@@ -102,6 +102,59 @@ let kept_site (s : Summary.site) =
       | m -> m.Layout.m_kind = Layout.Data
       | exception Not_found -> false)
 
+(* The trace-independent half of a lint: the IR summary, the kept
+   sites, each function's call-path witness, the lock classes the IR
+   models and its order edges. All of it is a function of the skeleton
+   registry, which only grows (every skeleton registers at link time and
+   [Skeleton.register] rejects duplicates), so one model serves every
+   run in the process; it is rebuilt only if the registry has grown. *)
+type model = {
+  md_summary : Summary.t;
+  md_sites : Summary.site list;
+  md_witnesses : (string, string list) Hashtbl.t;
+  md_universe : (string, unit) Hashtbl.t;  (** lock classes, as strings *)
+  md_edges : (string * string, unit) Hashtbl.t;
+}
+
+let build_model () =
+  let summary = Summary.analyse () in
+  let witnesses = Hashtbl.create 256 in
+  List.iter
+    (fun (fn, path) -> Hashtbl.replace witnesses fn path)
+    summary.Summary.witnesses;
+  let cs = Lockdep.class_to_string in
+  let universe = Hashtbl.create 64 in
+  List.iter
+    (fun (a : Summary.acq) -> Hashtbl.replace universe (cs a.Summary.aq_class) ())
+    summary.Summary.acquires;
+  let edges = Hashtbl.create 128 in
+  List.iter
+    (fun (e : Summary.sedge) ->
+      Hashtbl.replace edges (cs e.Summary.sd_from, cs e.Summary.sd_to) ())
+    (summary.Summary.edges @ summary.Summary.self_edges);
+  {
+    md_summary = summary;
+    md_sites = List.filter kept_site summary.Summary.sites;
+    md_witnesses = witnesses;
+    md_universe = universe;
+    md_edges = edges;
+  }
+
+let cached_model = ref None
+
+let model () =
+  let n = Skeleton.count () in
+  match !cached_model with
+  | Some (k, m) when k = n -> m
+  | _ ->
+      let m = build_model () in
+      cached_model := Some (n, m);
+      m
+
+(* Call path from a root to [fn]; [[fn]] if no root reaches it. *)
+let witness md fn =
+  Option.value ~default:[ fn ] (Hashtbl.find_opt md.md_witnesses fn)
+
 let run ?jobs:_ ~workload trace =
   (* Dynamic side 1: the paper's pipeline — import (irq inheritance on)
      and mine rules per merged base type. *)
@@ -119,14 +172,20 @@ let run ?jobs:_ ~workload trace =
           (Derivator.derive_merged dataset base))
       bases
   in
-  let find_mined ty member kind = List.assoc_opt (ty, member, kind) mined in
+  (* First binding wins, as with [List.assoc_opt]. *)
+  let mined_tbl = Hashtbl.create 256 in
+  List.iter
+    (fun (key, m) ->
+      if not (Hashtbl.mem mined_tbl key) then Hashtbl.replace mined_tbl key m)
+    mined;
+  let find_mined ty member kind = Hashtbl.find_opt mined_tbl (ty, member, kind) in
   (* Dynamic side 2: lock order with irq flows accounted separately —
      inheritance creates cross-flow edges no static path can produce. *)
   let store_sep, _ = Import.run ~irq_mode:Import.Separate trace in
   let dyn_order = Lockdep.analyse store_sep in
   (* Static side. *)
-  let summary = Summary.analyse () in
-  let sites = List.filter kept_site summary.Summary.sites in
+  let md = model () in
+  let summary = md.md_summary and sites = md.md_sites in
   let violations =
     List.filter_map
       (fun (s : Summary.site) ->
@@ -146,7 +205,7 @@ let run ?jobs:_ ~workload trace =
                   v_rule = m.Derivator.m_winner;
                   v_held = held;
                   v_support = m.Derivator.m_support.Lockdoc_core.Hypothesis.sr;
-                  v_witness = Summary.witness summary s.Summary.st_fn;
+                  v_witness = witness md s.Summary.st_fn;
                 })
       sites
   in
@@ -164,7 +223,7 @@ let run ?jobs:_ ~workload trace =
                 Option.map
                   (fun (m : Derivator.mined) -> m.Derivator.m_winner)
                   (find_mined s.Summary.st_ty s.Summary.st_member Event.Write);
-              u_witness = Summary.witness summary s.Summary.st_fn;
+              u_witness = witness md s.Summary.st_fn;
             }
         else None)
       sites
@@ -208,15 +267,7 @@ let run ?jobs:_ ~workload trace =
   in
   (* Acquisition-order diff, restricted to classes the IR models. *)
   let cs = Lockdep.class_to_string in
-  let universe = Hashtbl.create 64 in
-  List.iter
-    (fun (a : Summary.acq) -> Hashtbl.replace universe (cs a.Summary.aq_class) ())
-    summary.Summary.acquires;
-  let static_edges = Hashtbl.create 128 in
-  List.iter
-    (fun (e : Summary.sedge) ->
-      Hashtbl.replace static_edges (cs e.Summary.sd_from, cs e.Summary.sd_to) ())
-    (summary.Summary.edges @ summary.Summary.self_edges);
+  let universe = md.md_universe and static_edges = md.md_edges in
   let dyn_edges =
     List.map
       (fun (e : Lockdep.edge) -> (cs e.Lockdep.e_from, cs e.Lockdep.e_to))

@@ -723,6 +723,3 @@ let analyse () =
     entries = List.map (fun (name, _) -> (name, must_entry name)) records;
     witnesses = List.map (fun (name, _) -> (name, witness_path name)) records;
   }
-
-let witness t fn =
-  match List.assoc_opt fn t.witnesses with Some p -> p | None -> [ fn ]

@@ -110,6 +110,3 @@ type t = {
 
 val analyse : unit -> t
 (** Run all analyses over the current {!Lockdoc_ksim.Skeleton} registry. *)
-
-val witness : t -> string -> string list
-(** Call path for a function; [[fn]] if it was never reached. *)

@@ -690,6 +690,21 @@ let test_baselines_damaged_trace () =
           | _ -> Alcotest.failf "%s: expected one stderr line, got %S" name err)
         (baselines dir))
 
+(* Tab. 3 as `repro tab3` prints it (benchmark mix, seed 42, scale 8).
+   A fresh process, so the registry holds exactly what the mix
+   declares; any change to coverage accounting that moves a count shows
+   here. *)
+let test_repro_tab3_pinned () =
+  let code, out, _ = run [ "repro"; "tab3" ] in
+  check Alcotest.int "exit 0" 0 code;
+  List.iter
+    (fun row -> check Alcotest.bool row true (contains out row))
+    [
+      "| fs        | 32.09 % (1654/5154) | 37.88 % (111/293) |";
+      "| fs/ext4   | 22.74 % (236/1038)  | 32.26 % (10/31)   |";
+      "| fs/jbd2   | 40.35 % (372/922)   | 48.57 % (17/35)   |";
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -716,6 +731,7 @@ let () =
             test_lint_unknown_workload;
           Alcotest.test_case "repro rejects unknown experiment" `Quick
             test_repro_unknown_experiment;
+          Alcotest.test_case "repro tab3 pinned" `Quick test_repro_tab3_pinned;
           Alcotest.test_case "lint json smoke" `Quick test_lint_json_smoke;
           Alcotest.test_case "profile json smoke" `Quick test_profile_json;
           Alcotest.test_case "feed needs input" `Quick test_feed_needs_input;

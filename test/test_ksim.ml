@@ -378,6 +378,80 @@ let test_report_edge_cases () =
   check Alcotest.int "zero-span has no lines" 0 z.Source.lines_total;
   check Alcotest.int "zero-span covers no lines" 0 z.Source.lines_covered
 
+(* Byte-map coverage. Each case declares its own directory so the
+   per-directory report isolates it. *)
+let lines_in cov dir = (List.hd (Source.report cov ~dirs:[ dir ])).Source.lines_covered
+
+(* The first entry marks the prologue (3/4 of the span); entering again
+   marks nothing new and unmarks nothing. *)
+let test_prologue_once () =
+  ignore (Source.declare ~file:"bmonce/a.c" ~span:12 "bmonce_prev");
+  let fn = Source.declare ~file:"bmonce/a.c" ~span:8 "bmonce_fn" in
+  let cov = Source.coverage () in
+  check Alcotest.int "nothing before entry" 0 (lines_in cov "bmonce");
+  Source.mark_enter cov fn;
+  check Alcotest.int "prologue marked on first entry" 6 (lines_in cov "bmonce");
+  Source.mark_line cov fn (fn.Source.fn_start + 7);
+  check Alcotest.int "tail line marked" 7 (lines_in cov "bmonce");
+  Source.mark_enter cov fn;
+  check Alcotest.int "re-entry keeps every mark" 7 (lines_in cov "bmonce");
+  let r = List.hd (Source.report cov ~dirs:[ "bmonce" ]) in
+  check Alcotest.int "entered once, counted once" 1 r.Source.functions_covered
+
+(* The first and last line of a span land in the function itself: the
+   neighbour declared right after it in the same file stays unmarked,
+   and a line one past the end wraps to the first. *)
+let test_span_ends () =
+  ignore (Source.declare ~file:"bmends/a.c" ~span:9 "bmends_prev");
+  let fn = Source.declare ~file:"bmends/a.c" ~span:10 "bmends_fn" in
+  let next = Source.declare ~file:"bmends/a.c" ~span:10 "bmends_next" in
+  let cov = Source.coverage () in
+  let first = fn.Source.fn_start and last = fn.Source.fn_start + fn.Source.fn_span - 1 in
+  Source.mark_line cov fn first;
+  check Alcotest.int "first line" 1 (lines_in cov "bmends");
+  Source.mark_line cov fn last;
+  check Alcotest.int "last line" 2 (lines_in cov "bmends");
+  Source.mark_line cov fn (last + 1);
+  check Alcotest.int "one past the end wraps to the first line" 2
+    (lines_in cov "bmends");
+  Source.mark_line cov next next.Source.fn_start;
+  check Alcotest.int "the neighbour's first line is its own" 3
+    (lines_in cov "bmends")
+
+(* A line below [fn_start] wraps into the function's own range, never
+   into the function declared before it in the same file. With the
+   neighbour unmarked, the directory's count is the function's own. *)
+let test_mark_below_start () =
+  ignore (Source.declare ~file:"bmbelow/a.c" ~span:20 "bmbelow_prev");
+  let fn = Source.declare ~file:"bmbelow/a.c" ~span:10 "bmbelow_fn" in
+  let cov = Source.coverage () in
+  Source.mark_line cov fn (fn.Source.fn_start - 5);
+  check Alcotest.int "one line marked" 1 (lines_in cov "bmbelow");
+  Source.mark_line cov fn (fn.Source.fn_start + 5);
+  check Alcotest.int "it was fn_start + 5: the neighbour has none" 1
+    (lines_in cov "bmbelow")
+
+(* Two runs' coverage values share nothing: each sees only the
+   functions its own run entered, also after the other run. *)
+let test_runs_independent () =
+  let run name =
+    snd
+      (Kernel.run ~config:quiet_config ~layouts:[ tiny ] (fun () ->
+           Kernel.spawn name (fun () ->
+               Kernel.fn_scope ~file:"bmruns/a.c" ~span:16 name (fun () -> ()))))
+  in
+  let cov_a = run "bmruns_a" in
+  let cov_b = run "bmruns_b" in
+  let funcs cov = (List.hd (Source.report cov ~dirs:[ "bmruns" ])).Source.functions_covered in
+  check Alcotest.int "first run entered one" 1 (funcs cov_a);
+  check Alcotest.int "second run entered one" 1 (funcs cov_b);
+  check Alcotest.int "first run's lines unchanged by the second" 12
+    (lines_in cov_a "bmruns");
+  check Alcotest.int "second run's lines its own" 12 (lines_in cov_b "bmruns");
+  Source.mark_line cov_b (Source.find "bmruns_a") 0;
+  check Alcotest.int "marking one run leaves the other" 12
+    (lines_in cov_a "bmruns")
+
 (* {2 Clock example invariants} *)
 
 let test_clock_event_shape () =
@@ -510,6 +584,10 @@ let () =
           Alcotest.test_case "re-declaration mismatch" `Quick
             test_declare_mismatch;
           Alcotest.test_case "report edge cases" `Quick test_report_edge_cases;
+          Alcotest.test_case "prologue marked once" `Quick test_prologue_once;
+          Alcotest.test_case "first and last line" `Quick test_span_ends;
+          Alcotest.test_case "line below fn_start" `Quick test_mark_below_start;
+          Alcotest.test_case "runs independent" `Quick test_runs_independent;
         ] );
       ( "clock example",
         [ Alcotest.test_case "event shape" `Quick test_clock_event_shape ] );

@@ -4,8 +4,9 @@
    - the differential meta-check: every event in every workload trace
      (clean and sanitizer-seeded, two seeds) must be explicable by some
      IR path of the emitting function — dynamic ⊆ static;
-   - determinism: Summary.analyse and the full lint pipeline must be
-     bit-identical across -j 1 / -j 4;
+   - determinism: each family's lint JSON is pinned by an MD5 golden and
+     is byte-identical across repeated and interleaved runs, and a
+     lint's summary equals a fresh Summary.analyse;
    - cross-validation against the seeded ground truth: every seeded
      race site must land in the static unprotected-write report, the
      seeded irq-unsafe class must be flagged by the static irq lint,
@@ -104,6 +105,54 @@ let test_no_dynamic_only_edges name () =
   check Alcotest.int (name ^ ": dynamic cycles uncovered") 0
     (List.length r.Lint.order.Lint.oc_cycles_uncovered)
 
+(* {2 Lint output pins}
+
+   MD5s of each family's `lint --json` bytes at seed 3. The traces are
+   simulated in [Run.workload_names] order, so source lines are numbered
+   the same however the suite is filtered. *)
+
+let lint_json name trace = Report.to_string (Lint.to_json (Lint.run ~workload:name trace))
+
+let seed3_traces =
+  lazy (List.map (fun n -> (n, Run.workload_trace ~seed:3 n)) Run.workload_names)
+
+let lint_goldens =
+  [
+    ("fs_bench", "ad3deb1d4eaeebfbd47230114c23b43c");
+    ("fsstress", "0b163f0423e6969d4bae160faa027380");
+    ("fs_inod", "cb10c21d68f60aa39a560a7a4bd0f325");
+    ("pipe", "37a01a5e8bc2945035a4bc2db837dfaf");
+    ("symlink", "9b64162e87fe635c790b906158d677ad");
+    ("device", "a94e72c39b3c883c63d64f5d708b7abf");
+  ]
+
+let test_lint_goldens () =
+  List.iter
+    (fun (name, trace) ->
+      check Alcotest.string (name ^ " lint json md5")
+        (List.assoc name lint_goldens)
+        (Digest.to_hex (Digest.string (lint_json name trace))))
+    (Lazy.force seed3_traces)
+
+(* The static model is shared by every run in the process: runs on two
+   families interleaved, and a repeat on one trace, give the same bytes
+   as each family's first run. *)
+let test_lint_repeatable () =
+  let traces = Lazy.force seed3_traces in
+  let a = List.assoc "fs_bench" traces and b = List.assoc "pipe" traces in
+  let a1 = lint_json "fs_bench" a in
+  let b1 = lint_json "pipe" b in
+  let a2 = lint_json "fs_bench" a in
+  let b2 = lint_json "pipe" b in
+  check Alcotest.string "fs_bench after pipe" a1 a2;
+  check Alcotest.string "pipe after fs_bench" b1 b2;
+  check Alcotest.string "fs_bench a third time" a1 (lint_json "fs_bench" a)
+
+let test_lint_summary_fresh () =
+  let r = Lint.run ~workload:"symlink" (List.assoc "symlink" (Lazy.force seed3_traces)) in
+  check Alcotest.bool "summary equals a fresh Summary.analyse" true
+    (r.Lint.summary = Summary.analyse ())
+
 let () =
   let fam f = List.map (fun n -> Alcotest.test_case n `Quick (f n)) in
   Alcotest.run "static"
@@ -119,4 +168,12 @@ let () =
           Alcotest.test_case "clean IR context lints" `Quick test_clean_ir_lints;
         ] );
       ("order diff", fam test_no_dynamic_only_edges Run.workload_names);
+      ( "lint output",
+        [
+          Alcotest.test_case "seed-3 json goldens" `Quick test_lint_goldens;
+          Alcotest.test_case "interleaved and repeated runs" `Quick
+            test_lint_repeatable;
+          Alcotest.test_case "summary is a fresh analysis" `Quick
+            test_lint_summary_fresh;
+        ] );
     ]
