@@ -20,10 +20,8 @@ type group = {
 }
 
 type obs = {
-  mutable o_group : group;
+  mutable o_group : group;  (* its key holds the member and access kind *)
   o_alloc : int;
-  o_member : string;
-  mutable o_kind : Rule.access;
   o_locks : Lockdesc.t list;
   o_first : int;
   mutable o_events : int;
@@ -141,7 +139,11 @@ let absorb t (a : Schema.access) =
     match a.Schema.ac_txn with
     | Some txn when txn < Vec.length t.by_txn ->
         List.find_opt
-          (fun o -> o.o_alloc = alloc && String.equal o.o_member member)
+          (fun o ->
+            o.o_alloc = alloc
+            &&
+            let _, m, _ = o.o_group.g_key in
+            String.equal m member)
           (Vec.get t.by_txn txn)
     | _ -> None
   in
@@ -152,13 +154,12 @@ let absorb t (a : Schema.access) =
          cell moves between groups; its place in the type key's
          first-access order stays. With [wor] off (ablation) the first
          access kind sticks. *)
-      if t.wor && o.o_kind = Rule.R && kind = Rule.W then begin
+      let ty, _, o_kind = o.o_group.g_key in
+      if t.wor && o_kind = Rule.R && kind = Rule.W then begin
         t.flips <- t.flips + 1;
-        let ty, _, _ = o.o_group.g_key in
         group_remove t o.o_group o.o_locks;
         let w = group_of t (ty, member, Rule.W) in
         ignore (group_add t w o.o_locks);
-        o.o_kind <- Rule.W;
         o.o_group <- w
       end
       else touch t o.o_group
@@ -186,8 +187,6 @@ let absorb t (a : Schema.access) =
         {
           o_group = g;
           o_alloc = alloc;
-          o_member = member;
-          o_kind = kind;
           o_locks = locks;
           o_first = a.Schema.ac_id;
           o_events = 1;
@@ -220,7 +219,9 @@ let observations_rev = cells
 
 let by_member t key ~member ~kind =
   List.fold_left
-    (fun acc o -> if o.o_member = member && o.o_kind = kind then o :: acc else acc)
+    (fun acc o ->
+      let _, m, k = o.o_group.g_key in
+      if m = member && k = kind then o :: acc else acc)
     [] (cells t key)
 
 let combos g = List.map (fun c -> (c.locks, c.count)) g.g_combos

@@ -25,10 +25,10 @@ type group
     multiset and its change counters. *)
 
 type obs = private {
-  mutable o_group : group;  (** the group the observation counts in *)
+  mutable o_group : group;
+      (** the group the observation counts in; its {!key} holds the
+          member and the access kind *)
   o_alloc : int;  (** allocation id *)
-  o_member : string;
-  mutable o_kind : Rule.access;
   o_locks : Lockdesc.t list;  (** acquisition order, deduplicated later *)
   o_first : int;  (** id of the first access row folded in *)
   mutable o_events : int;  (** access rows folded in *)

@@ -57,11 +57,37 @@ let cycle_key cycle =
   let names c = List.map class_to_string (canonicalise c) in
   min (names cycle) (names (List.rev cycle))
 
-module Cycle_key_set = Set.Make (struct
-  type t = string list
-
-  let compare = compare
-end)
+(* Cycle search over distinct classes (the graph is small: tens of
+   classes). The DFS from each anchor only walks through classes whose
+   names sort after the anchor's. Of a scenario's two orientations the
+   first one found is kept, so the order of [classes] and [edges]
+   decides which one a report shows. *)
+let find_cycles classes edges =
+  let key = class_to_string in
+  let successors c =
+    List.filter_map
+      (fun (from, into) -> if from = c && into <> c then Some into else None)
+      edges
+  in
+  let seen = Hashtbl.create 16 in
+  let cycles = ref [] in
+  let rec dfs anchor path node =
+    List.iter
+      (fun next ->
+        if next = anchor then begin
+          let cycle = canonicalise (List.rev (node :: path)) in
+          let k = cycle_key cycle in
+          if not (Hashtbl.mem seen k) then begin
+            Hashtbl.replace seen k ();
+            cycles := cycle :: !cycles
+          end
+        end
+        else if (not (List.mem next (node :: path))) && key next > key anchor
+        then dfs anchor (node :: path) next)
+      (successors node)
+  in
+  List.iter (fun c -> dfs c [] c) classes;
+  List.sort (fun a b -> compare (List.map key a) (List.map key b)) !cycles
 
 let analyse store =
   let edges : (lock_class * lock_class, int * Srcloc.t) Hashtbl.t =
@@ -108,45 +134,13 @@ let analyse store =
   let self_nesting, order_edges =
     List.partition (fun e -> e.e_from = e.e_to) all_edges
   in
-  (* Cycle search over distinct classes (the graph is small: tens of
-     classes). A cycle is reported once, anchored at its smallest node. *)
-  let successors c =
-    List.filter_map
-      (fun e -> if e.e_from = c then Some e.e_to else None)
-      order_edges
-  in
   let all_classes =
     Hashtbl.fold (fun c () acc -> c :: acc) classes []
     |> List.sort (fun a b -> compare (class_to_string a) (class_to_string b))
   in
-  let cycles = ref [] in
-  let seen = ref Cycle_key_set.empty in
-  let rec dfs anchor path node =
-    List.iter
-      (fun next ->
-        if next = anchor then begin
-          let cycle = canonicalise (List.rev (node :: path)) in
-          let key = cycle_key cycle in
-          if not (Cycle_key_set.mem key !seen) then begin
-            seen := Cycle_key_set.add key !seen;
-            cycles := cycle :: !cycles
-          end
-        end
-        else if
-          (not (List.mem next path))
-          && next <> node
-          && compare (class_to_string next) (class_to_string anchor) > 0
-          (* only walk through nodes larger than the anchor, so each
-             cycle is discovered exactly once *)
-        then dfs anchor (node :: path) next)
-      (successors node)
-  in
-  List.iter (fun c -> dfs c [] c) all_classes;
   let sorted_cycles =
-    List.sort
-      (fun a b ->
-        compare (List.map class_to_string a) (List.map class_to_string b))
-      !cycles
+    find_cycles all_classes
+      (List.map (fun e -> (e.e_from, e.e_to)) order_edges)
   in
   {
     classes = all_classes;

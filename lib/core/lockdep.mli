@@ -45,6 +45,14 @@ val canonicalise : lock_class list -> lock_class list
     once (rotations and the reversed traversal of the same scenario are
     deduplicated), sorted by class names. *)
 
+val find_cycles :
+  lock_class list -> (lock_class * lock_class) list -> lock_class list list
+(** [find_cycles classes edges]: the cycles of the directed graph
+    [edges] (self edges ignored), each canonical and reported once,
+    sorted by class names. A DFS runs from each class in [classes]
+    order, following [edges] in list order. The paper's lockdep
+    baseline ({!analyse}) and the static lint graph both use it. *)
+
 val analyse : Lockdoc_db.Store.t -> report
 (** Build the acquisition-order graph over every transaction of the store
     and search it for cycles. *)

@@ -18,9 +18,6 @@
 module Trace = Lockdoc_trace.Trace
 module Event = Lockdoc_trace.Event
 module Srcloc = Lockdoc_trace.Srcloc
-module Import = Lockdoc_db.Import
-module Dataset = Lockdoc_core.Dataset
-module Derivator = Lockdoc_core.Derivator
 module Violation = Lockdoc_core.Violation
 module Kernel = Lockdoc_ksim.Kernel
 module Run = Lockdoc_ksim.Run
@@ -625,14 +622,8 @@ let run ?jobs:_ ?(seed = 7) ?(scale = 1) ?(budget = 8) ~bugs workload =
     Obs.Span.timed "replay/trace" (fun () ->
         Run.sanitize_trace ~seed ~scale ~bugs workload)
   in
-  let (races, irq_unsafe, violations), _ =
-    Obs.Span.timed "replay/findings" (fun () ->
-        let store, _stats = Import.run trace in
-        let races = Lockset.analyse store in
-        let irq = Irq.analyse store in
-        let dataset = Dataset.of_store store in
-        let mined = Derivator.derive_all dataset in
-        (races, irq.Irq.i_unsafe, Violation.find dataset mined))
+  let f, _ =
+    Obs.Span.timed "replay/findings" (fun () -> Sanitize.findings trace)
   in
   (* One replay target per distinct finding, remembering every detector
      that flagged it; races sort before irq classes, each by id. *)
@@ -651,17 +642,17 @@ let run ?jobs:_ ?(seed = 7) ?(scale = 1) ?(budget = 8) ~bugs workload =
       add
         (Race_target { rt_type = r.Lockset.r_type; rt_member = r.Lockset.r_member })
         "lockset")
-    races;
+    f.Sanitize.f_races;
   List.iter
     (fun (v : Violation.violation) ->
       add
         (Race_target { rt_type = v.Violation.v_type; rt_member = v.Violation.v_member })
         "violation")
-    violations;
+    f.Sanitize.f_violations;
   List.iter
     (fun (u : Irq.unsafe) ->
       add (Irq_target { it_class = u.Irq.iu_class }) "irq")
-    irq_unsafe;
+    f.Sanitize.f_irq.Irq.i_unsafe;
   let ids =
     Hashtbl.fold (fun id (t, _) acc -> ((t, id) :: acc)) by_id []
     |> List.sort (fun ((t1 : target), id1) (t2, id2) ->

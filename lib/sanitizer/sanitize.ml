@@ -27,20 +27,34 @@ type report = {
   s_crossval : Crossval.t;
 }
 
-let analyse ?jobs:_ ~workload ~seed ~scale ~bugs ~truth trace =
+type findings = {
+  f_accesses : int;
+  f_races : Lockset.race list;
+  f_irq : Irq.report;
+  f_violations : Violation.violation list;
+}
+
+let findings trace =
   let (store, stats), _ =
     Obs.Span.timed "sanitize/import" (fun () -> Import.run trace)
   in
-  let s_races, _ =
+  let f_races, _ =
     Obs.Span.timed "sanitize/lockset" (fun () -> Lockset.analyse store)
   in
-  let s_irq, _ = Obs.Span.timed "sanitize/irq" (fun () -> Irq.analyse store) in
+  let f_irq, _ = Obs.Span.timed "sanitize/irq" (fun () -> Irq.analyse store) in
+  let f_violations, _ =
+    Obs.Span.timed "sanitize/violations" (fun () ->
+        let dataset = Dataset.of_store store in
+        Violation.find dataset (Derivator.derive_all dataset))
+  in
+  { f_accesses = stats.Import.accesses_kept; f_races; f_irq; f_violations }
+
+let analyse ?jobs:_ ~workload ~seed ~scale ~bugs ~truth trace =
+  let f = findings trace in
   let s_crossval, _ =
     Obs.Span.timed "sanitize/crossval" (fun () ->
-        let dataset = Dataset.of_store store in
-        let mined = Derivator.derive_all dataset in
-        let violations = Violation.find dataset mined in
-        Crossval.evaluate ~races:s_races ~irq:s_irq ~truth ~violations)
+        Crossval.evaluate ~races:f.f_races ~irq:f.f_irq ~truth
+          ~violations:f.f_violations)
   in
   {
     s_workload = workload;
@@ -48,9 +62,9 @@ let analyse ?jobs:_ ~workload ~seed ~scale ~bugs ~truth trace =
     s_scale = scale;
     s_bugs = bugs;
     s_events = Array.length trace.Trace.events;
-    s_accesses = stats.Import.accesses_kept;
-    s_races;
-    s_irq;
+    s_accesses = f.f_accesses;
+    s_races = f.f_races;
+    s_irq = f.f_irq;
     s_truth = truth;
     s_crossval;
   }

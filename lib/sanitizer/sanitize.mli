@@ -20,6 +20,20 @@ type report = {
   s_crossval : Crossval.t;
 }
 
+type findings = {
+  f_accesses : int;  (** accesses kept by the importer *)
+  f_races : Lockset.race list;
+  f_irq : Irq.report;
+  f_violations : Lockdoc_core.Violation.violation list;
+      (** violations of the rules mined from the same store *)
+}
+
+val findings : Lockdoc_trace.Trace.t -> findings
+(** Import a trace and run both detectors and the mined-rule violation
+    scanner over the store, under the spans [sanitize/import],
+    [sanitize/lockset], [sanitize/irq] and [sanitize/violations].
+    {!analyse} and {!Replay.run} both start from it. *)
+
 val analyse :
   ?jobs:int ->
   workload:string ->

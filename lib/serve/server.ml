@@ -105,18 +105,27 @@ type sealed = {
          Kept so a late subscriber still gets a keyed snapshot push. *)
 }
 
-type session_state =
-  | Stream
-  | Sealed_s of sealed
+(* Layout rows precede event rows, so a streaming session holds its
+   layouts until the first event row and then the online engine built
+   over all of them. *)
+type state =
+  | Layouts of Layout.t list  (* streaming, no event yet; newest first *)
+  | Live of Online.t  (* streaming, events fed *)
+  | Sealed of sealed
   | Failed of string
+
+(* The publication ledger of a subscribed connection: what it last saw,
+   so pushes carry deltas and silence means "nothing changed". *)
+type ledger = {
+  l_pub : (string * string) list;  (* (key, obj) at the last push *)
+  l_pos : int;  (* events at the last push *)
+  l_at : float;  (* time of the last push *)
+}
 
 type session = {
   s_id : string;
   mutable s_conn : int option;
-  mutable s_state : session_state;
-  mutable s_layouts_rev : Layout.t list;
-  mutable s_online : Online.t option;
-  mutable s_seen_event : bool;  (* an event row was accepted *)
+  mutable s_state : state;
   mutable s_accepted : int;  (* rows applied and journaled (layouts incl.) *)
   s_scanner : Event.scanner;  (* interns this session's names and locations *)
   s_buf : Buffer.t;  (* where the session's JSON replies are written *)
@@ -124,13 +133,7 @@ type session = {
   mutable s_restarts : int;
   mutable s_not_before : float;
   mutable s_last_activity : float;
-  (* Push subscription: the attached connection may subscribe to rule
-     updates; the publication ledger remembers what it last saw so
-     pushes carry deltas and silence means "nothing changed". *)
-  mutable s_sub : bool;  (* the attached connection subscribed *)
-  mutable s_pub : (string * string) list;  (* (key, obj) at last push *)
-  mutable s_pub_pos : int;  (* engine position at last push *)
-  mutable s_pub_t : float;  (* time of last push *)
+  mutable s_ledger : ledger option;  (* the attached connection subscribed *)
 }
 
 type conn = {
@@ -164,7 +167,6 @@ let create ?(config = default_config) () =
     shutdown = false;
   }
 
-let config t = t.cfg
 let shutting_down t = t.shutdown
 let n_conns t = Hashtbl.length t.conns
 let n_sessions t = Hashtbl.length t.sessions
@@ -183,8 +185,8 @@ type session_view = {
 }
 
 let state_string = function
-  | Stream -> "streaming"
-  | Sealed_s _ -> "sealed"
+  | Layouts _ | Live _ -> "streaming"
+  | Sealed _ -> "sealed"
   | Failed reason -> "failed: " ^ reason
 
 let sessions t =
@@ -240,14 +242,11 @@ let session_dir t id =
   Option.map (fun root -> Filename.concat root ("session-" ^ id))
     t.cfg.durable_root
 
-let fresh_session _t id ~now =
+let fresh_session id ~now =
   {
     s_id = id;
     s_conn = None;
-    s_state = Stream;
-    s_layouts_rev = [];
-    s_online = None;
-    s_seen_event = false;
+    s_state = Layouts [];
     s_accepted = 0;
     s_scanner = Event.scanner ();
     s_buf = Buffer.create 4096;
@@ -255,10 +254,7 @@ let fresh_session _t id ~now =
     s_restarts = 0;
     s_not_before = now;
     s_last_activity = now;
-    s_sub = false;
-    s_pub = [];
-    s_pub_pos = 0;
-    s_pub_t = now;
+    s_ledger = None;
   }
 
 let open_wal t s ~start_lsn =
@@ -267,15 +263,18 @@ let open_wal t s ~start_lsn =
   | Some dir -> s.s_wal <- Some (Wal.create ~dir ~start_lsn ())
 
 (* Sessions run the online derivator: the wrapped import engine is fed
-   exactly as before, and the dataset it keeps folded lets the [stream]
-   query answer current rules without sealing. *)
-let online_of s =
-  match s.s_online with
-  | Some o -> o
-  | None ->
-      let o = Online.create (List.rev s.s_layouts_rev) in
-      s.s_online <- Some o;
+   exactly as a batch import would be, and the dataset it keeps folded
+   lets the [stream] query answer current rules without sealing. The
+   engine is built once every layout row is in: at the first event row,
+   or at a seal. *)
+let engine s =
+  match s.s_state with
+  | Live o -> o
+  | Layouts ls ->
+      let o = Online.create (List.rev ls) in
+      s.s_state <- Live o;
       o
+  | Sealed _ | Failed _ -> invalid_arg "Server.engine: session not streaming"
 
 type parsed_row = P_layout of Layout.t | P_event of Event.t
 
@@ -287,6 +286,14 @@ let parse_row s line =
     P_layout (Layout.of_string (String.sub line 2 (String.length line - 2)))
   else P_event (Event.parse s.s_scanner line)
 
+(* Apply one parsed row to a streaming session. *)
+let feed_row s = function
+  | P_layout l -> (
+      match s.s_state with
+      | Layouts ls -> s.s_state <- Layouts (l :: ls)
+      | _ -> failwith "layout after events")
+  | P_event ev -> Online.feed (engine s) ev
+
 (* Rebuild a session's import state by replaying its durable journal
    (the valid WAL prefix). Rows were validated before they were
    journaled, so replay re-feeds them directly, not through [apply_row]
@@ -294,20 +301,13 @@ let parse_row s line =
    survived framing) truncates the journal there — [Wal.replay], as in
    {!Lockdoc_db.Durable.recover} — and the client re-sends the tail. *)
 let rebuild_session t id ~now =
-  let s = fresh_session t id ~now in
+  let s = fresh_session id ~now in
   (match session_dir t id with
   | None -> open_wal t s ~start_lsn:0
   | Some dir ->
       let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
       let replayed, _stop =
-        Wal.replay ~dir ~from:0 (fun line ->
-            match parse_row s line with
-            | P_layout l ->
-                if s.s_seen_event then failwith "layout after events";
-                s.s_layouts_rev <- l :: s.s_layouts_rev
-            | P_event ev ->
-                s.s_seen_event <- true;
-                Online.feed (online_of s) ev)
+        Wal.replay ~dir ~from:0 (fun line -> feed_row s (parse_row s line))
       in
       s.s_accepted <- replayed;
       Wal.truncate_after ~dir ~lsn:s.s_accepted;
@@ -334,8 +334,6 @@ let session_fail t s ~now exn =
   let reason = Printexc.to_string exn in
   Obs.incr c_session_failures;
   close_wal s;
-  s.s_online <- None;
-  s.s_layouts_rev <- [];
   s.s_accepted <- 0;
   s.s_restarts <- s.s_restarts + 1;
   let backoff =
@@ -344,8 +342,7 @@ let session_fail t s ~now exn =
   in
   s.s_not_before <- now +. backoff;
   s.s_state <- Failed reason;
-  s.s_sub <- false;
-  s.s_pub <- [];
+  s.s_ledger <- None;
   let outs =
     match s.s_conn with
     | Some cid ->
@@ -368,7 +365,7 @@ let detach t cid =
           | Some s when s.s_conn = Some cid ->
               s.s_conn <- None;
               (* Subscriptions are per attached connection. *)
-              s.s_sub <- false
+              s.s_ledger <- None
           | _ -> ())
       | None -> ());
       Hashtbl.remove t.conns cid
@@ -515,7 +512,7 @@ let handle_hello t c ~now version session_id =
           s.s_conn <- Some c.c_id;
           (* A fresh attachment never inherits the old connection's
              subscription; the new client asks for its own. *)
-          s.s_sub <- false;
+          s.s_ledger <- None;
           s.s_last_activity <- now;
           c.c_session <- Some session_id;
           superseded @ [ Send (c.c_id, Proto.Welcome { resume = s.s_accepted }) ]
@@ -549,11 +546,10 @@ let handle_hello t c ~now version session_id =
    never notice. *)
 let apply_row s line p =
   (match p with
-  | P_layout l -> s.s_layouts_rev <- l :: s.s_layouts_rev
-  | P_event ev ->
+  | P_layout _ -> feed_row s p
+  | P_event _ ->
       Crashpoint.hit "serve.feed";
-      Online.feed (online_of s) ev;
-      s.s_seen_event <- true;
+      feed_row s p;
       Obs.incr c_events);
   (match s.s_wal with Some w -> Wal.append w line | None -> ());
   s.s_accepted <- s.s_accepted + 1
@@ -564,8 +560,8 @@ let handle_rows t c s ~now start lines =
       (* Unreachable through the normal flow (a failed session has no
          attached connection), kept for defence in depth. *)
       proto_error t c ("session failed: " ^ reason)
-  | Sealed_s _ -> proto_error t c "rows after seal"
-  | Stream -> (
+  | Sealed _ -> proto_error t c "rows after seal"
+  | Layouts _ | Live _ -> (
       Obs.incr c_rows;
       if start > s.s_accepted then begin
         (* Sequence gap: a frame was lost in transit. *)
@@ -588,7 +584,9 @@ let handle_rows t c s ~now start lines =
           | exception Failure reason ->
               proto_error t c ("unparseable row: " ^ reason)
           | parsed_fresh -> (
-              let layout_after_event = ref s.s_seen_event in
+              let layout_after_event =
+                ref (match s.s_state with Live _ -> true | _ -> false)
+              in
               let misordered =
                 List.exists
                   (function
@@ -613,17 +611,11 @@ let handle_rows t c s ~now start lines =
                   detach t c.c_id;
                   outs))
 
-(* ---- Seals and rule pushes ---------------------------------------- *)
+(* ---- Replies: one view of the session ----------------------------- *)
 
 let mined_key (m : Derivator.mined) =
   m.Derivator.m_type ^ "/" ^ m.Derivator.m_member ^ "/"
   ^ Rule.access_to_string m.Derivator.m_kind
-
-(* Freezes go through [Online.freeze_report]: every rule with its
-   memoized object, and the violation objects of each rule that has
-   any, both from the derivator's per-group memos, so a freeze costs in
-   proportion to the groups that changed since the last one. *)
-let keyed rules = List.map (fun (m, obj) -> (mined_key m, obj)) rules
 
 (* Replies are written into the session's buffer and copied out once.
    Arrays join their elements with bare commas, so [Report.add_array]
@@ -639,17 +631,58 @@ let add_rules b rules =
 let add_violations b vs =
   Report.add_array (fun b (_, objs) -> Buffer.add_string b objs) b vs
 
-(* The fields every rules reply starts with. *)
-let add_head b s ~push ~state ~events =
+(* What a session says right now: every reply is written from it. *)
+type view = {
+  state : string;
+  events : int;
+  rules : Buffer.t -> unit;  (* writes the rules array *)
+  keyed : unit -> (string * string) list;  (* (rule key, object), in rule order *)
+  violations : Buffer.t -> unit;  (* writes the violations array *)
+}
+
+(* A live view freezes through [Online.freeze_report]: every rule with
+   its memoized object, and the violation objects of each rule that has
+   any, so a freeze costs in proportion to the groups that changed
+   since the last one. Rule keys are computed only when [keyed] is
+   asked for — by a subscription or a seal, never by a [stream]
+   query. A session with no event yet answers empty arrays without
+   building its engine. *)
+let view t s =
+  let literal str b = Buffer.add_string b str in
+  match s.s_state with
+  | Layouts _ ->
+      { state = "streaming"; events = 0; rules = literal "[]";
+        keyed = (fun () -> []); violations = literal "[]" }
+  | Live onl ->
+      let rules, vs = Online.freeze_report ~tac:t.cfg.tac onl in
+      { state = "streaming"; events = Online.position onl;
+        rules = (fun b -> add_rules b rules);
+        keyed = (fun () -> List.map (fun (m, obj) -> (mined_key m, obj)) rules);
+        violations = (fun b -> add_violations b vs) }
+  | Sealed sd ->
+      { state = "sealed"; events = sd.sd_events; rules = literal sd.sd_rules;
+        keyed = (fun () -> sd.sd_rule_objs);
+        violations = literal sd.sd_violations }
+  | Failed _ -> invalid_arg "Server.view: failed session"
+
+(* The fields every rules reply starts with, and the ones it ends with. *)
+let add_head b s ~push v =
   Buffer.add_string b {|{"session":|};
   Json.add_string b s.s_id;
   if push then Buffer.add_string b {|,"push":"rules"|};
   Buffer.add_string b {|,"state":"|};
-  Buffer.add_string b state;
+  Buffer.add_string b v.state;
   Buffer.add_string b {|","events":|};
-  Buffer.add_string b (string_of_int events);
+  Buffer.add_string b (string_of_int v.events);
   Buffer.add_string b {|,"accepted_rows":|};
   Buffer.add_string b (string_of_int s.s_accepted)
+
+let add_tail b v =
+  Buffer.add_string b {|,"rules":|};
+  v.rules b;
+  Buffer.add_string b {|,"violations":|};
+  v.violations b;
+  Buffer.add_char b '}'
 
 (* Which rules changed since the subscriber's last push: [added] is
    every (key, obj) that is new or whose object differs, [removed] the
@@ -673,102 +706,74 @@ let rules_delta ~prev ~next =
   in
   (added, removed)
 
-(* [objs] are the keyed rule objects; [violations] writes the
-   violations array. *)
-let push_msg s ~state ~events ~objs ~violations ~added ~removed =
-  Obs.incr c_pushes;
-  let json =
-    reply s (fun b ->
-        add_head b s ~push:true ~state ~events;
-        Buffer.add_string b {|,"added":|};
-        add_rules b added;
-        Buffer.add_string b {|,"removed":|};
-        Report.add_array Json.add_string b removed;
-        Buffer.add_string b {|,"rules":|};
-        add_rules b objs;
-        Buffer.add_string b {|,"violations":|};
-        violations b;
-        Buffer.add_char b '}')
-  in
-  Proto.Info { json }
+(* Advance the subscriber's ledger to [v] and push the delta from
+   [prev] — unless nothing changed and the push is not [always] due. *)
+let publish s cid ~now ~always ~prev v =
+  let objs = v.keyed () in
+  let added, removed = rules_delta ~prev ~next:objs in
+  s.s_ledger <- Some { l_pub = objs; l_pos = v.events; l_at = now };
+  if (not always) && added = [] && removed = [] then []
+  else begin
+    Obs.incr c_pushes;
+    let json =
+      reply s (fun b ->
+          add_head b s ~push:true v;
+          Buffer.add_string b {|,"added":|};
+          add_rules b added;
+          Buffer.add_string b {|,"removed":|};
+          Report.add_array Json.add_string b removed;
+          add_tail b v)
+    in
+    [ Send (cid, Proto.Info { json }) ]
+  end
+
+let sealed_msg sd =
+  Proto.Sealed
+    { events = sd.sd_events; rules = sd.sd_rules; violations = sd.sd_violations }
 
 (* Seal on the loop: finalize and freeze the engine, and cache the
-   result. Replies go to the attached connection:
-   the subscriber's final push (its last delta) first, then [Sealed]. *)
+   result. Replies go to the attached connection: the subscriber's
+   final push (its last delta) first, then [Sealed]. *)
 let seal t s ~now =
   Crashpoint.hit "serve.seal";
   let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
   close_wal s;
-  let onl = online_of s in
-  let _stats = Online.finalize onl in
-  let rules, violations = Online.freeze_report ~tac:t.cfg.tac onl in
-  let objs = keyed rules in
+  let _stats = Online.finalize (engine s) in
+  let v = view t s in
   let sd =
     {
-      sd_events = Online.position onl;
-      sd_rules = reply s (fun b -> add_rules b objs);
-      sd_violations = reply s (fun b -> add_violations b violations);
-      sd_rule_objs = objs;
+      sd_events = v.events;
+      sd_rules = reply s v.rules;
+      sd_violations = reply s v.violations;
+      sd_rule_objs = v.keyed ();
     }
   in
   if Obs.enabled () then
     Obs.observe h_seal (1000. *. (Obs.Clock.wall () -. t0));
-  s.s_state <- Sealed_s sd;
+  s.s_state <- Sealed sd;
   s.s_last_activity <- now;
   Obs.incr c_seals;
-  match s.s_conn with
-  | Some cid ->
-      let push =
-        if s.s_sub then begin
-          let added, removed = rules_delta ~prev:s.s_pub ~next:objs in
-          s.s_pub <- objs;
-          s.s_pub_pos <- sd.sd_events;
-          s.s_pub_t <- now;
-          [
-            Send
-              ( cid,
-                push_msg s ~state:"sealed" ~events:sd.sd_events ~objs
-                  ~violations:(fun b -> Buffer.add_string b sd.sd_violations)
-                  ~added ~removed );
-          ]
-        end
-        else []
-      in
-      push
-      @ [
-          Send
-            ( cid,
-              Proto.Sealed
-                {
-                  events = sd.sd_events;
-                  rules = sd.sd_rules;
-                  violations = sd.sd_violations;
-                } );
-        ]
-  | None -> []
+  match (s.s_conn, s.s_ledger) with
+  | Some cid, Some l ->
+      publish s cid ~now ~always:true ~prev:l.l_pub (view t s)
+      @ [ Send (cid, sealed_msg sd) ]
+  | Some cid, None -> [ Send (cid, sealed_msg sd) ]
+  | None, _ -> []
 
 let handle_seal t c s ~now rows =
   match s.s_state with
-  | Sealed_s sd ->
+  | Failed reason -> proto_error t c ("session failed: " ^ reason)
+  | Sealed sd ->
       (* Idempotent re-seal: answer the cached result. *)
       s.s_last_activity <- now;
-      [
-        Send
-          ( c.c_id,
-            Proto.Sealed
-              {
-                events = sd.sd_events;
-                rules = sd.sd_rules;
-                violations = sd.sd_violations;
-              } );
-      ]
-  | Stream when rows <> s.s_accepted ->
+      [ Send (c.c_id, sealed_msg sd) ]
+  | Layouts _ | Live _ when rows <> s.s_accepted ->
       (* The client streamed [rows] rows but some never arrived (or it
          rewound short): answer the watermark instead of sealing a
          truncated stream. *)
       Obs.incr c_nacks;
       [ Send (c.c_id, Proto.Nack { expected = s.s_accepted }) ]
-  | Stream | Failed _ -> (
+  | Layouts _ | Live _ -> (
       try seal t s ~now
       with exn ->
         let outs = session_fail t s ~now exn in
@@ -785,6 +790,23 @@ let handle_query t c q =
   in
   [ Send (c.c_id, Proto.Info { json }) ]
 
+(* Answer from the session's current view. A streaming session counts
+   as active and passes the [serve.stream] crash point; an exception
+   there fails the session. A sealed one answers its cached result. *)
+let with_view t c s ~now f =
+  match s.s_state with
+  | Failed reason -> proto_error t c ("session failed: " ^ reason)
+  | Sealed _ -> f (view t s)
+  | Layouts _ | Live _ -> (
+      try
+        Crashpoint.hit "serve.stream";
+        s.s_last_activity <- now;
+        f (view t s)
+      with exn ->
+        let outs = session_fail t s ~now exn in
+        detach t c.c_id;
+        outs)
+
 (* The [stream] query: answer the session's current rules from the
    online derivator. Every accepted row is already applied, so freezing
    the derivator answers all of them — the store is never sealed, so
@@ -792,45 +814,9 @@ let handle_query t c q =
 let handle_stream t c s ~now =
   Obs.incr c_queries;
   Obs.incr c_stream_queries;
-  let answer ~state ~events ~rules ~violations =
-    let json =
-      reply s (fun b ->
-          add_head b s ~push:false ~state ~events;
-          Buffer.add_string b {|,"rules":|};
-          rules b;
-          Buffer.add_string b {|,"violations":|};
-          violations b;
-          Buffer.add_char b '}')
-    in
-    [ Send (c.c_id, Proto.Info { json }) ]
-  in
-  let literal str b = Buffer.add_string b str in
-  match s.s_state with
-  | Failed reason -> proto_error t c ("session failed: " ^ reason)
-  | Sealed_s sd ->
-      (* Sealed sessions answer their cached (final) result. *)
-      answer ~state:"sealed" ~events:sd.sd_events ~rules:(literal sd.sd_rules)
-        ~violations:(literal sd.sd_violations)
-  | Stream -> (
-      try
-        Crashpoint.hit "serve.stream";
-        s.s_last_activity <- now;
-        match s.s_online with
-        | None ->
-            (* No event fed yet. Do NOT force the engine into existence
-               here: it must only be built once every layout row is in,
-               which [apply_row] guarantees (layouts precede events). *)
-            answer ~state:"streaming" ~events:0 ~rules:(literal "[]")
-              ~violations:(literal "[]")
-        | Some onl ->
-            let rules, violations = Online.freeze_report ~tac:t.cfg.tac onl in
-            answer ~state:"streaming" ~events:(Online.position onl)
-              ~rules:(fun b -> add_rules b rules)
-              ~violations:(fun b -> add_violations b violations)
-      with exn ->
-        let outs = session_fail t s ~now exn in
-        detach t c.c_id;
-        outs)
+  with_view t c s ~now (fun v ->
+      let json = reply s (fun b -> add_head b s ~push:false v; add_tail b v) in
+      [ Send (c.c_id, Proto.Info { json }) ])
 
 (* Register the attached connection for push rule updates. The reply is
    an immediate snapshot push (added = every current rule) so the
@@ -838,58 +824,9 @@ let handle_stream t c s ~now =
    computed against the publication ledger in [step]. *)
 let handle_subscribe t c s ~now =
   Obs.incr c_subscribes;
-  match s.s_state with
-  | Failed reason -> proto_error t c ("session failed: " ^ reason)
-  | Sealed_s sd ->
-      s.s_sub <- true;
-      s.s_pub <- sd.sd_rule_objs;
-      s.s_pub_pos <- sd.sd_events;
-      s.s_pub_t <- now;
+  with_view t c s ~now (fun v ->
       s.s_last_activity <- now;
-      [
-        Send
-          ( c.c_id,
-            push_msg s ~state:"sealed" ~events:sd.sd_events
-              ~objs:sd.sd_rule_objs
-              ~violations:(fun b -> Buffer.add_string b sd.sd_violations)
-              ~added:sd.sd_rule_objs ~removed:[] );
-      ]
-  | Stream -> (
-      try
-        Crashpoint.hit "serve.stream";
-        s.s_sub <- true;
-        s.s_last_activity <- now;
-        match s.s_online with
-        | None ->
-            (* Nothing fed yet (see [handle_stream] on why the engine
-               must not be forced into existence here). *)
-            s.s_pub <- [];
-            s.s_pub_pos <- 0;
-            s.s_pub_t <- now;
-            [
-              Send
-                ( c.c_id,
-                  push_msg s ~state:"streaming" ~events:0 ~objs:[]
-                    ~violations:(fun b -> Buffer.add_string b "[]")
-                    ~added:[] ~removed:[] );
-            ]
-        | Some onl ->
-            let rules, violations = Online.freeze_report ~tac:t.cfg.tac onl in
-            let objs = keyed rules in
-            s.s_pub <- objs;
-            s.s_pub_pos <- Online.position onl;
-            s.s_pub_t <- now;
-            [
-              Send
-                ( c.c_id,
-                  push_msg s ~state:"streaming" ~events:(Online.position onl)
-                    ~objs ~violations:(fun b -> add_violations b violations)
-                    ~added:objs ~removed:[] );
-            ]
-      with exn ->
-        let outs = session_fail t s ~now exn in
-        detach t c.c_id;
-        outs)
+      publish s c.c_id ~now ~always:true ~prev:[] v)
 
 (* The step-time half of subscriptions: once the derivation has
    drifted past the debounce — enough new events AND enough elapsed
@@ -897,28 +834,11 @@ let handle_subscribe t c s ~now =
    instant would answer). An unchanged freeze advances the
    ledger silently: subscribers only hear about change. *)
 let session_push t s ~now =
-  match (s.s_conn, s.s_state, s.s_online) with
-  | Some cid, Stream, Some onl
-    when s.s_sub
-         && Online.position onl - s.s_pub_pos >= t.cfg.sub_debounce_events
-         && now -. s.s_pub_t >= t.cfg.sub_min_interval -> (
-      try
-        let rules, violations = Online.freeze_report ~tac:t.cfg.tac onl in
-        let objs = keyed rules in
-        let added, removed = rules_delta ~prev:s.s_pub ~next:objs in
-        s.s_pub_pos <- Online.position onl;
-        s.s_pub_t <- now;
-        if added = [] && removed = [] then []
-        else begin
-          s.s_pub <- objs;
-          [
-            Send
-              ( cid,
-                push_msg s ~state:"streaming" ~events:(Online.position onl)
-                  ~objs ~violations:(fun b -> add_violations b violations)
-                  ~added ~removed );
-          ]
-        end
+  match (s.s_conn, s.s_state, s.s_ledger) with
+  | Some cid, Live onl, Some l
+    when Online.position onl - l.l_pos >= t.cfg.sub_debounce_events
+         && now -. l.l_at >= t.cfg.sub_min_interval -> (
+      try publish s cid ~now ~always:false ~prev:l.l_pub (view t s)
       with exn -> session_fail t s ~now exn)
   | _ -> []
 
@@ -1040,7 +960,7 @@ let step t ~now =
   List.iter
     (fun sid ->
       match Hashtbl.find_opt t.sessions sid with
-      | Some ({ s_state = Stream | Sealed_s _; s_conn = None; _ } as s)
+      | Some ({ s_state = Layouts _ | Live _ | Sealed _; s_conn = None; _ } as s)
         when now -. s.s_last_activity > t.cfg.session_timeout ->
           close_wal s;
           Hashtbl.remove t.sessions sid

@@ -33,11 +33,8 @@
     row is fed to the session's online engine and then journaled, so
     the journal holds only rows the engine accepted. A row the engine
     rejects fails the session in the same call; the rows before it stay
-    applied, and a reconnect resumes at the rejected row. Frames are at
-    most {!max_frame} bytes, which bounds the work one call does. *)
-
-val max_frame : int
-(** Largest client frame accepted: 1 MiB. *)
+    applied, and a reconnect resumes at the rejected row. Client frames
+    are at most 1 MiB, which bounds the work one call does. *)
 
 type config = {
   max_clients : int;  (** concurrent connections *)
@@ -69,8 +66,6 @@ val create : ?config:config -> unit -> t
     [Seal] frame is answered [Sealed] within the same {!on_bytes} call,
     after the session's online engine is finalized and frozen. A seal
     that raises fails the session like any other worker exception. *)
-
-val config : t -> config
 
 (** {2 Transport interface} *)
 
@@ -114,4 +109,3 @@ val n_conns : t -> int
 val n_sessions : t -> int
 
 val shutting_down : t -> bool
-val status_json : t -> string

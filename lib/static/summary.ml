@@ -440,42 +440,6 @@ let compute_witnesses records roots =
   in
   path
 
-(* ---- cycles ---------------------------------------------------------- *)
-
-let cycle_key cycle =
-  let names c = List.map Lockdep.class_to_string (Lockdep.canonicalise c) in
-  min (names cycle) (names (List.rev cycle))
-
-let find_cycles classes edges =
-  let adj c =
-    List.filter_map
-      (fun e -> if e.sd_from = c && e.sd_to <> c then Some e.sd_to else None)
-      edges
-  in
-  let key = Lockdep.class_to_string in
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let rec dfs anchor path node =
-    List.iter
-      (fun next ->
-        if next = anchor then begin
-          let cycle = List.rev (node :: path) in
-          let k = cycle_key cycle in
-          if not (Hashtbl.mem seen k) then begin
-            Hashtbl.replace seen k ();
-            out := cycle :: !out
-          end
-        end
-        else if
-          (not (List.mem next (node :: path))) && key next > key anchor
-        then dfs anchor (node :: path) next)
-      (adj node)
-  in
-  List.iter (fun c -> dfs c [] c) classes;
-  List.map Lockdep.canonicalise !out
-  |> List.sort (fun a b ->
-         compare (List.map key a) (List.map key b))
-
 (* ---- driver ---------------------------------------------------------- *)
 
 let blocking_kind = function
@@ -651,7 +615,9 @@ let analyse () =
     List.concat_map (fun e -> [ e.sd_from; e.sd_to ]) edges
     |> List.sort_uniq compare
   in
-  let cycles = find_cycles classes edges in
+  let cycles =
+    Lockdep.find_cycles classes (List.map (fun e -> (e.sd_from, e.sd_to)) edges)
+  in
   (* irq-safety: classes also taken in irq context must be acquired with
      interrupts masked in process context. *)
   let irq_fns =

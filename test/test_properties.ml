@@ -176,7 +176,8 @@ let prop_wor_exclusive =
              match a.Schema.ac_txn with
              | None -> o.Dataset.o_events = 1
              | Some txn ->
-                 let cell = (a.Schema.ac_alloc, o.Dataset.o_member, txn) in
+                 let _, member, _ = Dataset.key o.Dataset.o_group in
+                 let cell = (a.Schema.ac_alloc, member, txn) in
                  (not (Hashtbl.mem seen cell))
                  && (Hashtbl.replace seen cell ();
                      true))

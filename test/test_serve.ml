@@ -948,6 +948,106 @@ let test_server_subscription_push () =
       check_oracle "subscribed seal" trace (events, rules, violations)
   | _ -> Alcotest.fail "expected the final push then Sealed"
 
+let info_json label outs =
+  match only_send label outs with
+  | _, Proto.Info { json } -> json
+  | _ -> Alcotest.failf "%s: expected Info" label
+
+(* A snapshot push from its ["added"] key on: every rule is added,
+   nothing removed, then the full report. *)
+let snapshot_suffix json =
+  match find_sub json {|"added":|} with
+  | Some i -> String.sub json i (String.length json - i)
+  | None -> Alcotest.failf "no added field in %s" json
+
+let expected_snapshot (rules, violations) =
+  {|"added":|} ^ rules ^ {|,"removed":[],"rules":|} ^ rules
+  ^ {|,"violations":|} ^ violations ^ "}"
+
+(* A session that has accepted only layout rows has no events yet: both
+   a [stream] query and a subscription answer zero events, every
+   accepted row and empty arrays. *)
+let test_server_layouts_only () =
+  let trace = Lazy.force pipe_trace in
+  let lines = Trace.to_lines trace in
+  let n_layouts = List.length trace.Trace.layouts in
+  let srv = Server.create () in
+  let now = 0.0 in
+  let cid, _ = connect srv ~now "s" in
+  send_rows srv ~now cid ~start:0 (List.filteri (fun i _ -> i < n_layouts) lines);
+  check Alcotest.string "stream query"
+    (Printf.sprintf
+       {|{"session":"s","state":"streaming","events":0,"accepted_rows":%d,"rules":[],"violations":[]}|}
+       n_layouts)
+    (info_json "stream" (send srv ~now cid (Proto.Query Proto.Stream_rules)));
+  check Alcotest.string "subscription snapshot"
+    (Printf.sprintf
+       {|{"session":"s","push":"rules","state":"streaming","events":0,"accepted_rows":%d,"added":[],"removed":[],"rules":[],"violations":[]}|}
+       n_layouts)
+    (info_json "subscribe" (send srv ~now cid Proto.Subscribe));
+  (* The rest of the trace still streams in and seals to the oracle. *)
+  stream_all srv ~now cid ~start:n_layouts
+    (List.filteri (fun i _ -> i >= n_layouts) lines);
+  match send srv ~now cid (Proto.Seal { rows = List.length lines }) with
+  | [
+      Server.Send (_, Proto.Info _);
+      Server.Send (_, Proto.Sealed { events; rules; violations });
+    ] ->
+      check_oracle "layouts first" trace (events, rules, violations)
+  | _ -> Alcotest.fail "expected the final push then Sealed"
+
+(* Subscribing to a sealed session answers a sealed snapshot push whose
+   rules and violations are the [Sealed] reply's, byte for byte. *)
+let test_server_subscribe_sealed () =
+  let trace = Lazy.force pipe_trace in
+  let lines = Trace.to_lines trace in
+  let total = List.length lines in
+  let srv = Server.create () in
+  let now = 0.0 in
+  let cid, _ = connect srv ~now "s" in
+  stream_all srv ~now cid ~start:0 lines;
+  let events, rules, violations =
+    expect_sealed "seal" (send srv ~now cid (Proto.Seal { rows = total }))
+  in
+  let json = info_json "subscribe" (send srv ~now cid Proto.Subscribe) in
+  check Alcotest.bool "sealed push" true (contains json {|"state":"sealed"|});
+  check Alcotest.int "events" events (field_int json "events");
+  check Alcotest.string "push equals the Sealed reply, every rule added"
+    (expected_snapshot (rules, violations))
+    (snapshot_suffix json)
+
+(* A subscription belongs to the connection that made it: after a
+   detach and a re-attach, [step] pushes nothing until the new
+   connection subscribes, and its snapshot lists every current rule
+   under [added]. *)
+let test_server_resubscribe_after_reattach () =
+  let trace = Lazy.force pipe_trace in
+  let lines = Trace.to_lines trace in
+  let total = List.length lines in
+  let half = total / 2 in
+  let cfg =
+    { Server.default_config with sub_debounce_events = 1; sub_min_interval = 0. }
+  in
+  let srv = Server.create ~config:cfg () in
+  let now = 0.0 in
+  let c1, _ = connect srv ~now "s" in
+  ignore (info_json "first subscribe" (send srv ~now c1 Proto.Subscribe));
+  stream_all srv ~now c1 ~start:0 (List.filteri (fun i _ -> i < half) lines);
+  (match send srv ~now c1 Proto.Bye with
+  | [ Server.Send (_, Proto.Closing _); Server.Close _ ] -> ()
+  | _ -> Alcotest.fail "expected Closing bye");
+  let c2, resume = connect srv ~now "s" in
+  check Alcotest.int "resume" half resume;
+  stream_all srv ~now c2 ~start:half
+    (List.filteri (fun i _ -> i >= half && i < half + 400) lines);
+  expect_silent "no push before the new subscription" (Server.step srv ~now);
+  let json = info_json "second subscribe" (send srv ~now c2 Proto.Subscribe) in
+  let events = field_int json "events" in
+  check Alcotest.bool "some events" true (events > 0);
+  check Alcotest.string "snapshot adds every rule of the batch prefix"
+    (expected_snapshot (prefix_ref trace events))
+    (snapshot_suffix json)
+
 (* ---- Chaos matrix ------------------------------------------------- *)
 
 let chaos_pairs = [| ("pipe", "device"); ("device", "pipe"); ("fs_inod", "pipe") |]
@@ -1179,6 +1279,12 @@ let () =
             test_server_stream_every_frame;
           Alcotest.test_case "subscription pushes match the watermark" `Quick
             test_server_subscription_push;
+          Alcotest.test_case "layouts only answer zero events" `Quick
+            test_server_layouts_only;
+          Alcotest.test_case "subscribe on a sealed session" `Quick
+            test_server_subscribe_sealed;
+          Alcotest.test_case "re-attach needs a new subscription" `Quick
+            test_server_resubscribe_after_reattach;
         ] );
       ( "chaos",
         Alcotest.test_case "kill requires journal" `Quick
