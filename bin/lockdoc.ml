@@ -1088,6 +1088,18 @@ let serve_cmd =
       const run $ socket_arg $ tcp_arg $ max_clients_arg $ session_timeout_arg
       $ durable_arg $ tac_arg $ metrics_arg)
 
+(* The rows [feed] streams: a text trace's own lines once a Strict read
+   has validated them ({!Trace.rows}), or a packed trace decoded and
+   printed — the same rows either way. *)
+let feed_rows path =
+  check_not_dir path;
+  if Codec.file_is_binary path then
+    Trace.to_lines (load_trace ~binary:true Import.Strict path)
+  else
+    let s = In_channel.with_open_text path In_channel.input_all in
+    ignore (Trace.read_string ~file:path s);
+    Trace.rows s
+
 let feed_cmd =
   let module Proto = Lockdoc_serve.Proto in
   let module Sockserv = Lockdoc_serve.Sockserv in
@@ -1171,12 +1183,7 @@ let feed_cmd =
                 "lockdoc: feed needs a TRACE file (or --query/--shutdown)\n";
               exit 1
           | Some path ->
-              (* load_trace auto-detects packed traces, so a .bin feeds
-                 the same rows the text file would. *)
-              let lines =
-                Trace.to_lines (or_fail @@ fun () ->
-                                load_trace Import.Strict path)
-              in
+              let lines = or_fail @@ fun () -> feed_rows path in
               let follow_cb =
                 if follow then Some (fun json -> Printf.printf "%s\n%!" json)
                 else None

@@ -13,11 +13,16 @@ type combo = { locks : Lockdesc.t list; mutable count : int }
 type group = {
   g_id : int;  (* creation order: dense, for per-group side tables *)
   g_key : key;
+  g_pair : pair;  (* its (type key, member)'s groups, for flips *)
   mutable g_combos : combo list;
   mutable g_stamp : int;  (* moves with the multiset *)
   mutable g_touched : int;  (* moves with any of the group's cells *)
   mutable g_dirty : bool;  (* on [t.dirty] *)
 }
+
+(* The read and write groups of one (type key, member), once they
+   exist. *)
+and pair = { mutable p_read : group option; mutable p_write : group option }
 
 type obs = {
   mutable o_group : group;  (* its key holds the member and access kind *)
@@ -27,6 +32,13 @@ type obs = {
   mutable o_events : int;
 }
 
+(* One type key's observations and groups. *)
+type entry = {
+  e_key : string;  (* shared by the key of every group below *)
+  mutable e_cells : obs list;  (* newest first = reversed first-access order *)
+  e_members : (string, pair) Hashtbl.t;
+}
+
 type t = {
   store : Store.t;
   wor : bool;
@@ -34,10 +46,10 @@ type t = {
   by_txn : obs list Vec.t;
       (* transaction id -> its cells, keyed (allocation, member) within;
          lock-free accesses are singletons, never looked up again *)
-  types : (string, string * obs list ref) Hashtbl.t;
-      (* type key -> (the key, shared by its cells; the cells, newest
-         first = reversed first-access order) *)
-  groups : (key, group) Hashtbl.t;
+  by_key_id : entry option Vec.t;
+      (* the store's type key id -> its entry, once observed *)
+  types : (string, entry) Hashtbl.t;  (* the same entries, by type key *)
+  all_groups : group Vec.t;  (* by id *)
   mutable dirty : group list;  (* touched since the last [take_dirty] *)
   mutable order : (key * group) list;  (* the non-empty groups, sorted *)
   mutable order_stale : bool;  (* a group appeared or emptied since *)
@@ -58,18 +70,23 @@ let decorate_shared desc =
   | Lockdesc.Es member -> Lockdesc.Es (member ^ "[r]")
   | Lockdesc.Eo (member, ty) -> Lockdesc.Eo (member ^ "[r]", ty)
 
-let locks_of_txn ?(side_sensitive = false) store ~accessed_alloc txn_id =
-  let txn = Store.txn store txn_id in
-  List.map
-    (fun held ->
+let rec classify_held side_sensitive store accessed_alloc = function
+  | [] -> []
+  | (held : Schema.held) :: rest ->
       let desc =
         Lockdesc.classify ~store ~accessed_alloc
           (Store.lock store held.Schema.h_lock)
       in
-      if side_sensitive && held.Schema.h_side = Event.Shared then
-        decorate_shared desc
-      else desc)
-    txn.Schema.tx_locks
+      let desc =
+        if side_sensitive && held.Schema.h_side = Event.Shared then
+          decorate_shared desc
+        else desc
+      in
+      desc :: classify_held side_sensitive store accessed_alloc rest
+
+let locks_of_txn ?(side_sensitive = false) store ~accessed_alloc txn_id =
+  classify_held side_sensitive store accessed_alloc
+    (Store.txn store txn_id).Schema.tx_locks
 
 let create ?(wor = true) ?(side_sensitive = false) store =
   {
@@ -77,23 +94,51 @@ let create ?(wor = true) ?(side_sensitive = false) store =
     wor;
     side_sensitive;
     by_txn = Vec.create ();
+    by_key_id = Vec.create ();
     types = Hashtbl.create 32;
-    groups = Hashtbl.create 64;
+    all_groups = Vec.create ();
     dirty = [];
     order = [];
     order_stale = false;
     flips = 0;
   }
 
-let group_of t key =
-  match Hashtbl.find_opt t.groups key with
+(* The entry of a store type key id, made at its first observation. *)
+let entry_of t k =
+  while Vec.length t.by_key_id <= k do
+    ignore (Vec.push t.by_key_id None)
+  done;
+  match Vec.get t.by_key_id k with
+  | Some e -> e
+  | None ->
+      let key = Store.type_key_name t.store k in
+      let e = { e_key = key; e_cells = []; e_members = Hashtbl.create 16 } in
+      Hashtbl.replace t.types key e;
+      Vec.set t.by_key_id k (Some e);
+      e
+
+let pair_of e member =
+  match Hashtbl.find e.e_members member with
+  | p -> p
+  | exception Not_found ->
+      let p = { p_read = None; p_write = None } in
+      Hashtbl.replace e.e_members member p;
+      p
+
+(* The group of [kind] in [pair], made on first use. *)
+let group_of t pair (ty, member) kind =
+  match (match kind with Rule.R -> pair.p_read | Rule.W -> pair.p_write) with
   | Some g -> g
   | None ->
       let g =
-        { g_id = Hashtbl.length t.groups; g_key = key; g_combos = [];
-          g_stamp = 0; g_touched = 0; g_dirty = false }
+        { g_id = Vec.length t.all_groups; g_key = (ty, member, kind);
+          g_pair = pair; g_combos = []; g_stamp = 0; g_touched = 0;
+          g_dirty = false }
       in
-      Hashtbl.replace t.groups key g;
+      ignore (Vec.push t.all_groups g);
+      (match kind with
+      | Rule.R -> pair.p_read <- Some g
+      | Rule.W -> pair.p_write <- Some g);
       g
 
 let touch t g =
@@ -103,6 +148,11 @@ let touch t g =
     t.dirty <- g :: t.dirty
   end
 
+let rec find_combo locks = function
+  | [] -> raise Not_found
+  | c :: rest ->
+      if c.locks == locks || c.locks = locks then c else find_combo locks rest
+
 (* The only two mutators of a multiset. A combination whose count drops
    to 0 leaves the list: its subsequences must stop being candidates.
    [group_add] returns the group's copy of the lock list, so the cells
@@ -111,95 +161,93 @@ let touch t g =
 let group_add t g locks =
   touch t g;
   g.g_stamp <- g.g_stamp + 1;
-  match List.find_opt (fun c -> c.locks = locks) g.g_combos with
-  | Some c ->
+  match find_combo locks g.g_combos with
+  | c ->
       c.count <- c.count + 1;
       c.locks
-  | None ->
+  | exception Not_found ->
       if g.g_combos = [] then t.order_stale <- true;
       g.g_combos <- { locks; count = 1 } :: g.g_combos;
       locks
 
 let group_remove t g locks =
-  (match List.find_opt (fun c -> c.locks = locks) g.g_combos with
-  | Some c when c.count = 1 ->
+  (match find_combo locks g.g_combos with
+  | c when c.count = 1 ->
       g.g_combos <- List.filter (( != ) c) g.g_combos;
       if g.g_combos = [] then t.order_stale <- true
-  | Some c -> c.count <- c.count - 1
-  | None -> invalid_arg "Dataset.group_remove: combination not in group");
+  | c -> c.count <- c.count - 1
+  | exception Not_found ->
+      invalid_arg "Dataset.group_remove: combination not in group");
   touch t g;
   g.g_stamp <- g.g_stamp + 1
 
+(* Among one transaction's cells: the cell of ([alloc], [member]). *)
+let rec cell_of alloc member = function
+  | [] -> raise Not_found
+  | o :: rest ->
+      let _, m, _ = o.o_group.g_key in
+      if o.o_alloc = alloc && String.equal m member then o
+      else cell_of alloc member rest
+
+(* The lock list of a cell of [alloc] among one transaction's cells: a
+   new cell of the same (transaction, allocation) gets the same one. *)
+let rec locks_of_alloc alloc = function
+  | [] -> raise Not_found
+  | o :: rest -> if o.o_alloc = alloc then o.o_locks else locks_of_alloc alloc rest
+
+(* A repeat access to cell [o]. *)
+let fold_repeat t o kind =
+  o.o_events <- o.o_events + 1;
+  (* Write-over-read: one write makes the observation a write. The cell
+     moves between groups; its place in the type key's first-access
+     order stays. With [wor] off (ablation) the first access kind
+     sticks. *)
+  let ty, member, o_kind = o.o_group.g_key in
+  if t.wor && o_kind = Rule.R && kind = Rule.W then begin
+    t.flips <- t.flips + 1;
+    group_remove t o.o_group o.o_locks;
+    let w = group_of t o.o_group.g_pair (ty, member) Rule.W in
+    ignore (group_add t w o.o_locks);
+    o.o_group <- w
+  end
+  else touch t o.o_group
+
+let new_cell t (a : Schema.access) kind locks =
+  let alloc = a.Schema.ac_alloc in
+  let e = entry_of t (Store.type_key_id t.store alloc) in
+  let member = a.Schema.ac_member in
+  let g = group_of t (pair_of e member) (e.e_key, member) kind in
+  let locks = group_add t g locks in
+  let o =
+    { o_group = g; o_alloc = alloc; o_locks = locks; o_first = a.Schema.ac_id;
+      o_events = 1 }
+  in
+  e.e_cells <- o :: e.e_cells;
+  o
+
 let absorb t (a : Schema.access) =
-  let alloc = a.Schema.ac_alloc and member = a.Schema.ac_member in
   let kind =
     match a.Schema.ac_kind with Event.Read -> Rule.R | Event.Write -> Rule.W
   in
-  let existing =
-    match a.Schema.ac_txn with
-    | Some txn when txn < Vec.length t.by_txn ->
-        List.find_opt
-          (fun o ->
-            o.o_alloc = alloc
-            &&
-            let _, m, _ = o.o_group.g_key in
-            String.equal m member)
-          (Vec.get t.by_txn txn)
-    | _ -> None
-  in
-  match existing with
-  | Some o ->
-      o.o_events <- o.o_events + 1;
-      (* Write-over-read: one write makes the observation a write. The
-         cell moves between groups; its place in the type key's
-         first-access order stays. With [wor] off (ablation) the first
-         access kind sticks. *)
-      let ty, _, o_kind = o.o_group.g_key in
-      if t.wor && o_kind = Rule.R && kind = Rule.W then begin
-        t.flips <- t.flips + 1;
-        group_remove t o.o_group o.o_locks;
-        let w = group_of t (ty, member, Rule.W) in
-        ignore (group_add t w o.o_locks);
-        o.o_group <- w
-      end
-      else touch t o.o_group
-  | None ->
-      let al = Store.allocation t.store alloc in
-      let ty, cells =
-        let key = Schema.type_key (Store.data_type t.store al.Schema.al_type) al in
-        match Hashtbl.find_opt t.types key with
-        | Some entry -> entry
-        | None ->
-            let entry = (key, ref []) in
-            Hashtbl.replace t.types key entry;
-            entry
-      in
-      let locks =
-        match a.Schema.ac_txn with
-        | Some txn ->
-            locks_of_txn ~side_sensitive:t.side_sensitive t.store
-              ~accessed_alloc:alloc txn
-        | None -> []
-      in
-      let g = group_of t (ty, member, kind) in
-      let locks = group_add t g locks in
-      let o =
-        {
-          o_group = g;
-          o_alloc = alloc;
-          o_locks = locks;
-          o_first = a.Schema.ac_id;
-          o_events = 1;
-        }
-      in
-      Option.iter
-        (fun txn ->
-          while Vec.length t.by_txn <= txn do
-            ignore (Vec.push t.by_txn [])
-          done;
-          Vec.set t.by_txn txn (o :: Vec.get t.by_txn txn))
-        a.Schema.ac_txn;
-      cells := o :: !cells
+  match a.Schema.ac_txn with
+  | None -> ignore (new_cell t a kind [])
+  | Some txn -> (
+      while Vec.length t.by_txn <= txn do
+        ignore (Vec.push t.by_txn [])
+      done;
+      let cells = Vec.get t.by_txn txn in
+      let alloc = a.Schema.ac_alloc in
+      match cell_of alloc a.Schema.ac_member cells with
+      | o -> fold_repeat t o kind
+      | exception Not_found ->
+          let locks =
+            match locks_of_alloc alloc cells with
+            | locks -> locks
+            | exception Not_found ->
+                classify_held t.side_sensitive t.store alloc
+                  (Store.txn t.store txn).Schema.tx_locks
+          in
+          Vec.set t.by_txn txn (new_cell t a kind locks :: cells))
 
 let of_store ?wor ?side_sensitive store =
   let t = create ?wor ?side_sensitive store in
@@ -212,7 +260,7 @@ let type_keys t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.types [] |> List.sort String.compare
 
 let cells t key =
-  match Hashtbl.find_opt t.types key with Some (_, l) -> !l | None -> []
+  match Hashtbl.find_opt t.types key with Some e -> e.e_cells | None -> []
 
 let observations t key = List.rev (cells t key)
 let observations_rev = cells
@@ -252,15 +300,21 @@ let compare_key (t1, m1, k1) (t2, m2, k2) =
 let groups t =
   if t.order_stale then begin
     t.order <-
-      Hashtbl.fold
-        (fun key g acc -> if g.g_combos <> [] then (key, g) :: acc else acc)
-        t.groups []
+      Vec.fold
+        (fun acc g -> if g.g_combos <> [] then (g.g_key, g) :: acc else acc)
+        [] t.all_groups
       |> List.sort (fun (a, _) (b, _) -> compare_key a b);
     t.order_stale <- false
   end;
   t.order
 
-let find_group t key = Hashtbl.find_opt t.groups key
+let find_group t (ty, member, kind) =
+  match Hashtbl.find_opt t.types ty with
+  | None -> None
+  | Some e -> (
+      match Hashtbl.find_opt e.e_members member with
+      | None -> None
+      | Some p -> ( match kind with Rule.R -> p.p_read | Rule.W -> p.p_write))
 
 let combos_of t key =
   match find_group t key with Some g -> combos g | None -> []

@@ -1,6 +1,7 @@
 module Schema = Lockdoc_db.Schema
 module Store = Lockdoc_db.Store
 module Srcloc = Lockdoc_trace.Srcloc
+module Vec = Lockdoc_util.Vec
 
 type lock_class = Static of string | Member of string * string
 
@@ -89,42 +90,79 @@ let find_cycles classes edges =
   List.iter (fun c -> dfs c [] c) classes;
   List.sort (fun a b -> compare (List.map key a) (List.map key b)) !cycles
 
-let analyse store =
-  let edges : (lock_class * lock_class, int * Srcloc.t) Hashtbl.t =
-    Hashtbl.create 128
+(* Each lock's class, by [lk_id]: one store lookup per lock, not one
+   per held-lock entry. *)
+let lock_classes store =
+  Array.init (Store.n_locks store) (fun i -> class_of store (Store.lock store i))
+
+let rec last_held = function
+  | [ h ] -> h
+  | _ :: rest -> last_held rest
+  | [] -> invalid_arg "Lockdep.last_held"
+
+let rec drop n l =
+  match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l
+
+type edge_acc = { mutable a_count : int; a_example : Srcloc.t }
+
+let analyse ?(irq_mode = Lockdoc_db.Import.Inherit) store =
+  (* Classes as dense ids: [cls.(lk_id)] indexes [by_id]. *)
+  let ids : (lock_class, int) Hashtbl.t = Hashtbl.create 64 in
+  let by_id = Vec.create () in
+  let cls =
+    Array.map
+      (fun c ->
+        match Hashtbl.find ids c with
+        | id -> id
+        | exception Not_found ->
+            let id = Vec.push by_id c in
+            Hashtbl.replace ids c id;
+            id)
+      (lock_classes store)
   in
-  let classes : (lock_class, unit) Hashtbl.t = Hashtbl.create 64 in
+  let nc = Vec.length by_id in
+  let used = Array.make nc false in
+  let edges : (int, edge_acc) Hashtbl.t = Hashtbl.create 128 in
+  let separate = irq_mode = Lockdoc_db.Import.Separate in
   (* Every transaction's ordered held list contributes consecutive-pair
      edges: each lock depends on everything acquired before it. Using the
      final acquisition (the txn rows record every configuration, so every
-     prefix appears as its own txn) avoids double counting. *)
-  let n = Store.n_txns store in
-  for i = 0 to n - 1 do
+     prefix appears as its own txn) avoids double counting. The Separate
+     view drops each transaction's inherited prefix first. *)
+  let rec add_edges into loc = function
+    | [] | [ _ ] -> ()
+    | (held : Schema.held) :: rest ->
+        let from = cls.(held.Schema.h_lock) in
+        used.(from) <- true;
+        (match Hashtbl.find edges ((from * nc) + into) with
+        | e -> e.a_count <- e.a_count + 1
+        | exception Not_found ->
+            Hashtbl.replace edges ((from * nc) + into) { a_count = 1; a_example = loc });
+        add_edges into loc rest
+  in
+  for i = 0 to Store.n_txns store - 1 do
     let txn = Store.txn store i in
-    match List.rev txn.Schema.tx_locks with
+    match
+      if separate then drop (Store.txn_inherited store i) txn.Schema.tx_locks
+      else txn.Schema.tx_locks
+    with
     | [] -> ()
-    | last :: before_rev ->
-        let last_class = class_of store (Store.lock store last.Schema.h_lock) in
-        Hashtbl.replace classes last_class ();
-        List.iter
-          (fun held ->
-            let from_class =
-              class_of store (Store.lock store held.Schema.h_lock)
-            in
-            Hashtbl.replace classes from_class ();
-            let key = (from_class, last_class) in
-            let count, example =
-              Option.value
-                ~default:(0, last.Schema.h_loc)
-                (Hashtbl.find_opt edges key)
-            in
-            Hashtbl.replace edges key (count + 1, example))
-          before_rev
+    | locks ->
+        let last = last_held locks in
+        let into = cls.(last.Schema.h_lock) in
+        used.(into) <- true;
+        add_edges into last.Schema.h_loc locks
   done;
   let all_edges =
     Hashtbl.fold
-      (fun (e_from, e_to) (e_count, e_example) acc ->
-        { e_from; e_to; e_count; e_example } :: acc)
+      (fun key e acc ->
+        {
+          e_from = Vec.get by_id (key / nc);
+          e_to = Vec.get by_id (key mod nc);
+          e_count = e.a_count;
+          e_example = e.a_example;
+        }
+        :: acc)
       edges []
     |> List.sort (fun a b ->
            compare
@@ -135,7 +173,7 @@ let analyse store =
     List.partition (fun e -> e.e_from = e.e_to) all_edges
   in
   let all_classes =
-    Hashtbl.fold (fun c () acc -> c :: acc) classes []
+    List.filteri (fun id _ -> used.(id)) (Vec.to_list by_id)
     |> List.sort (fun a b -> compare (class_to_string a) (class_to_string b))
   in
   let sorted_cycles =

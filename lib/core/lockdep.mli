@@ -35,10 +35,6 @@ type report = {
       (** same-class nesting (two instances of one class held together) *)
 }
 
-val class_of : Lockdoc_db.Store.t -> Lockdoc_db.Schema.lock -> lock_class
-(** Classing rule shared with the other in-situ analyses: static locks by
-    name, embedded locks by (data type, member). *)
-
 val canonicalise : lock_class list -> lock_class list
 (** Rotate a cycle so its lexicographically smallest class leads. The
     report's cycles are canonical: each cyclic lock-order appears exactly
@@ -53,9 +49,17 @@ val find_cycles :
     order, following [edges] in list order. The paper's lockdep
     baseline ({!analyse}) and the static lint graph both use it. *)
 
-val analyse : Lockdoc_db.Store.t -> report
+val lock_classes : Lockdoc_db.Store.t -> lock_class array
+(** The class of every lock of the store, by [lk_id] — the classing
+    rule shared with the other in-situ analyses: static locks by name,
+    embedded locks by (data type, member). *)
+
+val analyse : ?irq_mode:Lockdoc_db.Import.irq_mode -> Lockdoc_db.Store.t -> report
 (** Build the acquisition-order graph over every transaction of the store
-    and search it for cycles. *)
+    and search it for cycles. [irq_mode] (default [Inherit]) picks the
+    view: [Separate] drops each transaction's first
+    {!Lockdoc_db.Store.txn_inherited} locks, which turns an Inherit import into the report a
+    [~irq_mode:Separate] import of the same trace gives. *)
 
 val render : report -> string
 (** Human-readable report, lockdep-splat style. *)

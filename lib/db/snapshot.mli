@@ -50,4 +50,4 @@ val read_manifest : dir:string -> meta option
 val old_format : dir:string -> string option
 (** [Some v] when [dir] holds a manifest or snapshot of an earlier
     on-disk format, which this version cannot load; [v] names it
-    (["lockdoc-durable 1"] or ["lockdoc-durable 2"]). *)
+    (["lockdoc-durable 1"] to ["lockdoc-durable 3"]). *)

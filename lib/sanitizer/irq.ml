@@ -83,6 +83,17 @@ let analyse store =
         names := cls :: !names;
         a
   in
+  (* Each lock's accumulator, found by class name once per lock. *)
+  let classes = Lockdep.lock_classes store in
+  let accs = Array.make (Array.length classes) None in
+  let acc_of lk_id =
+    match accs.(lk_id) with
+    | Some a -> a
+    | None ->
+        let a = get (Lockdep.class_to_string classes.(lk_id)) in
+        accs.(lk_id) <- Some a;
+        a
+  in
   let n = Store.n_txns store in
   for i = 0 to n - 1 do
     let txn = Store.txn store i in
@@ -97,7 +108,7 @@ let analyse store =
         | Some _ -> ()  (* bhoff masks softirqs only; irrelevant here *)
         | None ->
             Obs.incr c_sightings;
-            let a = get (Lockdep.class_to_string (Lockdep.class_of store lock)) in
+            let a = acc_of h.Schema.h_lock in
             if !in_hard then begin
               a.a_hardirq <- a.a_hardirq + 1;
               if a.a_irq_loc = None then a.a_irq_loc <- Some h.Schema.h_loc

@@ -180,9 +180,10 @@ let run ?jobs:_ ~workload trace =
     mined;
   let find_mined ty member kind = Hashtbl.find_opt mined_tbl (ty, member, kind) in
   (* Dynamic side 2: lock order with irq flows accounted separately —
-     inheritance creates cross-flow edges no static path can produce. *)
-  let store_sep, _ = Import.run ~irq_mode:Import.Separate trace in
-  let dyn_order = Lockdep.analyse store_sep in
+     inheritance creates cross-flow edges no static path can produce.
+     The same store serves: its transactions record which of their
+     locks an irq flow inherited. *)
+  let dyn_order = Lockdep.analyse ~irq_mode:Import.Separate store in
   (* Static side. *)
   let md = model () in
   let summary = md.md_summary and sites = md.md_sites in

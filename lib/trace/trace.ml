@@ -124,11 +124,13 @@ let reference_event r lineno line =
       | ev -> emit r.r_sink ev
       | exception Failure msg -> diag r lineno Diag.Malformed_field msg)
 
+let is_layout_row s i j = j - i >= 2 && s.[i] = 'T' && s.[i + 1] = '\t'
+
 let step r s start stop =
   Obs.incr c_rows;
   let lineno = r.r_lineno in
   r.r_lineno <- lineno + 1;
-  if stop - start >= 2 && s.[start] = 'T' && s.[start + 1] = '\t' then
+  if is_layout_row s start stop then
     layout_row r lineno (String.sub s (start + 2) (stop - start - 2))
   else if stop > start then
     match Event.scan r.r_scanner s start stop with
@@ -187,9 +189,8 @@ let save path t =
 let rec line_end s i n =
   if i = n || String.unsafe_get s i = '\n' then i else line_end s (i + 1) n
 
-let read ?(mode = Strict) path =
-  let s = In_channel.with_open_text path In_channel.input_all in
-  let r = reader mode (Some path) in
+let read_string ?(mode = Strict) ?file s =
+  let r = reader mode file in
   let n = String.length s in
   let rec lines i =
     if i < n then begin
@@ -200,5 +201,22 @@ let read ?(mode = Strict) path =
   in
   lines 0;
   finish_read r
+
+let read ?mode path =
+  read_string ?mode ~file:path (In_channel.with_open_text path In_channel.input_all)
+
+let rows s =
+  let n = String.length s in
+  let rec split i layouts events =
+    if i >= n then List.rev_append layouts (List.rev events)
+    else
+      let j = line_end s i n in
+      if j = i then split (j + 1) layouts events
+      else
+        let line = String.sub s i (j - i) in
+        if is_layout_row s i j then split (j + 1) (line :: layouts) events
+        else split (j + 1) layouts (line :: events)
+  in
+  split 0 [] []
 
 let count t pred = Array.fold_left (fun acc e -> if pred e then acc + 1 else acc) 0 t.events

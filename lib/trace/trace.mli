@@ -48,6 +48,16 @@ val read : ?mode:mode -> string -> t * Diag.t list
     {!read_lines} documents, the only producer of diagnostics. Raises
     [Sys_error] if the file cannot be read. *)
 
+val read_string : ?mode:mode -> ?file:string -> string -> t * Diag.t list
+(** {!read} over a file's contents already in memory; [file] names it
+    in diagnostics. *)
+
+val rows : string -> string list
+(** The rows a text trace's contents stream as ({!to_lines}' shape):
+    its non-blank lines as they are, layout rows first, each group in
+    file order. For contents a {!Strict} read accepts, they parse to
+    the layouts and events of that read. *)
+
 val of_lines : string list -> t
 (** Strict parse; raises [Failure] with the offending line number. *)
 

@@ -447,12 +447,13 @@ let test_durable_foreign_dir () =
 
 (* Directories of the earlier durable formats cannot be read any more:
    version 1 ("lockdoc-durable 1", "LOCKDOCSNAP1") journaled row ops,
-   version 2 ("lockdoc-durable 2", "LOCKDOCSNAP2") marshalled an older
-   engine and store. Such a directory recovers to an empty store with a
-   reason naming the format, never unmarshals its snapshot, and import
-   --durable over it starts afresh. The version-2 snapshot below is a
-   well-formed marshalled blob with a valid CRC, so only the format
-   check keeps it from being read as a payload. *)
+   versions 2 and 3 ("lockdoc-durable 2"/"3", "LOCKDOCSNAP2"/"3")
+   marshalled older engines and stores. Such a directory recovers to an
+   empty store with a reason naming the format, never unmarshals its
+   snapshot, and import --durable over it starts afresh. The version-2
+   and version-3 snapshots below are well-formed marshalled blobs with
+   a valid CRC, so only the format check keeps them from being read as
+   a payload. *)
 let v1_op_line = "AC\t26\t0\ts_flags\tr\t0\tfs/super.c:427\t0\t1"
 
 let test_recover_old_format () =
@@ -510,7 +511,7 @@ let test_recover_old_format () =
             (ends_with out plain);
           check Alcotest.bool (version ^ ": manifest rewritten in the current format")
             true
-            (String.starts_with ~prefix:"lockdoc-durable 3\n"
+            (String.starts_with ~prefix:"lockdoc-durable 4\n"
                (read_file (Filename.concat state "MANIFEST")));
           let code, out, _ = run [ "recover"; "--derive"; state ] in
           check Alcotest.int (version ^ ": recover --derive exits 0") 0 code;
@@ -527,6 +528,11 @@ let test_recover_old_format () =
       ( "lockdoc-durable 2",
         "LOCKDOCSNAP2\n",
         Marshal.to_string ([ 1; 2; 3 ], "not this version's payload") [],
+        fun clean ->
+          Lockdoc_trace.Event.to_line (fst (Trace.read clean)).Trace.events.(0) );
+      ( "lockdoc-durable 3",
+        "LOCKDOCSNAP3\n",
+        Marshal.to_string ([ 4; 5; 6 ], "a version-3 payload") [],
         fun clean ->
           Lockdoc_trace.Event.to_line (fst (Trace.read clean)).Trace.events.(0) );
     ]

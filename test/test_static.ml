@@ -20,6 +20,14 @@ module Report = Lockdoc_core.Report
 module Summary = Lockdoc_static.Summary
 module Explain = Lockdoc_static.Explain
 module Lint = Lockdoc_static.Lint
+module Import = Lockdoc_db.Import
+module Schema = Lockdoc_db.Schema
+module Store = Lockdoc_db.Store
+module Obs = Lockdoc_obs.Obs
+module Trace = Lockdoc_trace.Trace
+module Event = Lockdoc_trace.Event
+module Layout = Lockdoc_trace.Layout
+module Srcloc = Lockdoc_trace.Srcloc
 
 let check = Alcotest.check
 
@@ -153,6 +161,136 @@ let test_lint_summary_fresh () =
   check Alcotest.bool "summary equals a fresh Summary.analyse" true
     (r.Lint.summary = Summary.analyse ())
 
+(* {2 One import per lint}
+
+   Lint's lock order counts irq flows separately, but it reads that view
+   off its one Inherit import: [Lockdep.analyse ~irq_mode:Separate]
+   drops each transaction's inherited locks. A [~irq_mode:Separate]
+   import of the same trace is the oracle. *)
+
+let cs = Lockdep.class_to_string
+
+let check_separate_view name trace =
+  let store, _ = Import.run trace in
+  let sep, _ = Import.run ~irq_mode:Import.Separate trace in
+  let view = Lockdep.analyse ~irq_mode:Import.Separate store in
+  let oracle = Lockdep.analyse sep in
+  let pairs = List.map (fun (e : Lockdep.edge) -> (cs e.Lockdep.e_from, cs e.Lockdep.e_to)) in
+  let counted =
+    List.map (fun (e : Lockdep.edge) ->
+        Printf.sprintf "%s -> %s x%d at %s" (cs e.Lockdep.e_from) (cs e.Lockdep.e_to)
+          e.Lockdep.e_count (Srcloc.to_string e.Lockdep.e_example))
+  in
+  let sl = Alcotest.(list string) and pl = Alcotest.(list (pair string string)) in
+  check pl (name ^ ": edge pairs") (pairs oracle.Lockdep.edges) (pairs view.Lockdep.edges);
+  check pl (name ^ ": self-nesting pairs")
+    (pairs oracle.Lockdep.self_nesting) (pairs view.Lockdep.self_nesting);
+  check Alcotest.(list (list string)) (name ^ ": cycles")
+    (List.map (List.map cs) oracle.Lockdep.cycles)
+    (List.map (List.map cs) view.Lockdep.cycles);
+  check sl (name ^ ": edge counts and examples")
+    (counted (oracle.Lockdep.edges @ oracle.Lockdep.self_nesting))
+    (counted (view.Lockdep.edges @ view.Lockdep.self_nesting));
+  check sl (name ^ ": classes")
+    (List.map cs oracle.Lockdep.classes) (List.map cs view.Lockdep.classes);
+  store
+
+let test_separate_view_families () =
+  List.iter
+    (fun name ->
+      for seed = 0 to 4 do
+        ignore
+          (check_separate_view (Printf.sprintf "%s seed %d" name seed)
+             (Run.workload_trace ~seed name))
+      done)
+    Run.workload_names
+
+(* The families run no interrupt sources; the benchmark mix does. *)
+let test_separate_view_mix () =
+  let config =
+    { Run.kernel = { Lockdoc_ksim.Kernel.default_config with Lockdoc_ksim.Kernel.seed = 7 };
+      Run.scale = 1; Run.faults = true }
+  in
+  let store = check_separate_view "mix" (fst (Run.benchmark_mix ~config ())) in
+  check Alcotest.bool "mix: some transaction inherits locks" true
+    (List.exists
+       (fun i -> Store.txn_inherited store i > 0)
+       (List.init (Store.n_txns store) Fun.id))
+
+(* A task holds a, b, c when a hardirq comes in. The handler takes its
+   pseudo-lock, d and e, then releases the inherited b: unbalanced under
+   Separate, while under Inherit it reopens the transactions above b.
+   It re-takes a (same class as an inherited lock), runs a nested
+   softirq, and after the softirq a fresh hardirq flow releases locks
+   it inherited wholesale. *)
+let irq_fixture () =
+  let obj =
+    Layout.make ~name:"obj" [ ("o_val", 8, Layout.Data); ("o_lock", 4, Layout.Lock) ]
+  in
+  let base = 0x100000 in
+  let loc line = Srcloc.make "irq.c" line in
+  let line = ref 0 in
+  let acquire ?(kind = Event.Spinlock) name lock_ptr =
+    incr line;
+    Event.Lock_acquire { lock_ptr; kind; side = Event.Exclusive; name; loc = loc !line }
+  in
+  let release lock_ptr = Event.Lock_release { lock_ptr; loc = loc 0 } in
+  let switch pid kind = Event.Ctx_switch { pid; kind } in
+  let write ptr = Event.Mem_access { ptr; size = 8; kind = Event.Write; loc = loc 99 } in
+  let a = 0xa0 and b = 0xb0 and c = 0xc0 and d = 0xd0 and e = 0xe0 and f = 0xf0 in
+  let own = base + 8 in
+  let sink = Trace.sink () in
+  List.iter (Trace.emit sink)
+    [
+      switch 1 Event.Task;
+      Event.Alloc { ptr = base; size = 12; data_type = "obj"; subclass = None };
+      acquire "a" a; acquire "b" b; acquire "o_lock" own; acquire "c" c;
+      write base;
+      switch 1001 Event.Hardirq;
+      acquire ~kind:Event.Pseudo "hardirq" 0x5;
+      acquire "d" d; acquire "e" e; write base;
+      release b;
+      acquire "f" f; write base;
+      acquire "a" a; write base; release a;
+      switch 2001 Event.Softirq;
+      acquire ~kind:Event.Pseudo "softirq" 0x6;
+      acquire "b" b; acquire "d" d; release d; release b; release 0x6;
+      switch 1001 Event.Hardirq;
+      release e; acquire "e" e; release own; write base;
+      release e; release f; release d; release 0x5;
+      switch 1 Event.Task;
+      release c; release own; release b; release a;
+    ];
+  Trace.finish ~layouts:[ obj ] sink
+
+let test_separate_view_fixture () =
+  let trace = irq_fixture () in
+  let store = check_separate_view "irq fixture" trace in
+  let _, inh = Import.run trace and _, sep = Import.run ~irq_mode:Import.Separate trace in
+  check Alcotest.int "inherit: every release balanced" 0 inh.Import.unbalanced_releases;
+  check Alcotest.int "separate: inherited releases unbalanced" 6
+    sep.Import.unbalanced_releases;
+  check Alcotest.bool "a reopened transaction is hidden whole" true
+    (List.exists
+       (fun i ->
+         let t = Store.txn store i in
+         t.Schema.tx_locks <> [] && Store.txn_inherited store i = List.length t.Schema.tx_locks)
+       (List.init (Store.n_txns store) Fun.id))
+
+let test_one_import_per_lint () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let runs = Obs.counter "import.runs" in
+  let trace = Run.workload_trace ~seed:0 "pipe" in
+  let before = Obs.counter_value runs in
+  ignore (Lint.run ~workload:"pipe" trace);
+  let once = Obs.counter_value runs in
+  ignore (Lint.run ~workload:"pipe" trace);
+  let twice = Obs.counter_value runs in
+  Obs.set_enabled was;
+  check Alcotest.int "first Lint.run imports once" 1 (once - before);
+  check Alcotest.int "second Lint.run imports once" 1 (twice - once)
+
 let () =
   let fam f = List.map (fun n -> Alcotest.test_case n `Quick (f n)) in
   Alcotest.run "static"
@@ -175,5 +313,14 @@ let () =
             test_lint_repeatable;
           Alcotest.test_case "summary is a fresh analysis" `Quick
             test_lint_summary_fresh;
+        ] );
+      ( "single import",
+        [
+          Alcotest.test_case "separate view, families" `Quick
+            test_separate_view_families;
+          Alcotest.test_case "separate view, mix" `Quick test_separate_view_mix;
+          Alcotest.test_case "separate view, irq fixture" `Quick
+            test_separate_view_fixture;
+          Alcotest.test_case "one import per lint" `Quick test_one_import_per_lint;
         ] );
     ]

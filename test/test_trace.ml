@@ -711,6 +711,29 @@ let read_both ?(mode = Trace.Lenient) content =
 
 let diag_strings diags = List.map Diag.to_string diags
 
+(* [Trace.rows] is what [lockdoc feed] streams from a text trace: its
+   own non-blank lines, layouts first. On a canonical file they are the
+   file's lines; on any file a Strict read accepts, they read back as
+   that read's trace. *)
+let test_feed_rows () =
+  let lines = Lazy.force golden_lines in
+  let file ls = String.concat "\n" ls ^ "\n" in
+  check (Alcotest.list Alcotest.string) "canonical file: its lines" lines
+    (Trace.rows (file lines));
+  let layouts, events =
+    List.partition (fun l -> String.length l >= 2 && String.sub l 0 2 = "T\t") lines
+  in
+  let head = List.filteri (fun i _ -> i < 5) events
+  and tail = List.filteri (fun i _ -> i >= 5) events in
+  let odd = file ((head @ [ ""; "F\t0x10" ]) @ layouts @ ("" :: tail)) in
+  let rows = Trace.rows odd in
+  check (Alcotest.list Alcotest.string) "layouts first, blank lines dropped, lines as written"
+    (layouts @ head @ ("F\t0x10" :: tail))
+    rows;
+  check (Alcotest.list Alcotest.string) "rows read back as the Strict read"
+    (Trace.to_lines (fst (Trace.read_string odd)))
+    (Trace.to_lines (fst (Trace.read_lines rows)))
+
 let test_edge_no_trailing_newline () =
   let t, diags = read_both "F\t7\nC\t3\ttask" in
   check (Alcotest.list Alcotest.string) "events" [ "F\t7"; "C\t3\ttask" ]
@@ -936,6 +959,7 @@ let () =
           Alcotest.test_case "empty and layouts only" `Quick
             test_edge_empty_and_layouts_only;
           Alcotest.test_case "reference ints" `Quick test_edge_reference_ints;
+          Alcotest.test_case "feed rows" `Quick test_feed_rows;
         ] );
       ( "reader goldens",
         [
