@@ -28,6 +28,14 @@ module Memory = Lockdoc_ksim.Memory
    EXIT STATUS. *)
 let sim_fault_exit = 3
 
+(* The one-line description of a simulator fault, also when a lock
+   scope's finaliser re-raised it as [Fun.Finally_raised]. *)
+let rec sim_fault = function
+  | Memory.Use_after_free what -> Some ("use-after-free of " ^ what)
+  | Memory.Double_free what -> Some ("double free of " ^ what)
+  | Fun.Finally_raised exn -> sim_fault exn
+  | _ -> None
+
 let exits =
   Cmd.Exit.info 1
     ~doc:
@@ -36,7 +44,9 @@ let exits =
        TRACE for $(b,feed), a directory without durable state for \
        $(b,recover))."
   :: Cmd.Exit.info sim_fault_exit
-       ~doc:"on a simulator fault (the simulated kernel accessed freed memory)."
+       ~doc:
+         "on a simulator fault (the simulated kernel accessed freed \
+          memory or freed it twice)."
   :: Cmd.Exit.defaults
 
 (* {2 Checked numeric converters}
@@ -1247,8 +1257,9 @@ let () =
         close_out_noerr stdout;
         Printf.eprintf "lockdoc: %s\n" reason;
         Cmd.Exit.some_error
-    | exception Memory.Use_after_free what ->
-        Printf.eprintf "lockdoc: simulator fault: use-after-free of %s\n" what;
+    | exception exn when sim_fault exn <> None ->
+        Printf.eprintf "lockdoc: simulator fault: %s\n"
+          (Option.get (sim_fault exn));
         sim_fault_exit
     | exception exn ->
         let bt = Printexc.get_raw_backtrace () in

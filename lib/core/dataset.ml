@@ -21,8 +21,13 @@ type group = {
 }
 
 (* The read and write groups of one (type key, member), once they
-   exist. *)
-and pair = { mutable p_read : group option; mutable p_write : group option }
+   exist. [p_slot] is the member's slot in its data type's layout. *)
+and pair = {
+  p_slot : int;
+  p_member : string;
+  mutable p_read : group option;
+  mutable p_write : group option;
+}
 
 type obs = {
   mutable o_group : group;  (* its key holds the member and access kind *)
@@ -36,16 +41,19 @@ type obs = {
 type entry = {
   e_key : string;  (* shared by the key of every group below *)
   mutable e_cells : obs list;  (* newest first = reversed first-access order *)
-  e_members : (string, pair) Hashtbl.t;
+  mutable e_pairs : pair array;  (* by member slot; [no_pair] for none yet *)
 }
+
+let no_pair = { p_slot = -1; p_member = ""; p_read = None; p_write = None }
 
 type t = {
   store : Store.t;
   wor : bool;
   side_sensitive : bool;
   by_txn : obs list Vec.t;
-      (* transaction id -> its cells, keyed (allocation, member) within;
-         lock-free accesses are singletons, never looked up again *)
+      (* transaction id -> its cells, keyed (allocation, member slot)
+         within; lock-free accesses are singletons, never looked up
+         again *)
   by_key_id : entry option Vec.t;
       (* the store's type key id -> its entry, once observed *)
   types : (string, entry) Hashtbl.t;  (* the same entries, by type key *)
@@ -112,26 +120,38 @@ let entry_of t k =
   | Some e -> e
   | None ->
       let key = Store.type_key_name t.store k in
-      let e = { e_key = key; e_cells = []; e_members = Hashtbl.create 16 } in
+      let e =
+        { e_key = key; e_cells = []; e_pairs = [||] }
+      in
       Hashtbl.replace t.types key e;
       Vec.set t.by_key_id k (Some e);
       e
 
-let pair_of e member =
-  match Hashtbl.find e.e_members member with
-  | p -> p
-  | exception Not_found ->
-      let p = { p_read = None; p_write = None } in
-      Hashtbl.replace e.e_members member p;
-      p
+(* The pair of member [slot] of [alloc]'s type in [e], made on first
+   use. *)
+let pair_of t e alloc slot =
+  let n = Array.length e.e_pairs in
+  if slot >= n then begin
+    let pairs = Array.make (max (slot + 1) (2 * n)) no_pair in
+    Array.blit e.e_pairs 0 pairs 0 n;
+    e.e_pairs <- pairs
+  end;
+  let p = e.e_pairs.(slot) in
+  if p != no_pair then p
+  else
+    let ty = (Store.allocation t.store alloc).Schema.al_type in
+    let member = Store.slot_name t.store ~ty slot in
+    let p = { p_slot = slot; p_member = member; p_read = None; p_write = None } in
+    e.e_pairs.(slot) <- p;
+    p
 
 (* The group of [kind] in [pair], made on first use. *)
-let group_of t pair (ty, member) kind =
+let group_of t pair ty kind =
   match (match kind with Rule.R -> pair.p_read | Rule.W -> pair.p_write) with
   | Some g -> g
   | None ->
       let g =
-        { g_id = Vec.length t.all_groups; g_key = (ty, member, kind);
+        { g_id = Vec.length t.all_groups; g_key = (ty, pair.p_member, kind);
           g_pair = pair; g_combos = []; g_stamp = 0; g_touched = 0;
           g_dirty = false }
       in
@@ -181,13 +201,12 @@ let group_remove t g locks =
   touch t g;
   g.g_stamp <- g.g_stamp + 1
 
-(* Among one transaction's cells: the cell of ([alloc], [member]). *)
-let rec cell_of alloc member = function
+(* Among one transaction's cells: the cell of ([alloc], [slot]). *)
+let rec cell_of alloc slot = function
   | [] -> raise Not_found
   | o :: rest ->
-      let _, m, _ = o.o_group.g_key in
-      if o.o_alloc = alloc && String.equal m member then o
-      else cell_of alloc member rest
+      if o.o_alloc = alloc && o.o_group.g_pair.p_slot = slot then o
+      else cell_of alloc slot rest
 
 (* The lock list of a cell of [alloc] among one transaction's cells: a
    new cell of the same (transaction, allocation) gets the same one. *)
@@ -202,57 +221,53 @@ let fold_repeat t o kind =
      moves between groups; its place in the type key's first-access
      order stays. With [wor] off (ablation) the first access kind
      sticks. *)
-  let ty, member, o_kind = o.o_group.g_key in
+  let ty, _, o_kind = o.o_group.g_key in
   if t.wor && o_kind = Rule.R && kind = Rule.W then begin
     t.flips <- t.flips + 1;
     group_remove t o.o_group o.o_locks;
-    let w = group_of t o.o_group.g_pair (ty, member) Rule.W in
+    let w = group_of t o.o_group.g_pair ty Rule.W in
     ignore (group_add t w o.o_locks);
     o.o_group <- w
   end
   else touch t o.o_group
 
-let new_cell t (a : Schema.access) kind locks =
-  let alloc = a.Schema.ac_alloc in
+let new_cell t ~id ~alloc ~slot kind locks =
   let e = entry_of t (Store.type_key_id t.store alloc) in
-  let member = a.Schema.ac_member in
-  let g = group_of t (pair_of e member) (e.e_key, member) kind in
+  let g = group_of t (pair_of t e alloc slot) e.e_key kind in
   let locks = group_add t g locks in
-  let o =
-    { o_group = g; o_alloc = alloc; o_locks = locks; o_first = a.Schema.ac_id;
-      o_events = 1 }
-  in
+  let o = { o_group = g; o_alloc = alloc; o_locks = locks; o_first = id; o_events = 1 } in
   e.e_cells <- o :: e.e_cells;
   o
 
-let absorb t (a : Schema.access) =
+let absorb t id =
+  let st = t.store in
+  let alloc = Store.access_alloc st id and slot = Store.access_slot st id in
   let kind =
-    match a.Schema.ac_kind with Event.Read -> Rule.R | Event.Write -> Rule.W
+    match Store.access_kind st id with Event.Read -> Rule.R | Event.Write -> Rule.W
   in
-  match a.Schema.ac_txn with
-  | None -> ignore (new_cell t a kind [])
-  | Some txn -> (
-      while Vec.length t.by_txn <= txn do
-        ignore (Vec.push t.by_txn [])
-      done;
-      let cells = Vec.get t.by_txn txn in
-      let alloc = a.Schema.ac_alloc in
-      match cell_of alloc a.Schema.ac_member cells with
-      | o -> fold_repeat t o kind
-      | exception Not_found ->
-          let locks =
-            match locks_of_alloc alloc cells with
-            | locks -> locks
-            | exception Not_found ->
-                classify_held t.side_sensitive t.store alloc
-                  (Store.txn t.store txn).Schema.tx_locks
-          in
-          Vec.set t.by_txn txn (new_cell t a kind locks :: cells))
+  let txn = Store.access_txn st id in
+  if txn = Store.no_txn then ignore (new_cell t ~id ~alloc ~slot kind [])
+  else begin
+    while Vec.length t.by_txn <= txn do
+      ignore (Vec.push t.by_txn [])
+    done;
+    let cells = Vec.get t.by_txn txn in
+    match cell_of alloc slot cells with
+    | o -> fold_repeat t o kind
+    | exception Not_found ->
+        let locks =
+          match locks_of_alloc alloc cells with
+          | locks -> locks
+          | exception Not_found ->
+              classify_held t.side_sensitive st alloc (Store.txn st txn).Schema.tx_locks
+        in
+        Vec.set t.by_txn txn (new_cell t ~id ~alloc ~slot kind locks :: cells)
+  end
 
 let of_store ?wor ?side_sensitive store =
   let t = create ?wor ?side_sensitive store in
-  for i = 0 to Store.n_accesses store - 1 do
-    absorb t (Store.access store i)
+  for id = 0 to Store.n_accesses store - 1 do
+    absorb t id
   done;
   t
 
@@ -312,7 +327,7 @@ let find_group t (ty, member, kind) =
   match Hashtbl.find_opt t.types ty with
   | None -> None
   | Some e -> (
-      match Hashtbl.find_opt e.e_members member with
+      match Array.find_opt (fun p -> String.equal p.p_member member) e.e_pairs with
       | None -> None
       | Some p -> ( match kind with Rule.R -> p.p_read | Rule.W -> p.p_write))
 

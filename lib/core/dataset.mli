@@ -46,12 +46,15 @@ val create : ?wor:bool -> ?side_sensitive:bool -> Lockdoc_db.Store.t -> t
     rwlocks/rwsems/RCU by decorating the descriptor with "[r]" — an
     extension beyond the paper's model. *)
 
-val absorb : t -> Lockdoc_db.Schema.access -> unit
-(** Fold one access row of the store in. Rows must be absorbed once
+val absorb : t -> int -> unit
+(** Fold one access row of the store in, by id, reading the store's
+    columns (no access record is built). Rows must be absorbed once
     each, in id order: a new (allocation, member, transaction) cell
     joins its group's multiset; a repeat access to a cell bumps its
     event count, and under [wor] a first write to a read cell moves it
-    from the read group to the write group. *)
+    from the read group to the write group. A transaction's cells are
+    keyed by (allocation, member slot), and a type key's groups by
+    member slot. *)
 
 val of_store : ?wor:bool -> ?side_sensitive:bool -> Lockdoc_db.Store.t -> t
 (** {!create}, then {!absorb} every access row of the store. *)

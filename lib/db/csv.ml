@@ -214,11 +214,20 @@ let import ~dir =
     (fun line ->
       match split line with
       | [ _id; event; alloc; member; kind; txn; loc; stack; ctx ] ->
+          let alloc = int_of_string alloc in
+          let ty = (Store.allocation store alloc).al_type in
+          let slot =
+            match Store.member_slot store ~ty (dec member) with
+            | slot -> slot
+            | exception Not_found ->
+                failwith ("Csv: unknown member in accesses row: " ^ line)
+          in
           ignore
-            (Store.add_access store ~event:(int_of_string event)
-               ~alloc:(int_of_string alloc) ~member:(dec member)
+            (Store.add_access store ~event:(int_of_string event) ~alloc ~slot
                ~kind:(match kind with "r" -> Event.Read | _ -> Event.Write)
-               ~txn:(field_to_opt int_of_string txn)
+               ~txn:
+                 (Option.value ~default:Store.no_txn
+                    (field_to_opt int_of_string txn))
                ~loc:(Srcloc.of_string (dec loc))
                ~stack:(int_of_string stack)
                ~ctx:(int_of_string ctx))

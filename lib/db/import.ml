@@ -3,7 +3,7 @@ module Layout = Lockdoc_trace.Layout
 module Diag = Lockdoc_trace.Diag
 module Trace = Lockdoc_trace.Trace
 module Obs = Lockdoc_obs.Obs
-module IntMap = Map.Make (Int)
+module Rangemap = Lockdoc_util.Rangemap
 
 (* Mirrored once per import at [finalize]; the per-event counters stay
    in the marshalable [counters] record (metrics handles hold atomics
@@ -64,38 +64,40 @@ let anomaly_total s =
   + s.anomalies.an_unclosed_txns + s.unbalanced_releases
 
 (* One held lock together with the transaction opened by its acquisition;
-   popping back to it resumes that transaction (paper Sec. 4.2).
-   [opened] is always [Some tx]; kept accesses share it as their
-   [ac_txn]. *)
-type held_entry = { entry : Schema.held; opened : int option }
+   popping back to it resumes that transaction (paper Sec. 4.2). Kept
+   accesses take [opened] as their transaction. *)
+type held_entry = { entry : Schema.held; opened : int }
+
+(* One node of the engine's call-stack trie: the stack of the frames on
+   the path from the root to it. Every flow's stack is a node, so a
+   function entry or exit moves a flow to another node, and two flows
+   on the same stack share one node, hence one verdict and one id. *)
+type frame = {
+  f_fn : string;
+  f_up : frame; (* the caller's node; the root is its own *)
+  mutable f_kids : frame list;
+  f_dropped : bool; (* a frame of this stack is on the function blacklist *)
+  mutable f_stack : int; (* interned stack id; -1 until its first kept access *)
+}
+
+let is_root f = f.f_up == f
+
+(* The frames of a node's stack, innermost first. *)
+let rec frames_of f = if is_root f then [] else f.f_fn :: frames_of f.f_up
 
 type ctx_state = {
   pid : int;
-  mutable frames : string list; (* innermost first *)
+  mutable top : frame; (* the flow's call stack *)
   mutable held : held_entry list;
       (* newest first: the head opened the current transaction *)
   mutable inherited : int;
       (* the oldest [inherited] entries of [held] came from the flow an
          irq interrupted (Inherit mode); 0 for tasks *)
-  (* Cache of the last [frames] an access saw, compared by physical
-     equality: any push or pop makes a new list and so invalidates it. *)
-  mutable seen_frames : string list;
-  mutable fn_dropped : bool; (* [seen_frames] hit the function blacklist *)
-  mutable stack_id : int; (* interned [seen_frames]; -1 until first kept *)
 }
 
-let flow pid held =
-  {
-    pid;
-    frames = [];
-    held;
-    inherited = List.length held;
-    seen_frames = [];
-    fn_dropped = false;
-    stack_id = -1;
-  }
+let flow root pid held = { pid; top = root; held; inherited = List.length held }
 
-let cur_txn ctx = match ctx.held with he :: _ -> he.opened | [] -> None
+let cur_txn ctx = match ctx.held with he :: _ -> he.opened | [] -> Store.no_txn
 
 (* All per-run counters in one mutable record so the engine marshals as
    plain data. *)
@@ -147,13 +149,15 @@ let zero_counters () =
 (* What the filters do to accesses of one member; fixed per engine. *)
 type verdict = Keep | Drop_kind | Drop_member
 
-type slot = { s_name : string; s_verdict : verdict }
+(* [s_slot]: the member's slot in the store, the first member of its
+   name, so that two members of one name fold as one. *)
+type slot = { s_name : string; s_slot : int; s_verdict : verdict }
 
-(* Offset -> member resolution of one data type, built once per engine.
-   [d_at.(offset)] indexes [d_slots] (-1: no member there). A layout
-   whose members reach past [max_table] bytes gets a truncated table;
-   offsets beyond it scan [d_members] the way [Layout.member_at]
-   does. *)
+(* Offset -> member resolution of one data type, built at the type's
+   first allocation. [d_at.(offset)] indexes [d_slots] (-1: no member
+   there). A layout whose members reach past [max_table] bytes gets a
+   truncated table; offsets beyond it scan [d_members] the way
+   [Layout.member_at] does. *)
 type dt_table = {
   d_members : Layout.member array;
   d_slots : slot array;
@@ -192,7 +196,14 @@ let dt_table filter layout =
   {
     d_members = members;
     d_slots =
-      Array.map (fun m -> { s_name = m.Layout.m_name; s_verdict = verdict m }) members;
+      Array.map
+        (fun m ->
+          let rec first j =
+            if String.equal members.(j).Layout.m_name m.Layout.m_name then j
+            else first (j + 1)
+          in
+          { s_name = m.Layout.m_name; s_slot = first 0; s_verdict = verdict m })
+        members;
     d_at = at;
     d_extent = extent;
   }
@@ -218,14 +229,18 @@ module StringSet = Set.Make (String)
    data — no closures — so a checkpoint can capture mid-import state
    with [Marshal]. *)
 type engine = {
+  g_filter : Filter.t;
   g_fn_blacklist : StringSet.t; (* the filter's function blacklist *)
-  g_tables : dt_table array; (* dt_id -> offset table, filter applied *)
+  g_tables : dt_table array;
+      (* dt_id -> offset table, filter applied; [no_table] until the
+         type's first allocation *)
   g_irq_mode : irq_mode;
   g_mode : mode;
   g_store : Store.t;
   g_dt_ids : (string, int) Hashtbl.t;
-  mutable g_live_allocs : Schema.allocation IntMap.t; (* base ptr -> row *)
-  mutable g_freed : int IntMap.t; (* base ptr -> size, until reused *)
+  g_root : frame; (* the call-stack trie *)
+  mutable g_live_allocs : Schema.allocation Rangemap.t; (* by base ptr *)
+  mutable g_freed : bool Rangemap.t; (* freed ranges, until reused *)
   g_live_locks : (int, int) Hashtbl.t; (* lock ptr -> lk_id *)
   g_locks_of_alloc : (int, int list) Hashtbl.t; (* al_id -> lock ptrs *)
   g_flow_kinds : (int, Event.ctx_kind) Hashtbl.t;
@@ -247,6 +262,9 @@ let no_alloc =
     al_end = None;
   }
 
+(* Compared by its extent, which survives a checkpoint's marshalling. *)
+let no_table = { d_members = [||]; d_slots = [||]; d_at = [||]; d_extent = -1 }
+
 let engine ?(filter = Filter.default) ?(irq_mode = Inherit) ?(mode = Strict)
     layouts =
   let store = Store.create () in
@@ -256,23 +274,28 @@ let engine ?(filter = Filter.default) ?(irq_mode = Inherit) ?(mode = Strict)
       let dt = Store.add_data_type store layout in
       Hashtbl.replace dt_ids dt.Schema.dt_name dt.Schema.dt_id)
     layouts;
-  let root = flow 0 [] in
+  let rec root =
+    { f_fn = ""; f_up = root; f_kids = []; f_dropped = false; f_stack = -1 }
+  in
+  let init = flow root 0 [] in
   let ctxs = Hashtbl.create 32 in
-  Hashtbl.replace ctxs 0 root;
+  Hashtbl.replace ctxs 0 init;
   {
+    g_filter = filter;
     g_fn_blacklist = StringSet.of_list filter.Filter.fn_blacklist;
-    g_tables = Array.of_list (List.map (dt_table filter) layouts);
+    g_tables = Array.make (Store.n_data_types store) no_table;
     g_irq_mode = irq_mode;
     g_mode = mode;
     g_store = store;
     g_dt_ids = dt_ids;
-    g_live_allocs = IntMap.empty;
-    g_freed = IntMap.empty;
+    g_root = root;
+    g_live_allocs = Rangemap.empty;
+    g_freed = Rangemap.empty;
     g_live_locks = Hashtbl.create 256;
     g_locks_of_alloc = Hashtbl.create 256;
     g_flow_kinds = Hashtbl.create 32;
     g_ctxs = ctxs;
-    g_current = root;
+    g_current = init;
     g_pos = 0;
     g_c = zero_counters ();
   }
@@ -284,17 +307,31 @@ let anomaly g ~event kind message =
   let d = Diag.make ~event kind message in
   if g.g_mode = Strict && Diag.is_fatal d then raise (Trace.Invalid d)
 
-let in_freed g ptr =
-  match IntMap.find_last_opt (fun base -> base <= ptr) g.g_freed with
-  | Some (base, size) -> ptr < base + size
-  | None -> false
+let in_freed g ptr = Rangemap.covering ptr g.g_freed ~default:false
 
 (* The live allocation covering [ptr] (the one with the greatest base at
    or below it), or [no_alloc]. *)
-let find_alloc g ptr =
-  match IntMap.find_last_opt (fun base -> base <= ptr) g.g_live_allocs with
-  | Some (base, al) when ptr < base + al.Schema.al_size -> al
-  | _ -> no_alloc
+let find_alloc g ptr = Rangemap.covering ptr g.g_live_allocs ~default:no_alloc
+
+(* The node for a call of [fn] from [f]. *)
+let enter g f fn =
+  let rec find = function
+    | [] ->
+        let kid =
+          { f_fn = fn; f_up = f; f_kids = [];
+            f_dropped = f.f_dropped || StringSet.mem fn g.g_fn_blacklist;
+            f_stack = -1 }
+        in
+        f.f_kids <- kid :: f.f_kids;
+        kid
+    | k :: rest -> if String.equal k.f_fn fn then k else find rest
+  in
+  find f.f_kids
+
+(* The node left by an exit of [fn] from [f]: [fn]'s caller, or the root
+   when [fn] is not on the stack. *)
+let rec leave f fn =
+  if is_root f then f else if String.equal f.f_fn fn then f.f_up else leave f.f_up fn
 
 let resolve_lock g ~event ptr kind name =
   let c = g.g_c in
@@ -340,7 +377,7 @@ let rec locks_under acc = function
 let push_held g ctx ~inherited entry held =
   let locks = locks_under [ entry ] held in
   let tx = Store.add_txn g.g_store ~inherited ~locks ~ctx:ctx.pid in
-  { entry; opened = Some tx.Schema.tx_id } :: held
+  { entry; opened = tx.Schema.tx_id } :: held
 
 let handle_acquire g ctx ~event ~lock_ptr ~kind ~side ~name ~loc =
   let lk = resolve_lock g ~event lock_ptr kind name in
@@ -396,13 +433,13 @@ let feed g ev =
           match Hashtbl.find g.g_ctxs pid with
           | st -> g.g_current <- st
           | exception Not_found ->
-              let st = flow pid [] in
+              let st = flow g.g_root pid [] in
               Hashtbl.replace g.g_ctxs pid st;
               g.g_current <- st)
       | Event.Softirq | Event.Hardirq ->
           (* Handlers run to completion: always a fresh state. *)
           g.g_current <-
-            flow pid
+            flow g.g_root pid
               (match g.g_irq_mode with
               | Separate -> []
               | Inherit -> g.g_current.held))
@@ -417,18 +454,18 @@ let feed g ev =
             (Printf.sprintf "allocation of undeclared type %s at 0x%x"
                data_type ptr)
       | Some ty ->
+          if g.g_tables.(ty).d_extent < 0 then
+            g.g_tables.(ty) <-
+              dt_table g.g_filter (Store.data_type g.g_store ty).Schema.dt_layout;
           let al =
             Store.add_allocation g.g_store ~ptr ~size ~ty ~subclass ~start:idx
           in
-          g.g_freed <-
-            IntMap.filter
-              (fun base fsize -> base + fsize <= ptr || ptr + size <= base)
-              g.g_freed;
-          g.g_live_allocs <- IntMap.add ptr al g.g_live_allocs)
+          g.g_freed <- Rangemap.remove_overlapping ~lo:ptr ~hi:(ptr + size) g.g_freed;
+          g.g_live_allocs <- Rangemap.add ~lo:ptr ~hi:(ptr + size) al g.g_live_allocs)
   | Event.Free { ptr } -> (
       c.k_frees <- c.k_frees + 1;
-      match IntMap.find_opt ptr g.g_live_allocs with
-      | None ->
+      match Rangemap.find ptr g.g_live_allocs ~default:no_alloc with
+      | al when al == no_alloc ->
           if in_freed g ptr then begin
             c.k_an_double_free <- c.k_an_double_free + 1;
             anomaly g ~event:idx Diag.Double_free
@@ -439,11 +476,11 @@ let feed g ev =
             anomaly g ~event:idx Diag.Free_without_alloc
               (Printf.sprintf "free of 0x%x which was never allocated" ptr)
           end
-      | Some al ->
+      | al ->
           let al_id = al.Schema.al_id in
           Store.set_alloc_end g.g_store al_id (Some idx);
-          g.g_freed <- IntMap.add ptr al.Schema.al_size g.g_freed;
-          g.g_live_allocs <- IntMap.remove ptr g.g_live_allocs;
+          g.g_freed <- Rangemap.add ~lo:ptr ~hi:(ptr + al.Schema.al_size) true g.g_freed;
+          g.g_live_allocs <- Rangemap.remove ptr g.g_live_allocs;
           (match Hashtbl.find_opt g.g_locks_of_alloc al_id with
           | None -> ()
           | Some ptrs ->
@@ -456,13 +493,11 @@ let feed g ev =
       c.k_lock_ops <- c.k_lock_ops + 1;
       handle_release g g.g_current ~lock_ptr
   | Event.Fun_enter { fn; loc = _ } ->
-      g.g_current.frames <- fn :: g.g_current.frames
+      let ctx = g.g_current in
+      ctx.top <- enter g ctx.top fn
   | Event.Fun_exit { fn } ->
-      let rec pop = function
-        | [] -> []
-        | frame :: rest -> if String.equal frame fn then rest else pop rest
-      in
-      g.g_current.frames <- pop g.g_current.frames
+      let ctx = g.g_current in
+      ctx.top <- leave ctx.top fn
   | Event.Mem_access { ptr; size = _; kind; loc } ->
       c.k_mem_accesses <- c.k_mem_accesses + 1;
       let al = find_alloc g ptr in
@@ -485,23 +520,16 @@ let feed g ev =
           | Drop_member -> c.k_f_member <- c.k_f_member + 1
           | Keep ->
               let ctx = g.g_current in
-              if ctx.frames != ctx.seen_frames then begin
-                ctx.seen_frames <- ctx.frames;
-                ctx.fn_dropped <-
-                  List.exists
-                    (fun f -> StringSet.mem f g.g_fn_blacklist)
-                    ctx.frames;
-                ctx.stack_id <- -1
-              end;
-              if ctx.fn_dropped then c.k_f_fn <- c.k_f_fn + 1
+              let top = ctx.top in
+              if top.f_dropped then c.k_f_fn <- c.k_f_fn + 1
               else begin
                 c.k_kept <- c.k_kept + 1;
-                if ctx.stack_id < 0 then
-                  ctx.stack_id <- Store.intern_stack g.g_store ctx.frames;
+                if top.f_stack < 0 then
+                  top.f_stack <- Store.intern_stack g.g_store (frames_of top);
                 ignore
                   (Store.add_access g.g_store ~event:idx ~alloc:al.Schema.al_id
-                     ~member:slot.s_name ~kind ~txn:(cur_txn ctx) ~loc
-                     ~stack:ctx.stack_id ~ctx:ctx.pid)
+                     ~slot:slot.s_slot ~kind ~txn:(cur_txn ctx) ~loc
+                     ~stack:top.f_stack ~ctx:ctx.pid)
               end);
   g.g_pos <- idx + 1
 

@@ -32,7 +32,7 @@ type payload = {
 (* Bump the magic (and the manifest version below) whenever the
    marshalled layout of [payload] changes: unmarshalling a blob into a
    different type is unsafe, so an old snapshot must fail to load. *)
-let magic = "LOCKDOCSNAP4\n"
+let magic = "LOCKDOCSNAP5\n"
 
 let snapshot_name seq = Printf.sprintf "snap-%06d.snap" seq
 
@@ -101,7 +101,7 @@ let latest_loadable ~dir =
 (* ---- Manifest ----------------------------------------------------- *)
 
 let manifest_file = "MANIFEST"
-let manifest_version = "lockdoc-durable 4"
+let manifest_version = "lockdoc-durable 5"
 
 (* First lines of the manifests and snapshots of earlier formats,
    with the format each one names. *)
@@ -113,6 +113,8 @@ let old_formats =
     ("LOCKDOCSNAP2", "lockdoc-durable 2");
     ("lockdoc-durable 3", "lockdoc-durable 3");
     ("LOCKDOCSNAP3", "lockdoc-durable 3");
+    ("lockdoc-durable 4", "lockdoc-durable 4");
+    ("LOCKDOCSNAP4", "lockdoc-durable 4");
   ]
 
 let old_format ~dir =

@@ -2,7 +2,20 @@
 
     Substitutes the paper's MariaDB instance: tables are growable arrays
     with hash indexes, and the analysis-phase "queries" are the accessor
-    functions below. Rows are created exclusively by {!Import}.
+    functions below. Rows are created by {!Import} (and by {!Csv} when
+    it reads an export back).
+
+    The access table, by far the largest, is kept as columns, not
+    records: one int column per field (event, allocation, member slot
+    and kind, transaction, stack, context) and one of source locations,
+    each grown in chunks that start small, as in the paper's relational
+    schema (Fig. 6), where an access row is integer keys into the other
+    tables. Each type key's accesses are chained through one more int
+    column. The hot reader, the observation fold, reads the columns by
+    access id ({!access_alloc}, {!access_slot}, {!access_kind},
+    {!access_txn}); {!access} builds a {!Schema.access} record for cold
+    readers (CSV export, lockmeter, lockset, the violation finder), and
+    is the only code that builds one.
 
     A store is not synchronised: one domain owns it. Where the analysis
     does use other domains (per-family pipelines), each of them imports
@@ -35,17 +48,32 @@ val add_txn : ?inherited:int -> t -> locks:held list -> ctx:int -> txn
 (** [inherited] (default [0]) is the transaction's {!txn_inherited}
     count. *)
 
+val no_txn : int
+(** [-1]: the transaction of a lock-free access. *)
+
 val add_access :
   t ->
   event:int ->
   alloc:int ->
-  member:string ->
+  slot:int ->
   kind:Lockdoc_trace.Event.access_kind ->
-  txn:int option ->
+  txn:int ->
   loc:Lockdoc_trace.Srcloc.t ->
   stack:int ->
   ctx:int ->
-  access
+  int
+(** Appends one access row and returns its id. [slot] is the member's
+    position in the layout of the allocation's data type (see
+    {!member_slot}); [txn] is a transaction id or {!no_txn}. Allocates
+    only when a column starts a new chunk. *)
+
+val member_slot : t -> ty:int -> string -> int
+(** The slot of the first member of a data type (by id) with this
+    name. Raises [Not_found] if it has none. *)
+
+val slot_name : t -> ty:int -> int -> string
+(** The name of a data type's member by slot. *)
+
 val intern_stack : t -> string list -> int
 (** Stacks are interned; innermost frame first. *)
 
@@ -72,6 +100,16 @@ val txn_inherited : t -> int -> int
     where not [0]. *)
 
 val access : t -> int -> access
+(** Builds the record of one access row: for cold readers. *)
+
+val access_alloc : t -> int -> int
+val access_slot : t -> int -> int
+val access_kind : t -> int -> Lockdoc_trace.Event.access_kind
+
+val access_txn : t -> int -> int
+(** One column of an access row, by access id, without building its
+    record; {!access_txn} is {!no_txn} for a lock-free access. *)
+
 val stack : t -> int -> string list
 
 val n_accesses : t -> int
@@ -89,6 +127,8 @@ val type_key_name : t -> int -> string
 (** The type key ("inode:ext4", "dentry", …) of a {!type_key_id}. *)
 
 val iter_accesses : t -> (access -> unit) -> unit
+(** Builds each row's record ({!access}): for cold readers. *)
+
 val iter_allocations : t -> (allocation -> unit) -> unit
 val iter_locks : t -> (lock -> unit) -> unit
 

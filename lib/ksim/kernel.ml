@@ -104,9 +104,10 @@ type access_view = {
 type control = {
   ctl_on_access : access_view -> unit;
   ctl_on_event : Event.t -> unit;
-  ctl_pick : flow list -> int option;
+  ctl_pick : (unit -> flow list) -> int option;
       (** [None] defers to the seeded scheduler; a pid that is not
-          runnable also falls back to the seeded choice. *)
+          runnable also falls back to the seeded choice. The flow list
+          is built only if the hook calls its argument. *)
 }
 
 let null_control =
@@ -488,6 +489,7 @@ let halt r ~deadlock =
   }
 
 let schedule r =
+  let flows () = List.map flow_of_task r.tasks in
   let rec loop () =
     r.steps <- r.steps + 1;
     if r.steps > r.cfg.max_steps then raise (Stuck (halt r ~deadlock:false));
@@ -504,7 +506,7 @@ let schedule r =
           let directed =
             if r.ctl == null_control then None
             else
-              match r.ctl.ctl_pick (List.map flow_of_task r.tasks) with
+              match r.ctl.ctl_pick flows with
               | None -> None
               | Some pid -> List.find_opt (fun t -> t.pid = pid) candidates
           in

@@ -90,9 +90,10 @@ type control = {
       (** Tap on the instrumentation bus (every emitted event). Runs
           synchronously; {!current_pid} and friends describe the
           emitting context. *)
-  ctl_pick : flow list -> int option;
+  ctl_pick : (unit -> flow list) -> int option;
       (** Scheduling override, consulted at every scheduler iteration
-          with a snapshot of all flows. [None] (or a pid that is not
+          with a thunk that snapshots all flows: a hook that does not
+          call it costs no list. [None] (or a pid that is not
           currently runnable) defers to the seeded default choice —
           directed picks never consume scheduler randomness. *)
 }

@@ -79,8 +79,22 @@ let alloc ?subclass layout =
        { ptr = base; size = layout.Layout.ty_size; data_type = layout.Layout.ty_name; subclass });
   inst
 
+exception Use_after_free of string
+exception Double_free of string
+
+(* The simulated call stack, for a fault's message. *)
+let frames () =
+  try
+    String.concat " <- "
+      (List.map (fun (f, _) -> f.Source.fn_name) (Kernel.debug_frames ()))
+  with _ -> "?"
+
 let free inst =
-  assert inst.live;
+  if not inst.live then
+    raise
+      (Double_free
+         (Printf.sprintf "%s at 0x%x (in %s)" inst.layout.Layout.ty_name inst.base
+            (frames ())));
   inst.live <- false;
   Kernel.emit (Event.Free { ptr = inst.base });
   free_addr inst.base inst.layout.Layout.ty_size
@@ -89,21 +103,12 @@ let member_ptr inst name =
   let _, m = lookup inst name in
   inst.base + m.Layout.m_offset
 
-exception Use_after_free of string
-
 let check_access inst m =
-  if not inst.live then begin
-    let frames =
-      try
-        String.concat " <- "
-          (List.map (fun (f, _) -> f.Source.fn_name) (Kernel.debug_frames ()))
-      with _ -> "?"
-    in
+  if not inst.live then
     raise
       (Use_after_free
          (Printf.sprintf "%s.%s (in %s)" inst.layout.Layout.ty_name
-            m.Layout.m_name frames))
-  end;
+            m.Layout.m_name (frames ())));
   if m.Layout.m_kind = Layout.Lock then
     invalid_arg
       (Printf.sprintf "Memory: member %s is a lock; use the Lock module"

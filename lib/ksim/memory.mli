@@ -23,8 +23,14 @@ exception Use_after_free of string
 val alloc : ?subclass:string -> Lockdoc_trace.Layout.t -> instance
 (** Emits an [Alloc] event. *)
 
+exception Double_free of string
+(** A second free of one instance: like {!Use_after_free}, a fault of
+    the simulated kernel. The payload names the type, the address and
+    the simulated call stack, e.g. ["inode at 0x10000 (in iput)"]. *)
+
 val free : instance -> unit
-(** Emits a [Free] event; the address range becomes reusable. *)
+(** Emits a [Free] event; the address range becomes reusable. Raises
+    {!Double_free}, emitting nothing, on a freed instance. *)
 
 val member_ptr : instance -> string -> int
 (** Absolute address of a member (used to place embedded locks). *)

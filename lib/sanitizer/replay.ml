@@ -24,6 +24,7 @@ module Run = Lockdoc_ksim.Run
 module Seeded = Lockdoc_ksim.Seeded
 module Json = Lockdoc_obs.Json
 module Obs = Lockdoc_obs.Obs
+module Rangemap = Lockdoc_util.Rangemap
 
 let c_windows = Obs.counter "replay.windows"
 let c_shots = Obs.counter "replay.irq_shots"
@@ -173,7 +174,7 @@ type ctl = {
   mutable mode : window option;
   mutable in_tap : bool;  (* re-entrancy guard around directed irqs *)
   held : (int, lockinfo list ref) Hashtbl.t;  (* pid -> held, innermost first *)
-  mutable allocs : (int * int * string) list;  (* base, size, data_type *)
+  mutable allocs : string Rangemap.t;  (* live allocations: their data type *)
 }
 
 let held st pid =
@@ -194,17 +195,18 @@ let pop_lock st pid ptr =
       r := rm !r
   | None -> ()
 
+(* What the allocation lookup answers, compared by physical equality,
+   for an address no live allocation covers. *)
+let unmonitored = "(none)"
+
 (* Lock class at acquisition time, matching {!Lockdoc_core.Lockdep}:
    embedded locks resolve through the live allocation covering their
    address ("type.member_path"), statics and pseudos keep their name. *)
 let resolve_class st ~ptr ~kind ~name =
   if kind = Event.Pseudo then name
   else
-    match
-      List.find_opt (fun (b, s, _) -> ptr >= b && ptr < b + s) st.allocs
-    with
-    | Some (_, _, dt) -> dt ^ "." ^ name
-    | None -> name
+    let dt = Rangemap.covering ptr st.allocs ~default:unmonitored in
+    if dt == unmonitored then name else dt ^ "." ^ name
 
 let classes held = List.map (fun li -> li.li_class) held
 
@@ -479,9 +481,8 @@ let on_event st ev =
   if not st.in_tap then
     match ev with
     | Event.Alloc { ptr; size; data_type; _ } ->
-        st.allocs <- (ptr, size, data_type) :: st.allocs
-    | Event.Free { ptr } ->
-        st.allocs <- List.filter (fun (b, _, _) -> b <> ptr) st.allocs
+        st.allocs <- Rangemap.add ~lo:ptr ~hi:(ptr + size) data_type st.allocs
+    | Event.Free { ptr } -> st.allocs <- Rangemap.remove ptr st.allocs
     | Event.Lock_acquire { lock_ptr; kind; side; name; loc } ->
         let pid = Kernel.current_pid () in
         let cls = resolve_class st ~ptr:lock_ptr ~kind ~name in
@@ -503,7 +504,7 @@ let pick st flows =
             (fun f ->
               f.Kernel.fl_state = Kernel.Fl_runnable
               && f.Kernel.fl_pid <> w.w_pid)
-            flows
+            (flows ())
         in
         match others with
         | [] -> Some w.w_pid
@@ -548,7 +549,7 @@ let collect ~seed ~scale ~budget ~bugs ~workload targets =
           mode = None;
           in_tap = false;
           held = Hashtbl.create 64;
-          allocs = [];
+          allocs = Rangemap.empty;
         }
       in
       let control =

@@ -74,7 +74,7 @@ let drain t =
   if t.seen < n then begin
     let flips = Dataset.flips t.ds in
     for id = t.seen to n - 1 do
-      Dataset.absorb t.ds (Store.access t.st id)
+      Dataset.absorb t.ds id
     done;
     Obs.add c_absorbed (n - t.seen);
     Obs.add c_flips (Dataset.flips t.ds - flips);

@@ -413,6 +413,26 @@ let test_simulator_fault () =
       "replay"; "export"; "relations"; "profile"; "repro"; "serve"; "feed";
     ]
 
+(* A second free of one simulated instance is a simulator fault too: at
+   this scale and seed a lock scope's finaliser frees a dentry twice,
+   which once ended in cmdliner's exit-125 dump of an assertion. *)
+let test_simulator_double_free () =
+  let dir = temp_dir "cli_double_free" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let code, out, err =
+        run
+          [ "trace"; "--scale"; "318"; "--seed"; "1"; "-o";
+            Filename.concat dir "t.trace" ]
+      in
+      check Alcotest.int "exit 3" 3 code;
+      check Alcotest.string "nothing on stdout" "" out;
+      check Alcotest.string "one-line diagnostic"
+        "lockdoc: simulator fault: double free of dentry at 0x19b22d (in \
+         dentry_free <- dcache_readdir)\n"
+        err)
+
 (* ---- import --durable / recover ----------------------------------- *)
 
 let ends_with s suffix =
@@ -511,7 +531,7 @@ let test_recover_old_format () =
             (ends_with out plain);
           check Alcotest.bool (version ^ ": manifest rewritten in the current format")
             true
-            (String.starts_with ~prefix:"lockdoc-durable 4\n"
+            (String.starts_with ~prefix:"lockdoc-durable 5\n"
                (read_file (Filename.concat state "MANIFEST")));
           let code, out, _ = run [ "recover"; "--derive"; state ] in
           check Alcotest.int (version ^ ": recover --derive exits 0") 0 code;
@@ -533,6 +553,11 @@ let test_recover_old_format () =
       ( "lockdoc-durable 3",
         "LOCKDOCSNAP3\n",
         Marshal.to_string ([ 4; 5; 6 ], "a version-3 payload") [],
+        fun clean ->
+          Lockdoc_trace.Event.to_line (fst (Trace.read clean)).Trace.events.(0) );
+      ( "lockdoc-durable 4",
+        "LOCKDOCSNAP4\n",
+        Marshal.to_string ([ 7; 8; 9 ], "a version-4 payload") [],
         fun clean ->
           Lockdoc_trace.Event.to_line (fst (Trace.read clean)).Trace.events.(0) );
     ]
@@ -751,6 +776,8 @@ let () =
           Alcotest.test_case "missing input file" `Quick
             test_missing_input_file;
           Alcotest.test_case "simulator fault" `Quick test_simulator_fault;
+          Alcotest.test_case "simulator double free" `Quick
+            test_simulator_double_free;
         ] );
       ( "durable",
         [

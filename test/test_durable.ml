@@ -377,7 +377,8 @@ let test_csv_fieldenc () =
   let stack = Store.intern_stack store [ "fn;one"; "fn,two" ] in
   ignore
     (Store.add_access store ~event:1 ~alloc:al.Schema.al_id
-       ~member:"mem;ber,\tone" ~kind:Event.Write ~txn:(Some tx.Schema.tx_id)
+       ~slot:(Store.member_slot store ~ty:dt.Schema.dt_id "mem;ber,\tone")
+       ~kind:Event.Write ~txn:tx.Schema.tx_id
        ~loc ~stack ~ctx:1);
   with_dir "lockdoc_csv_hostile" @@ fun dir ->
   Lockdoc_db.Csv.export ~dir store;

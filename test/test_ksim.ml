@@ -226,6 +226,31 @@ let test_memory_use_after_free () =
               with Memory.Use_after_free _ -> ()) );
        ])
 
+(* A second free of one instance is a typed simulator fault that emits
+   nothing, not an assertion failure. *)
+let test_memory_double_free () =
+  let trace =
+    run_tasks ~config:quiet_config
+       [
+         ( "double-free",
+           fun () ->
+             let inst = Memory.alloc tiny in
+             Memory.free inst;
+             match Memory.free inst with
+             | () -> Alcotest.fail "expected a double-free fault"
+             | exception Memory.Double_free what ->
+                 Alcotest.(check bool)
+                   "names the type and address" true
+                   (String.starts_with
+                      ~prefix:(Printf.sprintf "tiny at 0x%x (in " inst.Memory.base)
+                      what) );
+       ]
+  in
+  check Alcotest.int "one Free event" 1
+    (Array.fold_left
+       (fun n ev -> match ev with Event.Free _ -> n + 1 | _ -> n)
+       0 (fst trace).Trace.events)
+
 let test_memory_lock_member_rejected () =
   ignore
     (run_tasks ~config:quiet_config
@@ -567,6 +592,7 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_memory_read_write;
           Alcotest.test_case "use after free" `Quick test_memory_use_after_free;
+          Alcotest.test_case "double free" `Quick test_memory_double_free;
           Alcotest.test_case "lock member" `Quick test_memory_lock_member_rejected;
           Alcotest.test_case "address reuse" `Quick test_memory_address_reuse;
         ] );

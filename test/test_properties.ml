@@ -322,7 +322,7 @@ let prop_incremental_fold =
       let dataset = Dataset.create store in
       let ok = ref true in
       for id = 0 to Store.n_accesses store - 1 do
-        Dataset.absorb dataset (Store.access store id);
+        Dataset.absorb dataset id;
         let incremental =
           List.map
             (fun (g, group) -> (g, List.sort compare (Dataset.combos group)))

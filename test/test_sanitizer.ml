@@ -67,8 +67,10 @@ let access b ?(stack = [ "worker_fn" ]) ?txn ~ctx kind member =
   let ev = b.next_event in
   b.next_event <- ev + 1;
   ignore
-    (Store.add_access b.store ~event:ev ~alloc:b.alloc.Schema.al_id ~member
-       ~kind ~txn ~loc:(Srcloc.make "test.c" ev)
+    (Store.add_access b.store ~event:ev ~alloc:b.alloc.Schema.al_id
+       ~slot:(Store.member_slot b.store ~ty:b.alloc.Schema.al_type member)
+       ~kind ~txn:(Option.value ~default:Store.no_txn txn)
+       ~loc:(Srcloc.make "test.c" ev)
        ~stack:(Store.intern_stack b.store stack)
        ~ctx)
 

@@ -1,5 +1,5 @@
 (* Unit and property tests for the utility kit: PRNG, statistics, growable
-   vectors and table rendering. *)
+   vectors, range maps and table rendering. *)
 
 module Prng = Lockdoc_util.Prng
 module Stats = Lockdoc_util.Stats
@@ -7,6 +7,7 @@ module Vec = Lockdoc_util.Vec
 module Tablefmt = Lockdoc_util.Tablefmt
 module Fnv = Lockdoc_util.Fnv
 module Numarg = Lockdoc_util.Numarg
+module Rangemap = Lockdoc_util.Rangemap
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -245,6 +246,74 @@ let test_table_width_mismatch () =
   Alcotest.check_raises "row width" (Invalid_argument "Tablefmt.add_row: width mismatch")
     (fun () -> Tablefmt.add_row t [ "only one" ])
 
+(* {2 Range maps}
+
+   Random adds, removes and overlap removals, with empty and negative
+   sizes among them, against an association list: after each step
+   every lookup must agree. *)
+
+type range_op = Add of int * int | Remove of int | Drop of int * int
+
+let prop_rangemap_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun lo size -> Add (lo, size)) (int_range 0 60) (int_range (-3) 15));
+          (1, map (fun lo -> Remove lo) (int_range 0 60));
+          (1, map2 (fun lo size -> Drop (lo, size)) (int_range 0 60) (int_range (-3) 15));
+        ])
+  in
+  QCheck.Test.make ~name:"Rangemap agrees with a list model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let apply (t, model) = function
+        | Add (lo, size) ->
+            ( Rangemap.add ~lo ~hi:(lo + size) (lo, size) t,
+              (lo, lo + size) :: List.remove_assoc lo model )
+        | Remove lo -> (Rangemap.remove lo t, List.remove_assoc lo model)
+        | Drop (lo, size) ->
+            let hi = lo + size in
+            ( Rangemap.remove_overlapping ~lo ~hi t,
+              List.filter (fun (l, h) -> not (l < hi && lo < h)) model )
+      in
+      let agrees (t, model) =
+        let covering x =
+          List.fold_left
+            (fun best (l, h) ->
+              match best with
+              | Some (bl, _) when bl >= l -> best
+              | _ -> if l <= x then Some (l, h) else best)
+            None model
+        in
+        Rangemap.cardinal t = List.length model
+        && List.for_all
+             (fun x ->
+               let want =
+                 match covering x with
+                 | Some (l, h) when x < h -> Some (l, h - l)
+                 | _ -> None
+               in
+               let got =
+                 match Rangemap.covering x t ~default:(-1, -1) with
+                 | -1, -1 -> None
+                 | v -> Some v
+               in
+               want = got
+               && Rangemap.find x t ~default:(-1, -1)
+                  = (match List.assoc_opt x model with
+                    | Some h -> (x, h - x)
+                    | None -> (-1, -1)))
+             (List.init 90 (fun i -> i - 5))
+      in
+      let rec go st = function
+        | [] -> true
+        | o :: rest ->
+            let st = apply st o in
+            agrees st && go st rest
+      in
+      go (Rangemap.empty, []) ops)
+
 let () =
   Alcotest.run "util"
     [
@@ -273,6 +342,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "growth" `Quick test_vec_growth;
         ] );
+      ("rangemap", [ qtest prop_rangemap_model ]);
       ( "fnv",
         [
           Alcotest.test_case "canonical vectors" `Quick test_fnv_vectors;
