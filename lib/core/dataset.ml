@@ -171,7 +171,8 @@ let touch t g =
 let rec find_combo locks = function
   | [] -> raise Not_found
   | c :: rest ->
-      if c.locks == locks || c.locks = locks then c else find_combo locks rest
+      if c.locks == locks || List.equal Lockdesc.equal c.locks locks then c
+      else find_combo locks rest
 
 (* The only two mutators of a multiset. A combination whose count drops
    to 0 leaves the list: its subsequences must stop being candidates.

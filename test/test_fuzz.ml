@@ -95,7 +95,10 @@ let test_corruption_recovery () =
    detection falls to record-level validation). The lenient decoder
    must never raise, damage the framing can see must surface a [Diag],
    CRC-fixed damage must at least visibly alter the decode, and
-   whatever is recovered must still run the lenient importer. *)
+   whatever is recovered must still run the lenient importer. What the
+   decoder recovers, events and diagnostics both, is pinned per seed by
+   the digests in [Fuzz_goldens], so a decoder change cannot silently
+   alter what garbled or CRC-fixed payloads decode to. *)
 
 (* [(start, total_bytes)] of each [len][crc][payload] frame after the
    8-byte magic. *)
@@ -142,9 +145,15 @@ let op_garble_crc_fixed packed ~seed =
   set_le32 b (start + 4) (Record.crc32 payload);
   (Bytes.to_string b, "garbled payload, CRC fixed up")
 
+let decode_digest (t, diags) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n" (Trace.to_lines t @ List.map Diag.to_string diags)))
+
 let test_binary_corruption () =
   List.iter
     (fun (name, trace) ->
+      let goldens = List.assoc name Fuzz_goldens.binary in
       (* Small segments so every family packs to several frames and the
          seeded offsets spread across them. *)
       let packed = Codec.encode_trace ~segment_bytes:2048 trace in
@@ -168,7 +177,10 @@ let test_binary_corruption () =
         let id = Printf.sprintf "%s/seed %d [%s]" name seed what in
         check Alcotest.bool (id ^ ": altered") true (packed' <> packed);
         match Codec.decode_string ~mode:Trace.Lenient packed' with
-        | recovered, diags ->
+        | (recovered, diags) as decoded ->
+            if seed < Array.length goldens then
+              check Alcotest.string (id ^ ": pinned decode") goldens.(seed)
+                (decode_digest decoded);
             (* Framing-visible damage must surface a Diag; CRC-fixed
                damage may instead surface as a visible content change
                (record-level validation catches the rest). *)
