@@ -1050,9 +1050,11 @@ let serve_cmd =
   in
   let durable_arg =
     Arg.(value & opt (some string) None & info [ "durable" ] ~docv:"DIR"
-           ~doc:"Journal each session's accepted rows under $(docv); a \
-                 reconnecting client resumes from the journal even after a \
-                 session crash.")
+           ~doc:"Journal and checkpoint each session under \
+                 $(docv)/session-ID, a durable directory ($(b,recover) \
+                 reads it); a reconnecting client resumes from the last \
+                 checkpoint and the journal after it, even after a session \
+                 crash or a daemon restart.")
   in
   let tcp_arg =
     Arg.(value & opt (some hostport) None & info [ "tcp" ] ~docv:"HOST:PORT"

@@ -78,11 +78,6 @@ let to_string json =
   encode buf json;
   Buffer.contents buf
 
-let rule_json rule = S (Rule.to_string rule)
-
-let support_json (s : Hypothesis.support) =
-  O [ ("sa", I s.Hypothesis.sa); ("sr", F s.Hypothesis.sr) ]
-
 (* ---- Direct writers ------------------------------------------------ *)
 
 (* The rule and violation objects are written straight into a buffer,
@@ -186,22 +181,6 @@ let mined_rule_to_json m =
 
 let mined_to_json = array_to_string ~object_bytes:448 add_mined_rule
 let violations_to_json = array_to_string ~object_bytes:288 add_violation
-
-let checked_to_json checked =
-  to_string
-    (L
-       (List.map
-          (fun (c : Checker.checked) ->
-            O
-              [
-                ("type", S c.Checker.c_type);
-                ("member", S c.Checker.c_member);
-                ("access", S (Rule.access_to_string c.Checker.c_kind));
-                ("rule", rule_json c.Checker.c_rule);
-                ("support", support_json c.Checker.c_support);
-                ("verdict", S (Checker.verdict_to_string c.Checker.c_verdict));
-              ])
-          checked))
 
 let lockdep_to_json (r : Lockdep.report) =
   let cls c = S (Lockdep.class_to_string c) in

@@ -77,9 +77,6 @@ val violations_to_json : Violation.violation list -> string
 (** JSON array; one object per violating observation with the expected
     rule, held locks, location, and stack. *)
 
-val checked_to_json : Checker.checked list -> string
-(** JSON array of documentation-check results. *)
-
 val lockdep_to_json : Lockdep.report -> string
 (** JSON object with the classes, acquisition-order edges, canonical
     cycles, and self-nesting edges of a lockdep report. *)

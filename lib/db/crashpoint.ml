@@ -18,7 +18,6 @@ let arm ~after =
   state.countdown <- Some after;
   state.hits <- 0
 
-let armed () = state.countdown <> None
 let hits () = state.hits
 
 let hit ?partial site =

@@ -21,7 +21,6 @@ val arm : after:int -> unit
 (** [arm ~after:n] makes the [n]-th subsequent {!hit} raise {!Crash}.
     Resets the hit counter. @raise Invalid_argument if [n <= 0]. *)
 
-val armed : unit -> bool
 val hits : unit -> int
 (** Hits observed since the last {!reset}/{!arm}. An unarmed run over
     a workload measures how many seedable crash points it contains. *)

@@ -1,5 +1,5 @@
 (* The durable import coordinator: event journal + periodic snapshots
-   + manifest.
+   + manifest, behind one incremental writer.
 
    Invariants:
    - The manifest rename is the commit point of a checkpoint. Before
@@ -12,13 +12,14 @@
      valid directory never has journal records without a snapshot.
    - Import is deterministic, so feeding any valid journal prefix to
      the snapshot's engine yields exactly the store a plain import of
-     that trace prefix builds. [recover] exploits this: it re-feeds up
-     to the first torn, undecodable or rejected record and stops there.
+     that trace prefix builds. [recover] and [reopen] exploit this:
+     they re-feed up to the first torn, undecodable or rejected record
+     and stop there.
    - Resuming an import does NOT replay the journal tail: the tail past
      the checkpoint is discarded ([Wal.truncate_after]) and the trace
      suffix is re-imported, which also regenerates the identical tail.
-     The tail only matters to [recover], i.e. to readers who want the
-     freshest consistent store without the source trace at hand. *)
+     The tail only matters to readers without the source trace at
+     hand: [recover], and [reopen]'s serve sessions. *)
 
 module Trace = Lockdoc_trace.Trace
 module Event = Lockdoc_trace.Event
@@ -83,6 +84,102 @@ let gc_snapshots ~dir ~keep =
         remove_if (Filename.concat dir f))
     (Sys.readdir dir)
 
+type writer = {
+  w_dir : string;
+  w_every : int;
+  w_file : string;  (* source trace path, "" if unknown *)
+  w_events : int;  (* source trace length, 0 for an open-ended stream *)
+  w_engine : Import.engine;
+  w_wal : Wal.writer;
+  mutable w_seq : int;  (* sequence number of the next snapshot *)
+}
+
+let engine w = w.w_engine
+
+(* With [stats], the import's final ones, it marks the import complete. *)
+let checkpoint w ~stats =
+  let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
+  let dir = w.w_dir and complete = stats <> None in
+  Crashpoint.hit "checkpoint.pre";
+  Wal.flush w.w_wal;
+  let lsn = Wal.lsn w.w_wal in
+  let meta =
+    {
+      Snapshot.m_snapshot = Snapshot.snapshot_name w.w_seq;
+      m_wal_lsn = lsn;
+      m_trace_offset = Import.position w.w_engine;
+      m_trace_file = w.w_file;
+      m_trace_events = w.w_events;
+      m_complete = complete;
+    }
+  in
+  Snapshot.save ~dir
+    {
+      Snapshot.p_meta = meta;
+      p_store = Import.engine_store w.w_engine;
+      p_engine = (if complete then None else Some w.w_engine);
+      p_stats = stats;
+    };
+  Snapshot.write_manifest ~dir meta;
+  Crashpoint.hit "checkpoint.post";
+  (* The snapshot now covers everything below [lsn]: compact. *)
+  Wal.rotate w.w_wal;
+  Wal.drop_below ~dir ~lsn;
+  gc_snapshots ~dir ~keep:[ w.w_seq; w.w_seq - 1 ];
+  w.w_seq <- w.w_seq + 1;
+  Obs.incr c_checkpoints;
+  if Obs.enabled () then
+    Obs.observe h_checkpoint_ms ((Obs.Clock.wall () -. t0) *. 1000.)
+
+(* A writer appending at [engine]'s position: LSN = trace position. At
+   position 0 it commits the first checkpoint before any event. *)
+let writer ~dir ?(every = 50_000) ?(file = "") ?(events = 0) ~seq engine =
+  let w =
+    { w_dir = dir; w_every = every; w_file = file; w_events = events;
+      w_engine = engine; w_seq = seq;
+      w_wal = Wal.create ~dir ~start_lsn:(Import.position engine) () }
+  in
+  if Import.position engine = 0 then checkpoint w ~stats:None;
+  w
+
+(* The sequence number after the snapshot [m] names. *)
+let next_seq m =
+  Option.fold ~none:1 ~some:succ (Snapshot.snapshot_seq m.Snapshot.m_snapshot)
+
+let start ~dir engine =
+  ensure_dir dir;
+  reset_dir dir;
+  writer ~dir ~seq:0 engine
+
+let feed w ev =
+  Import.feed w.w_engine ev;
+  Wal.append w.w_wal (Event.to_line ev);
+  let pos = Import.position w.w_engine in
+  (* A trace's last event is covered by the completing checkpoint. *)
+  if pos mod w.w_every = 0 && pos <> w.w_events then checkpoint w ~stats:None
+
+let close w = Wal.close w.w_wal
+
+(* Feed the snapshot engine [g] the valid journal prefix past [m]. *)
+let replay_tail ~dir m g =
+  let scanner = Event.scanner () in
+  let (replayed, _) as r =
+    Wal.replay ~dir ~from:m.Snapshot.m_wal_lsn (fun line ->
+        Import.feed g (Event.parse scanner line))
+  in
+  Obs.add c_replayed replayed;
+  r
+
+let reopen ~dir =
+  match Snapshot.load_latest ~dir with
+  | Some { Snapshot.p_meta = m; p_engine = Some g; _ } ->
+      ignore (replay_tail ~dir m g);
+      Wal.truncate_after ~dir ~lsn:(Import.position g);
+      Some
+        (writer ~dir ~file:m.Snapshot.m_trace_file
+           ~events:m.Snapshot.m_trace_events ~seq:(next_seq m) g)
+  | _ -> None
+
 let import ~dir ?(checkpoint_every = 50_000) ?mode ?(trace_file = "") trace =
   if checkpoint_every <= 0 then
     invalid_arg "Durable.import: checkpoint_every must be positive";
@@ -92,7 +189,7 @@ let import ~dir ?(checkpoint_every = 50_000) ?mode ?(trace_file = "") trace =
   let resume =
     match Snapshot.read_manifest ~dir with
     | None -> None
-    | Some m -> (
+    | Some m ->
         let identity_ok =
           m.Snapshot.m_trace_events = n
           && (m.Snapshot.m_trace_file = "" || trace_file = ""
@@ -110,99 +207,47 @@ let import ~dir ?(checkpoint_every = 50_000) ?mode ?(trace_file = "") trace =
                   (describe m.Snapshot.m_trace_file m.Snapshot.m_trace_events)
                   (describe trace_file n)))
         end;
-        match Snapshot.load (Filename.concat dir m.Snapshot.m_snapshot) with
-        | Some p -> Some (m, p)
-        | None ->
-            (* Manifest names a snapshot that won't load (crash landed
-               between rename steps, or later damage). Fall back to the
-               newest loadable one; its own meta is authoritative. *)
-            Option.map (fun p -> (p.Snapshot.p_meta, p))
-              (Snapshot.latest_loadable ~dir))
+        Snapshot.load_latest ~dir
   in
   match resume with
-  | Some (_, { Snapshot.p_meta; p_stats = Some stats; p_store; _ })
+  | Some { Snapshot.p_meta; p_stats = Some stats; p_store; _ }
     when p_meta.Snapshot.m_complete ->
       (* Nothing to do: the import already ran to completion. *)
       ( p_store,
         stats,
         { pr_resumed_from = n; pr_checkpoints = 0; pr_wal_records = 0 } )
   | resume ->
-      let engine, start_pos, seq0 =
+      let open_at =
+        writer ~dir ~every:checkpoint_every ~file:trace_file ~events:n
+      in
+      (* This run's checkpoints take sequence numbers from [seq0] on. *)
+      let seq0, w =
         match resume with
-        | Some (m, { Snapshot.p_engine = Some g; _ }) ->
-            let seq =
-              match Snapshot.snapshot_seq m.Snapshot.m_snapshot with
-              | Some s -> s + 1
-              | None -> 1
-            in
+        | Some { Snapshot.p_meta = m; p_engine = Some g; _ } ->
             (* Events past the checkpoint will be journaled again as the
                trace suffix is re-imported; drop them so the journal and
                the store never disagree. *)
             Wal.truncate_after ~dir ~lsn:m.Snapshot.m_wal_lsn;
-            (g, Import.position g, seq)
+            (next_seq m, open_at ~seq:(next_seq m) g)
         | _ ->
             reset_dir dir;
-            (Import.engine ?mode trace.Trace.layouts, 0, 0)
+            (0, open_at ~seq:0 (Import.engine ?mode trace.Trace.layouts))
       in
-      let store = Import.engine_store engine in
-      (* LSN = trace position: one record per event. *)
-      let wal = Wal.create ~dir ~start_lsn:start_pos () in
-      let seq = ref seq0 in
-      let checkpoints = ref 0 in
+      let start_pos = Import.position w.w_engine in
       if start_pos > 0 then Obs.incr c_resumes;
-      let checkpoint ~complete ~stats =
-        let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
-        Crashpoint.hit "checkpoint.pre";
-        Wal.flush wal;
-        let lsn = Wal.lsn wal in
-        let meta =
-          {
-            Snapshot.m_snapshot = Snapshot.snapshot_name !seq;
-            m_wal_lsn = lsn;
-            m_trace_offset = Import.position engine;
-            m_trace_file = trace_file;
-            m_trace_events = n;
-            m_complete = complete;
-          }
-        in
-        Snapshot.save ~dir
-          {
-            Snapshot.p_meta = meta;
-            p_store = store;
-            p_engine = (if complete then None else Some engine);
-            p_stats = stats;
-          };
-        Snapshot.write_manifest ~dir meta;
-        Crashpoint.hit "checkpoint.post";
-        (* The snapshot now covers everything below [lsn]: compact. *)
-        Wal.rotate wal;
-        Wal.drop_below ~dir ~lsn;
-        gc_snapshots ~dir ~keep:[ !seq; !seq - 1 ];
-        incr seq;
-        incr checkpoints;
-        Obs.incr c_checkpoints;
-        if Obs.enabled () then
-          Obs.observe h_checkpoint_ms ((Obs.Clock.wall () -. t0) *. 1000.)
-      in
-      if start_pos = 0 then checkpoint ~complete:false ~stats:None;
-      while Import.position engine < n do
+      while Import.position w.w_engine < n do
         Crashpoint.hit "import.event";
-        let ev = events.(Import.position engine) in
-        Import.feed engine ev;
-        Wal.append wal (Event.to_line ev);
-        let pos = Import.position engine in
-        if pos mod checkpoint_every = 0 && pos < n then
-          checkpoint ~complete:false ~stats:None
+        feed w events.(Import.position w.w_engine)
       done;
-      let stats = Import.finalize engine in
-      checkpoint ~complete:true ~stats:(Some stats);
-      Wal.close wal;
-      ( store,
+      let stats = Import.finalize w.w_engine in
+      checkpoint w ~stats:(Some stats);
+      close w;
+      ( Import.engine_store w.w_engine,
         stats,
         {
           pr_resumed_from = start_pos;
-          pr_checkpoints = !checkpoints;
-          pr_wal_records = Wal.lsn wal - start_pos;
+          pr_checkpoints = w.w_seq - seq0;
+          pr_wal_records = Wal.lsn w.w_wal - start_pos;
         } )
 
 let empty_recovery reason =
@@ -219,15 +264,7 @@ let empty_recovery reason =
 
 let recover ~dir =
   Obs.incr c_recoveries;
-  let payload =
-    match Snapshot.read_manifest ~dir with
-    | Some m -> (
-        match Snapshot.load (Filename.concat dir m.Snapshot.m_snapshot) with
-        | Some p -> Some p
-        | None -> Snapshot.latest_loadable ~dir)
-    | None -> Snapshot.latest_loadable ~dir
-  in
-  match payload with
+  match Snapshot.load_latest ~dir with
   | None -> (
       match Snapshot.old_format ~dir with
       | Some v ->
@@ -243,14 +280,9 @@ let recover ~dir =
         match p_engine with
         | None -> (0, None, m.Snapshot.m_trace_offset)
         | Some g ->
-            let scanner = Event.scanner () in
-            let replayed, torn =
-              Wal.replay ~dir ~from:m.Snapshot.m_wal_lsn (fun line ->
-                  Import.feed g (Event.parse scanner line))
-            in
+            let replayed, torn = replay_tail ~dir m g in
             (replayed, torn, Import.position g)
       in
-      Obs.add c_replayed replayed;
       {
         r_store = p_store;
         r_snapshot = Some m.Snapshot.m_snapshot;

@@ -8,6 +8,10 @@
     - [MANIFEST] — the commit point: names the current snapshot and
       ties it to a WAL LSN and a source-trace event offset.
 
+    One incremental {!writer} journals and checkpoints an import fed
+    one event at a time: {!import} loops over it, as does a durable
+    [lockdoc serve] session.
+
     Crash-consistency contract: after a process death at ANY point,
     either {!recover} rebuilds a consistent store (manifest snapshot,
     then the valid prefix of the journal tail re-fed to the
@@ -17,7 +21,8 @@
     produces a store whose derived rules are byte-identical to an
     uninterrupted run: it reloads the checkpointed engine, discards the
     journal past the checkpoint, and re-imports the remaining trace
-    suffix. *)
+    suffix. {!reopen}, for callers without the source trace, re-feeds
+    the journal tail as {!recover} does. *)
 
 exception Foreign_dir of string
 (** Raised by {!import} when the directory holds a checkpoint of a
@@ -46,6 +51,28 @@ type recovery = {
   r_complete : bool;  (** the recorded import had finished *)
 }
 
+(** {2 The incremental writer} *)
+
+type writer
+
+val start : dir:string -> Import.engine -> writer
+(** Start [dir] afresh over a fresh engine: clear its durable state and
+    commit the first checkpoint, which holds the engine's layouts. *)
+
+val reopen : dir:string -> writer option
+(** Load the snapshot {!recover} would, re-feed it the valid journal
+    tail, discard the journal past that prefix, and append from there.
+    [None] without a loadable snapshot of an unfinished import. *)
+
+val engine : writer -> Import.engine
+
+val feed : writer -> Lockdoc_trace.Event.t -> unit
+(** [Import.feed] the event, journal it once accepted, and commit a
+    checkpoint every 50000 events. Raises what [Import.feed] raises,
+    leaving the event unjournaled. *)
+
+val close : writer -> unit
+
 val import :
   dir:string ->
   ?checkpoint_every:int ->
@@ -53,13 +80,12 @@ val import :
   ?trace_file:string ->
   Lockdoc_trace.Trace.t ->
   Store.t * Import.stats * progress
-(** Import [trace] with durability: every event goes to the journal
-    once the engine has accepted it, and every [checkpoint_every]
-    events (default 50000) a snapshot + manifest checkpoint is
-    committed. If [dir] already holds a checkpoint for this trace, the
-    import resumes from it; if it holds a {e completed} import, the
-    stored result is returned without re-importing. A directory in an
-    old format, or without a loadable checkpoint, is started afresh.
+(** Import [trace] through a {!writer} that checkpoints every
+    [checkpoint_every] events (default 50000), and mark it complete. If
+    [dir] already holds a checkpoint for this trace, the import resumes
+    from it; if it holds a {e completed} import, the stored result is
+    returned without re-importing. A directory in an old format, or
+    without a loadable checkpoint, is started afresh.
     [trace_file] (and the event count) guard against resuming over a
     different trace.
     @raise Foreign_dir if [dir] belongs to a different trace.

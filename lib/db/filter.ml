@@ -98,9 +98,6 @@ let default =
     drop_atomic_members = true;
   }
 
-let fn_blacklisted t frames =
-  List.exists (fun frame -> List.mem frame t.fn_blacklist) frames
-
 let blacklisted_members t ~ty =
   List.filter_map
     (fun (t, m) -> if String.equal t ty then Some m else None)

@@ -24,9 +24,6 @@ val default : t
     simulated subsystem, atomic helpers, and the member blacklist
     (paper Sec. 6: 99 + 58 function entries, 30 member entries). *)
 
-val fn_blacklisted : t -> string list -> bool
-(** [fn_blacklisted t stack] — does any frame hit the blacklist? *)
-
 val member_blacklisted : t -> ty:string -> member:string -> bool
 
 val blacklisted_members : t -> ty:string -> string list

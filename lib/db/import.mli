@@ -96,9 +96,6 @@ val position : engine -> int
 
 val engine_store : engine -> Store.t
 
-val stats : engine -> stats
-(** Stats so far, without the end-of-trace unclosed-transaction pass. *)
-
 val finalize : engine -> stats
 (** Run the end-of-trace unclosed-transaction pass and return final
     stats. Call exactly once, after the last event. *)

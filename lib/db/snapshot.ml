@@ -90,14 +90,6 @@ let load path =
       Obs.incr c_load_failures;
       None
 
-let latest_loadable ~dir =
-  List.fold_left
-    (fun acc (_, name) ->
-      match acc with
-      | Some _ -> acc
-      | None -> load (Filename.concat dir name))
-    None (snapshots ~dir)
-
 (* ---- Manifest ----------------------------------------------------- *)
 
 let manifest_file = "MANIFEST"
@@ -189,3 +181,9 @@ let read_manifest ~dir =
     with
     | m -> m
     | exception _ -> None
+
+let load_latest ~dir =
+  let load_in name = load (Filename.concat dir name) in
+  match Option.bind (read_manifest ~dir) (fun m -> load_in m.m_snapshot) with
+  | Some _ as p -> p
+  | None -> List.find_map (fun (_, name) -> load_in name) (snapshots ~dir)

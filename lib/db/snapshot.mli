@@ -40,12 +40,13 @@ val load : string -> payload option
 (** [None] on any damage: missing file, bad magic, short read,
     checksum mismatch, unmarshalable blob. Never raises. *)
 
-val latest_loadable : dir:string -> payload option
-(** Newest snapshot in [dir] that loads cleanly. *)
-
 val write_manifest : dir:string -> meta -> unit
 val read_manifest : dir:string -> meta option
 (** [None] on a missing, damaged, unversioned or old-format manifest. *)
+
+val load_latest : dir:string -> payload option
+(** The manifest's snapshot, else (a crash between rename steps, or
+    later damage) the newest one in [dir] that loads cleanly. *)
 
 val old_format : dir:string -> string option
 (** [Some v] when [dir] holds a manifest or snapshot of an earlier

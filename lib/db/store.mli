@@ -17,9 +17,7 @@
     readers (CSV export, lockmeter, lockset, the violation finder), and
     is the only code that builds one.
 
-    A store is not synchronised: one domain owns it. Where the analysis
-    does use other domains (per-family pipelines), each of them imports
-    into a store of its own. *)
+    A store is not synchronised: one domain owns it. *)
 
 open Schema
 
@@ -86,7 +84,6 @@ val set_alloc_end : t -> int -> int option -> unit
     the id is out of bounds. *)
 
 val data_type : t -> int -> data_type
-val data_type_by_name : t -> string -> data_type option
 val allocation : t -> int -> allocation
 val lock : t -> int -> lock
 val txn : t -> int -> txn

@@ -49,8 +49,8 @@ val replay : dir:string -> from:int -> (string -> unit) -> int * string option
 
 val truncate_after : dir:string -> lsn:int -> unit
 (** Physically discard every record with LSN >= [lsn], rewriting the
-    containing segment atomically. Used when resuming an import from a
-    checkpoint: the suffix will be regenerated deterministically. *)
+    containing segment atomically. Used when resuming from a checkpoint,
+    past the journal's valid prefix or (an import) past its LSN. *)
 
 val drop_below : dir:string -> lsn:int -> unit
 (** Delete segments wholly below [lsn] (log compaction after a

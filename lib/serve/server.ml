@@ -16,17 +16,19 @@
    Isolation invariants:
    - a connection owns its frame decoder; a framing violation kills
      the connection (structured [err garbled]), never the session;
-   - a session owns its online engine and WAL journal; a worker
-     exception (protocol abuse, importer anomaly, injected crash) kills
-     the session state, never the daemon — the supervisor tombstones
-     it with capped exponential backoff and lets the client rebuild
-     from the durable journal. *)
+   - a session owns its online engine and, with a durable root, the
+     {!Lockdoc_db.Durable} writer that journals and checkpoints it; a
+     worker exception (protocol abuse, importer anomaly, injected
+     crash) kills the session state, never the daemon — the supervisor
+     tombstones it with capped exponential backoff and lets the client
+     rebuild from the durable directory. *)
 
 module Trace = Lockdoc_trace.Trace
 module Event = Lockdoc_trace.Event
 module Layout = Lockdoc_trace.Layout
 module Import = Lockdoc_db.Import
-module Wal = Lockdoc_db.Wal
+module Store = Lockdoc_db.Store
+module Durable = Lockdoc_db.Durable
 module Crashpoint = Lockdoc_db.Crashpoint
 module Derivator = Lockdoc_core.Derivator
 module Rule = Lockdoc_core.Rule
@@ -126,10 +128,10 @@ type session = {
   s_id : string;
   mutable s_conn : int option;
   mutable s_state : state;
-  mutable s_accepted : int;  (* rows applied and journaled (layouts incl.) *)
+  mutable s_accepted : int;  (* rows applied (layouts incl.) *)
   s_scanner : Event.scanner;  (* interns this session's names and locations *)
   s_buf : Buffer.t;  (* where the session's JSON replies are written *)
-  mutable s_wal : Wal.writer option;
+  mutable s_journal : Durable.writer option;  (* durable, events fed *)
   mutable s_restarts : int;
   mutable s_not_before : float;
   mutable s_last_activity : float;
@@ -250,28 +252,26 @@ let fresh_session id ~now =
     s_accepted = 0;
     s_scanner = Event.scanner ();
     s_buf = Buffer.create 4096;
-    s_wal = None;
+    s_journal = None;
     s_restarts = 0;
     s_not_before = now;
     s_last_activity = now;
     s_ledger = None;
   }
 
-let open_wal t s ~start_lsn =
-  match session_dir t s.s_id with
-  | None -> ()
-  | Some dir -> s.s_wal <- Some (Wal.create ~dir ~start_lsn ())
-
 (* Sessions run the online derivator: the wrapped import engine is fed
    exactly as a batch import would be, and the dataset it keeps folded
    lets the [stream] query answer current rules without sealing. The
    engine is built once every layout row is in: at the first event row,
-   or at a seal. *)
-let engine s =
+   or at a seal, where a durable session's writer starts too. *)
+let engine t s =
   match s.s_state with
   | Live o -> o
   | Layouts ls ->
-      let o = Online.create (List.rev ls) in
+      let eng = Import.engine (List.rev ls) in
+      s.s_journal <-
+        Option.map (fun dir -> Durable.start ~dir eng) (session_dir t s.s_id);
+      let o = Online.create eng in
       s.s_state <- Live o;
       o
   | Sealed _ | Failed _ -> invalid_arg "Server.engine: session not streaming"
@@ -286,45 +286,29 @@ let parse_row s line =
     P_layout (Layout.of_string (String.sub line 2 (String.length line - 2)))
   else P_event (Event.parse s.s_scanner line)
 
-(* Apply one parsed row to a streaming session. *)
-let feed_row s = function
-  | P_layout l -> (
-      match s.s_state with
-      | Layouts ls -> s.s_state <- Layouts (l :: ls)
-      | _ -> failwith "layout after events")
-  | P_event ev -> Online.feed (engine s) ev
-
-(* Rebuild a session's import state by replaying its durable journal
-   (the valid WAL prefix). Rows were validated before they were
-   journaled, so replay re-feeds them directly, not through [apply_row]
-   and its crash point; a record that no longer parses (bit rot that
-   survived framing) truncates the journal there — [Wal.replay], as in
-   {!Lockdoc_db.Durable.recover} — and the client re-sends the tail. *)
+(* Rebuild a session from its durable directory: the last checkpoint
+   and the valid journal tail past it. The watermark counts the layout
+   rows (one data type each) and the events fed. Without a checkpoint
+   (none configured, or no event row yet) the session starts at row 0. *)
 let rebuild_session t id ~now =
   let s = fresh_session id ~now in
-  (match session_dir t id with
-  | None -> open_wal t s ~start_lsn:0
-  | Some dir ->
-      let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
-      let replayed, _stop =
-        Wal.replay ~dir ~from:0 (fun line -> feed_row s (parse_row s line))
-      in
-      s.s_accepted <- replayed;
-      Wal.truncate_after ~dir ~lsn:s.s_accepted;
-      open_wal t s ~start_lsn:s.s_accepted;
-      if s.s_accepted > 0 then begin
-        Obs.incr c_rebuilds;
-        if Obs.enabled () then
-          Obs.observe h_rebuild (1000. *. (Obs.Clock.wall () -. t0))
-      end);
+  let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
+  (match Option.bind (session_dir t id) (fun dir -> Durable.reopen ~dir) with
+  | None -> ()
+  | Some w ->
+      let o = Online.create (Durable.engine w) in
+      s.s_journal <- Some w;
+      s.s_state <- Live o;
+      s.s_accepted <- Store.n_data_types (Online.store o) + Online.position o;
+      Obs.incr c_rebuilds;
+      if Obs.enabled () then
+        Obs.observe h_rebuild (1000. *. (Obs.Clock.wall () -. t0)));
   Hashtbl.replace t.sessions id s;
   s
 
-let close_wal s =
-  (match s.s_wal with
-  | Some w -> ( try Wal.close w with _ -> ())
-  | None -> ());
-  s.s_wal <- None
+let close_journal s =
+  Option.iter (fun w -> try Durable.close w with _ -> ()) s.s_journal;
+  s.s_journal <- None
 
 (* Supervisor: a worker exception tears down the session's in-memory
    state and tombstones it behind a capped exponential backoff. The
@@ -333,7 +317,7 @@ let close_wal s =
 let session_fail t s ~now exn =
   let reason = Printexc.to_string exn in
   Obs.incr c_session_failures;
-  close_wal s;
+  close_journal s;
   s.s_accepted <- 0;
   s.s_restarts <- s.s_restarts + 1;
   let backoff =
@@ -517,8 +501,8 @@ let handle_hello t c ~now version session_id =
           c.c_session <- Some session_id;
           superseded @ [ Send (c.c_id, Proto.Welcome { resume = s.s_accepted }) ]
         with exn -> (
-          (* A rebuild that dies (e.g. crash-injected WAL append during
-             journal truncation) is a session failure like any other. *)
+          (* A rebuild that dies (e.g. on an unreadable session
+             directory) is a session failure like any other. *)
           match Hashtbl.find_opt t.sessions session_id with
           | Some s ->
               let outs = session_fail t s ~now exn in
@@ -538,20 +522,26 @@ let handle_hello t c ~now version session_id =
   end
 
 (* Apply one fresh row. A layout is recorded; an event is fed to the
-   online engine. Either is journaled only once applied, so the journal
-   holds exactly the rows the engine took — the same rule as
-   {!Lockdoc_db.Durable.import}. The crash point makes the worker hot
-   path seedable: an armed [Crashpoint] kills exactly this session, and
-   the chaos/supervision tests assert the daemon and the other sessions
-   never notice. *)
-let apply_row s line p =
+   online engine, through the durable writer when there is one, which
+   journals it once the engine took it. The crash point makes the
+   worker hot path seedable: an armed [Crashpoint] kills exactly this
+   session, and the chaos/supervision tests assert the daemon and the
+   other sessions never notice. *)
+let apply_row t s p =
   (match p with
-  | P_layout _ -> feed_row s p
-  | P_event _ ->
+  | P_layout l -> (
+      match s.s_state with
+      | Layouts ls -> s.s_state <- Layouts (l :: ls)
+      | _ -> failwith "layout after events")
+  | P_event ev ->
       Crashpoint.hit "serve.feed";
-      feed_row s p;
+      let o = engine t s in
+      (match s.s_journal with
+      | None -> Online.feed o ev
+      | Some w ->
+          Durable.feed w ev;
+          Online.absorb o);
       Obs.incr c_events);
-  (match s.s_wal with Some w -> Wal.append w line | None -> ());
   s.s_accepted <- s.s_accepted + 1
 
 let handle_rows t c s ~now start lines =
@@ -603,7 +593,7 @@ let handle_rows t c s ~now start lines =
                    and journaled, so a reconnect resumes at it. *)
                 try
                   Crashpoint.hit "serve.rows";
-                  List.iter2 (apply_row s) fresh parsed_fresh;
+                  List.iter (apply_row t s) parsed_fresh;
                   s.s_last_activity <- now;
                   []
                 with exn ->
@@ -737,8 +727,11 @@ let sealed_msg sd =
 let seal t s ~now =
   Crashpoint.hit "serve.seal";
   let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
-  close_wal s;
-  let _stats = Online.finalize (engine s) in
+  (* No final checkpoint: the journal holds every row, so a rebuild
+     comes back at the full watermark. *)
+  let o = engine t s in
+  close_journal s;
+  let _stats = Online.finalize o in
   let v = view t s in
   let sd =
     {
@@ -962,7 +955,7 @@ let step t ~now =
       match Hashtbl.find_opt t.sessions sid with
       | Some ({ s_state = Layouts _ | Live _ | Sealed _; s_conn = None; _ } as s)
         when now -. s.s_last_activity > t.cfg.session_timeout ->
-          close_wal s;
+          close_journal s;
           Hashtbl.remove t.sessions sid
       | _ -> ())
     (sorted_keys t.sessions String.compare);

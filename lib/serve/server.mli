@@ -24,15 +24,15 @@
     anomaly, injected {!Lockdoc_db.Crashpoint} crash — kills the
     {e session}: the supervisor tombstones it behind capped exponential
     backoff ([retry-after] on early reconnect, [err permanent-failure]
-    after [max_restarts]), and a later reconnect rebuilds it from the
-    durable journal. The daemon itself never dies.
+    after [max_restarts]), and a later reconnect rebuilds it from its
+    durable directory. The daemon itself never dies.
 
     {2 Ingest runs inline}
 
     A [Rows] frame is applied before {!on_bytes} returns: each fresh
-    row is fed to the session's online engine and then journaled, so
-    the journal holds only rows the engine accepted. A row the engine
-    rejects fails the session in the same call; the rows before it stay
+    row is fed to the session's online engine, and in a durable session
+    journaled once the engine accepted it. A row the engine rejects
+    fails the session in the same call; the rows before it stay
     applied, and a reconnect resumes at the rejected row. Client frames
     are at most 1 MiB, which bounds the work one call does. *)
 
@@ -40,9 +40,10 @@ type config = {
   max_clients : int;  (** concurrent connections *)
   session_timeout : float;  (** idle seconds before close / GC *)
   durable_root : string option;
-      (** when set, each session journals accepted rows to
-          [root/session-<id>/] in WAL framing and is rebuilt from the
-          valid journal prefix on reconnect *)
+      (** when set, each session's [root/session-<id>/] is a
+          {!Lockdoc_db.Durable} directory, written from the first event
+          row on and rebuilt with {!Lockdoc_db.Durable.reopen} on
+          reconnect or daemon restart (at row 0 before that row) *)
   retry_after_ms : int;  (** suggested delay in max-clients replies *)
   restart_backoff : float;  (** base of the exponential backoff, seconds *)
   max_backoff : float;

@@ -16,12 +16,9 @@
 val magic : string
 (** 8 bytes, ["LDOCBIN1"]. *)
 
-val is_binary : string -> bool
-(** Does this byte string start with (a prefix of at least 4 bytes of)
-    the magic? Used by the CLI to auto-detect packed traces. *)
-
 val file_is_binary : string -> bool
-(** {!is_binary} on the first bytes of a file; false on read errors. *)
+(** Does the file start with (a prefix of at least 4 bytes of) the
+    magic? False on read errors. The CLI's packed-trace auto-detect. *)
 
 (** {2 Encoding} *)
 

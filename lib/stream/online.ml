@@ -48,28 +48,11 @@ type t = {
   mutable seen : int;  (* access rows absorbed so far *)
 }
 
-let create layouts =
-  let eng = Import.engine layouts in
-  let st = Import.engine_store eng in
-  {
-    eng;
-    st;
-    ds = Dataset.create st;
-    strings = Report.strings ();
-    buf = Buffer.create 4096;
-    memos = Vec.create ();
-    vmemos = Vec.create ();
-    params = None;
-    seen = Store.n_accesses st;
-  }
-
-let engine t = t.eng
 let store t = t.st
 let dataset t = t.ds
 let position t = Import.position t.eng
-let stats t = Import.stats t.eng
 
-let drain t =
+let absorb t =
   let n = Store.n_accesses t.st in
   if t.seen < n then begin
     let flips = Dataset.flips t.ds in
@@ -81,13 +64,31 @@ let drain t =
     t.seen <- n
   end
 
+let create eng =
+  let st = Import.engine_store eng in
+  let t =
+    {
+      eng;
+      st;
+      ds = Dataset.create st;
+      strings = Report.strings ();
+      buf = Buffer.create 4096;
+      memos = Vec.create ();
+      vmemos = Vec.create ();
+      params = None;
+      seen = 0;
+    }
+  in
+  absorb t;
+  t
+
 let feed t ev =
   Import.feed t.eng ev;
-  drain t
+  absorb t
 
 let finalize t =
   let stats = Import.finalize t.eng in
-  drain t;
+  absorb t;
   stats
 
 let slot v g =

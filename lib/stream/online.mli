@@ -15,23 +15,24 @@
 
 type t
 
-val create : Lockdoc_trace.Layout.t list -> t
-(** Fresh derivator over [layouts]. The wrapped engine imports with
-    {!Lockdoc_db.Import.engine}'s defaults: the default filter,
-    [Inherit] and [Strict]. *)
+val create : Lockdoc_db.Import.engine -> t
+(** Derivator over [engine], fresh or recovered from a checkpoint
+    ({!Lockdoc_db.Durable.reopen}): the rows its store already holds
+    are absorbed first, as [Dataset.of_store] folds them. *)
 
 val feed : t -> Lockdoc_trace.Event.t -> unit
-(** Feed one event through the import engine and absorb any access row
-    it produced into the dataset. May raise
+(** Feed one event through the import engine and {!absorb}. May raise
     {!Lockdoc_trace.Trace.Invalid}, like the engine in [Strict]
     mode. *)
+
+val absorb : t -> unit
+(** Absorb the access rows the engine produced since the last call,
+    for a caller that fed the engine itself ({!Lockdoc_db.Durable.feed}). *)
 
 val position : t -> int
 (** Events consumed so far (the import engine's position). *)
 
-val engine : t -> Lockdoc_db.Import.engine
 val store : t -> Lockdoc_db.Store.t
-val stats : t -> Lockdoc_db.Import.stats
 
 val finalize : t -> Lockdoc_db.Import.stats
 (** Run the engine's end-of-trace pass. Call at most once; only needed

@@ -6,7 +6,6 @@ type 'a t =
   | Node of { l : 'a t; lo : int; hi : int; v : 'a; r : 'a t; h : int; top : int }
 
 let empty = Empty
-let is_empty = function Empty -> true | Node _ -> false
 let height = function Empty -> 0 | Node n -> n.h
 let top = function Empty -> min_int | Node n -> n.top
 

@@ -12,8 +12,6 @@ type 'a t
 
 val empty : 'a t
 
-val is_empty : 'a t -> bool
-
 val add : lo:int -> hi:int -> 'a -> 'a t -> 'a t
 (** Binds base [lo] to the range [[lo, hi)] and the value, replacing an
     earlier binding of [lo]. *)

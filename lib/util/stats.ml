@@ -14,8 +14,6 @@ let percentile p xs =
       let rank = max 1 (min n rank) in
       List.nth sorted (rank - 1)
 
-let ratio a b = if b = 0 then 0. else float_of_int a /. float_of_int b
-
 type counter = (string, int) Hashtbl.t
 
 let counter () = Hashtbl.create 16

@@ -11,9 +11,6 @@ val percentile : float -> float list -> float
 (** [percentile p xs] for [p] in [\[0,1\]], nearest-rank on the sorted list.
     Raises [Invalid_argument] on the empty list. *)
 
-val ratio : int -> int -> float
-(** [ratio a b] is [a / b] as float; 0. when [b = 0]. *)
-
 type counter
 (** A string-keyed tally. *)
 

@@ -13,7 +13,6 @@ val get : 'a t -> int -> 'a
 
 val set : 'a t -> int -> 'a -> unit
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
 val exists : ('a -> bool) -> 'a t -> bool

@@ -17,6 +17,9 @@ module Durable = Lockdoc_db.Durable
 module Store = Lockdoc_db.Store
 module Wal = Lockdoc_db.Wal
 module Record = Lockdoc_db.Record
+module Server = Lockdoc_serve.Server
+module Proto = Lockdoc_serve.Proto
+module Frame = Lockdoc_serve.Frame
 
 let check = Alcotest.check
 let exe = Filename.concat Filename.parent_dir_name "bin/lockdoc.exe"
@@ -599,6 +602,37 @@ let test_recover_non_durable_dir () =
            "store: 0 access(es), 0 txn(s), 0 lock(s), 0 allocation(s), 0 \
             type(s)\n"))
 
+(* A durable serve session's directory is a durable directory:
+   [recover] reads a session fed part of a trace (and never sealed) as
+   an interrupted import at the session's event count. *)
+let test_recover_serve_session () =
+  with_fixtures (fun ~dir ~clean ~bad:_ ->
+      let root = Filename.concat dir "serve" in
+      let trace, _ = Trace.read clean in
+      let rows = List.filteri (fun i _ -> i < 1000) (Trace.to_lines trace) in
+      let events = 1000 - List.length trace.Trace.layouts in
+      let srv =
+        Server.create
+          ~config:{ Server.default_config with durable_root = Some root }
+          ()
+      in
+      let send cid m =
+        Server.on_bytes srv ~now:0. cid (Frame.encode (Proto.client_to_payload m))
+      in
+      let cid, _ = Server.accept srv ~now:0. in
+      ignore (send cid (Proto.Hello { version = Proto.version; session = "s" }));
+      ignore (send cid (Proto.Rows { start = 0; lines = rows }));
+      let code, out, err = run [ "recover"; Filename.concat root "session-s" ] in
+      check Alcotest.int "exit 0" 0 code;
+      check Alcotest.string "nothing on stderr" "" err;
+      check Alcotest.bool "the session's events replayed" true
+        (contains out
+           (Printf.sprintf "wal: %d event(s) replayed up to lsn %d\n" events
+              events));
+      check Alcotest.bool "reported as an interrupted import" true
+        (contains out
+           (Printf.sprintf "state: interrupted import at event %d\n" events)))
+
 (* ---- pack / unpack / binary fsck ---------------------------------- *)
 
 let test_pack_unpack_roundtrip () =
@@ -787,6 +821,8 @@ let () =
             test_recover_old_format;
           Alcotest.test_case "recover non-durable dir" `Quick
             test_recover_non_durable_dir;
+          Alcotest.test_case "recover a serve session" `Quick
+            test_recover_serve_session;
         ] );
       ( "binary",
         [

@@ -32,11 +32,15 @@ module Server = Lockdoc_serve.Server
 module Chaos = Lockdoc_serve.Chaos
 module Sockserv = Lockdoc_serve.Sockserv
 module Wal = Lockdoc_db.Wal
+module Durable = Lockdoc_db.Durable
+module Store = Lockdoc_db.Store
 module Record = Lockdoc_db.Record
 module Import = Lockdoc_db.Import
 module Crashpoint = Lockdoc_db.Crashpoint
 module Trace = Lockdoc_trace.Trace
 module Run = Lockdoc_ksim.Run
+module Kernel = Lockdoc_ksim.Kernel
+module Obs = Lockdoc_obs.Obs
 module Dataset = Lockdoc_core.Dataset
 module Derivator = Lockdoc_core.Derivator
 module Violation = Lockdoc_core.Violation
@@ -486,11 +490,10 @@ let test_server_rows_apply_inline () =
       expect_err_close "rejected row fails the session in the call"
         "session-failed"
         (send srv ~now:0.0 cid (Proto.Rows { start = n; lines = bad_frame }));
-      let replayed, _ =
-        Wal.replay ~dir:(Filename.concat root "session-s") ~from:0 ignore
-      in
+      let r = Durable.recover ~dir:(Filename.concat root "session-s") in
       check Alcotest.int "journal holds the rows before the rejected one"
-        (n + 2) replayed;
+        (n + 2)
+        (Store.n_data_types r.Durable.r_store + r.Durable.r_trace_offset);
       let _, resume = connect srv ~now:1.0 "s" in
       check Alcotest.int "reconnect resumes at the rejected row" (n + 2)
         resume)
@@ -641,6 +644,91 @@ let test_server_crash_backoff_durable_recovery () =
         expect_sealed "seal" (send srv ~now:4.0 c4 (Proto.Seal { rows = total }))
       in
       check_oracle "crash-recovered stream" trace sealed)
+
+(* The scale-1 mix (~75k events): long enough for a durable session to
+   pass its first periodic checkpoint (every 50,000 events). *)
+let mix_trace =
+  lazy
+    (let config =
+       { Run.kernel = { Kernel.default_config with Kernel.seed = 3 };
+         Run.scale = 1; Run.faults = true }
+     in
+     fst (Run.benchmark_mix ~config ()))
+
+(* A durable session rebuilds from its last checkpoint, not from row 0:
+   failed ~60,000 events into the mix, the rebuild re-feeds only the
+   events journaled since the checkpoint at 50,000, resumes at the
+   watermark, and the session seals like the batch oracle. *)
+let test_server_rebuild_from_checkpoint () =
+  let root = temp_dir "serve_bounded" in
+  let replayed = Obs.counter "durable.events_replayed" in
+  let was = Obs.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Crashpoint.reset ();
+      Obs.set_enabled was;
+      rm_rf root)
+    (fun () ->
+      let trace = Lazy.force mix_trace in
+      let lines = Trace.to_lines trace in
+      let total = List.length lines in
+      check Alcotest.bool "the mix passes 60,000 events" true
+        (Array.length trace.Trace.events > 60_000);
+      let cut = List.length trace.Trace.layouts + 60_000 in
+      let cfg = { Server.default_config with durable_root = Some root } in
+      let srv = Server.create ~config:cfg () in
+      let c1, _ = connect srv ~now:0.0 "s" in
+      stream_all srv ~now:0.0 c1 ~batch:2000 ~start:0
+        (List.filteri (fun i _ -> i < cut) lines);
+      let rest = List.filteri (fun i _ -> i >= cut) lines in
+      Crashpoint.arm ~after:1;
+      expect_err_close "worker crash" "session-failed"
+        (send srv ~now:0.0 c1
+           (Proto.Rows { start = cut; lines = fst (take_bytes 2000 rest) }));
+      Crashpoint.reset ();
+      Obs.set_enabled true;
+      let before = Obs.counter_value replayed in
+      let c2, resume = connect srv ~now:1.0 "s" in
+      let refed = Obs.counter_value replayed - before in
+      Obs.set_enabled was;
+      check Alcotest.int "rebuild resumes at the watermark" cut resume;
+      check Alcotest.int "rebuild re-feeds the events past the checkpoint"
+        10_000 refed;
+      check Alcotest.bool "bounded by the checkpoint interval" true
+        (refed < 50_000);
+      stream_all srv ~now:1.0 c2 ~batch:2000 ~start:cut rest;
+      let sealed =
+        expect_sealed "seal" (send srv ~now:1.0 c2 (Proto.Seal { rows = total }))
+      in
+      check_oracle "mix rebuilt from a checkpoint" trace sealed)
+
+(* A daemon restart: a second server over the same durable root finds
+   the half-fed session on disk (absent from its table), resumes it at
+   its watermark, and seals like the batch oracle. *)
+let test_server_restart_resumes () =
+  let root = temp_dir "serve_restart" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      let trace = Lazy.force pipe_trace in
+      let lines = Trace.to_lines trace in
+      let total = List.length lines in
+      let half = total / 2 in
+      let cfg = { Server.default_config with durable_root = Some root } in
+      let srv = Server.create ~config:cfg () in
+      let c1, _ = connect srv ~now:0.0 "s" in
+      stream_all srv ~now:0.0 c1 ~start:0
+        (List.filteri (fun i _ -> i < half) lines);
+      let srv = Server.create ~config:cfg () in
+      let c2, resume = connect srv ~now:0.0 "s" in
+      check Alcotest.int "restarted daemon resumes at the watermark" half
+        resume;
+      stream_all srv ~now:0.0 c2 ~start:half
+        (List.filteri (fun i _ -> i >= half) lines);
+      let sealed =
+        expect_sealed "seal" (send srv ~now:0.0 c2 (Proto.Seal { rows = total }))
+      in
+      check_oracle "stream resumed by a restarted daemon" trace sealed)
 
 let test_server_permanent_failure () =
   Fun.protect ~finally:Crashpoint.reset (fun () ->
@@ -1268,6 +1356,10 @@ let () =
           Alcotest.test_case "supersede" `Quick test_server_supersede;
           Alcotest.test_case "crash, backoff, durable recovery" `Quick
             test_server_crash_backoff_durable_recovery;
+          Alcotest.test_case "rebuild re-feeds from the last checkpoint" `Quick
+            test_server_rebuild_from_checkpoint;
+          Alcotest.test_case "restarted daemon resumes a session" `Quick
+            test_server_restart_resumes;
           Alcotest.test_case "permanent failure" `Quick
             test_server_permanent_failure;
           Alcotest.test_case "rejections" `Quick test_server_rejections;

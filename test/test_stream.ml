@@ -521,7 +521,7 @@ let test_online_matches_batch () =
         in
         (* One live online instance fed straight through; frozen at
            each prefix without stopping the stream. *)
-        let online = Online.create trace.Trace.layouts in
+        let online = Online.create (Import.engine trace.Trace.layouts) in
         let fed = ref 0 in
         List.iter
           (fun prefix ->
@@ -560,7 +560,7 @@ let test_oracle () =
       for seed = 0 to n_seeds - 1 do
         let trace = Run.workload_trace ~seed:(200 + seed) name in
         let n = Array.length trace.Trace.events in
-        let online = Online.create trace.Trace.layouts in
+        let online = Online.create (Import.engine trace.Trace.layouts) in
         let fed = ref 0 in
         List.iter
           (fun prefix ->
@@ -640,7 +640,7 @@ let test_repeat_freeze_hits_memo () =
   with_metrics @@ fun () ->
   let trace = Lazy.force memo_trace in
   let n = Array.length trace.Trace.events in
-  let online = Online.create trace.Trace.layouts in
+  let online = Online.create (Import.engine trace.Trace.layouts) in
   for i = 0 to (n / 2) - 1 do
     Online.feed online trace.Trace.events.(i)
   done;
@@ -664,7 +664,7 @@ let test_repeat_freeze_hits_memo () =
 let test_memo_honours_tac () =
   let trace = Lazy.force memo_trace in
   let n = Array.length trace.Trace.events in
-  let online = Online.create trace.Trace.layouts in
+  let online = Online.create (Import.engine trace.Trace.layouts) in
   Array.iter (Online.feed online) trace.Trace.events;
   let at ?strategy tac =
     let _, mined = Online.freeze ?strategy ~tac online in
@@ -688,7 +688,7 @@ let test_memo_honours_tac () =
 let test_memoized_json () =
   let trace = Lazy.force memo_trace in
   let n = Array.length trace.Trace.events in
-  let online = Online.create trace.Trace.layouts in
+  let online = Online.create (Import.engine trace.Trace.layouts) in
   let fed = ref 0 in
   List.iter
     (fun prefix ->
@@ -719,7 +719,7 @@ let test_flips_match_batch () =
   with_metrics @@ fun () ->
   let trace = Lazy.force memo_trace in
   let n = Array.length trace.Trace.events in
-  let online = Online.create trace.Trace.layouts in
+  let online = Online.create (Import.engine trace.Trace.layouts) in
   let read_totals mined =
     List.filter_map
       (fun (m : Derivator.mined) ->
@@ -786,7 +786,7 @@ let check_against_batch label trace prefix (rules, violations) =
 let memo_run ~max_checks trace =
   with_metrics @@ fun () ->
   let n = Array.length trace.Trace.events in
-  let online = Online.create trace.Trace.layouts in
+  let online = Online.create (Import.engine trace.Trace.layouts) in
   let st = Online.store online in
   let cells = Hashtbl.create 4096 in
   let grid = max 1 (n / 16) in
@@ -854,7 +854,7 @@ let test_violation_metrics () =
   with_metrics @@ fun () ->
   let trace = Widgets.trace 1 in
   let n = Array.length trace.Trace.events in
-  let online = Online.create trace.Trace.layouts in
+  let online = Online.create (Import.engine trace.Trace.layouts) in
   let fed = ref 0 and total = ref 0 in
   List.iter
     (fun prefix ->
@@ -892,7 +892,7 @@ let test_scale4_mix () =
     fst (Run.benchmark_mix ~config ())
   in
   let n = Array.length trace.Trace.events in
-  let online = Online.create trace.Trace.layouts in
+  let online = Online.create (Import.engine trace.Trace.layouts) in
   let fed = ref 0 in
   List.iter
     (fun prefix ->
@@ -926,7 +926,7 @@ let test_streamed_binary_pipeline () =
           | None ->
               (* Layout records all precede the first event in a packed
                  trace, so the engine can start at the first event. *)
-              let o = Online.create (Codec.layouts dec) in
+              let o = Online.create (Import.engine (Codec.layouts dec)) in
               online := Some o;
               o
         in
